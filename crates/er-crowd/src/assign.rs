@@ -10,6 +10,10 @@
 
 use crate::worker::{mix, unit_draw, WorkerId};
 
+/// The most votes one pair can collect: the width of the crowd plan's per-pair
+/// vote bitmasks.
+pub const MAX_VOTES: usize = 64;
+
 /// How many distinct workers vote on each pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Redundancy {
@@ -45,12 +49,17 @@ impl Redundancy {
     /// Validates the shape against a pool size.
     ///
     /// # Panics
-    /// Panics if the redundancy is zero, inverted (`min > max`) or exceeds the
-    /// pool (votes must come from *distinct* workers).
+    /// Panics if the redundancy is zero, inverted (`min > max`), above
+    /// [`MAX_VOTES`] or exceeds the pool (votes must come from *distinct*
+    /// workers).
     pub fn validate(&self, pool_size: usize) {
         let (initial, limit) = (self.initial(), self.limit());
         assert!(initial >= 1, "redundancy must request at least one vote");
         assert!(initial <= limit, "adaptive redundancy needs min <= max, got {initial} > {limit}");
+        assert!(
+            limit <= MAX_VOTES,
+            "redundancy limit {limit} exceeds the cap of {MAX_VOTES} votes per pair"
+        );
         assert!(
             limit <= pool_size,
             "redundancy limit {limit} exceeds the worker pool size {pool_size}"
@@ -135,6 +144,12 @@ mod tests {
         for pair in 0..50 {
             assert_eq!(planner.roster(pair).len(), 1);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the cap of 64 votes per pair")]
+    fn rejects_redundancy_beyond_the_vote_cap() {
+        let _ = AssignmentPlanner::new(Redundancy::Adaptive { min: 3, max: 65 }, 100, 0);
     }
 
     #[test]

@@ -24,8 +24,14 @@
 //!    a unanimous vote.
 //!
 //! [`CrowdPlan`] ties the three together as a re-entrant sans-I/O state
-//! machine: submit pairs, dispatch the returned [`VoteAsk`]s, absorb votes
-//! (possibly receiving escalation asks back), decide completed pairs.
+//! machine: submit pairs, dispatch the emitted [`VoteAsk`]s, absorb votes
+//! (possibly receiving escalation asks back), decide completed pairs. It
+//! keeps one compact slot per pair in a hashed table: the asked roster
+//! prefix, answered and match bitmasks, and the pair's lifecycle, with every
+//! roster computed once into one shared arena. Re-submitting a known pair,
+//! which drivers do for their whole outstanding batch every tick, costs one
+//! lookup plus appending its unanswered asks. The bitmasks cap a pair at
+//! [`MAX_VOTES`] votes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +42,6 @@ pub mod plan;
 pub mod worker;
 
 pub use aggregate::{estimate, majority, EmConfig, EmOutcome, VoteMatrix, WorkerReliability};
-pub use assign::{AssignmentPlanner, Redundancy};
-pub use plan::{Aggregation, CrowdConfig, CrowdPlan, CrowdStats, VoteAsk};
+pub use assign::{AssignmentPlanner, Redundancy, MAX_VOTES};
+pub use plan::{Aggregation, CrowdConfig, CrowdPlan, CrowdStats, Submission, VoteAsk};
 pub use worker::{mix, unit_draw, WorkerId, WorkerModel};

@@ -1,13 +1,13 @@
 //! The re-entrant vote-collection state machine.
 //!
 //! [`CrowdPlan`] ties the planner and the aggregators together without doing
-//! any I/O: callers [`submit`](CrowdPlan::submit) pairs, forward the returned
+//! any I/O: callers [`submit`](CrowdPlan::submit) pairs, forward the emitted
 //! [`VoteAsk`]s to whatever answers votes (simulated [`WorkerModel`]s, a task
 //! queue, real people), feed answers back through
-//! [`absorb`](CrowdPlan::absorb) — which may return *escalation* asks when an
-//! adaptive prefix disagrees — and finally [`decide`](CrowdPlan::decide) the
-//! pairs whose voting completed. Everything is keyed by raw `u64` pair ids so
-//! the crate stays dependency-free; the `humo` crate wraps this in its
+//! [`absorb`](CrowdPlan::absorb) — which may return an *escalation* ask when
+//! an adaptive prefix disagrees — and finally [`decide`](CrowdPlan::decide)
+//! the pairs whose voting completed. Everything is keyed by raw `u64` pair ids
+//! so the crate stays dependency-free; the `humo` crate wraps this in its
 //! `Oracle`/session vocabulary.
 //!
 //! Re-entrancy: submitting a known pair re-emits only its still-unanswered
@@ -16,12 +16,24 @@
 //! crashes and replays (the labeling service's resume path) reproduces
 //! identical votes and labels.
 //!
+//! Layout: one slot per pair. A hashed index maps each pair id to a dense
+//! slot number, and the slot holds everything the plan knows about the pair:
+//! the length of the asked roster prefix, two bitmasks over roster positions
+//! (answered, voted match), and its lifecycle (pending, completed, decided).
+//! Rosters live back to back in one shared arena, computed once when a pair is
+//! first seen. Re-submitting a known pair therefore costs one lookup plus
+//! appending its unanswered asks to the caller's buffer, with no allocation
+//! per pair. The masks are the only vote store: majority reads a slot by
+//! popcount, and EM builds the canonical [`VoteMatrix`] from the slots when it
+//! decides. Their width caps a pair at [`MAX_VOTES`](crate::MAX_VOTES) votes.
+//!
 //! [`WorkerModel`]: crate::WorkerModel
 
-use crate::aggregate::{estimate, majority, EmConfig, EmOutcome, VoteMatrix};
+use crate::aggregate::{estimate, EmConfig, EmOutcome, VoteMatrix};
 use crate::assign::{AssignmentPlanner, Redundancy};
-use crate::worker::WorkerId;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::worker::{mix, WorkerId};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How completed vote sets are turned into labels.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +68,20 @@ pub struct VoteAsk {
     pub pair: u64,
     /// The worker asked.
     pub worker: WorkerId,
+    /// The pair's slot number in the plan that issued the ask (see
+    /// [`Submission::slot`]).
+    pub slot: u32,
+}
+
+/// What [`CrowdPlan::submit`] found for a pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Submission {
+    /// The pair's slot number. Slots are numbered densely from 0 in the order
+    /// the plan first sees pairs and never change, so a driver can keep
+    /// per-pair data in a `Vec` indexed by it.
+    pub slot: u32,
+    /// The pair's decided label, if any. Decided pairs emit no asks.
+    pub decision: Option<bool>,
 }
 
 /// Running totals of the crowd machinery, for reports and the `crowd.*`
@@ -76,22 +102,77 @@ pub struct CrowdStats {
     pub em_iterations: u64,
 }
 
-/// Voting progress of one submitted pair.
-#[derive(Debug)]
-struct PendingPair {
-    roster: Vec<WorkerId>,
-    asked: usize,
+/// Where a pair stands in the voting protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Not collecting votes: decided without being submitted, or completed and
+    /// already drained by [`CrowdPlan::take_completed`]. Submitting an
+    /// undecided idle pair opens its initial prefix again.
+    Idle,
+    /// Collecting votes for the asked prefix of its roster.
+    Pending,
+    /// Voting finished; queued for [`CrowdPlan::take_completed`].
+    Completed,
 }
 
-/// The sans-I/O crowd state machine. See the module docs for the protocol.
+/// Everything the plan knows about one pair. Its roster is
+/// `rosters[slot * width..][..width]`.
+#[derive(Debug)]
+struct Slot {
+    pair: u64,
+    /// Bit `i` set: roster position `i` has voted.
+    answered: u64,
+    /// Bit `i` set: roster position `i` voted match.
+    matches: u64,
+    /// Length of the asked roster prefix.
+    asked: u8,
+    phase: Phase,
+    decision: Option<bool>,
+}
+
+impl Slot {
+    /// Majority over the slot's votes: [`majority`](crate::majority)'s rule,
+    /// ties to non-match, read off the masks by popcount.
+    fn majority(&self) -> bool {
+        2 * self.matches.count_ones() > self.answered.count_ones()
+    }
+}
+
+/// Hashes pair ids with the SplitMix64 finalizer ([`mix`]) instead of SipHash.
+#[derive(Debug, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = mix(self.0, u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix(self.0, n);
+    }
+}
+
+/// The sans-I/O crowd state machine. See the module docs for the protocol and
+/// the layout.
 #[derive(Debug)]
 pub struct CrowdPlan {
     planner: AssignmentPlanner,
     aggregation: Aggregation,
-    matrix: VoteMatrix,
-    pending: BTreeMap<u64, PendingPair>,
-    completed: BTreeSet<u64>,
-    decided: BTreeMap<u64, bool>,
+    /// Roster length of every pair: the redundancy limit.
+    width: usize,
+    /// Asks a newly opened pair starts with.
+    initial: u8,
+    index: HashMap<u64, u32, BuildHasherDefault<PairHasher>>,
+    slots: Vec<Slot>,
+    rosters: Vec<WorkerId>,
+    /// Slots whose voting completed since the last `take_completed`.
+    completed: Vec<u32>,
     stats: CrowdStats,
     last_em: Option<EmOutcome>,
 }
@@ -100,153 +181,149 @@ impl CrowdPlan {
     /// Creates a plan.
     ///
     /// # Panics
-    /// Panics if the pool is empty or the redundancy does not fit it.
+    /// Panics if the pool is empty or the redundancy does not fit it (see
+    /// [`Redundancy::validate`]).
     pub fn new(config: CrowdConfig) -> Self {
+        let planner = AssignmentPlanner::new(config.redundancy, config.pool_size, config.seed);
         Self {
-            planner: AssignmentPlanner::new(config.redundancy, config.pool_size, config.seed),
+            width: config.redundancy.limit(),
+            initial: config.redundancy.initial() as u8,
+            planner,
             aggregation: config.aggregation,
-            matrix: VoteMatrix::new(),
-            pending: BTreeMap::new(),
-            completed: BTreeSet::new(),
-            decided: BTreeMap::new(),
+            index: HashMap::default(),
+            slots: Vec::new(),
+            rosters: Vec::new(),
+            completed: Vec::new(),
             stats: CrowdStats::default(),
             last_em: None,
         }
     }
 
-    /// Submits a pair for labeling. New pairs return their initial asks;
-    /// already-pending pairs re-emit their still-unanswered asks (so a driver
-    /// can always recover its outstanding work by re-submitting); completed or
-    /// decided pairs return nothing.
-    pub fn submit(&mut self, pair: u64) -> Vec<VoteAsk> {
-        if self.decided.contains_key(&pair) || self.completed.contains(&pair) {
-            return Vec::new();
+    /// Submits a pair for labeling and appends its asks to `asks`. A new pair
+    /// emits its initial asks; an already-pending pair re-emits its
+    /// still-unanswered asks (so a driver can always recover its outstanding
+    /// work by re-submitting); completed or decided pairs emit nothing.
+    pub fn submit(&mut self, pair: u64, asks: &mut Vec<VoteAsk>) -> Submission {
+        let slot = self.slot(pair);
+        let s = &mut self.slots[slot as usize];
+        if s.decision.is_none() && s.phase != Phase::Completed {
+            if s.phase == Phase::Idle {
+                s.phase = Phase::Pending;
+                s.asked = self.initial;
+            }
+            self.push_unanswered(slot, asks);
         }
-        if !self.pending.contains_key(&pair) {
-            let roster = self.planner.roster(pair);
-            let asked = self.planner.redundancy().initial().min(roster.len());
-            self.pending.insert(pair, PendingPair { roster, asked });
-        }
-        self.unanswered(pair)
+        Submission { slot, decision: self.slots[slot as usize].decision }
     }
 
-    /// Records one vote. Unknown pairs and duplicate `(pair, worker)` votes
-    /// are ignored. When the vote completes an adaptive prefix that still
-    /// disagrees, the returned asks extend the roster by one worker; when it
-    /// completes the pair's voting altogether, the pair becomes available from
+    /// Records one vote. Unknown pairs, pairs not collecting votes, votes from
+    /// workers not yet asked and duplicate `(pair, worker)` votes are ignored.
+    /// When the vote completes an adaptive prefix that still disagrees, the
+    /// returned ask extends the roster by one worker; when it completes the
+    /// pair's voting altogether, the pair becomes available from
     /// [`take_completed`](CrowdPlan::take_completed).
-    pub fn absorb(&mut self, pair: u64, worker: WorkerId, is_match: bool) -> Vec<VoteAsk> {
-        let Some(pending) = self.pending.get(&pair) else { return Vec::new() };
-        if !pending.roster[..pending.asked].contains(&worker) {
-            return Vec::new();
+    pub fn absorb(&mut self, pair: u64, worker: WorkerId, is_match: bool) -> Option<VoteAsk> {
+        let slot = *self.index.get(&pair)?;
+        let roster = &self.rosters[slot as usize * self.width..][..self.width];
+        let s = &mut self.slots[slot as usize];
+        if s.phase != Phase::Pending {
+            return None;
         }
-        if self.matrix.record(pair, worker, is_match) {
+        let position = roster[..usize::from(s.asked)].iter().position(|&w| w == worker)?;
+        let bit = 1u64 << position;
+        if s.answered & bit == 0 {
+            s.answered |= bit;
+            if is_match {
+                s.matches |= bit;
+            }
             self.stats.votes += 1;
         }
-        let pending = &self.pending[&pair];
-        let answered: Vec<bool> = pending.roster[..pending.asked]
-            .iter()
-            .filter_map(|&w| self.matrix.row(pair).find(|&(rw, _)| rw == w).map(|(_, v)| v))
-            .collect();
-        if answered.len() < pending.asked {
-            return Vec::new();
+        let prefix = u64::MAX >> (64 - u32::from(s.asked));
+        if s.answered & prefix != prefix {
+            return None;
         }
-        let unanimous = answered.windows(2).all(|w| w[0] == w[1]);
-        if unanimous || pending.asked == pending.roster.len() {
+        let matched = s.matches & prefix;
+        let unanimous = matched == 0 || matched == prefix;
+        if unanimous || usize::from(s.asked) == self.width {
             if !unanimous {
                 self.stats.disagreements += 1;
             }
-            self.pending.remove(&pair);
-            self.completed.insert(pair);
-            return Vec::new();
+            s.phase = Phase::Completed;
+            self.completed.push(slot);
+            return None;
         }
         // Disagreement with roster room left: escalate by one worker.
-        let pending = self.pending.get_mut(&pair).expect("pair is pending");
-        pending.asked += 1;
+        s.asked += 1;
         self.stats.escalations += 1;
-        vec![VoteAsk { pair, worker: pending.roster[pending.asked - 1] }]
+        Some(VoteAsk { pair, worker: roster[usize::from(s.asked) - 1], slot })
     }
 
     /// Drains the pairs whose voting completed but whose label has not been
     /// decided yet, in pair order.
     pub fn take_completed(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.completed).into_iter().collect()
+        let mut pairs: Vec<u64> = self
+            .completed
+            .drain(..)
+            .map(|slot| {
+                let s = &mut self.slots[slot as usize];
+                s.phase = Phase::Idle;
+                s.pair
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Decides labels for the given (completed) pairs, in input order.
-    /// Majority aggregates each pair from its own row; EM re-estimates over
-    /// the full matrix. Decisions are cached and final.
+    /// Majority aggregates each pair from its own votes; EM re-estimates over
+    /// every vote collected so far. A pair without votes decides non-match.
     pub fn decide(&mut self, pairs: &[u64]) -> Vec<(u64, bool)> {
         if pairs.is_empty() {
             return Vec::new();
         }
-        let em = match &self.aggregation {
-            Aggregation::Majority => None,
-            Aggregation::Em(config) => {
-                let outcome = estimate(&self.matrix, config);
-                self.stats.em_runs += 1;
-                self.stats.em_iterations += outcome.iterations as u64;
-                self.last_em = Some(outcome);
-                self.last_em.as_ref()
-            }
-        };
+        if let Aggregation::Em(config) = &self.aggregation {
+            let outcome = estimate(&self.vote_matrix(), config);
+            self.stats.em_runs += 1;
+            self.stats.em_iterations += outcome.iterations as u64;
+            self.last_em = Some(outcome);
+        }
         let mut decisions = Vec::with_capacity(pairs.len());
         for &pair in pairs {
-            let label = match em {
-                Some(outcome) => outcome
-                    .labels
-                    .get(&pair)
-                    .copied()
-                    .unwrap_or_else(|| majority(self.matrix.row(pair).map(|(_, v)| v))),
-                None => majority(self.matrix.row(pair).map(|(_, v)| v)),
-            };
-            decisions.push((pair, label));
-        }
-        for &(pair, label) in &decisions {
-            if self.decided.insert(pair, label).is_none() {
+            let slot = self.slot(pair) as usize;
+            let em = self.last_em.as_ref().and_then(|em| em.labels.get(&pair).copied());
+            let s = &mut self.slots[slot];
+            let label = em.unwrap_or_else(|| s.majority());
+            if s.decision.is_none() {
                 self.stats.decided += 1;
             }
+            s.decision = Some(label);
+            decisions.push((pair, label));
         }
         decisions
     }
 
     /// The decided label for a pair, if any.
     pub fn decision(&self, pair: u64) -> Option<bool> {
-        self.decided.get(&pair).copied()
+        self.index.get(&pair).and_then(|&slot| self.slots[slot as usize].decision)
     }
 
     /// All asked-but-unanswered asks across pending pairs, in canonical order
     /// — what a re-entrant driver re-dispatches after losing its queue.
     pub fn outstanding(&self) -> Vec<VoteAsk> {
-        self.pending
-            .iter()
-            .flat_map(|(&pair, pending)| {
-                pending.roster[..pending.asked]
-                    .iter()
-                    .filter(move |&&w| !self.matrix.has_vote(pair, w))
-                    .map(move |&worker| VoteAsk { pair, worker })
-            })
-            .collect()
-    }
-
-    /// Still-unanswered asks for one pair.
-    fn unanswered(&self, pair: u64) -> Vec<VoteAsk> {
-        let Some(pending) = self.pending.get(&pair) else { return Vec::new() };
-        pending.roster[..pending.asked]
-            .iter()
-            .filter(|&&w| !self.matrix.has_vote(pair, w))
-            .map(|&worker| VoteAsk { pair, worker })
-            .collect()
+        let mut pending: Vec<u32> = (0..self.slots.len() as u32)
+            .filter(|&slot| self.slots[slot as usize].phase == Phase::Pending)
+            .collect();
+        pending.sort_unstable_by_key(|&slot| self.slots[slot as usize].pair);
+        let mut asks = Vec::new();
+        for slot in pending {
+            self.push_unanswered(slot, &mut asks);
+        }
+        asks
     }
 
     /// Running totals.
     pub fn stats(&self) -> CrowdStats {
         self.stats
-    }
-
-    /// The canonical vote matrix.
-    pub fn matrix(&self) -> &VoteMatrix {
-        &self.matrix
     }
 
     /// The most recent EM outcome, when EM aggregation has run.
@@ -263,6 +340,53 @@ impl CrowdPlan {
     pub fn planner(&self) -> &AssignmentPlanner {
         &self.planner
     }
+
+    /// The pair's slot number, opening an idle slot with its roster when the
+    /// pair is new.
+    fn slot(&mut self, pair: u64) -> u32 {
+        let next = self.slots.len();
+        match self.index.entry(pair) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let slot = u32::try_from(next).expect("a crowd plan holds at most u32::MAX pairs");
+                entry.insert(slot);
+                self.rosters.extend(self.planner.roster(pair));
+                self.slots.push(Slot {
+                    pair,
+                    answered: 0,
+                    matches: 0,
+                    asked: 0,
+                    phase: Phase::Idle,
+                    decision: None,
+                });
+                slot
+            }
+        }
+    }
+
+    /// Appends the slot's still-unanswered asks, in roster order.
+    fn push_unanswered(&self, slot: u32, asks: &mut Vec<VoteAsk>) {
+        let s = &self.slots[slot as usize];
+        let roster = &self.rosters[slot as usize * self.width..][..usize::from(s.asked)];
+        for (position, &worker) in roster.iter().enumerate() {
+            if s.answered >> position & 1 == 0 {
+                asks.push(VoteAsk { pair: s.pair, worker, slot });
+            }
+        }
+    }
+
+    /// The canonical vote matrix, rebuilt from the slots.
+    fn vote_matrix(&self) -> VoteMatrix {
+        let mut matrix = VoteMatrix::new();
+        for (s, roster) in self.slots.iter().zip(self.rosters.chunks_exact(self.width)) {
+            for (position, &worker) in roster.iter().enumerate() {
+                if s.answered >> position & 1 == 1 {
+                    matrix.record(s.pair, worker, s.matches >> position & 1 == 1);
+                }
+            }
+        }
+        matrix
+    }
 }
 
 #[cfg(test)]
@@ -276,7 +400,8 @@ mod tests {
         truth: impl Fn(u64) -> bool,
         pair: u64,
     ) {
-        let mut asks = plan.submit(pair);
+        let mut asks = Vec::new();
+        plan.submit(pair, &mut asks);
         while let Some(ask) = asks.pop() {
             let vote = workers[ask.worker.0 as usize].vote(ask.pair, truth(ask.pair));
             asks.extend(plan.absorb(ask.pair, ask.worker, vote));
@@ -285,6 +410,12 @@ mod tests {
 
     fn pool(n: usize, rate: f64, seed: u64) -> Vec<WorkerModel> {
         (0..n).map(|w| WorkerModel::symmetric(rate, mix(seed, w as u64))).collect()
+    }
+
+    fn submit(plan: &mut CrowdPlan, pair: u64) -> Vec<VoteAsk> {
+        let mut asks = Vec::new();
+        plan.submit(pair, &mut asks);
+        asks
     }
 
     #[test]
@@ -350,15 +481,15 @@ mod tests {
             aggregation: Aggregation::Majority,
             seed: 9,
         });
-        let first = plan.submit(42);
+        let first = submit(&mut plan, 42);
         assert_eq!(first.len(), 3);
         // Answer one vote, then "crash": resubmit and compare to outstanding.
-        assert!(plan.absorb(42, first[0].worker, true).is_empty());
-        let reissued = plan.submit(42);
+        assert!(plan.absorb(42, first[0].worker, true).is_none());
+        let reissued = submit(&mut plan, 42);
         assert_eq!(reissued, first[1..].to_vec());
         assert_eq!(plan.outstanding(), reissued);
         // Duplicate votes are idempotent.
-        assert!(plan.absorb(42, first[0].worker, false).is_empty());
+        assert!(plan.absorb(42, first[0].worker, false).is_none());
         assert_eq!(plan.stats().votes, 1);
         // Completing the pair and deciding it makes resubmission a no-op.
         plan.absorb(42, first[1].worker, true);
@@ -366,7 +497,9 @@ mod tests {
         let completed = plan.take_completed();
         assert_eq!(completed, vec![42]);
         assert_eq!(plan.decide(&completed), vec![(42, true)]);
-        assert!(plan.submit(42).is_empty());
+        let mut asks = Vec::new();
+        assert_eq!(plan.submit(42, &mut asks), Submission { slot: 0, decision: Some(true) });
+        assert!(asks.is_empty());
         assert_eq!(plan.decision(42), Some(true));
     }
 
@@ -378,10 +511,37 @@ mod tests {
             aggregation: Aggregation::Majority,
             seed: 4,
         });
-        let asks = plan.submit(7);
+        let asks = submit(&mut plan, 7);
         let unasked = (0..6).map(WorkerId).find(|w| !asks.iter().any(|a| a.worker == *w)).unwrap();
-        assert!(plan.absorb(7, unasked, true).is_empty());
+        assert!(plan.absorb(7, unasked, true).is_none());
         assert_eq!(plan.stats().votes, 0, "vote from an unasked worker must not count");
-        assert!(plan.absorb(99, WorkerId(0), true).is_empty(), "unknown pair is ignored");
+        assert!(plan.absorb(99, WorkerId(0), true).is_none(), "unknown pair is ignored");
+    }
+
+    #[test]
+    fn resubmission_computes_each_roster_once() {
+        let mut plan = CrowdPlan::new(CrowdConfig {
+            pool_size: 9,
+            redundancy: Redundancy::Adaptive { min: 2, max: 5 },
+            aggregation: Aggregation::Majority,
+            seed: 3,
+        });
+        let first = submit(&mut plan, 10);
+        submit(&mut plan, 11);
+        let arena = plan.rosters.len();
+        assert_eq!(arena, 2 * 5, "one full roster per pair");
+        plan.absorb(10, first[0].worker, true);
+        for _ in 0..100 {
+            assert_eq!(submit(&mut plan, 10), first[1..].to_vec(), "pending pair re-emits");
+        }
+        plan.absorb(10, first[1].worker, true);
+        let completed = plan.take_completed();
+        assert_eq!(plan.decide(&completed), vec![(10, true)]);
+        for _ in 0..100 {
+            assert!(submit(&mut plan, 10).is_empty(), "decided pair emits nothing");
+            submit(&mut plan, 11);
+        }
+        assert_eq!(plan.rosters.len(), arena, "re-submission must not recompute rosters");
+        assert_eq!(plan.slots.len(), 2);
     }
 }

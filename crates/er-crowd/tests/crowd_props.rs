@@ -46,7 +46,10 @@ fn drive(
     scramble: bool,
 ) -> (BTreeMap<u64, bool>, u64) {
     let mut plan = CrowdPlan::new(config);
-    let mut asks: Vec<VoteAsk> = pairs.iter().flat_map(|&p| plan.submit(p)).collect();
+    let mut asks: Vec<VoteAsk> = Vec::new();
+    for &pair in pairs {
+        plan.submit(pair, &mut asks);
+    }
     if scramble {
         asks.reverse();
     }

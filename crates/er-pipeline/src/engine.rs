@@ -893,6 +893,7 @@ mod tests {
     use er_core::similarity::StringMeasure;
     use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator};
     use humo::GroundTruthOracle;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn config(unit_size: usize, warm_start: bool) -> PipelineConfig {
         let scoring = ScoringConfig::new(
@@ -1111,8 +1112,13 @@ mod tests {
         );
     }
 
+    /// A path unique per call: PID plus a per-process counter, so tests on
+    /// parallel threads never share a log.
     fn wal_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(".er-pipeline-wal-test-{}-{name}", std::process::id()))
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let file = format!(".er-pipeline-wal-test-{}-{n}-{name}", std::process::id());
+        std::env::temp_dir().join(file)
     }
 
     fn answer(

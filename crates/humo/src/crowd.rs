@@ -39,7 +39,7 @@
 use crate::oracle::Oracle;
 use crate::session::{LabelRequest, LabelResponse};
 use er_core::workload::{InstancePair, Label, PairId};
-use er_crowd::{CrowdConfig, CrowdPlan, VoteAsk};
+use er_crowd::{CrowdConfig, CrowdPlan, Submission, VoteAsk};
 use er_obs::ObsHandle;
 use std::collections::BTreeMap;
 
@@ -134,7 +134,7 @@ pub fn symmetric_pool(n: usize, error_rate: f64, seed: u64) -> Vec<WorkerModel> 
 ///
 /// Each labeled pair is fanned out to distinct workers per the configured
 /// [`Redundancy`], escalated on disagreement, and aggregated per the
-/// configured [`Aggregation`]; the aggregated label is cached, so repeated
+/// configured [`Aggregation`]; the plan keeps the aggregated label, so repeated
 /// queries are consistent and [`Oracle::labels_issued`] counts distinct
 /// *labels* (the paper's human-cost unit) while [`CrowdOracle::votes_cast`]
 /// counts the underlying vote cost. With `Redundancy::Fixed(1)` and zero-noise
@@ -144,7 +144,6 @@ pub fn symmetric_pool(n: usize, error_rate: f64, seed: u64) -> Vec<WorkerModel> 
 pub struct CrowdOracle {
     workers: Vec<WorkerModel>,
     plan: CrowdPlan,
-    labeled: BTreeMap<PairId, Label>,
     obs: ObsHandle,
     cursor: ObsCursor,
 }
@@ -163,13 +162,7 @@ impl CrowdOracle {
         assert!(!workers.is_empty(), "crowd oracle needs at least one worker");
         let plan =
             CrowdPlan::new(CrowdConfig { pool_size: workers.len(), redundancy, aggregation, seed });
-        Self {
-            workers,
-            plan,
-            labeled: BTreeMap::new(),
-            obs: ObsHandle::default(),
-            cursor: ObsCursor::default(),
-        }
+        Self { workers, plan, obs: ObsHandle::default(), cursor: ObsCursor::default() }
     }
 
     /// Routes the `crowd.*` events through the given handle.
@@ -197,7 +190,7 @@ impl CrowdOracle {
     /// perfect oracle. `Redundancy::Fixed(r)` pins this at exactly `r`;
     /// adaptive redundancy lands between `min` and `max`.
     pub fn cost_multiplier(&self) -> f64 {
-        let labels = self.labeled.len();
+        let labels = self.labels_issued();
         if labels == 0 {
             return 0.0;
         }
@@ -230,31 +223,30 @@ impl Oracle for CrowdOracle {
     /// EM aggregation's scope is the accumulated vote matrix at batch
     /// boundaries, matching how an offline crowd round-trip would run.
     fn label_batch(&mut self, pairs: &[&InstancePair]) -> Vec<Label> {
+        let mut asks = Vec::new();
         for pair in pairs {
-            if self.labeled.contains_key(&pair.id()) {
-                continue;
-            }
             let truth_is_match = pair.ground_truth() == Label::Match;
-            let mut asks = self.plan.submit(pair.id().0);
+            self.plan.submit(pair.id().0, &mut asks);
             while let Some(ask) = asks.pop() {
                 let vote = self.vote(ask, truth_is_match);
                 asks.extend(self.plan.absorb(ask.pair, ask.worker, vote));
             }
         }
         let completed = self.plan.take_completed();
-        for (pair, is_match) in self.plan.decide(&completed) {
-            self.labeled.insert(PairId(pair), Label::from_bool(is_match));
-        }
+        self.plan.decide(&completed);
         let error = reliability_abs_error(&self.plan, &self.workers);
         self.cursor.flush(&self.obs, self.plan.stats(), error);
         pairs
             .iter()
-            .map(|pair| *self.labeled.get(&pair.id()).expect("batch pair was decided"))
+            .map(|pair| {
+                let is_match = self.plan.decision(pair.id().0).expect("batch pair was decided");
+                Label::from_bool(is_match)
+            })
             .collect()
     }
 
     fn labels_issued(&self) -> usize {
-        self.labeled.len()
+        self.plan.stats().decided as usize
     }
 }
 
@@ -276,7 +268,8 @@ impl Oracle for CrowdOracle {
 #[derive(Debug)]
 pub struct CrowdSession {
     plan: CrowdPlan,
-    requests: BTreeMap<PairId, LabelRequest>,
+    /// The latest request submitted for each pair, indexed by its plan slot.
+    requests: Vec<LabelRequest>,
     ready: BTreeMap<PairId, Label>,
     obs: ObsHandle,
     cursor: ObsCursor,
@@ -296,7 +289,7 @@ impl CrowdSession {
         let plan = CrowdPlan::new(CrowdConfig { pool_size, redundancy, aggregation, seed });
         Self {
             plan,
-            requests: BTreeMap::new(),
+            requests: Vec::new(),
             ready: BTreeMap::new(),
             obs: ObsHandle::default(),
             cursor: ObsCursor::default(),
@@ -315,23 +308,29 @@ impl CrowdSession {
     pub fn submit(&mut self, requests: &[LabelRequest]) -> Vec<VoteRequest> {
         let mut asks = Vec::new();
         for request in requests {
-            self.requests.insert(request.pair_id, *request);
-            if let Some(is_match) = self.plan.decision(request.pair_id.0) {
-                self.ready.insert(request.pair_id, Label::from_bool(is_match));
-                continue;
+            let Submission { slot, decision } = self.plan.submit(request.pair_id.0, &mut asks);
+            match self.requests.get_mut(slot as usize) {
+                Some(known) => *known = *request,
+                None => self.requests.push(*request),
             }
-            asks.extend(self.plan.submit(request.pair_id.0));
+            if let Some(is_match) = decision {
+                self.ready.insert(request.pair_id, Label::from_bool(is_match));
+            }
         }
-        self.vote_requests(asks)
+        // Mapped only now, so a pair submitted twice in one batch takes its
+        // latest request for every ask.
+        self.vote_requests(&asks)
     }
 
     /// Absorbs worker votes; returns escalation vote requests, if any.
     pub fn absorb(&mut self, votes: &[WorkerVote]) -> Vec<VoteRequest> {
-        let mut asks = Vec::new();
-        for vote in votes {
-            asks.extend(self.plan.absorb(vote.pair_id.0, vote.worker, vote.label == Label::Match));
-        }
-        self.vote_requests(asks)
+        let asks: Vec<VoteAsk> = votes
+            .iter()
+            .filter_map(|vote| {
+                self.plan.absorb(vote.pair_id.0, vote.worker, vote.label == Label::Match)
+            })
+            .collect();
+        self.vote_requests(&asks)
     }
 
     /// Aggregates every pair whose voting completed and drains the resulting
@@ -351,13 +350,7 @@ impl CrowdSession {
     /// All asked-but-unanswered vote requests — what a driver re-dispatches
     /// after losing its queue (resume, failover).
     pub fn outstanding(&self) -> Vec<VoteRequest> {
-        let asks = self.plan.outstanding();
-        asks.into_iter()
-            .filter_map(|ask| {
-                let request = self.requests.get(&PairId(ask.pair))?;
-                Some(VoteRequest { request: *request, worker: ask.worker })
-            })
-            .collect()
+        self.vote_requests(&self.plan.outstanding())
     }
 
     /// Running crowd totals.
@@ -365,11 +358,12 @@ impl CrowdSession {
         self.plan.stats()
     }
 
-    fn vote_requests(&self, asks: Vec<VoteAsk>) -> Vec<VoteRequest> {
-        asks.into_iter()
-            .filter_map(|ask| {
-                let request = self.requests.get(&PairId(ask.pair))?;
-                Some(VoteRequest { request: *request, worker: ask.worker })
+    /// Every ask comes from a submitted pair, so its slot has a request.
+    fn vote_requests(&self, asks: &[VoteAsk]) -> Vec<VoteRequest> {
+        asks.iter()
+            .map(|ask| VoteRequest {
+                request: self.requests[ask.slot as usize],
+                worker: ask.worker,
             })
             .collect()
     }
@@ -495,5 +489,33 @@ mod tests {
         let again = session.take_ready();
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].pair_id, requests[0].pair_id);
+    }
+
+    #[test]
+    fn every_ask_carries_the_latest_request_for_its_pair() {
+        let mut session = CrowdSession::new(5, Redundancy::Fixed(2), Aggregation::Majority, 3);
+        let request = |pair: u64, index: usize| LabelRequest {
+            pair_id: PairId(pair),
+            index,
+            similarity: 0.5,
+        };
+        // Pair 1 twice in one batch: both emissions map to the later request.
+        let asks = session.submit(&[request(1, 10), request(2, 20), request(1, 11)]);
+        assert_eq!(asks.len(), 6);
+        for ask in &asks {
+            let expected = if ask.request.pair_id == PairId(1) { 11 } else { 20 };
+            assert_eq!(ask.request.index, expected);
+        }
+        // A later batch re-files the pair; escalations and the outstanding
+        // asks follow it.
+        let again = session.submit(&[request(1, 12)]);
+        assert_eq!(again.len(), 2);
+        assert!(again.iter().all(|ask| ask.request.index == 12));
+        let outstanding = session.outstanding();
+        assert_eq!(outstanding.len(), 4);
+        for ask in &outstanding {
+            let expected = if ask.request.pair_id == PairId(1) { 12 } else { 20 };
+            assert_eq!(ask.request.index, expected);
+        }
     }
 }

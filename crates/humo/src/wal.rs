@@ -640,6 +640,7 @@ mod tests {
     use super::*;
     use crate::OptimizerKind;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn workload(n: usize) -> Workload {
         SyntheticGenerator::new(SyntheticConfig {
@@ -652,9 +653,12 @@ mod tests {
         .generate()
     }
 
+    /// A path unique per call: PID plus a per-process counter, so tests on
+    /// parallel threads never share a log.
     fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir();
-        dir.join(format!(".humo-wal-test-{}-{name}", std::process::id()))
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!(".humo-wal-test-{}-{n}-{name}", std::process::id()))
     }
 
     fn sample_configs() -> Vec<SessionConfig> {

@@ -14,6 +14,7 @@ use er_pipeline::{
 };
 use humo::{LabelResponse, QualityRequirement};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn pipeline_config() -> PipelineConfig {
     let scoring = ScoringConfig::new(
@@ -41,8 +42,12 @@ fn corpus(entities: usize, seed: u64) -> GeneratedCorpus {
     .generate()
 }
 
+/// A path no other call in any test process uses: PID plus a per-process
+/// counter, so tests running on parallel threads never share a file.
 fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(".humo-engine-resume-{}-{name}", std::process::id()))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(".humo-engine-resume-{}-{n}-{name}", std::process::id()))
 }
 
 /// Splits the corpus into two ingest batches plus the truth edges.

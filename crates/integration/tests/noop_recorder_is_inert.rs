@@ -15,6 +15,7 @@ use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator, Gen
 use er_obs::{MetricsRecorder, ObsHandle, TraceRecorder};
 use er_pipeline::{IngestReport, PipelineConfig, ResolutionEngine, ResolutionReport};
 use humo::{GroundTruthOracle, QualityRequirement};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const BATCHES: usize = 2;
@@ -155,8 +156,12 @@ fn recorders_are_inert_with_the_spill_layer_engaged() {
 #[test]
 fn trace_recorder_is_inert_and_emits_a_schema_valid_trace() {
     let noop = run(ObsHandle::noop(), None);
-    // Unique-per-process path so parallel test runs never collide.
-    let path = std::env::temp_dir().join(format!("humo-inert-trace-{}.jsonl", std::process::id()));
+    // PID plus a per-process counter: unique per call, so parallel test
+    // processes and threads never collide.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("humo-inert-trace-{}-{n}.jsonl", std::process::id()));
     let trace = Arc::new(TraceRecorder::to_file(&path).expect("trace file opens"));
     let traced = run(ObsHandle::new(trace.clone()), None);
     assert_runs_identical("traced", &noop, &traced);

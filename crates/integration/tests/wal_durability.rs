@@ -15,6 +15,7 @@ use humo::{
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Env var that flips this test binary into the crash-harness child role.
 const CHILD_ENV: &str = "HUMO_WAL_DURABILITY_CHILD";
@@ -32,8 +33,12 @@ fn workload(n: usize, tau: f64, sigma: f64, seed: u64) -> Workload {
     .generate()
 }
 
+/// A path no other call in any test process uses: PID plus a per-process
+/// counter, so tests running on parallel threads never share a file.
 fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(".humo-wal-durability-{}-{name}", std::process::id()))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(".humo-wal-durability-{}-{n}-{name}", std::process::id()))
 }
 
 fn answer(workload: &Workload, requests: &[humo::LabelRequest]) -> Vec<LabelResponse> {
