@@ -323,12 +323,14 @@ impl ResolutionEngine {
         self.wal.is_some()
     }
 
-    /// Appends a record to the attached WAL (no-op without one), emitting the
-    /// `session.wal.*` observability counters.
+    /// Appends a record to the attached WAL (no-op without one) inside a
+    /// `resolve.wal_append` span, emitting the `session.wal.*` observability
+    /// counters.
     fn wal_append(&mut self, record: &WalRecord) -> Result<()> {
         let Some(wal) = &mut self.wal else { return Ok(()) };
-        let bytes = wal.append(record)?;
         let obs = &self.config.recorder;
+        let _span = obs.span("resolve.wal_append");
+        let bytes = wal.append(record)?;
         obs.counter("session.wal.appends", 1);
         obs.counter("session.wal.bytes", bytes);
         match record {

@@ -39,7 +39,7 @@
 //!
 //! # How it works: deterministic replay
 //!
-//! Internally `step` re-runs the optimizer from scratch against the map of
+//! Conceptually, `step` re-runs the optimizer from scratch against the map of
 //! answered labels. All optimizers in this crate are deterministic given their
 //! configuration and the labels they observe (within-subset sampling uses a
 //! seeded RNG whose draw order does not depend on label values), so a replay
@@ -60,10 +60,17 @@
 //! derived state — the completed sampling plan and the in-flight
 //! Gaussian-process training state of the sampling-based optimizers — so each
 //! step resumes the replay where the previous one suspended instead of
-//! re-running the whole optimization. The cache never changes behavior
-//! (batches, rounds, costs and outcomes are byte-identical with it disabled
-//! via [`LabelingSession::with_replay_cache`]); it only removes the
-//! O(rounds²) replay cost that a from-scratch re-run per step would pay.
+//! re-running the whole optimization. And a step that leaves the outstanding
+//! batch partly unanswered runs no replay at all: a replay reads only labels
+//! it has already required and answers only add labels, so it would suspend
+//! at the same batch again and emit exactly the still-missing requests, which
+//! the session hands back directly. A replay therefore runs only on the first
+//! step, after a resume or a [`SessionState::preload`], and once a batch is
+//! fully answered. None of this changes behavior (batches, rounds, costs and
+//! outcomes are byte-identical with it disabled via
+//! [`LabelingSession::with_replay_cache`]); it only removes the O(rounds²)
+//! replay cost that a from-scratch re-run per step would pay, and the
+//! per-step replay that answers arriving in pieces would trigger.
 //!
 //! # Driving a session with an oracle
 //!
@@ -335,11 +342,14 @@ impl<'a> LabelSlate<'a> {
 /// training state of Algorithm 1, so each step resumes the
 /// sampling-and-refinement loop where it suspended rather than replaying it
 /// from scratch — plus (c) the workload's subset partition, whose O(pairs)
-/// construction would otherwise repeat every step. Cached state is only ever
-/// *derived* state: outcomes, costs,
-/// emitted batches and the answered log are byte-identical with the cache
-/// disabled ([`SessionState::with_replay_cache`]), which is how the bench
-/// harness measures the saving.
+/// construction would otherwise repeat every step. The same switch gates the
+/// session's re-emission short-circuit (see [`SessionState::step`]): with the
+/// cache enabled, a step that leaves the outstanding batch partly unanswered
+/// skips the replay and leaves this cache untouched. Cached state is only
+/// ever *derived* state: outcomes, costs, emitted batches and the answered
+/// log are byte-identical with the cache disabled
+/// ([`SessionState::with_replay_cache`]), which is how the bench harness
+/// measures the saving.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayCache {
     enabled: bool,
@@ -558,6 +568,8 @@ pub struct SessionState {
     /// Distinct responses absorbed through `step`, in arrival order — the
     /// session's cost basis and its checkpoint/resume log.
     log: Vec<LabelResponse>,
+    /// The still-missing requests of the most recent emission, in its order
+    /// — exactly what a re-emitting step hands back without a replay.
     pending: Vec<LabelRequest>,
     rounds: usize,
     /// Rounds dispatched while planning (the sampling phase).
@@ -653,10 +665,16 @@ impl SessionState {
     /// plan and the in-flight Gaussian-process training state of the
     /// sampling-based optimizers — so each [`SessionState::step`] resumes
     /// where the previous one suspended instead of replaying from scratch.
-    /// It is purely a performance knob: emitted batches, rounds, costs, the
-    /// answered log and the outcome are byte-identical either way. Disabling
-    /// it is useful for benchmarking the saving and for testing that
-    /// equivalence.
+    /// It also gates the re-emission short-circuit: with it enabled, a step
+    /// that leaves the outstanding batch partly unanswered returns the
+    /// still-missing requests without replaying at all. Disabled, every step
+    /// performs a full replay — the reference model the short-circuit and
+    /// the cache are tested against.
+    ///
+    /// It is purely a performance knob: emitted batches, rounds, phases,
+    /// costs, the answered log and the outcome are byte-identical either way.
+    /// Disabling it is useful for benchmarking the saving and for testing
+    /// that equivalence.
     pub fn with_replay_cache(mut self, enabled: bool) -> Self {
         self.cache = if enabled { ReplayCache::default() } else { ReplayCache::disabled() };
         self
@@ -695,6 +713,10 @@ impl SessionState {
         for response in responses {
             self.preloaded.entry(response.pair_id).or_insert(response.label);
         }
+        // A preloaded pair is no longer missing, so it leaves the outstanding
+        // batch now rather than at the next step.
+        let preloaded = &self.preloaded;
+        self.pending.retain(|request| !preloaded.contains_key(&request.pair_id));
         // No workload here to map pair ids to indices: drop the dense label
         // store and let the next step rebuild it from the log and the
         // updated preloads.
@@ -873,6 +895,14 @@ impl SessionState {
     /// pairs the session has not asked about yet); the session re-emits
     /// whatever is still missing. Stepping a completed session ignores the
     /// responses and returns the stored outcome again.
+    ///
+    /// While the outstanding batch is still not fully answered, the step
+    /// re-emits its missing requests (in their original order, in the same
+    /// phase, counting no new round) *without* replaying the optimizer: a
+    /// replay could only suspend at that same batch again. This holds with
+    /// the replay cache enabled (the default) and after the first step; a
+    /// [`SessionState::preload`] forces the next step to replay. See
+    /// [`SessionState::with_replay_cache`].
     pub fn step(&mut self, workload: &Workload, responses: &[LabelResponse]) -> Result<Step> {
         // A completed session is frozen: late responses are ignored rather
         // than absorbed, so the answered log (and any checkpoint taken from
@@ -880,7 +910,18 @@ impl SessionState {
         if let Some(outcome) = &self.outcome {
             return Ok(Step::Done(outcome.clone()));
         }
+        // A preload drops the dense store; the replay after it re-derives the
+        // outstanding batch instead of trusting `pending`.
+        let live = self.labels.is_some();
         self.absorb(workload, responses)?;
+        // Re-emission short-circuit: while the outstanding batch is not fully
+        // answered, a replay would suspend at the same `require` and emit
+        // exactly what `absorb`'s order-preserving `retain` left in `pending`
+        // — in the same phase, without opening a round or touching the cache.
+        if live && self.cache.enabled && !self.pending.is_empty() {
+            workload.obs().counter("session.replay_cache.reemit_hits", 1);
+            return Ok(Step::NeedLabels(self.pending.clone()));
+        }
         self.ensure_labels(workload);
         let labels = self.labels.as_deref().expect("dense label store ensured above");
         let attempt = run_core(
@@ -1321,6 +1362,69 @@ mod tests {
         let responses = ground_truth_responses(&w, &rest);
         assert!(matches!(session.step(&responses).unwrap(), Step::Done(_)));
         assert_eq!(session.rounds(), 1);
+    }
+
+    #[test]
+    fn partial_steps_reemit_without_replaying() {
+        let mut w = workload(8_000);
+        let metrics = std::sync::Arc::new(er_obs::MetricsRecorder::new());
+        w.set_obs(er_obs::ObsHandle::new(metrics.clone()));
+        let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
+        let config = SessionConfig::for_kind(OptimizerKind::PartialSampling, requirement);
+        let mut session = LabelingSession::new(config, &w).unwrap();
+        let Step::NeedLabels(batch) = session.poll().unwrap() else {
+            panic!("expected the initial sampling batch");
+        };
+        assert!(batch.len() >= 3);
+        let hits = || metrics.snapshot().counter("session.replay_cache.reemit_hits");
+        // A poll and a partial answer both re-emit the rest, in order, from
+        // the outstanding batch alone.
+        let Step::NeedLabels(again) = session.poll().unwrap() else { panic!("still waiting") };
+        assert_eq!(again, batch);
+        let responses = ground_truth_responses(&w, &batch[..2]);
+        let Step::NeedLabels(rest) = session.step(&responses).unwrap() else {
+            panic!("still waiting")
+        };
+        assert_eq!(rest, batch[2..]);
+        assert_eq!(hits(), 2);
+        assert_eq!((session.rounds(), session.phase()), (1, SessionPhase::Sampling));
+        // Answering the rest replays and opens the next round.
+        let responses = ground_truth_responses(&w, &rest);
+        let _ = session.step(&responses).unwrap();
+        assert_eq!(hits(), 2);
+        assert_eq!(session.rounds(), 2);
+    }
+
+    #[test]
+    fn preloading_an_outstanding_pair_drops_it_and_opens_no_round() {
+        let w = workload(8_000);
+        let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
+        let config = SessionConfig::for_kind(OptimizerKind::Hybrid, requirement);
+        let mut cached = SessionState::new(config).unwrap();
+        let mut reference = SessionState::new(config).unwrap().with_replay_cache(false);
+        let Step::NeedLabels(batch) = cached.poll(&w).unwrap() else {
+            panic!("expected the initial sampling batch");
+        };
+        assert!(batch.len() >= 3);
+        let answered = ground_truth_responses(&w, &batch[..1]);
+        let preloaded = ground_truth_responses(&w, &batch[1..2]);
+        let mut emitted = Vec::new();
+        for state in [&mut cached, &mut reference] {
+            let _ = state.poll(&w).unwrap();
+            let _ = state.step(&w, &answered).unwrap();
+            let rounds = state.rounds();
+            state.preload(preloaded.iter().copied());
+            assert_eq!(state.pending(), &batch[2..], "pending must drop the preloaded pair");
+            let Step::NeedLabels(rest) = state.poll(&w).unwrap() else {
+                panic!("expected the rest of the batch");
+            };
+            assert_eq!(state.rounds(), rounds);
+            assert_eq!(state.phase(), SessionPhase::Sampling);
+            assert_eq!(state.answered_log(), &answered[..]);
+            emitted.push(rest);
+        }
+        assert_eq!(emitted[0], batch[2..]);
+        assert_eq!(emitted[0], emitted[1]);
     }
 
     #[test]
