@@ -187,26 +187,27 @@ fn ingest_overhead_ratio(
     let schema = BibliographicGenerator::schema();
     let left_batches: Vec<Vec<Record>> = chunks(corpus.left.records(), batches);
     let right_batches: Vec<Vec<Record>> = chunks(corpus.right.records(), batches);
-    let time_arm = |make_recorder: &dyn Fn() -> ObsHandle| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let mut config = pipeline_config(threads, true);
-            config.recorder = make_recorder();
-            let mut engine = ResolutionEngine::new(config, schema.clone(), schema.clone())
-                .expect("valid pipeline config");
-            let start = Instant::now();
-            for epoch in 0..left_batches.len().max(right_batches.len()) {
-                let l = left_batches.get(epoch).cloned().unwrap_or_default();
-                let r = right_batches.get(epoch).cloned().unwrap_or_default();
-                let edges = if epoch == 0 { truth } else { &[] };
-                engine.ingest(l, r, edges).expect("ingest succeeds");
-            }
-            best = best.min(start.elapsed().as_secs_f64());
+    let time_rep = |recorder: ObsHandle| -> f64 {
+        let mut config = pipeline_config(threads, true);
+        config.recorder = recorder;
+        let mut engine = ResolutionEngine::new(config, schema.clone(), schema.clone())
+            .expect("valid pipeline config");
+        let start = Instant::now();
+        for epoch in 0..left_batches.len().max(right_batches.len()) {
+            let l = left_batches.get(epoch).cloned().unwrap_or_default();
+            let r = right_batches.get(epoch).cloned().unwrap_or_default();
+            let edges = if epoch == 0 { truth } else { &[] };
+            engine.ingest(l, r, edges).expect("ingest succeeds");
         }
-        best
+        start.elapsed().as_secs_f64()
     };
-    let noop = time_arm(&ObsHandle::noop);
-    let enabled = time_arm(&|| ObsHandle::new(Arc::new(MetricsRecorder::new())));
+    // The arms alternate rep by rep, so a change in host load during the
+    // measurement reaches both arms instead of biasing the ratio.
+    let (mut noop, mut enabled) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        noop = noop.min(time_rep(ObsHandle::noop()));
+        enabled = enabled.min(time_rep(ObsHandle::new(Arc::new(MetricsRecorder::new()))));
+    }
     noop / enabled.max(1e-9)
 }
 
@@ -609,9 +610,9 @@ fn main() {
     );
 
     // Token-memo scoring: the same parallel pass with every record's token
-    // sequences pre-admitted (the engine's steady state — records are admitted
+    // ids pre-admitted (the engine's steady state — records are admitted
     // once, at ingest). Bit-identical by contract, faster because the
-    // token-based measures skip re-normalizing and re-tokenizing.
+    // token-based measures skip re-tokenizing and merge sorted id slices.
     let mut token_cache = TokenCache::new();
     token_cache.admit_scoring(&scoring_config(), corpus.left.records(), corpus.right.records());
     let reference =
@@ -649,7 +650,9 @@ fn main() {
     for epoch in 0..index_batches {
         let l = shard_left.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
         let r = shard_right.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        serial_deltas.push(serial_index.add_records_with(l, r, &SerialExecutor, None));
+        serial_deltas.push(
+            serial_index.add_records_with(l, r, &SerialExecutor, None).expect("serial blocking"),
+        );
     }
     let t_serial = start.elapsed().as_secs_f64();
     let mut sharded_index = blocker.incremental_sharded(DEFAULT_SHARDS);
@@ -657,7 +660,9 @@ fn main() {
     for (epoch, serial_delta) in serial_deltas.iter().enumerate() {
         let l = shard_left.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
         let r = shard_right.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        let delta = sharded_index.add_records_with(l, r, &pool, Some(&token_cache));
+        let delta = sharded_index
+            .add_records_with(l, r, &pool, Some(&token_cache))
+            .expect("sharded blocking");
         assert_eq!(&delta, serial_delta, "sharded delta diverged on epoch {epoch}");
     }
     let t_sharded = start.elapsed().as_secs_f64();

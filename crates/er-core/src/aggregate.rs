@@ -7,15 +7,17 @@
 //! combines the scores with per-attribute weights, renormalizing over the
 //! attributes actually present on both records.
 
+use crate::codec::Fnv1a;
 use crate::record::{Dataset, Record, RecordId};
 use crate::similarity::StringMeasure;
 use crate::similarity::{
-    absolute_difference_similarity, dice_similarity, jaccard_similarity, overlap_coefficient,
+    absolute_difference_similarity, dice_from_counts, jaccard_from_counts, overlap_from_counts,
     relative_difference_similarity, tf_cosine_similarity,
 };
 use crate::text::Tokenizer;
 use crate::{AttributeValue, ErError, Result};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// How per-attribute weights are derived.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,35 +167,24 @@ impl PairScorer {
     /// Attributes missing on either side are excluded and the remaining weights are
     /// renormalized; if every attribute is missing the pair scores `0`.
     pub fn score(&self, a: &Record, b: &Record) -> f64 {
-        let mut weighted_sum = 0.0;
-        let mut weight_total = 0.0;
-        for attr in &self.attributes {
-            if let Some(sim) = attr.measure.eval(a.get(&attr.name), b.get(&attr.name)) {
-                weighted_sum += attr.weight * sim;
-                weight_total += attr.weight;
-            }
-        }
-        if weight_total == 0.0 {
-            0.0
-        } else {
-            (weighted_sum / weight_total).clamp(0.0, 1.0)
-        }
+        self.score_with_cache(a, b, &TokenCache::default())
     }
 
-    /// Weighted aggregate similarity, reusing memoized token sequences from a
+    /// Weighted aggregate similarity, reusing the interned token ids of a
     /// [`TokenCache`] for the token-based string measures (Jaccard, Dice,
     /// overlap, TF-cosine). `a` is looked up on the cache's left side and `b`
     /// on its right side.
     ///
-    /// Bit-identical to [`PairScorer::score`]: cached sequences are the exact
-    /// `Tokenizer::tokenize` output and feed the same similarity functions, and
-    /// anything the cache does not cover (missed records, character-based or
-    /// numeric measures) falls back to direct evaluation.
+    /// Bit-identical to [`PairScorer::score`]: the set measures count the same
+    /// distinct tokens by merging sorted ids and evaluate the same expressions
+    /// on those counts, cosine sees the same token multisets, and anything
+    /// the cache does not cover (a record missing on either side,
+    /// character-based or numeric measures) is evaluated directly.
     pub fn score_with_cache(&self, a: &Record, b: &Record, cache: &TokenCache) -> f64 {
         let mut weighted_sum = 0.0;
         let mut weight_total = 0.0;
         for attr in &self.attributes {
-            if let Some(sim) = Self::eval_with_cache(attr, a, b, cache) {
+            if let Some(sim) = attr.eval(a, b, cache) {
                 weighted_sum += attr.weight * sim;
                 weight_total += attr.weight;
             }
@@ -204,38 +195,25 @@ impl PairScorer {
             (weighted_sum / weight_total).clamp(0.0, 1.0)
         }
     }
+}
 
-    fn eval_with_cache(
-        attr: &WeightedAttribute,
-        a: &Record,
-        b: &Record,
-        cache: &TokenCache,
-    ) -> Option<f64> {
-        if let AttributeMeasure::Text(measure) = attr.measure {
-            if let Some(tokenizer) = token_based_tokenizer(measure) {
-                // Text presence mirrors `AttributeMeasure::eval` exactly.
-                let ta = a.get(&attr.name).as_text()?;
-                let tb = b.get(&attr.name).as_text()?;
-                let fresh_a;
-                let tokens_a: &[String] = match cache.left_tokens(&attr.name, tokenizer, a.id()) {
-                    Some(tokens) => tokens,
-                    None => {
-                        fresh_a = tokenizer.tokenize(ta);
-                        &fresh_a
-                    }
-                };
-                let fresh_b;
-                let tokens_b: &[String] = match cache.right_tokens(&attr.name, tokenizer, b.id()) {
-                    Some(tokens) => tokens,
-                    None => {
-                        fresh_b = tokenizer.tokenize(tb);
-                        &fresh_b
-                    }
-                };
-                return Some(eval_token_measure(measure, tokens_a, tokens_b));
+impl WeightedAttribute {
+    /// This attribute's similarity on a record pair, `None` where either side
+    /// is missing or of the wrong type.
+    fn eval(&self, a: &Record, b: &Record, cache: &TokenCache) -> Option<f64> {
+        if let AttributeMeasure::Text(measure) = self.measure {
+            let entry = token_based_tokenizer(measure).and_then(|t| cache.interned(&self.name, t));
+            if let Some(entry) = entry {
+                // An entry holds a record exactly when the record had text for
+                // the attribute, so two hits mean both texts are present.
+                if let (Some(ids_a), Some(ids_b)) =
+                    (entry.ids(LEFT, a.id()), entry.ids(RIGHT, b.id()))
+                {
+                    return Some(entry.eval(measure, ids_a, ids_b));
+                }
             }
         }
-        attr.measure.eval(a.get(&attr.name), b.get(&attr.name))
+        self.measure.eval(a.get(&self.name), b.get(&self.name))
     }
 }
 
@@ -250,39 +228,144 @@ fn token_based_tokenizer(measure: StringMeasure) -> Option<Tokenizer> {
     }
 }
 
-/// Evaluates a token-based measure on pre-tokenized sequences — the same
-/// similarity functions `StringMeasure::eval` calls after tokenizing.
-fn eval_token_measure(measure: StringMeasure, a: &[String], b: &[String]) -> f64 {
-    match measure {
-        StringMeasure::Jaccard(_) => jaccard_similarity(a, b),
-        StringMeasure::Dice(_) => dice_similarity(a, b),
-        StringMeasure::Overlap(_) => overlap_coefficient(a, b),
-        StringMeasure::Cosine(_) => tf_cosine_similarity(a, b),
-        _ => unreachable!("eval_token_measure is only called for token-based measures"),
+/// Index of the left-side record map of a [`TokenCache`] entry.
+pub(crate) const LEFT: usize = 0;
+/// Index of the right-side record map of a [`TokenCache`] entry.
+pub(crate) const RIGHT: usize = 1;
+
+type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
+
+/// A memo of per-record token ids, shared by blocking and scoring so a
+/// record's attribute text is normalized and tokenized once, at admission.
+///
+/// Each `(attribute, tokenizer)` entry interns its tokens to dense `u32` ids
+/// (one interner for both sides, so ids compare across them) and keeps, per
+/// record, the sorted id multiset of the raw `Tokenizer::tokenize` output,
+/// duplicates included. Set measures then count overlaps by merging two
+/// sorted slices, and cosine and blocking still see exactly the multiset a
+/// fresh tokenization would produce.
+///
+/// An entry holds a record exactly when the record had text for the entry's
+/// attribute: records where it is missing or not text are never admitted
+/// (an empty text is admitted as an empty multiset), so presence in the
+/// cache implies a text value. Records
+/// are keyed by `(side, record id)` because the two datasets' record ids may
+/// collide. The cache trusts that an admitted record's text does not change
+/// afterwards — the resolution engine admits each record once, at ingest.
+#[derive(Debug, Default, Clone)]
+pub struct TokenCache {
+    entries: Vec<InternedTokens>,
+}
+
+/// One `(attribute, tokenizer)` entry of a [`TokenCache`].
+#[derive(Debug, Clone)]
+pub(crate) struct InternedTokens {
+    attribute: String,
+    tokenizer: Tokenizer,
+    /// Token → id; `tokens[id]` is the reverse table.
+    ids: FnvMap<Box<str>, u32>,
+    tokens: Vec<Box<str>>,
+    /// Sorted token-id multisets by record id, index [`LEFT`] or [`RIGHT`].
+    sides: [FnvMap<u64, Box<[u32]>>; 2],
+}
+
+impl InternedTokens {
+    fn new(attribute: &str, tokenizer: Tokenizer) -> Self {
+        Self {
+            attribute: attribute.to_string(),
+            tokenizer,
+            ids: FnvMap::default(),
+            tokens: Vec::new(),
+            sides: [FnvMap::default(), FnvMap::default()],
+        }
+    }
+
+    fn admit(&mut self, side: usize, records: &[Record]) {
+        let Self { attribute, tokenizer, ids, tokens, sides } = self;
+        let mut seq: Vec<u32> = Vec::new();
+        for record in records {
+            let Some(text) = record.text(attribute) else { continue };
+            let Entry::Vacant(slot) = sides[side].entry(record.id().0) else {
+                continue;
+            };
+            seq.clear();
+            tokenizer.for_each_token(text, |token| {
+                let id = match ids.get(token) {
+                    Some(&id) => id,
+                    None => {
+                        let id = u32::try_from(tokens.len()).expect("token vocabulary exceeds u32");
+                        tokens.push(token.into());
+                        ids.insert(token.into(), id);
+                        id
+                    }
+                };
+                seq.push(id);
+            });
+            seq.sort_unstable();
+            slot.insert(seq.as_slice().into());
+        }
+    }
+
+    /// The sorted token-id multiset of an admitted record on one side.
+    pub(crate) fn ids(&self, side: usize, id: RecordId) -> Option<&[u32]> {
+        self.sides[side].get(&id.0).map(|ids| &ids[..])
+    }
+
+    /// The distinct tokens of a sorted id multiset, in id order.
+    pub(crate) fn distinct_tokens<'a>(&'a self, ids: &'a [u32]) -> impl Iterator<Item = &'a str> {
+        distinct_ids(ids).map(|id| &*self.tokens[id as usize])
+    }
+
+    /// A token-based measure on two sorted id multisets of this entry.
+    fn eval(&self, measure: StringMeasure, a: &[u32], b: &[u32]) -> f64 {
+        match measure {
+            StringMeasure::Jaccard(_) => {
+                let (na, nb, common) = merge_counts(a, b);
+                jaccard_from_counts(na, nb, common)
+            }
+            StringMeasure::Dice(_) => {
+                let (na, nb, common) = merge_counts(a, b);
+                dice_from_counts(na, nb, common)
+            }
+            StringMeasure::Overlap(_) => {
+                let (na, nb, common) = merge_counts(a, b);
+                overlap_from_counts(na, nb, common)
+            }
+            StringMeasure::Cosine(_) => {
+                let text = |ids: &[u32]| -> Vec<&str> {
+                    ids.iter().map(|&id| &*self.tokens[id as usize]).collect()
+                };
+                tf_cosine_similarity(&text(a), &text(b))
+            }
+            _ => unreachable!("only token-based measures are evaluated on token ids"),
+        }
     }
 }
 
-/// A memo of per-record token sequences, shared by blocking and scoring so
-/// repeated passes over the same records stop re-normalizing and re-tokenizing
-/// their attribute texts.
-///
-/// Sequences are keyed by `(attribute, tokenizer, side, record id)` and hold
-/// the raw `Tokenizer::tokenize` output (duplicates included), so consumers
-/// observe exactly what a fresh tokenization would produce. Left and right
-/// sides are kept apart because the two datasets' record ids may collide. The
-/// cache trusts that an admitted record's text does not change afterwards —
-/// the resolution engine admits each record once, at ingest.
-#[derive(Debug, Default, Clone)]
-pub struct TokenCache {
-    entries: Vec<TokenCacheEntry>,
+/// The distinct ids of a sorted id multiset, ascending.
+fn distinct_ids(ids: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    ids.chunk_by(|x, y| x == y).map(|run| run[0])
 }
 
-#[derive(Debug, Clone)]
-struct TokenCacheEntry {
-    attribute: String,
-    tokenizer: Tokenizer,
-    /// Token sequences by record id, index 0 = left side, 1 = right side.
-    sides: [HashMap<u64, Vec<String>>; 2],
+/// `(|A|, |B|, |A ∩ B|)` of the distinct ids of two sorted id multisets, in
+/// one merge.
+fn merge_counts(a: &[u32], b: &[u32]) -> (usize, usize, usize) {
+    let (mut a, mut b) = (distinct_ids(a).peekable(), distinct_ids(b).peekable());
+    let (mut na, mut nb, mut common) = (0, 0, 0);
+    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+        if x <= y {
+            na += 1;
+            a.next();
+        }
+        if y <= x {
+            nb += 1;
+            b.next();
+        }
+        if x == y {
+            common += 1;
+        }
+    }
+    (na + a.count(), nb + b.count(), common)
 }
 
 impl TokenCache {
@@ -295,39 +378,31 @@ impl TokenCache {
         let entry = match self
             .entries
             .iter()
-            .position(|e| e.attribute == attribute && e.tokenizer == tokenizer)
+            .position(|e| e.tokenizer == tokenizer && e.attribute == attribute)
         {
             Some(i) => &mut self.entries[i],
             None => {
-                self.entries.push(TokenCacheEntry {
-                    attribute: attribute.to_string(),
-                    tokenizer,
-                    sides: [HashMap::new(), HashMap::new()],
-                });
+                self.entries.push(InternedTokens::new(attribute, tokenizer));
                 self.entries.last_mut().expect("entry just pushed")
             }
         };
-        for record in records {
-            if let Some(text) = record.text(attribute) {
-                entry.sides[side].entry(record.id().0).or_insert_with(|| tokenizer.tokenize(text));
-            }
-        }
+        entry.admit(side, records);
     }
 
     /// Tokenizes and memoizes a batch of left-side records for an attribute.
     pub fn admit_left(&mut self, attribute: &str, tokenizer: Tokenizer, records: &[Record]) {
-        self.admit(attribute, tokenizer, 0, records);
+        self.admit(attribute, tokenizer, LEFT, records);
     }
 
     /// Tokenizes and memoizes a batch of right-side records for an attribute.
     pub fn admit_right(&mut self, attribute: &str, tokenizer: Tokenizer, records: &[Record]) {
-        self.admit(attribute, tokenizer, 1, records);
+        self.admit(attribute, tokenizer, RIGHT, records);
     }
 
     /// Admits left- and right-side batches for every *token-based* text
     /// attribute of a scoring configuration (character-based and numeric
     /// measures gain nothing from token memoization and are skipped), so
-    /// [`PairScorer::score_with_cache`] finds every sequence it can use.
+    /// [`PairScorer::score_with_cache`] finds every record it can use.
     pub fn admit_scoring(
         &mut self,
         config: &ScoringConfig,
@@ -337,48 +412,24 @@ impl TokenCache {
         for (name, measure) in &config.attributes {
             let AttributeMeasure::Text(measure) = measure else { continue };
             let Some(tokenizer) = token_based_tokenizer(*measure) else { continue };
-            self.admit(name, tokenizer, 0, left_records);
-            self.admit(name, tokenizer, 1, right_records);
+            self.admit(name, tokenizer, LEFT, left_records);
+            self.admit(name, tokenizer, RIGHT, right_records);
         }
     }
 
-    fn tokens(
+    /// The entry of an `(attribute, tokenizer)` pair, if any record was
+    /// admitted under it.
+    pub(crate) fn interned(
         &self,
         attribute: &str,
         tokenizer: Tokenizer,
-        side: usize,
-        id: RecordId,
-    ) -> Option<&[String]> {
-        self.entries
-            .iter()
-            .find(|e| e.attribute == attribute && e.tokenizer == tokenizer)
-            .and_then(|e| e.sides[side].get(&id.0))
-            .map(Vec::as_slice)
-    }
-
-    /// The memoized token sequence of a left-side record, if admitted.
-    pub fn left_tokens(
-        &self,
-        attribute: &str,
-        tokenizer: Tokenizer,
-        id: RecordId,
-    ) -> Option<&[String]> {
-        self.tokens(attribute, tokenizer, 0, id)
-    }
-
-    /// The memoized token sequence of a right-side record, if admitted.
-    pub fn right_tokens(
-        &self,
-        attribute: &str,
-        tokenizer: Tokenizer,
-        id: RecordId,
-    ) -> Option<&[String]> {
-        self.tokens(attribute, tokenizer, 1, id)
+    ) -> Option<&InternedTokens> {
+        self.entries.iter().find(|e| e.tokenizer == tokenizer && e.attribute == attribute)
     }
 
     /// Total number of memoized record token sequences across all entries.
     pub fn cached_records(&self) -> usize {
-        self.entries.iter().map(|e| e.sides[0].len() + e.sides[1].len()).sum()
+        self.entries.iter().map(|e| e.sides[LEFT].len() + e.sides[RIGHT].len()).sum()
     }
 }
 
@@ -387,6 +438,7 @@ mod tests {
     use super::*;
     use crate::record::{Record, RecordId, Schema};
     use crate::text::Tokenizer;
+    use proptest::prelude::*;
 
     fn paper_record(id: u64, title: &str, venue: &str) -> Record {
         Record::new(RecordId(id)).with("title", title).with("venue", venue)
@@ -556,6 +608,109 @@ mod tests {
                     scorer.score(a, b).to_bits(),
                     scorer.score_with_cache(a, b, &empty).to_bits()
                 );
+            }
+        }
+    }
+
+    /// SplitMix64 step for the differential generator below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A record whose text attributes are missing, numeric, empty or drawn
+    /// from a tiny vocabulary (so duplicates and shared tokens are common).
+    fn random_record(id: u64, state: &mut u64) -> Record {
+        let vocab = ["ab", "ba", "abc", "Ab,", "b", "a a", "", "--"];
+        let mut record = Record::new(RecordId(id));
+        for name in ["title", "authors", "venue"] {
+            record = match next(state) % 6 {
+                0 => record,                       // missing
+                1 => record.with(name, id as f64), // numeric value on a text attribute
+                2 => record.with(name, ""),        // empty text
+                _ => {
+                    let words = 1 + next(state) % 5;
+                    let text: Vec<&str> = (0..words)
+                        .map(|_| vocab[(next(state) % vocab.len() as u64) as usize])
+                        .collect();
+                    record.with(name, text.join(" "))
+                }
+            };
+        }
+        match next(state) % 3 {
+            0 => record,
+            1 => record.with("year", 2000.0 + (next(state) % 10) as f64),
+            _ => record.with("year", "n/a"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..Default::default() })]
+        #[test]
+        fn cached_scoring_matches_plain_scoring(seed in 0u64..1_000_000) {
+            let mut state = seed;
+            // Every token measure under every tokenizer, spread over the three
+            // text attributes, mixed with character-based and numeric ones.
+            let mut attributes = Vec::new();
+            let tokenizers = [Tokenizer::Words, Tokenizer::QGrams(2), Tokenizer::QGrams(3)];
+            for (t, tokenizer) in tokenizers.into_iter().enumerate() {
+                for (m, measure) in [
+                    StringMeasure::Jaccard(tokenizer),
+                    StringMeasure::Dice(tokenizer),
+                    StringMeasure::Overlap(tokenizer),
+                    StringMeasure::Cosine(tokenizer),
+                ]
+                .into_iter()
+                .enumerate()
+                {
+                    let name = ["title", "authors", "venue"][(t + m) % 3];
+                    let weight = 1.0 + (next(&mut state) % 4) as f64;
+                    attributes.push((name, AttributeMeasure::Text(measure), weight));
+                }
+            }
+            attributes.push(("venue", AttributeMeasure::Text(StringMeasure::JaroWinkler), 2.0));
+            attributes.push(("year", AttributeMeasure::NumberAbsolute { tolerance: 5.0 }, 1.0));
+            attributes.push(("year", AttributeMeasure::NumberRelative, 0.5));
+            let scorer = PairScorer::with_weights(attributes).unwrap();
+            // Left and right ids overlap, so equal ids meet on both sides.
+            let lefts: Vec<Record> =
+                (0..1 + next(&mut state) % 6).map(|id| random_record(id, &mut state)).collect();
+            let rights: Vec<Record> =
+                (0..1 + next(&mut state) % 6).map(|id| random_record(id, &mut state)).collect();
+            let config = ScoringConfig::new(
+                scorer.attributes.iter().map(|a| (a.name.clone(), a.measure)),
+                AttributeWeighting::Uniform,
+            );
+            let mut full = TokenCache::new();
+            full.admit_scoring(&config, &lefts, &rights);
+            let mut partial = TokenCache::new();
+            let some = |records: &[Record], state: &mut u64| -> Vec<Record> {
+                records.iter().filter(|_| next(state).is_multiple_of(2)).cloned().collect()
+            };
+            partial.admit_scoring(&config, &some(&lefts, &mut state), &some(&rights, &mut state));
+            let weights = scorer.weights();
+            for a in &lefts {
+                for b in &rights {
+                    // Reference: the direct per-attribute measures, summed in
+                    // the scorer's order.
+                    let (mut sum, mut total) = (0.0, 0.0);
+                    for (sim, (_, weight)) in scorer.attribute_scores(a, b).into_iter().zip(&weights) {
+                        if let Some(sim) = sim {
+                            sum += weight * sim;
+                            total += weight;
+                        }
+                    }
+                    let reference = if total == 0.0 { 0.0 } else { (sum / total).clamp(0.0, 1.0) };
+                    let plain = scorer.score(a, b);
+                    prop_assert_eq!(plain.to_bits(), reference.to_bits());
+                    for cache in [&full, &partial, &TokenCache::new()] {
+                        let cached = scorer.score_with_cache(a, b, cache);
+                        prop_assert_eq!(cached.to_bits(), plain.to_bits());
+                    }
+                }
             }
         }
     }

@@ -15,15 +15,17 @@
 //! candidate pairs — the pairs involving at least one record of the new batch —
 //! without rescanning the pairs of previously ingested records.
 
-use crate::aggregate::{PairScorer, TokenCache};
-use crate::codec::{fnv1a, ByteReader, ByteWriter};
+use crate::aggregate::{InternedTokens, PairScorer, TokenCache, LEFT, RIGHT};
+use crate::codec::{fnv1a, ByteReader, ByteWriter, Fnv1a};
 use crate::parallel::{ParallelExecutor, SerialExecutor};
 use crate::record::{Dataset, Record, RecordId};
 use crate::spill::{ChunkHandle, MemoryBudget, SpillFile};
 use crate::text::Tokenizer;
 use crate::workload::{InstancePair, Label, PairId, Workload};
-use crate::Result;
+use crate::{ErError, Result};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// All pairs of the cartesian product between two datasets.
@@ -79,27 +81,28 @@ impl TokenBlocker {
         // into a posting list twice, nor probe the same posting list twice —
         // the output set would hide it, but every duplicate re-scans a whole
         // posting list.
-        let record_tokens = |record: &Record, side: usize| -> BTreeSet<String> {
-            unique_record_tokens(&self.attribute, self.tokenizer, record, side, cache).0
+        let entry = cache.and_then(|c| c.interned(&self.attribute, self.tokenizer));
+        let record_tokens = |record: &Record, side: usize| {
+            unique_record_tokens(entry, &self.attribute, self.tokenizer, record, side).0
         };
         // Invert dataset b: token → record ids.
         let mut index: BTreeMap<String, Vec<RecordId>> = BTreeMap::new();
         for rb in b.iter() {
-            for token in record_tokens(rb, 1) {
-                index.entry(token).or_default().push(rb.id());
+            for token in record_tokens(rb, RIGHT) {
+                index.entry(token.into_owned()).or_default().push(rb.id());
             }
         }
-        let mut seen: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
+        let mut pairs = Vec::new();
         for ra in a.iter() {
-            for token in record_tokens(ra, 0) {
-                if let Some(ids) = index.get(&token) {
-                    for &rb_id in ids {
-                        seen.insert((ra.id(), rb_id));
-                    }
+            for token in record_tokens(ra, LEFT) {
+                if let Some(ids) = index.get(token.as_ref()) {
+                    pairs.extend(ids.iter().map(|&rb_id| (ra.id(), rb_id)));
                 }
             }
         }
-        seen.into_iter().collect()
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 
     /// Creates an empty incremental index with this blocker's attribute and
@@ -129,31 +132,27 @@ impl TokenBlocker {
 /// Default shard count of [`TokenBlocker::incremental`].
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// The unique token set of one record, via the cache when admitted (`side`
-/// 0 = left, 1 = right) and by fresh tokenization otherwise. The flag reports
-/// whether the cache answered (always `false` without a cache).
-fn unique_record_tokens(
+/// The distinct tokens of one record, in no particular order: borrowed from
+/// the token cache's `(attribute, tokenizer)` entry when the record was
+/// admitted on `side`, freshly tokenized otherwise. The flag reports whether
+/// the cache answered (always `false` without an entry).
+fn unique_record_tokens<'a>(
+    entry: Option<&'a InternedTokens>,
     attribute: &str,
     tokenizer: Tokenizer,
     record: &Record,
     side: usize,
-    cache: Option<&TokenCache>,
-) -> (BTreeSet<String>, bool) {
-    if let Some(cache) = cache {
-        let cached = if side == 0 {
-            cache.left_tokens(attribute, tokenizer, record.id())
-        } else {
-            cache.right_tokens(attribute, tokenizer, record.id())
-        };
-        if let Some(tokens) = cached {
-            return (tokens.iter().cloned().collect(), true);
+) -> (Vec<Cow<'a, str>>, bool) {
+    if let Some(entry) = entry {
+        if let Some(ids) = entry.ids(side, record.id()) {
+            return (entry.distinct_tokens(ids).map(Cow::Borrowed).collect(), true);
         }
     }
-    let tokens = record
-        .text(attribute)
-        .map(|text| tokenizer.tokenize(text).into_iter().collect())
-        .unwrap_or_default();
-    (tokens, false)
+    let mut tokens =
+        record.text(attribute).map(|text| tokenizer.tokenize(text)).unwrap_or_default();
+    tokens.sort_unstable();
+    tokens.dedup();
+    (tokens.into_iter().map(Cow::Owned).collect(), false)
 }
 
 /// A persistent token-blocking index supporting incremental ingestion,
@@ -180,7 +179,10 @@ fn unique_record_tokens(
 /// posting maps into immutable on-disk *generations* (`HPG1` chunks, see
 /// [`crate::spill`]) between batches; probes consult the resident maps plus
 /// every generation through a small resident hash directory, so budgeted and
-/// unbounded indexes produce identical candidates.
+/// unbounded indexes produce identical candidates. A generation entry that
+/// cannot be read back, runs past its bytes, or does not hash to the bucket
+/// that points at it fails the batch with [`ErError::Spill`] rather than
+/// dropping candidates.
 ///
 /// [`add_records_with`]: IncrementalTokenIndex::add_records_with
 #[derive(Debug, Clone)]
@@ -194,16 +196,19 @@ pub struct IncrementalTokenIndex {
     obs: er_obs::ObsHandle,
 }
 
-const SIDE_LEFT: u8 = 0;
-const SIDE_RIGHT: u8 = 1;
+/// The side byte of posting keys and `HPG1` entries: the token cache's side
+/// index.
+const SIDE_LEFT: u8 = LEFT as u8;
+const SIDE_RIGHT: u8 = RIGHT as u8;
 const POSTING_MAGIC: [u8; 4] = *b"HPG1";
 
-/// FNV-1a over `(side, token)` — the key of posting-generation directories.
-fn posting_key(side: u8, token: &str) -> u64 {
-    let mut buf = Vec::with_capacity(1 + token.len());
-    buf.push(side);
-    buf.extend_from_slice(token.as_bytes());
-    fnv1a(&buf)
+/// FNV-1a over the bytes of `side` followed by `token` — the key of
+/// posting-generation directories.
+fn posting_key(side: u8, token: &[u8]) -> u64 {
+    let mut hash = Fnv1a::default();
+    hash.write(&[side]);
+    hash.write(token);
+    hash.finish()
 }
 
 /// One token-hash shard: resident posting maps plus frozen on-disk generations.
@@ -227,80 +232,89 @@ struct PostingGeneration {
 }
 
 impl PostingGeneration {
-    fn probe_into(&self, side: u8, token: &str, out: &mut Vec<RecordId>) {
-        let Some(ranges) = self.directory.get(&posting_key(side, token)) else {
-            return;
+    /// Calls `f` on every record id this generation holds for `(side, token)`.
+    fn probe(&self, side: u8, token: &str, f: &mut impl FnMut(RecordId)) -> Result<()> {
+        let key = posting_key(side, token.as_bytes());
+        let Some(ranges) = self.directory.get(&key) else {
+            return Ok(());
         };
         for &(start, len) in ranges {
             // Sub-entry read: the enclosing chunk was checksummed when written
             // whole; entry reads skip re-verification by design.
-            let bytes = self
-                .spill
-                .read_at(self.handle.offset + start as u64, len as usize)
-                .expect("posting spill read failed");
+            let bytes = self.spill.read_at(self.handle.offset + start as u64, len as usize)?;
             let mut r = ByteReader::unchecked(&bytes);
-            let parse = |r: &mut ByteReader<'_>| -> Result<(u8, Vec<RecordId>)> {
-                let entry_side = r.take_u8()?;
-                let token_len = r.take_u32()? as usize;
-                let entry_token = r.take_bytes(token_len)?;
-                if entry_side != side || entry_token != token.as_bytes() {
-                    return Ok((entry_side, Vec::new())); // hash collision
+            let entry_side = r.take_u8()?;
+            let token_len = r.take_u32()? as usize;
+            let entry_token = r.take_bytes(token_len)?;
+            if entry_side != side || entry_token != token.as_bytes() {
+                // A bucket may also hold entries whose keys collide with this
+                // one, but never an entry that hashes elsewhere.
+                if posting_key(entry_side, entry_token) != key {
+                    return Err(ErError::Spill(format!(
+                        "posting generation entry at byte {start} does not match its key"
+                    )));
                 }
-                let n = r.take_u32()? as usize;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(RecordId(r.take_u64()?));
-                }
-                Ok((entry_side, ids))
-            };
-            let (_, ids) = parse(&mut r).expect("posting generation entry corrupt");
-            out.extend(ids);
+                continue;
+            }
+            for _ in 0..r.take_u32()? {
+                f(RecordId(r.take_u64()?));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Appends `id` to `token`'s posting list, allocating the key only for a new
+/// token.
+fn push_posting(map: &mut BTreeMap<String, Vec<RecordId>>, token: &str, id: RecordId) {
+    match map.get_mut(token) {
+        Some(ids) => ids.push(id),
+        None => {
+            map.insert(token.to_string(), vec![id]);
         }
     }
 }
 
 impl TokenShard {
-    /// All indexed record ids for a token on one side: every frozen generation
-    /// plus the resident map.
-    fn probe(&self, side: u8, token: &str) -> Vec<RecordId> {
-        let mut out = Vec::new();
+    /// Calls `f` on every indexed record id for a token on one side: every
+    /// frozen generation plus the resident map.
+    fn probe(&self, side: u8, token: &str, mut f: impl FnMut(RecordId)) -> Result<()> {
         for generation in &self.generations {
-            generation.probe_into(side, token, &mut out);
+            generation.probe(side, token, &mut f)?;
         }
         let resident = if side == SIDE_LEFT { &self.resident_left } else { &self.resident_right };
-        if let Some(ids) = resident.get(token) {
-            out.extend_from_slice(ids);
-        }
-        out
+        resident.get(token).into_iter().flatten().copied().for_each(f);
+        Ok(())
     }
 
     /// Folds this shard's slice of a batch into the shard and returns its
-    /// delta pairs. Right side first, mirroring the pre-shard index: new right
-    /// records pair with previously indexed left records here, and pairs with
-    /// the new left records are found below once the right postings are in
-    /// place — the split that keeps every within-batch pair emitted exactly
-    /// once per shard.
-    fn apply(&mut self, work: &ShardWork) -> Vec<(RecordId, RecordId)> {
-        let mut delta: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
+    /// sorted, duplicate-free delta pairs. Right side first, mirroring the
+    /// pre-shard index: new right records pair with previously indexed left
+    /// records here, and pairs with the new left records are found below once
+    /// the right postings are in place — the split that keeps every
+    /// within-batch pair emitted exactly once per shard.
+    ///
+    /// A failed generation read returns its error with the shard holding the
+    /// postings of the tokens before it.
+    fn apply(&mut self, work: &ShardWork<'_>) -> Result<Vec<(RecordId, RecordId)>> {
+        let mut delta = Vec::new();
         for (id, tokens) in &work.rights {
             for token in tokens {
-                for left_id in self.probe(SIDE_LEFT, token) {
-                    delta.insert((left_id, *id));
-                }
-                self.resident_right.entry(token.clone()).or_default().push(*id);
+                self.probe(SIDE_LEFT, token, |left_id| delta.push((left_id, *id)))?;
+                push_posting(&mut self.resident_right, token, *id);
                 self.resident_postings += 1;
             }
         }
         for (id, tokens) in &work.lefts {
             for token in tokens {
-                for right_id in self.probe(SIDE_RIGHT, token) {
-                    delta.insert((*id, right_id));
-                }
-                self.resident_left.entry(token.clone()).or_default().push(*id);
+                self.probe(SIDE_RIGHT, token, |right_id| delta.push((*id, right_id)))?;
+                push_posting(&mut self.resident_left, token, *id);
                 self.resident_postings += 1;
             }
         }
-        delta.into_iter().collect()
+        delta.sort_unstable();
+        delta.dedup();
+        Ok(delta)
     }
 
     /// Freezes the resident posting maps into one immutable `HPG1` generation
@@ -324,7 +338,7 @@ impl TokenShard {
                 for id in ids {
                     w.put_u64(id.0);
                 }
-                entries.push((posting_key(side, token), start, w.len() as u32 - start));
+                entries.push((posting_key(side, token.as_bytes()), start, w.len() as u32 - start));
             }
         }
         let handle = spill.append(&w.finish())?;
@@ -343,9 +357,9 @@ impl TokenShard {
 /// One shard's slice of a record batch: per record, the unique tokens that
 /// hash into the shard, in batch order.
 #[derive(Debug, Default)]
-struct ShardWork {
-    lefts: Vec<(RecordId, Vec<String>)>,
-    rights: Vec<(RecordId, Vec<String>)>,
+struct ShardWork<'a> {
+    lefts: Vec<(RecordId, Vec<Cow<'a, str>>)>,
+    rights: Vec<(RecordId, Vec<Cow<'a, str>>)>,
 }
 
 impl IncrementalTokenIndex {
@@ -395,18 +409,23 @@ impl IncrementalTokenIndex {
     /// Folds a batch of records into the index and returns the **new** candidate
     /// pairs: every `(left, right)` pair sharing at least one token where at
     /// least one side belongs to this batch. Pairs are deduplicated and sorted.
+    ///
+    /// Fails with [`ErError::Spill`] when a frozen posting generation cannot
+    /// be read back or is corrupt, or when freezing postings under the memory
+    /// budget fails. A failed call may leave the batch partly folded in (its
+    /// delta is lost), so the index should then be discarded.
     pub fn add_records(
         &mut self,
         left_batch: &[Record],
         right_batch: &[Record],
-    ) -> Vec<(RecordId, RecordId)> {
+    ) -> Result<Vec<(RecordId, RecordId)>> {
         self.add_records_with(left_batch, right_batch, &SerialExecutor, None)
     }
 
     /// [`add_records`](IncrementalTokenIndex::add_records) with an explicit
     /// execution seam and optional token memo: the per-shard candidate deltas
     /// are computed through `executor` (one work item per shard) and record
-    /// token sets come from `cache` where admitted. Both knobs are
+    /// tokens come from `cache`'s interned ids where admitted. Both knobs are
     /// behaviour-invisible — the returned delta is identical for any executor,
     /// cache state and shard count.
     pub fn add_records_with<E: ParallelExecutor>(
@@ -415,36 +434,32 @@ impl IncrementalTokenIndex {
         right_batch: &[Record],
         executor: &E,
         cache: Option<&TokenCache>,
-    ) -> Vec<(RecordId, RecordId)> {
+    ) -> Result<Vec<(RecordId, RecordId)>> {
         let shard_count = self.shards.len();
+        let entry = cache.and_then(|c| c.interned(&self.attribute, self.tokenizer));
         let mut work: Vec<ShardWork> = (0..shard_count).map(|_| ShardWork::default()).collect();
+        let mut split: Vec<Vec<Cow<str>>> = vec![Vec::new(); shard_count];
         let mut token_cache_hits = 0u64;
         let mut token_cache_misses = 0u64;
-        for (side, batch) in [(SIDE_LEFT, left_batch), (SIDE_RIGHT, right_batch)] {
+        for (side, batch) in [(LEFT, left_batch), (RIGHT, right_batch)] {
             for record in batch {
-                let (tokens, cache_hit) = unique_record_tokens(
-                    &self.attribute,
-                    self.tokenizer,
-                    record,
-                    side as usize,
-                    cache,
-                );
+                let (tokens, cache_hit) =
+                    unique_record_tokens(entry, &self.attribute, self.tokenizer, record, side);
                 if cache_hit {
                     token_cache_hits += 1;
                 } else {
                     token_cache_misses += 1;
                 }
-                let mut split: Vec<Vec<String>> = vec![Vec::new(); shard_count];
                 for token in tokens {
                     let shard = (fnv1a(token.as_bytes()) % shard_count as u64) as usize;
                     split[shard].push(token);
                 }
-                for (shard, shard_tokens) in split.into_iter().enumerate() {
+                for (shard, shard_tokens) in split.iter_mut().enumerate() {
                     if shard_tokens.is_empty() {
                         continue;
                     }
-                    let routed = (record.id(), shard_tokens);
-                    if side == SIDE_LEFT {
+                    let routed = (record.id(), std::mem::take(shard_tokens));
+                    if side == LEFT {
                         work[shard].lefts.push(routed);
                     } else {
                         work[shard].rights.push(routed);
@@ -453,6 +468,7 @@ impl IncrementalTokenIndex {
             }
         }
         let deltas = executor.map_mut(&mut self.shards, |i, shard| shard.apply(&work[i]));
+        let deltas = deltas.into_iter().collect::<Result<Vec<_>>>()?;
         self.records_indexed += left_batch.len() + right_batch.len();
         if self.obs.is_enabled() {
             // Token-cache hits only mean something when a cache was supplied;
@@ -465,14 +481,11 @@ impl IncrementalTokenIndex {
                 self.obs.observe("blocking.shard_delta_pairs", delta.len() as f64);
             }
         }
-        let mut merged: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-        for delta in deltas {
-            merged.extend(delta);
-        }
-        // Between-batch budget enforcement; the index owns its unlinked spill
-        // file, so I/O failures here are unrecoverable and loud.
-        self.enforce_budget().expect("posting spill failed");
-        merged.into_iter().collect()
+        let mut merged = deltas.concat();
+        merged.sort_unstable();
+        merged.dedup();
+        self.enforce_budget()?;
+        Ok(merged)
     }
 
     /// Freezes every shard's resident postings into on-disk generations when
@@ -893,7 +906,7 @@ mod tests {
             for i in 0..left_chunks.len().max(right_chunks.len()) {
                 let l = left_chunks.get(i).copied().unwrap_or(&[]);
                 let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                for pair in index.add_records(l, r) {
+                for pair in index.add_records(l, r).unwrap() {
                     assert!(union.insert(pair), "pair {pair:?} emitted twice");
                 }
             }
@@ -961,7 +974,7 @@ mod tests {
             for i in 0..left_chunks.len().max(right_chunks.len()) {
                 let l = left_chunks.get(i).copied().unwrap_or(&[]);
                 let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                for pair in index.add_records(l, r) {
+                for pair in index.add_records(l, r).unwrap() {
                     prop_assert!(union.insert(pair), "pair emitted twice: {:?}", pair);
                 }
             }
@@ -1004,8 +1017,8 @@ mod tests {
             let l = &a.records()[i * 10..(i + 1) * 10];
             let r = &b.records()[i * 10..(i + 1) * 10];
             assert_eq!(
-                budgeted.add_records(l, r),
-                unbounded.add_records(l, r),
+                budgeted.add_records(l, r).unwrap(),
+                unbounded.add_records(l, r).unwrap(),
                 "budgeted delta diverged on batch {i}"
             );
             // Over-budget shards were frozen between batches.
@@ -1017,8 +1030,8 @@ mod tests {
         // A clone shares the spill file and still probes generations correctly.
         let mut cloned = budgeted.clone();
         let extra = Record::new(RecordId(9_999)).with("title", "tok1 shared");
-        let from_clone = cloned.add_records(&[], std::slice::from_ref(&extra));
-        let from_orig = budgeted.add_records(&[], std::slice::from_ref(&extra));
+        let from_clone = cloned.add_records(&[], std::slice::from_ref(&extra)).unwrap();
+        let from_orig = budgeted.add_records(&[], std::slice::from_ref(&extra)).unwrap();
         assert_eq!(from_clone, from_orig);
         assert!(!from_clone.is_empty());
     }
@@ -1065,13 +1078,200 @@ mod tests {
                 for i in 0..left_chunks.len().max(right_chunks.len()) {
                     let l = left_chunks.get(i).copied().unwrap_or(&[]);
                     let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                    deltas.push(index.add_records(l, r));
+                    deltas.push(index.add_records(l, r).unwrap());
                 }
                 let union: BTreeSet<_> = deltas.iter().flatten().copied().collect();
                 prop_assert_eq!(&union, &expected);
                 match &reference {
                     None => reference = Some(deltas),
                     Some(reference) => prop_assert_eq!(reference, &deltas),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn posting_key_is_fnv1a_of_side_then_token() {
+        for side in [SIDE_LEFT, SIDE_RIGHT, 7] {
+            for token in ["", "a", "shared", "#ab", "zürich", "中文"] {
+                assert_eq!(
+                    posting_key(side, token.as_bytes()),
+                    fnv1a(&[&[side], token.as_bytes()].concat()),
+                    "side {side}, token {token:?}"
+                );
+            }
+        }
+    }
+
+    /// An index over 40 left and 40 right records whose posting budget froze
+    /// generations in every shard, plus a right record sharing the token
+    /// every left record holds.
+    fn spilled_index() -> (IncrementalTokenIndex, Record) {
+        let mut index = TokenBlocker::new("title", Tokenizer::Words).incremental_sharded(3);
+        index
+            .set_memory_budget(MemoryBudget { resident_postings: 16, ..MemoryBudget::default() })
+            .unwrap();
+        let left: Vec<Record> = (0..40)
+            .map(|i| Record::new(RecordId(i)).with("title", format!("tok{} shared", i % 7)))
+            .collect();
+        let right: Vec<Record> = (0..40)
+            .map(|i| Record::new(RecordId(1_000 + i)).with("title", format!("tok{}", i % 5)))
+            .collect();
+        for i in 0..4 {
+            index.add_records(&left[i * 10..(i + 1) * 10], &right[i * 10..(i + 1) * 10]).unwrap();
+        }
+        assert!(index.shards.iter().all(|s| !s.generations.is_empty()), "every shard spilled");
+        (index, Record::new(RecordId(5_000)).with("title", "shared"))
+    }
+
+    /// Rewrites every generation of `index` as a corrupted copy: `corrupt`
+    /// edits the chunk bytes given each entry's byte range, and the copy is
+    /// appended to the same spill file in place of the original.
+    fn corrupt_generations(
+        index: &mut IncrementalTokenIndex,
+        corrupt: impl Fn(&mut [u8], usize, usize),
+    ) {
+        for shard in &mut index.shards {
+            for generation in &mut shard.generations {
+                let mut bytes = generation.spill.read_chunk(generation.handle).unwrap();
+                for ranges in generation.directory.values() {
+                    for &(start, len) in ranges {
+                        corrupt(&mut bytes, start as usize, len as usize);
+                    }
+                }
+                generation.handle = generation.spill.append(&bytes).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_posting_generations_fail_without_panicking() {
+        let (healthy, probe) = spilled_index();
+        let expected = healthy.clone().add_records(&[], std::slice::from_ref(&probe)).unwrap();
+        assert_eq!(expected.len(), 40, "the probe pairs with every left record");
+
+        // A token length running past the entry.
+        let mut index = healthy.clone();
+        corrupt_generations(&mut index, |bytes, start, _| {
+            bytes[start + 1..start + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let err = index.add_records(&[], std::slice::from_ref(&probe)).unwrap_err();
+        assert!(matches!(err, ErError::Spill(_)), "{err:?}");
+
+        // A flipped token byte: the entry no longer hashes to its bucket.
+        let mut index = healthy.clone();
+        corrupt_generations(&mut index, |bytes, start, _| bytes[start + 5] ^= 0x01);
+        let err = index.add_records(&[], std::slice::from_ref(&probe)).unwrap_err();
+        assert!(matches!(err, ErError::Spill(_)), "{err:?}");
+
+        // A generation whose bytes cannot be read back at all.
+        let mut index = healthy.clone();
+        for shard in &mut index.shards {
+            for generation in &mut shard.generations {
+                generation.handle.offset = u64::MAX / 2;
+            }
+        }
+        let err = index.add_records(&[], std::slice::from_ref(&probe)).unwrap_err();
+        assert!(matches!(err, ErError::Spill(_)), "{err:?}");
+    }
+
+    /// SplitMix64 step for the differential generators below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Cuts `records` into consecutive batches of random sizes (0 to 4).
+    fn random_batches<'r>(records: &'r [Record], state: &mut u64) -> Vec<&'r [Record]> {
+        let mut batches = Vec::new();
+        let mut rest = records;
+        while !rest.is_empty() {
+            let size = ((next(state) % 5) as usize).min(rest.len());
+            let (batch, tail) = rest.split_at(size);
+            batches.push(batch);
+            rest = tail;
+        }
+        batches
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
+        #[test]
+        fn deltas_match_a_btreeset_reference(seed in 0u64..1_000_000, qgrams in 0usize..2) {
+            let tokenizer = if qgrams == 1 { Tokenizer::QGrams(2) } else { Tokenizer::Words };
+            let vocab = ["ant", "bee", "Bee", "cat", "ant-bee", "elk", "", "  "];
+            let mut state = seed;
+            let mut record = |id: u64| -> Record {
+                let record = Record::new(RecordId(id));
+                match next(&mut state) % 8 {
+                    0 => record, // missing attribute
+                    1 => record.with("title", id as f64), // numeric value on the text attribute
+                    _ => {
+                        let words = 1 + next(&mut state) % 4; // duplicates are likely
+                        let title: Vec<&str> = (0..words)
+                            .map(|_| vocab[(next(&mut state) % vocab.len() as u64) as usize])
+                            .collect();
+                        record.with("title", title.join(" "))
+                    }
+                }
+            };
+            // Equal ids on both sides: the sides must never mix.
+            let left: Vec<Record> = (0..1 + seed % 14).map(&mut record).collect();
+            let right: Vec<Record> = (0..1 + (seed / 14) % 14).map(&mut record).collect();
+            let token_set = |r: &Record| -> BTreeSet<String> {
+                r.text("title").map(|t| tokenizer.tokenize(t).into_iter().collect()).unwrap_or_default()
+            };
+            let left_batches = random_batches(&left, &mut state);
+            let right_batches = random_batches(&right, &mut state);
+            let steps = left_batches.len().max(right_batches.len());
+            // The cache holds a random subset of the records; the rest are
+            // tokenized fresh.
+            let mut cache = TokenCache::new();
+            let admitted = |records: &[Record], state: &mut u64| -> Vec<Record> {
+                records.iter().filter(|_| next(state).is_multiple_of(2)).cloned().collect()
+            };
+            cache.admit_left("title", tokenizer, &admitted(&left, &mut state));
+            cache.admit_right("title", tokenizer, &admitted(&right, &mut state));
+            let blocker = TokenBlocker::new("title", tokenizer);
+            for shards in [1usize, 3, 8] {
+                for budget in [0usize, 3] {
+                    let mut index = blocker.incremental_sharded(shards);
+                    index
+                        .set_memory_budget(MemoryBudget { resident_postings: budget, ..MemoryBudget::default() })
+                        .unwrap();
+                    let (mut seen_left, mut seen_right) = (0, 0);
+                    for step in 0..steps {
+                        let l = left_batches.get(step).copied().unwrap_or(&[]);
+                        let r = right_batches.get(step).copied().unwrap_or(&[]);
+                        let use_cache = (step + shards) % 2 == 0;
+                        let delta = index
+                            .add_records_with(l, r, &SerialExecutor, use_cache.then_some(&cache))
+                            .unwrap();
+                        let (old_left, old_right) = (seen_left, seen_right);
+                        seen_left += l.len();
+                        seen_right += r.len();
+                        let mut reference: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
+                        for (i, a) in left[..seen_left].iter().enumerate() {
+                            for (j, b) in right[..seen_right].iter().enumerate() {
+                                let new = i >= old_left || j >= old_right;
+                                if new && !token_set(a).is_disjoint(&token_set(b)) {
+                                    reference.insert((a.id(), b.id()));
+                                }
+                            }
+                        }
+                        let reference: Vec<_> = reference.into_iter().collect();
+                        prop_assert!(
+                            delta == reference,
+                            "shards {} budget {} step {}: {:?} != {:?}",
+                            shards, budget, step, delta, reference
+                        );
+                    }
+                    if budget > 0 {
+                        prop_assert!(index.resident_postings() <= budget);
+                    }
                 }
             }
         }

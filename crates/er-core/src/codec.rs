@@ -36,16 +36,40 @@
 //! checksum fails: an error, never silent data loss).
 
 use crate::{ErError, Result};
+use std::hash::Hasher;
 
 /// FNV-1a 64-bit hash — the platform-independent hash used for token → shard
 /// assignment, posting directories and chunk checksums.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::default();
+    hash.write(bytes);
+    hash.finish()
+}
+
+/// Incremental FNV-1a: feeding byte slices one after another hashes their
+/// concatenation, so composite keys need no scratch buffer. As a [`Hasher`]
+/// it is also the cheap in-memory hash of the token cache's maps (those
+/// hashes never reach disk).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
 /// Little-endian byte writer for the on-disk codecs; [`ByteWriter::finish`]

@@ -19,6 +19,7 @@ pub use edit::{levenshtein_distance, levenshtein_similarity};
 pub use jaro::{jaro_similarity, jaro_winkler_similarity};
 pub use monge_elkan::monge_elkan_similarity;
 pub use numeric::{absolute_difference_similarity, relative_difference_similarity};
+pub(crate) use token::{dice_from_counts, jaccard_from_counts, overlap_from_counts};
 pub use token::{dice_similarity, jaccard_similarity, overlap_coefficient};
 
 use crate::text::Tokenizer;

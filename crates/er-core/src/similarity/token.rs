@@ -5,46 +5,61 @@
 
 use std::collections::BTreeSet;
 
-fn token_sets<'a, S: AsRef<str>>(a: &'a [S], b: &'a [S]) -> (BTreeSet<&'a str>, BTreeSet<&'a str>) {
-    (a.iter().map(|t| t.as_ref()).collect(), b.iter().map(|t| t.as_ref()).collect())
+/// `(|A|, |B|, |A ∩ B|)` of the token *sets* of two token lists.
+fn set_counts<S: AsRef<str>>(a: &[S], b: &[S]) -> (usize, usize, usize) {
+    let sa: BTreeSet<&str> = a.iter().map(|t| t.as_ref()).collect();
+    let sb: BTreeSet<&str> = b.iter().map(|t| t.as_ref()).collect();
+    (sa.len(), sb.len(), sa.intersection(&sb).count())
 }
 
 /// Jaccard similarity `|A ∩ B| / |A ∪ B|` over token *sets*.
 ///
 /// Two empty token lists are considered identical (similarity `1`).
 pub fn jaccard_similarity<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    let (sa, sb) = token_sets(a, b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let intersection = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    intersection as f64 / union as f64
+    let (na, nb, common) = set_counts(a, b);
+    jaccard_from_counts(na, nb, common)
 }
 
 /// Dice similarity `2|A ∩ B| / (|A| + |B|)` over token sets.
 pub fn dice_similarity<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    let (sa, sb) = token_sets(a, b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let intersection = sa.intersection(&sb).count();
-    2.0 * intersection as f64 / (sa.len() + sb.len()) as f64
+    let (na, nb, common) = set_counts(a, b);
+    dice_from_counts(na, nb, common)
 }
 
 /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)` over token sets.
 ///
 /// Returns `0` when exactly one side is empty and `1` when both are empty.
 pub fn overlap_coefficient<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    let (sa, sb) = token_sets(a, b);
-    if sa.is_empty() && sb.is_empty() {
+    let (na, nb, common) = set_counts(a, b);
+    overlap_from_counts(na, nb, common)
+}
+
+// The set measures as functions of `|A|`, `|B|` and `|A ∩ B|` alone. Every
+// caller, string-keyed above or id-keyed in the token cache, evaluates these
+// same expressions, so equal counts give bit-equal similarities.
+
+pub(crate) fn jaccard_from_counts(na: usize, nb: usize, common: usize) -> f64 {
+    if na == 0 && nb == 0 {
         return 1.0;
     }
-    if sa.is_empty() || sb.is_empty() {
+    common as f64 / (na + nb - common) as f64
+}
+
+pub(crate) fn dice_from_counts(na: usize, nb: usize, common: usize) -> f64 {
+    if na == 0 && nb == 0 {
+        return 1.0;
+    }
+    2.0 * common as f64 / (na + nb) as f64
+}
+
+pub(crate) fn overlap_from_counts(na: usize, nb: usize, common: usize) -> f64 {
+    if na == 0 && nb == 0 {
+        return 1.0;
+    }
+    if na == 0 || nb == 0 {
         return 0.0;
     }
-    let intersection = sa.intersection(&sb).count();
-    intersection as f64 / sa.len().min(sb.len()) as f64
+    common as f64 / na.min(nb) as f64
 }
 
 #[cfg(test)]

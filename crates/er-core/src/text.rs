@@ -34,7 +34,7 @@ pub fn normalize(input: &str) -> String {
 
 /// Splits normalized text into lowercase word tokens.
 pub fn word_tokens(input: &str) -> Vec<String> {
-    normalize(input).split_whitespace().map(|s| s.to_string()).collect()
+    collect_tokens(Tokenizer::Words, input)
 }
 
 /// Produces the multiset of character q-grams of the normalized input.
@@ -43,21 +43,37 @@ pub fn word_tokens(input: &str) -> Vec<String> {
 /// standard trick that lets q-gram similarity capture prefix/suffix agreement.
 /// Returns an empty vector when `q == 0` or the normalized input is empty.
 pub fn qgrams(input: &str, q: usize) -> Vec<String> {
+    collect_tokens(Tokenizer::QGrams(q), input)
+}
+
+fn collect_tokens(tokenizer: Tokenizer, input: &str) -> Vec<String> {
+    let mut tokens = Vec::new();
+    tokenizer.for_each_token(input, |token| tokens.push(token.to_string()));
+    tokens
+}
+
+fn for_each_qgram(input: &str, q: usize, mut f: impl FnMut(&str)) {
     if q == 0 {
-        return Vec::new();
+        return;
     }
     let normalized = normalize(input);
     if normalized.is_empty() {
-        return Vec::new();
+        return;
     }
     let mut padded: Vec<char> = Vec::with_capacity(normalized.len() + 2 * (q - 1));
     padded.extend(std::iter::repeat_n('#', q - 1));
     padded.extend(normalized.chars());
     padded.extend(std::iter::repeat_n('$', q - 1));
     if padded.len() < q {
-        return vec![padded.iter().collect()];
+        f(&padded.iter().collect::<String>());
+        return;
     }
-    padded.windows(q).map(|w| w.iter().collect()).collect()
+    let mut gram = String::with_capacity(4 * q);
+    for window in padded.windows(q) {
+        gram.clear();
+        gram.extend(window);
+        f(&gram);
+    }
 }
 
 /// Counts token occurrences, producing a term-frequency map.
@@ -81,9 +97,15 @@ pub enum Tokenizer {
 impl Tokenizer {
     /// Tokenizes the input according to the strategy.
     pub fn tokenize(&self, input: &str) -> Vec<String> {
+        collect_tokens(*self, input)
+    }
+
+    /// Calls `f` on every token [`Tokenizer::tokenize`] returns, in the same
+    /// order, without allocating a `String` per token.
+    pub(crate) fn for_each_token(&self, input: &str, mut f: impl FnMut(&str)) {
         match self {
-            Tokenizer::Words => word_tokens(input),
-            Tokenizer::QGrams(q) => qgrams(input, *q),
+            Tokenizer::Words => normalize(input).split_whitespace().for_each(f),
+            Tokenizer::QGrams(q) => for_each_qgram(input, *q, &mut f),
         }
     }
 }

@@ -241,6 +241,9 @@ pub struct ResolutionEngine {
     /// Per-record token memo shared by blocking and scoring; records are
     /// admitted once, at ingest.
     cache: TokenCache,
+    /// Set when a batch failed inside the blocking index: the index and the
+    /// token memo may hold part of that batch, so later ingests are refused.
+    blocking_failed: bool,
     /// Every manual label received through completed resolution sessions,
     /// keyed by pair id — the engine-side label store that keeps later epochs
     /// from re-requesting pairs answered in earlier ones.
@@ -269,6 +272,7 @@ impl Clone for ResolutionEngine {
             warm: self.warm.clone(),
             candidate_count: self.candidate_count,
             cache: self.cache.clone(),
+            blocking_failed: self.blocking_failed,
             labels: self.labels.clone(),
             wal: None,
         }
@@ -298,6 +302,7 @@ impl ResolutionEngine {
             warm: None,
             candidate_count: 0,
             cache: TokenCache::new(),
+            blocking_failed: false,
             labels: BTreeMap::new(),
             wal: None,
             config,
@@ -471,12 +476,27 @@ impl ResolutionEngine {
     /// Ingestion is atomic with respect to validation: a batch with a
     /// schema-invalid record or a duplicate record id is rejected as a whole,
     /// leaving the engine untouched.
+    ///
+    /// A blocking I/O failure — a posting generation that cannot be read
+    /// back or is corrupt, or a failed posting spill — is returned as
+    /// [`PipelineError::Core`] carrying [`er_core::ErError::Spill`]. The
+    /// failed batch then reaches neither the datasets nor the workload, but
+    /// the blocking index and the token memo may hold part of it, so the
+    /// engine refuses every later ingest; the workload it already holds can
+    /// still be resolved.
     pub fn ingest(
         &mut self,
         left_batch: Vec<Record>,
         right_batch: Vec<Record>,
         truth_delta: &[(RecordId, RecordId)],
     ) -> Result<IngestReport> {
+        if self.blocking_failed {
+            return Err(PipelineError::Core(er_core::ErError::Spill(
+                "an earlier batch failed inside the blocking index; \
+                 rebuild the engine before ingesting more"
+                    .to_string(),
+            )));
+        }
         let obs = self.config.recorder.clone();
         let _ingest_span = obs.span("pipeline.ingest");
         // Pre-flight validation before any state is committed: a record that
@@ -495,7 +515,6 @@ impl ResolutionEngine {
                 }
             }
         }
-        self.truth.extend(truth_delta.iter().copied());
         // Tokenize each record once: the memo feeds both the sharded blocking
         // probes and every token-based scoring measure below.
         self.cache.admit_left(&self.config.blocking_attribute, self.config.tokenizer, &left_batch);
@@ -509,6 +528,9 @@ impl ResolutionEngine {
             let _block_span = obs.span("ingest.block");
             self.index.add_records_with(&left_batch, &right_batch, &self.pool, Some(&self.cache))
         };
+        self.blocking_failed = delta.is_err();
+        let delta = delta?;
+        self.truth.extend(truth_delta.iter().copied());
         let (left_records, right_records) = (left_batch.len(), right_batch.len());
         for record in left_batch {
             self.left.push(record)?;
@@ -957,6 +979,35 @@ mod tests {
         assert_eq!(engine.left().len(), 1);
         assert!(engine.ingest(vec![good], Vec::new(), &[]).is_err());
         assert_eq!(engine.left().len(), 1);
+    }
+
+    #[test]
+    fn failed_posting_spill_is_an_error_and_refuses_later_ingests() {
+        let schema = BibliographicGenerator::schema();
+        let mut config = config(25, true);
+        // A posting budget whose spill directory does not exist, so the first
+        // freeze cannot create its spill file.
+        let missing = std::env::temp_dir()
+            .join(format!("humo-missing-spill-dir-{}", std::process::id()))
+            .join("nested");
+        config.memory_budget = MemoryBudget {
+            resident_postings: 2,
+            spill_dir: Some(missing),
+            ..MemoryBudget::default()
+        };
+        let mut engine = ResolutionEngine::new(config, schema.clone(), schema).unwrap();
+        let batch = vec![Record::new(RecordId(1)).with("title", "entity resolution quality")];
+        let err = engine.ingest(batch, Vec::new(), &[]).unwrap_err();
+        assert!(matches!(err, PipelineError::Core(er_core::ErError::Spill(_))), "{err:?}");
+        assert_eq!(engine.left().len(), 0);
+        assert!(engine.workload().is_empty());
+        // The index may hold part of the failed batch: later ingests are
+        // refused, and the (empty) workload still resolves.
+        let next = vec![Record::new(RecordId(2)).with("title", "record linkage")];
+        assert!(engine.ingest(next, Vec::new(), &[]).is_err());
+        assert_eq!(engine.left().len(), 0);
+        let report = engine.resolve(&mut GroundTruthOracle::new()).unwrap();
+        assert_eq!(report.oracle_queries, 0);
     }
 
     #[test]

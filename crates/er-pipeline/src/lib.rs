@@ -10,8 +10,9 @@
 //! * [`engine::ResolutionEngine`] — ingest record batches through `er-core`'s
 //!   hash-sharded incremental blocking index (per-shard candidate deltas fan
 //!   out over the worker pool), score only the delta candidate pairs — with
-//!   per-record token sets memoized once at ingest
-//!   ([`er_core::aggregate::TokenCache`]) — and maintain the
+//!   each record tokenized once at ingest into interned token ids
+//!   ([`er_core::aggregate::TokenCache`]), so set similarities are one merge
+//!   of two sorted id slices — and maintain the
 //!   similarity-sorted workload under insertion (`Workload::insert_sorted`);
 //! * [`pool::WorkerPool`] — a hand-rolled `std::thread` chunk-sharded map used
 //!   for parallel pair scoring (the environment is offline, so no `rayon`),

@@ -117,7 +117,7 @@ impl WorkerPool {
         Ok(similarities)
     }
 
-    /// [`score_pairs`](WorkerPool::score_pairs) reading record token sets from
+    /// [`score_pairs`](WorkerPool::score_pairs) reading record token ids from
     /// `cache` where admitted, so repeated scoring passes skip re-tokenizing.
     /// Bit-identical to the uncached path for any cache state.
     pub fn score_pairs_cached(
