@@ -27,9 +27,11 @@
 //! `spill.*`, `resolve.*` (the `resolve.step` span around each engine session
 //! step, and `resolve.wal_append` around each fsynced write-ahead append),
 //! `session.*` (label rounds, replay-cache hits such as
-//! `session.replay_cache.plan_hits`, and `session.replay_cache.reemit_hits`
-//! for each step that re-emits a partly answered batch without replaying the
-//! optimizer), `gp.*` — and, since the crowd-labeling subsystem,
+//! `session.replay_cache.plan_hits` and `session.replay_cache.search_hits`,
+//! and `session.replay_cache.reemit_hits` for each step that re-emits a
+//! partly answered batch without replaying the optimizer),
+//! `refine.search_evaluations` (boundary-search bound evaluations per
+//! replay), `gp.*` — and, since the crowd-labeling subsystem,
 //! `crowd.*` (votes, disagreements, escalations, aggregated labels, EM
 //! runs/iterations as counters; `crowd.reliability_abs_error` as a gauge
 //! reporting estimated-vs-true worker error after each EM pass).

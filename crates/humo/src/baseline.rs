@@ -24,12 +24,13 @@ use crate::optimizer::Optimizer;
 use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::session::{
-    verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession, SessionConfig,
-    SessionPhase,
+    verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession, ReplayCache,
+    SessionConfig, SessionPhase,
 };
 use crate::solution::{HumoSolution, OptimizationOutcome};
 use crate::{HumoError, Result};
 use er_core::workload::Workload;
+use std::ops::Range;
 
 /// Where the BASE search places its initial (empty) human region.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,103 +120,196 @@ impl BaselineOptimizer {
     }
 }
 
-/// Mutable state of a running BASE search.
-struct SearchState<'a> {
-    workload: &'a Workload,
-    /// Oracle labels of workload pairs gathered so far (indexed by workload position).
-    labels: Vec<Option<bool>>,
-    lower: usize,
-    upper: usize,
-    /// Matches observed so far inside `DH`.
-    matches_in_dh: usize,
+/// The unit ranges one boundary move joins to the human region: at most one
+/// extension past `v⁺` and one below `v⁻`, labeled as a single batch.
+#[derive(Debug, Clone)]
+pub(crate) struct Moves {
+    /// Units joined above the current upper boundary.
+    pub(crate) upper: Option<Range<usize>>,
+    /// Units joined below the current lower boundary.
+    pub(crate) lower: Option<Range<usize>>,
 }
 
-impl<'a> SearchState<'a> {
-    fn new(workload: &'a Workload, start: usize) -> Self {
+/// Where a boundary search stands.
+#[derive(Debug, Clone)]
+enum Stage {
+    /// Waiting for the labels of these moves before joining them.
+    Join(Moves),
+    /// The region is up to date; the bounds decide the next move.
+    Evaluate,
+    /// The search has stopped; only the final verification remains.
+    Finished,
+}
+
+/// Progress of a BASE or HYBR boundary search: the human region
+/// `DH = [lower, upper)` grown outward from `origin` in search units (pairs
+/// for BASE, subsets for HYBR), the match census of its units, and the batch
+/// the search waits on.
+///
+/// The census is two prefix sums running outward from `origin`, so the match
+/// count of any unit range inside `DH` — the in-`DH` total and the border
+/// windows the bounds extrapolate from — is two lookups, and joining a unit
+/// appends one entry. Stored in the session's replay cache, it lets a replay
+/// resume at the batch it suspended on instead of repeating every move since
+/// the origin. It holds only derived state: answered labels are never
+/// changed, so a from-scratch replay reaches the same suspension with exactly
+/// this state.
+#[derive(Debug, Clone)]
+pub(crate) struct BoundarySearch {
+    origin: usize,
+    lower: usize,
+    upper: usize,
+    /// `above[k]`: matches in units `origin..origin + k`.
+    above: Vec<usize>,
+    /// `below[k]`: matches in units `origin - k..origin`.
+    below: Vec<usize>,
+    stage: Stage,
+}
+
+impl BoundarySearch {
+    /// An empty region at `origin` that first joins `first`, if given, and
+    /// otherwise starts by evaluating the bounds.
+    pub(crate) fn new(origin: usize, first: Option<Moves>) -> Self {
         Self {
-            workload,
-            labels: vec![None; workload.len()],
-            lower: start,
-            upper: start,
-            matches_in_dh: 0,
+            origin,
+            lower: origin,
+            upper: origin,
+            above: vec![0],
+            below: vec![0],
+            stage: first.map_or(Stage::Evaluate, Stage::Join),
         }
     }
 
-    fn n(&self) -> usize {
-        self.workload.len()
+    /// First unit of `DH`.
+    pub(crate) fn lower(&self) -> usize {
+        self.lower
     }
 
-    fn dh_size(&self) -> usize {
+    /// One past the last unit of `DH`.
+    pub(crate) fn upper(&self) -> usize {
+        self.upper
+    }
+
+    /// Number of units in `DH`.
+    pub(crate) fn dh_units(&self) -> usize {
         self.upper - self.lower
     }
 
-    /// Records the answered labels of a freshly joined range, updating the
-    /// in-DH match counter. The range must have been `require`d already.
-    fn record_range(&mut self, range: std::ops::Range<usize>, slate: &LabelSlate<'_>) {
-        for idx in range {
-            if self.labels[idx].is_none() {
-                self.labels[idx] = Some(slate.is_match(idx));
+    /// Matches observed in all of `DH`.
+    pub(crate) fn matches_in_dh(&self) -> usize {
+        self.matches(self.lower..self.upper)
+    }
+
+    /// Matches observed in `units`, which must lie inside `DH`.
+    pub(crate) fn matches(&self, units: Range<usize>) -> usize {
+        (self.signed_prefix(units.end) - self.signed_prefix(units.start)) as usize
+    }
+
+    /// Matches in `origin..unit`, or minus the matches in `unit..origin`.
+    fn signed_prefix(&self, unit: usize) -> isize {
+        if unit >= self.origin {
+            self.above[unit - self.origin] as isize
+        } else {
+            -(self.below[self.origin - unit] as isize)
+        }
+    }
+
+    /// The top `window` units of `DH` (all of `DH` if it is smaller), next to `v⁺`.
+    pub(crate) fn border_upper(&self, window: usize) -> Range<usize> {
+        self.upper - window.min(self.dh_units())..self.upper
+    }
+
+    /// The bottom `window` units of `DH` (all of `DH` if it is smaller), next to `v⁻`.
+    pub(crate) fn border_lower(&self, window: usize) -> Range<usize> {
+        self.lower..self.lower + window.min(self.dh_units())
+    }
+
+    /// Runs the search from where it stands until it stops or suspends for
+    /// labels. `pairs` maps a unit range to its workload-index range; `decide`
+    /// evaluates the bounds on the current region and returns the next moves
+    /// (none stops the search). Emits `refine.search_evaluations`, the number
+    /// of `decide` calls, once.
+    pub(crate) fn advance(
+        &mut self,
+        workload: &Workload,
+        slate: &LabelSlate<'_>,
+        pairs: impl Fn(Range<usize>) -> Range<usize>,
+        mut decide: impl FnMut(&Self) -> Moves,
+    ) -> Drive<()> {
+        let mut evaluations = 0;
+        let result = loop {
+            if let Stage::Join(moves) = &self.stage {
+                let Moves { upper, lower } = moves.clone();
+                let batch = upper.clone().into_iter().chain(lower.clone()).flat_map(&pairs);
+                if let Err(suspend) = slate.require(SessionPhase::BoundarySearch, batch) {
+                    break Err(suspend);
+                }
+                let matches = |unit: usize| pairs(unit..unit + 1).filter(|&i| slate.is_match(i));
+                if let Some(units) = upper {
+                    self.upper = units.end;
+                    for unit in units {
+                        self.above.push(self.above[self.above.len() - 1] + matches(unit).count());
+                    }
+                }
+                if let Some(units) = lower {
+                    self.lower = units.start;
+                    for unit in units.rev() {
+                        self.below.push(self.below[self.below.len() - 1] + matches(unit).count());
+                    }
+                }
+                self.stage = Stage::Evaluate;
             }
-            if self.labels[idx] == Some(true) {
-                self.matches_in_dh += 1;
+            if let Stage::Finished = self.stage {
+                break Ok(());
             }
-        }
-    }
-
-    fn observed_matches(&self, range: std::ops::Range<usize>) -> usize {
-        range.filter(|&i| self.labels[i] == Some(true)).count()
-    }
-
-    /// Match proportion of the top `window` pairs of `DH` (adjacent to `v⁺`).
-    fn border_proportion_upper(&self, window: usize) -> f64 {
-        let dh = self.dh_size();
-        if dh == 0 {
-            return 0.0;
-        }
-        let w = window.min(dh);
-        self.observed_matches(self.upper - w..self.upper) as f64 / w as f64
-    }
-
-    /// Match proportion of the bottom `window` pairs of `DH` (adjacent to `v⁻`).
-    fn border_proportion_lower(&self, window: usize) -> f64 {
-        let dh = self.dh_size();
-        if dh == 0 {
-            return 1.0;
-        }
-        let w = window.min(dh);
-        self.observed_matches(self.lower..self.lower + w) as f64 / w as f64
+            evaluations += 1;
+            let moves = decide(self);
+            self.stage = if moves.upper.is_none() && moves.lower.is_none() {
+                Stage::Finished
+            } else {
+                Stage::Join(moves)
+            };
+        };
+        workload.obs().counter("refine.search_evaluations", evaluations);
+        result
     }
 }
 
 impl BaselineOptimizer {
+    /// Match proportion of a non-empty pair range of `DH`.
+    fn proportion(search: &BoundarySearch, pairs: Range<usize>) -> f64 {
+        search.matches(pairs.clone()) as f64 / pairs.len() as f64
+    }
+
     /// Lower bound on the achieved precision with the current boundaries (Eq. 6).
-    fn precision_lower_bound(&self, state: &SearchState<'_>, window: usize) -> f64 {
-        let d_plus = state.n() - state.upper;
+    fn precision_lower_bound(&self, search: &BoundarySearch, n: usize, window: usize) -> f64 {
+        let d_plus = n - search.upper();
         if d_plus == 0 {
             return 1.0;
         }
-        if state.dh_size() == 0 {
+        if search.dh_units() == 0 {
             // Nothing verified yet: no evidence about D⁺.
             return 0.0;
         }
-        let r_plus = state.border_proportion_upper(window);
-        let m_h = state.matches_in_dh as f64;
+        let r_plus = Self::proportion(search, search.border_upper(window));
+        let m_h = search.matches_in_dh() as f64;
         (m_h + d_plus as f64 * r_plus) / (m_h + d_plus as f64)
     }
 
     /// Lower bound on the achieved recall with the current boundaries (Eq. 8).
-    fn recall_lower_bound(&self, state: &SearchState<'_>, window: usize) -> f64 {
-        let d_minus = state.lower;
+    fn recall_lower_bound(&self, search: &BoundarySearch, n: usize, window: usize) -> f64 {
+        let d_minus = search.lower();
         if d_minus == 0 {
             return 1.0;
         }
-        if state.dh_size() == 0 {
+        if search.dh_units() == 0 {
             return 0.0;
         }
-        let d_plus = state.n() - state.upper;
-        let r_plus = if d_plus == 0 { 0.0 } else { state.border_proportion_upper(window) };
-        let r_minus = state.border_proportion_lower(window);
-        let found = state.matches_in_dh as f64 + d_plus as f64 * r_plus;
+        let d_plus = n - search.upper();
+        let r_plus =
+            if d_plus == 0 { 0.0 } else { Self::proportion(search, search.border_upper(window)) };
+        let r_minus = Self::proportion(search, search.border_lower(window));
+        let found = search.matches_in_dh() as f64 + d_plus as f64 * r_plus;
         let missed_upper_bound = d_minus as f64 * r_minus;
         if found + missed_upper_bound == 0.0 {
             return 1.0;
@@ -226,11 +320,14 @@ impl BaselineOptimizer {
     /// The suspendable BASE search: both boundary extensions of one loop
     /// iteration are joined into a single label batch (their membership is
     /// fixed before either is labeled), so each iteration costs one label
-    /// round-trip however many pairs it covers.
+    /// round-trip however many pairs it covers. The search's progress lives
+    /// in the [`ReplayCache`], so a replay resumes at the batch it suspended
+    /// on.
     pub(crate) fn session_core(
         &self,
         workload: &Workload,
         slate: &LabelSlate<'_>,
+        cache: &mut ReplayCache,
     ) -> Drive<CoreOutput> {
         if workload.is_empty() {
             return Err(HumoError::InvalidWorkload(
@@ -240,48 +337,40 @@ impl BaselineOptimizer {
         }
         let cfg = &self.config;
         let n = workload.len();
-        let start = cfg.initial_boundary.resolve(workload);
-        let mut state = SearchState::new(workload, start);
         let window = cfg.estimation_units * cfg.unit_size;
         let alpha = cfg.requirement.precision();
         let beta = cfg.requirement.recall();
-
-        loop {
-            let precision_ok = self.precision_lower_bound(&state, window) >= alpha;
-            let recall_ok = self.recall_lower_bound(&state, window) >= beta;
-            if precision_ok && recall_ok {
-                break;
-            }
-            // Alternate: extend v⁺ right for precision, then v⁻ left for recall.
-            let upper_move = (!precision_ok && state.upper < n)
-                .then(|| state.upper..(state.upper + cfg.unit_size).min(n));
-            let lower_move = (!recall_ok && state.lower > 0)
-                .then(|| state.lower.saturating_sub(cfg.unit_size)..state.lower);
-            if upper_move.is_none() && lower_move.is_none() {
-                // Both unsatisfied boundaries are already at the workload edges;
-                // their requirements are vacuously met (empty D⁻ / D⁺).
-                break;
-            }
-            slate.require(
-                SessionPhase::BoundarySearch,
-                upper_move
-                    .clone()
-                    .into_iter()
-                    .flatten()
-                    .chain(lower_move.clone().into_iter().flatten()),
-            )?;
-            if let Some(range) = upper_move {
-                state.upper = range.end;
-                state.record_range(range, slate);
-            }
-            if let Some(range) = lower_move {
-                state.lower = range.start;
-                state.record_range(range, slate);
-            }
-        }
-        let solution = HumoSolution::new(state.lower, state.upper, n);
-        let assignment = verified_assignment(&solution, workload, slate)?;
-        Ok(CoreOutput { solution, assignment, warm_out: None })
+        let mut search = cache.take_search(workload, || {
+            BoundarySearch::new(cfg.initial_boundary.resolve(workload), None)
+        });
+        let result = search
+            .advance(
+                workload,
+                slate,
+                |pairs| pairs,
+                |search| {
+                    let precision_ok = self.precision_lower_bound(search, n, window) >= alpha;
+                    let recall_ok = self.recall_lower_bound(search, n, window) >= beta;
+                    // Alternate: extend v⁺ right for precision, then v⁻ left
+                    // for recall. An unsatisfied boundary already at the
+                    // workload edge has its requirement vacuously met (empty
+                    // D⁺ / D⁻), so no move there stops the search.
+                    let (lower, upper) = (search.lower(), search.upper());
+                    Moves {
+                        upper: (!precision_ok && upper < n)
+                            .then(|| upper..(upper + cfg.unit_size).min(n)),
+                        lower: (!recall_ok && lower > 0)
+                            .then(|| lower.saturating_sub(cfg.unit_size)..lower),
+                    }
+                },
+            )
+            .and_then(|()| {
+                let solution = HumoSolution::new(search.lower(), search.upper(), n);
+                let assignment = verified_assignment(&solution, workload, slate)?;
+                Ok(CoreOutput { solution, assignment, warm_out: None })
+            });
+        cache.store_search(search);
+        result
     }
 }
 

@@ -13,16 +13,16 @@
 //!    **better** of the baseline estimate and the GP estimate;
 //! 3. never grows beyond `S0`, so the result costs at most as much as SAMP's.
 
+use crate::baseline::{BoundarySearch, Moves};
 use crate::optimizer::Optimizer;
 use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::sampling::{
     censored_proportion_lower, censored_proportion_upper, MatchCountEstimator,
-    PartialSamplingConfig, PartialSamplingOptimizer,
+    PartialSamplingConfig, PartialSamplingOptimizer, SamplingPlan,
 };
 use crate::session::{
-    verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession, ReplayCache,
-    SessionConfig, SessionPhase,
+    verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession, ReplayCache, SessionConfig,
 };
 use crate::solution::{HumoSolution, OptimizationOutcome};
 use crate::{HumoError, Result};
@@ -93,53 +93,15 @@ impl HybridOptimizer {
     }
 }
 
-/// Mutable state of the HYBR refinement loop. The human region spans the subsets
-/// `[lower_subset, upper_subset)` of the partition; all of its pairs have been
-/// labeled through the oracle.
-struct RefineState<'a> {
+/// The HYBR boundary search seen in pairs: its units are the subsets of the
+/// SAMP plan's partition, and all pairs of the human region
+/// `[lower_subset, upper_subset)` have been labeled.
+struct Region<'a> {
+    search: &'a BoundarySearch,
     partition: &'a SubsetPartition,
-    labels: Vec<Option<bool>>,
-    lower_subset: usize,
-    upper_subset: usize,
-    matches_in_dh: usize,
 }
 
-impl<'a> RefineState<'a> {
-    fn new(workload: &Workload, partition: &'a SubsetPartition, start_subset: usize) -> Self {
-        Self {
-            partition,
-            labels: vec![None; workload.len()],
-            lower_subset: start_subset,
-            upper_subset: start_subset,
-            matches_in_dh: 0,
-        }
-    }
-
-    fn dh_subsets(&self) -> usize {
-        self.upper_subset - self.lower_subset
-    }
-
-    /// Records the answered labels of a freshly joined subset, updating the
-    /// in-DH match counter. The subset must have been `require`d already.
-    fn record_subset(&mut self, subset: usize, slate: &LabelSlate<'_>) {
-        for idx in self.partition.subset(subset).range() {
-            if self.labels[idx].is_none() {
-                self.labels[idx] = Some(slate.is_match(idx));
-            }
-            if self.labels[idx] == Some(true) {
-                self.matches_in_dh += 1;
-            }
-        }
-    }
-
-    fn observed_matches(&self, subsets: std::ops::Range<usize>) -> usize {
-        if subsets.is_empty() {
-            return 0;
-        }
-        let range = self.partition.range_of(subsets.start, subsets.end - 1);
-        range.filter(|&i| self.labels[i] == Some(true)).count()
-    }
-
+impl Region<'_> {
     fn pairs_in(&self, subsets: std::ops::Range<usize>) -> usize {
         if subsets.is_empty() {
             return 0;
@@ -150,23 +112,15 @@ impl<'a> RefineState<'a> {
     /// Labeled pair and match counts of the `window` DH subsets adjacent to
     /// `v⁺` — the census HYBR's monotonicity step extrapolates into `D⁺`.
     fn border_counts_upper(&self, window: usize) -> (usize, usize) {
-        if self.dh_subsets() == 0 {
-            return (0, 0);
-        }
-        let w = window.min(self.dh_subsets());
-        let range = (self.upper_subset - w)..self.upper_subset;
-        (self.pairs_in(range.clone()), self.observed_matches(range))
+        let range = self.search.border_upper(window);
+        (self.pairs_in(range.clone()), self.search.matches(range))
     }
 
     /// Labeled pair and match counts of the `window` DH subsets adjacent to
     /// `v⁻` — the census HYBR's monotonicity step extrapolates into `D⁻`.
     fn border_counts_lower(&self, window: usize) -> (usize, usize) {
-        if self.dh_subsets() == 0 {
-            return (0, 0);
-        }
-        let w = window.min(self.dh_subsets());
-        let range = self.lower_subset..(self.lower_subset + w);
-        (self.pairs_in(range.clone()), self.observed_matches(range))
+        let range = self.search.border_lower(window);
+        (self.pairs_in(range.clone()), self.search.matches(range))
     }
 }
 
@@ -182,12 +136,12 @@ impl HybridOptimizer {
     /// [`crate::sampling::CalibratedEstimator`] applies to the GP term.
     fn plus_matches_lower_bound(
         &self,
-        state: &RefineState<'_>,
+        state: &Region<'_>,
         estimator: &dyn MatchCountEstimator,
         num_subsets: usize,
         confidence: f64,
     ) -> f64 {
-        let d_plus = state.pairs_in(state.upper_subset..num_subsets) as f64;
+        let d_plus = state.pairs_in(state.search.upper()..num_subsets) as f64;
         if d_plus == 0.0 {
             return 0.0;
         }
@@ -201,7 +155,7 @@ impl HybridOptimizer {
             matches as f64 / pairs as f64
         };
         let base = d_plus * proportion;
-        let samp = estimator.lower_bound(state.upper_subset..num_subsets, confidence);
+        let samp = estimator.lower_bound(state.search.upper()..num_subsets, confidence);
         base.max(samp).min(d_plus)
     }
 
@@ -217,11 +171,11 @@ impl HybridOptimizer {
     /// through the monotonicity term.
     fn minus_matches_upper_bound(
         &self,
-        state: &RefineState<'_>,
+        state: &Region<'_>,
         estimator: &dyn MatchCountEstimator,
         confidence: f64,
     ) -> f64 {
-        let d_minus = state.pairs_in(0..state.lower_subset) as f64;
+        let d_minus = state.pairs_in(0..state.search.lower()) as f64;
         if d_minus == 0.0 {
             return 0.0;
         }
@@ -235,46 +189,46 @@ impl HybridOptimizer {
             matches as f64 / pairs as f64
         };
         let base = d_minus * proportion;
-        let samp = estimator.upper_bound(0..state.lower_subset, confidence);
+        let samp = estimator.upper_bound(0..state.search.lower(), confidence);
         base.min(samp).max(0.0)
     }
 
     fn precision_satisfied(
         &self,
-        state: &RefineState<'_>,
+        state: &Region<'_>,
         estimator: &dyn MatchCountEstimator,
         num_subsets: usize,
         confidence: f64,
     ) -> bool {
         let alpha = self.config.requirement().precision();
-        let d_plus = state.pairs_in(state.upper_subset..num_subsets) as f64;
+        let d_plus = state.pairs_in(state.search.upper()..num_subsets) as f64;
         if d_plus == 0.0 {
             return true;
         }
-        if state.dh_subsets() == 0 {
+        if state.search.dh_units() == 0 {
             return false;
         }
-        let m_h = state.matches_in_dh as f64;
+        let m_h = state.search.matches_in_dh() as f64;
         let lb_plus = self.plus_matches_lower_bound(state, estimator, num_subsets, confidence);
         (m_h + lb_plus) / (m_h + d_plus) >= alpha
     }
 
     fn recall_satisfied(
         &self,
-        state: &RefineState<'_>,
+        state: &Region<'_>,
         estimator: &dyn MatchCountEstimator,
         num_subsets: usize,
         confidence: f64,
     ) -> bool {
         let beta = self.config.requirement().recall();
-        let d_minus = state.pairs_in(0..state.lower_subset) as f64;
+        let d_minus = state.pairs_in(0..state.search.lower()) as f64;
         if d_minus == 0.0 {
             return true;
         }
-        if state.dh_subsets() == 0 {
+        if state.search.dh_units() == 0 {
             return false;
         }
-        let m_h = state.matches_in_dh as f64;
+        let m_h = state.search.matches_in_dh() as f64;
         let lb_plus = self.plus_matches_lower_bound(state, estimator, num_subsets, confidence);
         let ub_minus = self.minus_matches_upper_bound(state, estimator, confidence);
         let found = m_h + lb_plus;
@@ -298,66 +252,71 @@ impl HybridOptimizer {
     ) -> Drive<CoreOutput> {
         // Phase 1: SAMP estimation gives the certified fallback solution S0.
         let plan = self.sampler.plan_core(workload, slate, None, cache)?;
+        let result = self.refine(&plan, workload, slate, cache);
+        // Put the plan back however the refinement ended: the next replay
+        // takes it out again, together with the boundary search built on it.
+        cache.store_plan(plan);
+        result
+    }
+
+    /// Phase 2: restart from the median subset of S0 and grow outwards using
+    /// the better of both estimates, never exceeding S0. The search's
+    /// progress lives in the [`ReplayCache`] beside the plan, so a replay
+    /// resumes at the batch it suspended on.
+    fn refine(
+        &self,
+        plan: &SamplingPlan,
+        workload: &Workload,
+        slate: &LabelSlate<'_>,
+        cache: &mut ReplayCache,
+    ) -> Drive<CoreOutput> {
         let (s0_lo, s0_hi) = plan.subset_bounds;
-        let num_subsets = plan.partition.len();
         if s0_hi <= s0_lo {
             // SAMP already proved that no human region is needed.
             let solution = plan.solution(workload);
             let assignment = verified_assignment(&solution, workload, slate)?;
             return Ok(CoreOutput { solution, assignment, warm_out: None });
         }
-
-        // Phase 2: restart from the median subset of S0 and grow outwards using
-        // the better of both estimates, never exceeding S0.
+        let partition = &plan.partition;
+        let num_subsets = partition.len();
         let confidence = self.config.requirement().split_confidence();
         let start = s0_lo + (s0_hi - s0_lo) / 2;
-        let mut state = RefineState::new(workload, &plan.partition, start);
-        slate.require(SessionPhase::BoundarySearch, plan.partition.subset(start).range())?;
-        state.record_subset(start, slate);
-        state.upper_subset = start + 1;
-
-        loop {
-            let precision_ok =
-                self.precision_satisfied(&state, &plan.estimator, num_subsets, confidence);
-            let recall_ok = self.recall_satisfied(&state, &plan.estimator, num_subsets, confidence);
-            if precision_ok && recall_ok {
-                break;
-            }
-            let upper_move =
-                (!precision_ok && state.upper_subset < s0_hi).then_some(state.upper_subset);
-            let lower_move =
-                (!recall_ok && state.lower_subset > s0_lo).then(|| state.lower_subset - 1);
-            if upper_move.is_none() && lower_move.is_none() {
-                // Both boundaries have hit S0's edges: fall back to S0, which the
-                // sampling phase already certified.
-                break;
-            }
-            slate.require(
-                SessionPhase::BoundarySearch,
-                upper_move
-                    .into_iter()
-                    .chain(lower_move)
-                    .flat_map(|subset| plan.partition.subset(subset).range()),
-            )?;
-            if let Some(subset) = upper_move {
-                state.record_subset(subset, slate);
-                state.upper_subset += 1;
-            }
-            if let Some(subset) = lower_move {
-                state.record_subset(subset, slate);
-                state.lower_subset -= 1;
-            }
-        }
-
-        let lower_index = plan.partition.subset(state.lower_subset).range().start;
-        let upper_index = if state.upper_subset == 0 {
-            lower_index
-        } else {
-            plan.partition.subset(state.upper_subset - 1).range().end
-        };
-        let solution = HumoSolution::new(lower_index, upper_index, workload.len());
-        let assignment = verified_assignment(&solution, workload, slate)?;
-        Ok(CoreOutput { solution, assignment, warm_out: None })
+        let first = Moves { upper: Some(start..start + 1), lower: None };
+        let mut search = cache.take_search(workload, || BoundarySearch::new(start, Some(first)));
+        let result = search
+            .advance(
+                workload,
+                slate,
+                |subsets| partition.range_of(subsets.start, subsets.end - 1),
+                |search| {
+                    let state = Region { search, partition };
+                    let estimator = &plan.estimator;
+                    let precision_ok =
+                        self.precision_satisfied(&state, estimator, num_subsets, confidence);
+                    let recall_ok =
+                        self.recall_satisfied(&state, estimator, num_subsets, confidence);
+                    // When both boundaries have hit S0's edges the search
+                    // stops at S0, which the sampling phase already certified.
+                    let (lower, upper) = (search.lower(), search.upper());
+                    Moves {
+                        upper: (!precision_ok && upper < s0_hi).then(|| upper..upper + 1),
+                        lower: (!recall_ok && lower > s0_lo).then(|| lower - 1..lower),
+                    }
+                },
+            )
+            .and_then(|()| {
+                let lower_index = partition.subset(search.lower()).range().start;
+                let upper_index = if search.upper() == 0 {
+                    lower_index
+                } else {
+                    partition.subset(search.upper() - 1).range().end
+                };
+                let solution = HumoSolution::new(lower_index, upper_index, workload.len());
+                let assignment = verified_assignment(&solution, workload, slate)?;
+                Ok(CoreOutput { solution, assignment, warm_out: None })
+            });
+        cache.store_search(search);
+        result
     }
 }
 

@@ -376,8 +376,11 @@ impl PartialSamplingOptimizer {
     ///
     /// A completed plan is memoized in the [`ReplayCache`]: SAMP's final
     /// verification round and HYBR's boundary-search rounds re-enter here on
-    /// every step and get the cached plan back instead of re-running the
-    /// whole estimation phase.
+    /// every step and take the cached plan out instead of re-running the
+    /// whole estimation phase. The plan is moved, not copied, so memoized
+    /// bound evaluations inside its estimator survive across replays; a
+    /// session caller must put it back with [`ReplayCache::store_plan`] on
+    /// every exit.
     pub(crate) fn plan_core(
         &self,
         workload: &Workload,
@@ -385,9 +388,9 @@ impl PartialSamplingOptimizer {
         warm: Option<&WarmStart>,
         cache: &mut ReplayCache,
     ) -> Drive<SamplingPlan> {
-        if let Some(plan) = cache.plan() {
+        if let Some(plan) = cache.take_plan() {
             workload.obs().counter("session.replay_cache.plan_hits", 1);
-            return Ok(plan.clone());
+            return Ok(plan);
         }
         if workload.is_empty() {
             return Err(HumoError::InvalidWorkload(
@@ -447,9 +450,7 @@ impl PartialSamplingOptimizer {
                 positives: s.positives,
             })
             .collect();
-        let plan = SamplingPlan { partition, estimator, subset_bounds, observations };
-        cache.store_plan(plan.clone());
-        Ok(plan)
+        Ok(SamplingPlan { partition, estimator, subset_bounds, observations })
     }
 
     /// Optimizes the workload with an optional warm start and returns both the
@@ -479,10 +480,14 @@ impl PartialSamplingOptimizer {
         cache: &mut ReplayCache,
     ) -> Drive<CoreOutput> {
         let plan = self.plan_core(workload, slate, warm, cache)?;
-        let warm_out = plan.warm_start(workload);
         let solution = plan.solution(workload);
-        let assignment = verified_assignment(&solution, workload, slate)?;
-        Ok(CoreOutput { solution, assignment, warm_out: Some(warm_out) })
+        let result = verified_assignment(&solution, workload, slate).map(|assignment| CoreOutput {
+            solution,
+            assignment,
+            warm_out: Some(plan.warm_start(workload)),
+        });
+        cache.store_plan(plan);
+        result
     }
 
     /// Algorithm 1: adaptive sampling plus Gaussian-process regression of the

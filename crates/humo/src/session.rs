@@ -58,13 +58,14 @@
 //!
 //! Most of that CPU is memoized away: a session keeps a *replay cache* of
 //! derived state — the completed sampling plan and the in-flight
-//! Gaussian-process training state of the sampling-based optimizers — so each
-//! step resumes the replay where the previous one suspended instead of
-//! re-running the whole optimization. And a step that leaves the outstanding
-//! batch partly unanswered runs no replay at all: a replay reads only labels
-//! it has already required and answers only add labels, so it would suspend
-//! at the same batch again and emit exactly the still-missing requests, which
-//! the session hands back directly. A replay therefore runs only on the first
+//! Gaussian-process training state of the sampling-based optimizers, and the
+//! boundary-search progress of BASE and HYBR — so each step resumes the
+//! replay where the previous one suspended instead of re-running the whole
+//! optimization. And a step that leaves the outstanding batch partly
+//! unanswered runs no replay at all: a replay reads only labels it has
+//! already required and answers only add labels, so it would suspend at the
+//! same batch again and emit exactly the still-missing requests, which the
+//! session hands back directly. A replay therefore runs only on the first
 //! step, after a resume or a [`SessionState::preload`], and once a batch is
 //! fully answered. None of this changes behavior (batches, rounds, costs and
 //! outcomes are byte-identical with it disabled via
@@ -110,7 +111,7 @@
 //! assert_eq!(driven.solution, outcome.solution);
 //! ```
 
-use crate::baseline::{BaselineConfig, BaselineOptimizer};
+use crate::baseline::{BaselineConfig, BaselineOptimizer, BoundarySearch};
 use crate::hybrid::{HybridConfig, HybridOptimizer};
 use crate::optimizer::OptimizerKind;
 use crate::oracle::Oracle;
@@ -316,11 +317,16 @@ impl<'a> LabelSlate<'a> {
     ) -> Drive<()> {
         let mut missing: Vec<usize> = Vec::new();
         // Indices and pair ids are in bijection within a workload, so
-        // index-level dedup is id-level dedup without the hashing.
-        let mut seen = vec![false; self.labels.len()];
+        // index-level dedup is id-level dedup without the hashing. Most calls
+        // find everything answered, so the dedup table is only allocated
+        // once the first missing index turns up.
+        let mut seen: Option<Vec<bool>> = None;
         for index in indices {
-            if self.labels[index].is_none() && !std::mem::replace(&mut seen[index], true) {
-                missing.push(index);
+            if self.labels[index].is_none() {
+                let seen = seen.get_or_insert_with(|| vec![false; self.labels.len()]);
+                if !std::mem::replace(&mut seen[index], true) {
+                    missing.push(index);
+                }
             }
         }
         if missing.is_empty() {
@@ -342,25 +348,31 @@ impl<'a> LabelSlate<'a> {
 /// training state of Algorithm 1, so each step resumes the
 /// sampling-and-refinement loop where it suspended rather than replaying it
 /// from scratch — plus (c) the workload's subset partition, whose O(pairs)
-/// construction would otherwise repeat every step. The same switch gates the
-/// session's re-emission short-circuit (see [`SessionState::step`]): with the
-/// cache enabled, a step that leaves the outstanding batch partly unanswered
-/// skips the replay and leaves this cache untouched. Cached state is only
-/// ever *derived* state: outcomes, costs, emitted batches and the answered
-/// log are byte-identical with the cache disabled
-/// ([`SessionState::with_replay_cache`]), which is how the bench harness
-/// measures the saving.
+/// construction would otherwise repeat every step, and (d) the boundary-search
+/// state of BASE and HYBR (both boundaries and the match census of the human
+/// region), so each step resumes the search at the batch it suspended on
+/// rather than repeating every boundary move. A replay takes the plan and the
+/// search out and puts them back on every exit, so a stored search always
+/// sits beside the very plan it was computed from, and the plan is never
+/// copied. The same switch gates the session's re-emission short-circuit
+/// (see [`SessionState::step`]): with the cache enabled, a step that leaves
+/// the outstanding batch partly unanswered skips the replay and leaves this
+/// cache untouched. Cached state is only ever *derived* state: outcomes,
+/// costs, emitted batches and the answered log are byte-identical with the
+/// cache disabled ([`SessionState::with_replay_cache`]), which is how the
+/// bench harness measures the saving.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayCache {
     enabled: bool,
     plan: Option<crate::sampling::SamplingPlan>,
     training: Option<crate::sampling::GpTrainingState>,
     partition: Option<er_core::workload::SubsetPartition>,
+    search: Option<BoundarySearch>,
 }
 
 impl Default for ReplayCache {
     fn default() -> Self {
-        Self { enabled: true, plan: None, training: None, partition: None }
+        Self { enabled: true, plan: None, training: None, partition: None, search: None }
     }
 }
 
@@ -370,9 +382,10 @@ impl ReplayCache {
         Self { enabled: false, ..Self::default() }
     }
 
-    /// The memoized completed sampling plan, if any.
-    pub(crate) fn plan(&self) -> Option<&crate::sampling::SamplingPlan> {
-        self.plan.as_ref()
+    /// Takes the memoized completed sampling plan, if any, leaving the slot
+    /// empty until the replay puts it back with [`Self::store_plan`].
+    pub(crate) fn take_plan(&mut self) -> Option<crate::sampling::SamplingPlan> {
+        self.plan.take()
     }
 
     /// Memoizes a completed sampling plan (and drops the now-redundant
@@ -394,6 +407,29 @@ impl ReplayCache {
     pub(crate) fn store_training(&mut self, state: crate::sampling::GpTrainingState) {
         if self.enabled {
             self.training = Some(state);
+        }
+    }
+
+    /// Takes the suspended boundary search, counting the hit, or starts one
+    /// with `start` when none is stored.
+    pub(crate) fn take_search(
+        &mut self,
+        workload: &Workload,
+        start: impl FnOnce() -> BoundarySearch,
+    ) -> BoundarySearch {
+        match self.search.take() {
+            Some(search) => {
+                workload.obs().counter("session.replay_cache.search_hits", 1);
+                search
+            }
+            None => start(),
+        }
+    }
+
+    /// Stores the boundary search for the next replay. No-op when disabled.
+    pub(crate) fn store_search(&mut self, search: BoundarySearch) {
+        if self.enabled {
+            self.search = Some(search);
         }
     }
 
@@ -421,6 +457,7 @@ impl ReplayCache {
         self.plan = None;
         self.training = None;
         self.partition = None;
+        self.search = None;
     }
 }
 
@@ -464,7 +501,9 @@ fn run_core(
     cache: &mut ReplayCache,
 ) -> Drive<CoreOutput> {
     match config {
-        SessionConfig::Baseline(cfg) => BaselineOptimizer::new(*cfg)?.session_core(workload, slate),
+        SessionConfig::Baseline(cfg) => {
+            BaselineOptimizer::new(*cfg)?.session_core(workload, slate, cache)
+        }
         SessionConfig::AllSampling(cfg) => {
             AllSamplingOptimizer::new(*cfg)?.session_core(workload, slate)
         }
@@ -663,8 +702,12 @@ impl SessionState {
     ///
     /// The cache memoizes deterministic replay work — the completed sampling
     /// plan and the in-flight Gaussian-process training state of the
-    /// sampling-based optimizers — so each [`SessionState::step`] resumes
-    /// where the previous one suspended instead of replaying from scratch.
+    /// sampling-based optimizers, and the boundary search of BASE and HYBR
+    /// (both boundaries and the match counts of the human region) — so each
+    /// [`SessionState::step`] resumes where the previous one suspended
+    /// instead of replaying from scratch: a boundary-search step joins the
+    /// batch it waited on and evaluates the bounds once, rather than
+    /// repeating every boundary move since the search began.
     /// It also gates the re-emission short-circuit: with it enabled, a step
     /// that leaves the outstanding batch partly unanswered returns the
     /// still-missing requests without replaying at all. Disabled, every step
@@ -1393,6 +1436,66 @@ mod tests {
         let _ = session.step(&responses).unwrap();
         assert_eq!(hits(), 2);
         assert_eq!(session.rounds(), 2);
+    }
+
+    #[test]
+    fn require_reports_missing_indices_once_in_first_occurrence_order() {
+        let mut labels: Vec<Option<Label>> = vec![None; 8];
+        labels[1] = Some(Label::Match);
+        labels[4] = Some(Label::Unmatch);
+        let slate = LabelSlate::new(&labels);
+        // Answered indices pass without a suspension.
+        assert!(slate.require(SessionPhase::Verification, [1, 4, 1, 4]).is_ok());
+        assert!(slate.require(SessionPhase::Verification, []).is_ok());
+        // Duplicates, answered and unanswered indices in one call.
+        let Err(Suspend::Need { phase, indices }) =
+            slate.require(SessionPhase::BoundarySearch, [6, 1, 3, 6, 4, 0, 3, 7, 1])
+        else {
+            panic!("expected a suspension");
+        };
+        assert_eq!(phase, SessionPhase::BoundarySearch);
+        assert_eq!(indices, vec![6, 3, 0, 7]);
+    }
+
+    #[test]
+    fn boundary_search_replays_resume_instead_of_repeating_moves() {
+        let mut w = workload(20_000);
+        let metrics = std::sync::Arc::new(er_obs::MetricsRecorder::new());
+        w.set_obs(er_obs::ObsHandle::new(metrics.clone()));
+        let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
+        for kind in [OptimizerKind::Hybrid, OptimizerKind::Baseline] {
+            metrics.reset();
+            let evaluations = || metrics.snapshot().counter("refine.search_evaluations");
+            let mut session =
+                LabelingSession::new(SessionConfig::for_kind(kind, requirement), &w).unwrap();
+            let (mut refine_replays, mut moves) = (0, 0);
+            let mut responses = Vec::new();
+            loop {
+                // Whole-batch answers: every step replays.
+                let before = evaluations();
+                let step = session.step(&responses).unwrap();
+                let this_replay = evaluations() - before;
+                assert!(this_replay <= 2, "{kind:?}: {this_replay} bound evaluations in a replay");
+                if session.phase() != SessionPhase::Sampling {
+                    refine_replays += 1;
+                }
+                match step {
+                    Step::Done(_) => break,
+                    Step::NeedLabels(requests) => {
+                        moves += usize::from(session.phase() == SessionPhase::BoundarySearch);
+                        responses = ground_truth_responses(&w, &requests);
+                    }
+                }
+            }
+            let snapshot = metrics.snapshot();
+            let total = snapshot.counter("refine.search_evaluations");
+            assert!(moves > 3, "{kind:?}: the search made only {moves} moves");
+            assert!(
+                total <= 2 * refine_replays,
+                "{kind:?}: {total} bound evaluations over {refine_replays} refine replays"
+            );
+            assert!(snapshot.counter("session.replay_cache.search_hits") >= moves as u64 - 1);
+        }
     }
 
     #[test]
