@@ -5,9 +5,12 @@
 //! — over one shared pool of simulated labelers. Every scheduler *tick* the
 //! pool answers up to `LABELERS` outstanding label requests, round-robining
 //! across tenants, and each tenant that received answers is stepped with them
-//! immediately: the engine appends the absorbed batch to the tenant's WAL
-//! (fsynced) *before* replaying it, so a crash at any tick loses at most the
-//! labels answered since the previous step.
+//! immediately: the engine writes the absorbed batch to the tenant's WAL
+//! *before* replaying it, and fsyncs the WAL once per label round, before
+//! any step that can emit a new batch or complete. A process killed at any
+//! tick loses no label; an OS crash or a power loss loses at most the labels
+//! answered since the tenant's last completed round, which a resume asks for
+//! again.
 //!
 //! Per-tenant round/cost reporting is printed at the end; the `session.wal.*`
 //! observability counters are emitted through each engine's recorder
@@ -37,8 +40,10 @@
 //!   committed-epoch replay path);
 //! * `HUMO_SVC_SELFTEST` — when truthy, run the kill-and-resume self test:
 //!   for each kill point, re-spawn this binary as a child, SIGKILL it at the
-//!   kill point, resume from the surviving WALs in-process, and assert every
-//!   tenant's outcome digest is identical to an uninterrupted reference run.
+//!   kill point, and resume in-process twice — from the WALs the SIGKILL
+//!   left, and from copies cut to each WAL's durable length, as a power loss
+//!   would leave them — asserting every tenant's outcome digest and label
+//!   cost are identical to an uninterrupted reference run.
 //!
 //! Crowd labeling (off by default; see [`humo::crowd`]):
 //!
@@ -89,6 +94,9 @@ use std::path::{Path, PathBuf};
 
 /// Marker printed by a crash-harness child when it reaches its kill point.
 const KILL_MARKER: &str = "HUMO_SVC_KILL_POINT";
+/// Prefix of the line a crash-harness child prints, before its kill marker
+/// or after draining, with each tenant's durable WAL length in bytes.
+const DURABLE_MARKER: &str = "HUMO_SVC_DURABLE_LENGTHS:";
 
 /// Crowd-labeling knobs; `workers == 0` disables the crowd path entirely.
 #[derive(Debug, Clone)]
@@ -240,6 +248,8 @@ enum Tenant<'e> {
         rounds: usize,
         cluster_f1: Option<f64>,
         mode: &'static str,
+        /// The durable length of the tenant's WAL when it finished.
+        synced: Option<u64>,
     },
 }
 
@@ -381,6 +391,7 @@ fn prime<'e>(mut session: ResolutionSession<'e>, mode: &'static str) -> Tenant<'
             rounds: report.label_rounds,
             cluster_f1: Some(report.cluster_metrics.f1()),
             mode,
+            synced: session.wal_synced_len(),
         },
         ResolutionStep::NeedLabels(outstanding) => {
             Tenant::Active { session: Box::new(session), outstanding, mode }
@@ -415,6 +426,7 @@ fn run_service(params: &ServiceParams, engines: &mut [ResolutionEngine]) -> Vec<
                             rounds: 0,
                             cluster_f1: None,
                             mode: "replayed",
+                            synced: engine.wal_synced_len(),
                         }
                     }
                     // Empty or missing log: the writer died before
@@ -449,6 +461,7 @@ fn run_service(params: &ServiceParams, engines: &mut [ResolutionEngine]) -> Vec<
             break;
         }
         if params.kill_ticks > 0 && ticks >= params.kill_ticks {
+            print_durable_lengths(&tenants);
             println!("{KILL_MARKER}: parked after {ticks} ticks, waiting for SIGKILL");
             std::io::stdout().flush().expect("stdout flushes");
             loop {
@@ -508,24 +521,29 @@ fn run_service(params: &ServiceParams, engines: &mut [ResolutionEngine]) -> Vec<
                 if responses.is_empty() {
                     continue;
                 }
-                // Stepping with a partial batch appends it to the WAL right
-                // away; the session re-emits whatever is still missing, so
-                // the outstanding queue is replaced wholesale.
+                // Stepping with a partial batch writes it to the WAL right
+                // away (fsynced once the batch is complete); the session
+                // re-emits whatever is still missing, so the outstanding
+                // queue is replaced wholesale.
                 match session.step(&responses).expect("session step succeeds") {
-                    ResolutionStep::Done(report) => {
-                        Some((report.outcome, report.label_rounds, report.cluster_metrics.f1()))
-                    }
+                    ResolutionStep::Done(report) => Some((
+                        report.outcome,
+                        report.label_rounds,
+                        report.cluster_metrics.f1(),
+                        session.wal_synced_len(),
+                    )),
                     ResolutionStep::NeedLabels(next) => {
                         *outstanding = next;
                         None
                     }
                 }
             };
-            if let Some((outcome, rounds, cluster_f1)) = finished {
+            if let Some((outcome, rounds, cluster_f1, synced)) = finished {
                 let mode = match &tenants[i] {
                     Tenant::Active { mode, .. } | Tenant::Done { mode, .. } => mode,
                 };
-                tenants[i] = Tenant::Done { outcome, rounds, cluster_f1: Some(cluster_f1), mode };
+                let cluster_f1 = Some(cluster_f1);
+                tenants[i] = Tenant::Done { outcome, rounds, cluster_f1, mode, synced };
             }
         }
     }
@@ -534,12 +552,15 @@ fn run_service(params: &ServiceParams, engines: &mut [ResolutionEngine]) -> Vec<
         params.labelers,
         if params.crowd.enabled() { "votes" } else { "labels" }
     );
+    if params.kill_ticks > 0 {
+        print_durable_lengths(&tenants);
+    }
 
     tenants
         .into_iter()
         .enumerate()
         .map(|(tenant, t)| {
-            let Tenant::Done { outcome, rounds, cluster_f1, mode } = t else {
+            let Tenant::Done { outcome, rounds, cluster_f1, mode, .. } = t else {
                 unreachable!("scheduler drained every tenant");
             };
             let stats = crowds[tenant].take().map(|c| c.session.stats()).unwrap_or_default();
@@ -559,6 +580,22 @@ fn run_service(params: &ServiceParams, engines: &mut [ResolutionEngine]) -> Vec<
             }
         })
         .collect()
+}
+
+/// Prints each tenant's durable WAL length on one [`DURABLE_MARKER`] line:
+/// what an OS crash or a power loss at this instant would leave of the logs.
+fn print_durable_lengths(tenants: &[Tenant<'_>]) {
+    let lengths: Vec<String> = tenants
+        .iter()
+        .map(|t| {
+            let synced = match t {
+                Tenant::Active { session, .. } => session.wal_synced_len(),
+                Tenant::Done { synced, .. } => *synced,
+            };
+            synced.expect("every tenant has a WAL").to_string()
+        })
+        .collect();
+    println!("{DURABLE_MARKER} {}", lengths.join(","));
 }
 
 fn print_summaries(summaries: &[TenantSummary]) {
@@ -605,8 +642,9 @@ fn print_summaries(summaries: &[TenantSummary]) {
 
 /// Spawns this binary as a crash-harness child writing into `wal_dir`, waits
 /// for its kill marker (or clean exit, for kill points past completion) and
-/// SIGKILLs it. Returns whether the kill point was reached before completion.
-fn run_child_until_killed(params: &ServiceParams, kill_ticks: usize) -> bool {
+/// SIGKILLs it. Returns whether the kill point was reached before completion,
+/// and each tenant's durable WAL length as the child last reported it.
+fn run_child_until_killed(params: &ServiceParams, kill_ticks: usize) -> (bool, Vec<u64>) {
     let exe = std::env::current_exe().expect("own executable path is known");
     let mut child = std::process::Command::new(exe)
         .env("HUMO_SVC_SELFTEST", "0")
@@ -628,23 +666,72 @@ fn run_child_until_killed(params: &ServiceParams, kill_ticks: usize) -> bool {
         .expect("crash-harness child spawns");
     let stdout = child.stdout.take().expect("child stdout is piped");
     let mut reached = false;
+    let mut durable = Vec::new();
     for line in BufReader::new(stdout).lines() {
         let line = line.unwrap_or_default();
+        if let Some(lengths) = line.strip_prefix(DURABLE_MARKER) {
+            durable = lengths
+                .trim()
+                .split(',')
+                .map(|len| len.parse().expect("durable lengths are byte counts"))
+                .collect();
+        }
         if line.contains(KILL_MARKER) {
             reached = true;
             break;
         }
     }
-    // SIGKILL — no destructors, no flushes: everything the resume sees is
-    // what `fsync` already put on disk.
+    // SIGKILL — no destructors, no flushes in the process: the resume sees
+    // every record the child wrote to the kernel, fsynced or not. What a
+    // power loss would leave is the durable prefix reported above.
     let _ = child.kill();
     let _ = child.wait();
-    reached
+    assert_eq!(durable.len(), params.tenants, "the child reported a durable length per tenant");
+    (reached, durable)
+}
+
+/// Copies every tenant's WAL from `from` into `to`, cut to its durable
+/// length: the logs as an OS crash or a power loss at the kill point would
+/// leave them.
+fn cut_to_durable(from: &ServiceParams, to: &ServiceParams, durable: &[u64]) {
+    std::fs::create_dir_all(&to.wal_dir).expect("power-loss WAL directory is creatable");
+    for (tenant, &len) in durable.iter().enumerate() {
+        let bytes = std::fs::read(from.wal_path(tenant)).expect("the child's WAL is readable");
+        assert!(len as usize <= bytes.len(), "tenant {tenant}: durable length past the log's end");
+        std::fs::write(to.wal_path(tenant), &bytes[..len as usize])
+            .expect("power-loss WAL copy is writable");
+    }
+}
+
+/// Asserts every resumed tenant reached the reference outcome at the
+/// reference label cost.
+fn assert_matches_reference(
+    reference: &[TenantSummary],
+    resumed: &[TenantSummary],
+    kill_ticks: usize,
+    how: &str,
+) {
+    for (r, s) in reference.iter().zip(resumed) {
+        assert_eq!(
+            r.digest, s.digest,
+            "tenant {}: outcome digest resumed {how} diverged from the reference \
+             (kill point {kill_ticks})",
+            r.tenant
+        );
+        assert_eq!(
+            r.queries, s.queries,
+            "tenant {}: label cost resumed {how} diverged from the reference \
+             (kill point {kill_ticks})",
+            r.tenant
+        );
+    }
 }
 
 /// The kill-and-resume self test: an uninterrupted reference run, then for
-/// each kill point a child killed mid-flight and an in-process resume from
-/// the surviving WALs — asserting every tenant's outcome digest matches.
+/// each kill point a child killed mid-flight and two in-process resumes —
+/// from the WALs the SIGKILL left, and from copies cut to their durable
+/// lengths (a simulated power loss) — asserting every tenant's outcome digest
+/// and label cost match.
 fn run_selftest(base: &ServiceParams, kill_points: &[usize]) {
     let reference_params = ServiceParams {
         resume: false,
@@ -666,34 +753,43 @@ fn run_selftest(base: &ServiceParams, kill_points: &[usize]) {
             ..base.clone()
         };
         println!("\n-- kill point: {kill_ticks} ticks --");
-        let reached = run_child_until_killed(&crash_params, kill_ticks);
+        let (reached, durable) = run_child_until_killed(&crash_params, kill_ticks);
         println!(
             "child {}",
             if reached { "SIGKILLed at the kill point" } else { "completed before the kill point" }
         );
+        let written: Vec<u64> = (0..base.tenants)
+            .map(|i| std::fs::metadata(crash_params.wal_path(i)).map_or(0, |m| m.len()))
+            .collect();
+        println!("WAL bytes at the kill point: durable {durable:?} of written {written:?}");
+        let power_params = ServiceParams {
+            resume: true,
+            wal_dir: base.wal_dir.join(format!("kill-{kill_ticks}-power-loss")),
+            ..base.clone()
+        };
+        cut_to_durable(&crash_params, &power_params, &durable);
         let resume_params = ServiceParams { resume: true, ..crash_params };
-        let mut engines: Vec<ResolutionEngine> =
-            (0..base.tenants).map(|i| tenant_engine(base, i)).collect();
-        let resumed = run_service(&resume_params, &mut engines);
-        print_summaries(&resumed);
-        for (r, s) in reference.iter().zip(&resumed) {
-            assert_eq!(
-                r.digest, s.digest,
-                "tenant {}: resumed outcome digest diverged from the reference \
-                 (kill point {kill_ticks})",
-                r.tenant
-            );
-            assert_eq!(
-                r.queries, s.queries,
-                "tenant {}: resumed label cost diverged from the reference \
-                 (kill point {kill_ticks})",
-                r.tenant
-            );
+        for (params, how) in
+            [(&resume_params, "after SIGKILL"), (&power_params, "after power loss")]
+        {
+            println!("resume {how}:");
+            let mut engines: Vec<ResolutionEngine> =
+                (0..base.tenants).map(|i| tenant_engine(base, i)).collect();
+            let resumed = run_service(params, &mut engines);
+            print_summaries(&resumed);
+            assert_matches_reference(&reference, &resumed, kill_ticks, how);
         }
-        println!("[kill {kill_ticks}] all {} tenant outcomes byte-identical", reference.len());
+        println!(
+            "[kill {kill_ticks}] all {} tenant outcomes byte-identical after SIGKILL and after \
+             power loss",
+            reference.len()
+        );
     }
     let _ = std::fs::remove_dir_all(&base.wal_dir);
-    println!("\n[selftest] kill-and-resume reproduced the reference outcome at every kill point");
+    println!(
+        "\n[selftest] kill-and-resume reproduced the reference outcome at every kill point, \
+         from the killed logs and from their durable prefixes"
+    );
 }
 
 fn main() {

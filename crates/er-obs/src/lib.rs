@@ -25,7 +25,9 @@
 //! Event names form a fixed, documented schema (README "Observability"
 //! section), one dotted family per subsystem: `ingest.*`, `blocking.*`,
 //! `spill.*`, `resolve.*` (the `resolve.step` span around each engine session
-//! step, and `resolve.wal_append` around each fsynced write-ahead append),
+//! step, `resolve.wal_append` around each write-ahead record write, and
+//! `resolve.wal_sync` around each write-ahead fsync, about one per label
+//! round and counted in `session.wal.syncs`),
 //! `session.*` (label rounds, replay-cache hits such as
 //! `session.replay_cache.plan_hits` and `session.replay_cache.search_hits`,
 //! and `session.replay_cache.reemit_hits` for each step that re-emits a

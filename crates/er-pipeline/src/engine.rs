@@ -37,7 +37,7 @@ use er_core::text::Tokenizer;
 use er_core::workload::{InstancePair, Label, PairId, QualityMetrics, Workload};
 use er_obs::ObsHandle;
 use humo::sampling::WarmStart;
-use humo::wal::{WalRecord, WalWriter};
+use humo::wal::{write_ahead_step, WalRecord, WalWriter};
 use humo::{
     HumoError, LabelRequest, LabelResponse, OptimizationOutcome, Oracle, PartialSamplingConfig,
     PartialSamplingOptimizer, QualityRequirement, SessionConfig, SessionState, Step,
@@ -249,8 +249,8 @@ pub struct ResolutionEngine {
     /// from re-requesting pairs answered in earlier ones.
     labels: BTreeMap<PairId, Label>,
     /// The write-ahead label store, when attached: every absorbed response
-    /// batch, every session begin and every commit is appended (and fsynced)
-    /// here *before* the engine acts on it. See
+    /// batch, every session begin and every commit is written here *before*
+    /// the engine acts on it, and fsynced once per label round. See
     /// [`ResolutionEngine::attach_wal`].
     wal: Option<WalWriter>,
 }
@@ -310,10 +310,17 @@ impl ResolutionEngine {
     }
 
     /// Attaches a *fresh* write-ahead label store at `path` (truncating any
-    /// existing file). From here on every resolution session's begin record,
-    /// absorbed response batches and commit are appended and fsynced before
-    /// the engine acts on them, so a process killed at any instant can
-    /// [`ResolutionEngine::resume`] without re-buying a single label.
+    /// existing file, and fsyncing its directory entry). From here on every
+    /// resolution session's begin record, absorbed response batches and
+    /// commit are written before the engine acts on them, under the rule of
+    /// [`humo::wal::write_ahead_step`]: the log is fsynced once per label
+    /// round, before any step that can emit a new batch or complete, and
+    /// begin and commit records are durable on return.
+    ///
+    /// A process killed at any instant can [`ResolutionEngine::resume`]
+    /// without re-buying a single label. An OS crash or a power loss loses
+    /// at most the labels absorbed since the last completed round, which the
+    /// resumed session asks for again; no label or outcome is ever wrong.
     ///
     /// Attach to a freshly built engine (before any `begin_resolve`): the log
     /// must cover every label the engine knows, or a resume from it would
@@ -328,24 +335,17 @@ impl ResolutionEngine {
         self.wal.is_some()
     }
 
-    /// Appends a record to the attached WAL (no-op without one) inside a
-    /// `resolve.wal_append` span, emitting the `session.wal.*` observability
-    /// counters.
+    /// The length of the attached log's prefix known to be durable, in
+    /// bytes (see [`WalWriter::synced_len`]); `None` without a log.
+    pub fn wal_synced_len(&self) -> Option<u64> {
+        self.wal.as_ref().map(WalWriter::synced_len)
+    }
+
+    /// Appends a record to the attached WAL (no-op without one), durable on
+    /// return, emitting the `session.wal.*` observability counters.
     fn wal_append(&mut self, record: &WalRecord) -> Result<()> {
         let Some(wal) = &mut self.wal else { return Ok(()) };
-        let obs = &self.config.recorder;
-        let _span = obs.span("resolve.wal_append");
-        let bytes = wal.append(record)?;
-        obs.counter("session.wal.appends", 1);
-        obs.counter("session.wal.bytes", bytes);
-        match record {
-            WalRecord::Labels(responses) => {
-                obs.counter("session.wal.labels", responses.len() as u64)
-            }
-            WalRecord::Commit { .. } => obs.counter("session.wal.commits", 1),
-            WalRecord::SessionBegin { .. } => {}
-        }
-        Ok(())
+        Ok(wal.append_observed(record, &self.config.recorder)?)
     }
 
     /// Rebuilds the engine's durable labeling state from a write-ahead label
@@ -787,6 +787,12 @@ impl ResolutionSession<'_> {
         self.state.answered_log()
     }
 
+    /// The durable length of the engine's attached log, in bytes — see
+    /// [`ResolutionEngine::wal_synced_len`].
+    pub fn wal_synced_len(&self) -> Option<u64> {
+        self.engine.wal_synced_len()
+    }
+
     /// Advances the session with the given responses: either emits the next
     /// batch of label requests or completes into a [`ResolutionReport`].
     ///
@@ -800,21 +806,10 @@ impl ResolutionSession<'_> {
         }
         let obs = self.engine.config.recorder.clone();
         let _step_span = obs.span("resolve.step");
-        let mut responses: Vec<LabelResponse> = responses.to_vec();
-        // Labels re-absorbed after the all-human fallback below are already
-        // on disk (they were appended when first absorbed), so the fallback
-        // turn skips the write-ahead append.
-        let mut log_to_wal = true;
+        let mut responses = responses;
         loop {
-            // Write-ahead ordering: absorb (validate + dedup into the
-            // answered log), persist the newly logged tail, then replay. A
-            // crash after the append replays from a log that covers at least
-            // everything this process ever acted on.
-            let absorbed = self.state.absorb_responses(&self.engine.workload, &responses)?.to_vec();
-            if log_to_wal && !absorbed.is_empty() {
-                self.engine.wal_append(&WalRecord::Labels(absorbed))?;
-            }
-            match self.state.poll(&self.engine.workload) {
+            let ResolutionEngine { workload, wal, .. } = &mut *self.engine;
+            match write_ahead_step(&mut self.state, workload, responses, wal.as_mut()) {
                 Ok(Step::NeedLabels(requests)) => {
                     return Ok(ResolutionStep::NeedLabels(requests));
                 }
@@ -833,7 +828,9 @@ impl ResolutionSession<'_> {
                 // The fallback swaps in an all-human session and loops so the
                 // fresh state's first step shares the handling above;
                 // re-absorbing the labels already paid for keeps them counting
-                // toward the session's cost.
+                // toward the session's cost. They are on the log already, so
+                // the fresh state absorbs them directly rather than through
+                // the write-ahead step.
                 Err(humo::HumoError::Stats(_)) if !self.fallback_all_human => {
                     let log = self.state.answered_log().to_vec();
                     self.completed_rounds += self.state.rounds();
@@ -846,11 +843,11 @@ impl ResolutionSession<'_> {
                             .iter()
                             .map(|(&pair_id, &label)| LabelResponse { pair_id, label }),
                     );
+                    state.absorb_responses(&self.engine.workload, &log)?;
                     self.state = state;
                     self.fallback_all_human = true;
                     self.used_warm_start = false;
-                    responses = log;
-                    log_to_wal = false;
+                    responses = &[];
                 }
                 Err(e) => return Err(e.into()),
             }

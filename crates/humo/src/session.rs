@@ -1111,6 +1111,10 @@ impl<'w> LabelingSession<'w> {
         &self.state
     }
 
+    pub(crate) fn state_mut(&mut self) -> &mut SessionState {
+        &mut self.state
+    }
+
     /// Enables or disables the cross-step replay cache (enabled by default) —
     /// a pure performance knob. See [`SessionState::with_replay_cache`].
     pub fn with_replay_cache(mut self, enabled: bool) -> Self {
@@ -1123,14 +1127,6 @@ impl<'w> LabelingSession<'w> {
     /// returns the stored outcome. See [`SessionState::poll`].
     pub fn poll(&mut self) -> Result<Step> {
         self.state.poll(self.workload)
-    }
-
-    /// Absorbs responses without advancing the replay, returning the newly
-    /// appended tail of the answered log — what a write-ahead log persists
-    /// before [`LabelingSession::poll`] replays it. See
-    /// [`SessionState::absorb_responses`].
-    pub fn absorb(&mut self, responses: &[LabelResponse]) -> Result<&[LabelResponse]> {
-        self.state.absorb_responses(self.workload, responses)
     }
 
     /// Advances the session with the given responses — absorb, then

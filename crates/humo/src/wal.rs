@@ -6,8 +6,21 @@
 //! whole framework, and [`SessionState::answered_log`] is a complete
 //! checkpoint: the same configuration, workload and warm start plus the log
 //! replay to the same outcome. This module persists exactly those inputs,
-//! append-only, flushed and fsynced *before* the labels are replayed — so a
-//! process killed at any instant never re-buys a label.
+//! append-only, written to the operating system *before* the labels are
+//! replayed — so a process killed at any instant never re-buys a label.
+//!
+//! Fsyncs are group-committed ([`write_ahead_step`]): the log is fsynced
+//! once per label round, before any replay that can emit a new batch or
+//! complete, not after every step. The guarantee is exact:
+//!
+//! - process death (a crash, `SIGKILL`) loses nothing;
+//! - an OS crash or a power loss loses at most the labels absorbed since
+//!   the last completed round — part of the one outstanding batch — and a
+//!   resume asks for them again;
+//! - no label and no outcome is ever wrong.
+//!
+//! `SessionBegin` and `Commit` records are durable when the call that
+//! writes them returns.
 //!
 //! # The `HAL1` byte format
 //!
@@ -69,6 +82,7 @@ use crate::{
 };
 use er_core::codec::{frame, ByteReader, ByteWriter, FrameScan};
 use er_core::workload::{Label, PairId, Workload};
+use er_obs::ObsHandle;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -355,7 +369,7 @@ fn take_opt_warm_start(r: &mut ByteReader<'_>) -> Result<Option<WarmStart>> {
 }
 
 /// Encodes one record as a complete appendable frame (header + checksummed
-/// body) — the exact bytes [`WalWriter::append`] writes.
+/// body) — the exact bytes [`WalWriter::write`] writes.
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(64);
     match record {
@@ -452,25 +466,47 @@ pub fn read_log(path: impl AsRef<Path>) -> Result<WalRecovery> {
     decode_log(&bytes)
 }
 
-/// An append-only `HAL1` writer. Every [`WalWriter::append`] writes one
-/// complete frame and fsyncs before returning: when it comes back `Ok`, the
-/// record survives process death.
+/// An append-only `HAL1` writer with group commit.
+///
+/// [`WalWriter::write`] hands one complete frame to the operating system
+/// with no buffering in the process, so a record survives process death as
+/// soon as the call returns. [`WalWriter::sync`] fsyncs everything written
+/// since the previous sync, so it survives an OS crash or a power loss too;
+/// [`WalWriter::synced_len`] is the length known to be durable.
+/// [`WalWriter::append`] is a write followed by a sync. [`write_ahead_step`]
+/// decides when a session's log must sync.
+///
+/// The first failed write or sync poisons the writer: every later call
+/// returns [`HumoError::Wal`] without touching the file. A failed write can
+/// leave a partial frame at the tail, and a record appended after it would
+/// be unreadable; after a failed fsync the kernel may have dropped the dirty
+/// pages, so a later fsync that succeeds would claim durability falsely.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
     path: PathBuf,
     appended: u64,
+    /// Bytes handed to the operating system: the length of the log.
+    written: u64,
+    /// Bytes known to be durable: `written` as of the last sync.
+    synced: u64,
+    /// The failure that poisoned the writer, if any.
+    poisoned: Option<String>,
 }
 
 impl WalWriter {
     /// Creates (truncating) a fresh log at `path` and durably writes the
-    /// magic.
+    /// magic. On Unix the parent directory is fsynced too, so the new
+    /// directory entry survives a power loss.
     pub fn create(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = File::create(&path).map_err(|e| wal_err("create wal", e))?;
         file.write_all(HAL1_MAGIC).map_err(|e| wal_err("write magic", e))?;
         file.sync_data().map_err(|e| wal_err("sync magic", e))?;
-        Ok(Self { file, path, appended: 0 })
+        #[cfg(unix)]
+        sync_parent_dir(&path)?;
+        let len = HAL1_MAGIC.len() as u64;
+        Ok(Self { file, path, appended: 0, written: len, synced: len, poisoned: None })
     }
 
     /// Opens an existing log for appending, recovering its records first: a
@@ -479,32 +515,116 @@ impl WalWriter {
     pub fn recover(path: impl AsRef<Path>) -> Result<(Self, WalRecovery)> {
         let path = path.as_ref().to_path_buf();
         let recovery = read_log(&path)?;
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)
             .map_err(|e| wal_err("open wal", e))?;
         file.set_len(recovery.valid_len).map_err(|e| wal_err("truncate torn tail", e))?;
-        let mut writer = Self { file, path, appended: 0 };
-        if recovery.valid_len < HAL1_MAGIC.len() as u64 {
+        let mut len = recovery.valid_len;
+        if len < HAL1_MAGIC.len() as u64 {
             // The magic itself was torn: rewrite it.
-            writer.file.write_all(HAL1_MAGIC).map_err(|e| wal_err("write magic", e))?;
+            file.write_all(HAL1_MAGIC).map_err(|e| wal_err("write magic", e))?;
+            len = HAL1_MAGIC.len() as u64;
         } else {
             use std::io::Seek;
-            writer.file.seek(std::io::SeekFrom::End(0)).map_err(|e| wal_err("seek to tail", e))?;
+            file.seek(std::io::SeekFrom::End(0)).map_err(|e| wal_err("seek to tail", e))?;
         }
-        writer.file.sync_data().map_err(|e| wal_err("sync recovery", e))?;
+        file.sync_data().map_err(|e| wal_err("sync recovery", e))?;
+        let writer = Self { file, path, appended: 0, written: len, synced: len, poisoned: None };
         Ok((writer, recovery))
     }
 
-    /// Appends one record, flushed and fsynced — durable on return.
-    /// Returns the number of bytes written.
-    pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
+    fn check_poisoned(&self) -> Result<()> {
+        match &self.poisoned {
+            Some(cause) => Err(HumoError::Wal(format!(
+                "{} refuses I/O after an earlier failure ({cause})",
+                self.path.display()
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    fn poison(&mut self, err: HumoError) -> HumoError {
+        self.poisoned = Some(err.to_string());
+        err
+    }
+
+    /// Writes one record as a complete frame to the operating system — it
+    /// survives process death on return, but not yet an OS crash. Returns
+    /// the number of bytes written.
+    pub fn write(&mut self, record: &WalRecord) -> Result<u64> {
+        self.check_poisoned()?;
         let bytes = encode_record(record);
-        self.file.write_all(&bytes).map_err(|e| wal_err("append record", e))?;
-        self.file.sync_data().map_err(|e| wal_err("sync record", e))?;
+        if let Err(e) = self.file.write_all(&bytes) {
+            return Err(self.poison(wal_err("write record", e)));
+        }
+        self.written += bytes.len() as u64;
         self.appended += 1;
         Ok(bytes.len() as u64)
+    }
+
+    /// Makes every record written so far durable with one fsync. Returns
+    /// whether it fsynced: a log with nothing written since the last sync
+    /// is left alone.
+    pub fn sync(&mut self) -> Result<bool> {
+        self.check_poisoned()?;
+        if self.synced == self.written {
+            return Ok(false);
+        }
+        if let Err(e) = self.file.sync_data() {
+            return Err(self.poison(wal_err("sync records", e)));
+        }
+        self.synced = self.written;
+        Ok(true)
+    }
+
+    /// Appends one record, written and fsynced — durable on return.
+    /// Returns the number of bytes written.
+    pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
+        let bytes = self.write(record)?;
+        self.sync()?;
+        Ok(bytes)
+    }
+
+    /// [`WalWriter::write`] inside a `resolve.wal_append` span, counting the
+    /// record in `session.wal.appends`, `.bytes`, `.labels` and `.commits`.
+    fn write_observed(&mut self, record: &WalRecord, obs: &ObsHandle) -> Result<()> {
+        let _span = obs.span("resolve.wal_append");
+        let bytes = self.write(record)?;
+        obs.counter("session.wal.appends", 1);
+        obs.counter("session.wal.bytes", bytes);
+        match record {
+            WalRecord::Labels(responses) => {
+                obs.counter("session.wal.labels", responses.len() as u64)
+            }
+            WalRecord::Commit { .. } => obs.counter("session.wal.commits", 1),
+            WalRecord::SessionBegin { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// [`WalWriter::sync`] inside a `resolve.wal_sync` span, counting each
+    /// fsync in `session.wal.syncs`. A log with nothing to sync emits
+    /// nothing.
+    fn sync_observed(&mut self, obs: &ObsHandle) -> Result<()> {
+        self.check_poisoned()?;
+        if self.synced == self.written {
+            return Ok(());
+        }
+        let _span = obs.span("resolve.wal_sync");
+        self.sync()?;
+        obs.counter("session.wal.syncs", 1);
+        Ok(())
+    }
+
+    /// [`WalWriter::append`] inside `resolve.wal_append` (the write) and
+    /// `resolve.wal_sync` (the fsync) spans, counting the record in
+    /// `session.wal.appends`, `.bytes`, `.labels` and `.commits` and the
+    /// fsync in `session.wal.syncs`.
+    pub fn append_observed(&mut self, record: &WalRecord, obs: &ObsHandle) -> Result<()> {
+        self.write_observed(record, obs)?;
+        self.sync_observed(obs)
     }
 
     /// The log's path.
@@ -516,12 +636,69 @@ impl WalWriter {
     pub fn appended(&self) -> u64 {
         self.appended
     }
+
+    /// The length of the log's prefix known to be durable, in bytes: what an
+    /// OS crash or a power loss leaves at least. Past it lie records written
+    /// since the last sync, which only survive process death.
+    pub fn synced_len(&self) -> u64 {
+        self.synced
+    }
+}
+
+/// Fsyncs the directory holding `path`, so a newly created entry in it is
+/// durable.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir).and_then(|dir| dir.sync_all()).map_err(|e| wal_err("sync wal directory", e))
+}
+
+/// One step of a session under the write-ahead rule — the rule both
+/// [`DurableSession::step`] and `er_pipeline::ResolutionSession::step` run.
+///
+/// It absorbs `responses`, writes the newly logged tail to `wal` as one
+/// `Labels` record, and then polls. It fsyncs before the poll only when the
+/// outstanding batch has no missing pair left, since only then can the poll
+/// emit a new batch or complete. A step that leaves the batch partly
+/// answered re-emits the rest of it, whatever the new labels say, so its
+/// output depends on no unsynced label; its records still reach the
+/// operating system before it returns. The log is therefore fsynced about
+/// once per label round, not once per step.
+///
+/// Process death loses nothing. An OS crash or a power loss loses at most
+/// the labels absorbed since the last completed round: the batch that was
+/// outstanding, which a resume asks for again. No label and no outcome is
+/// ever wrong. Without a `wal` this is exactly [`SessionState::step`].
+pub fn write_ahead_step(
+    state: &mut SessionState,
+    workload: &Workload,
+    responses: &[LabelResponse],
+    wal: Option<&mut WalWriter>,
+) -> Result<Step> {
+    let absorbed = state.absorb_responses(workload, responses)?;
+    if let Some(wal) = wal {
+        if !absorbed.is_empty() {
+            wal.write_observed(&WalRecord::Labels(absorbed.to_vec()), workload.obs())?;
+        }
+        if state.pending().is_empty() {
+            wal.sync_observed(workload.obs())?;
+        }
+    }
+    state.poll(workload)
 }
 
 /// A [`LabelingSession`] whose answered log is written ahead to a `HAL1`
-/// file: every absorbed response batch is durable *before* it is replayed,
-/// and [`DurableSession::resume`] rebuilds the session — mid-flight or
-/// completed — from the file alone (plus the workload).
+/// file: every absorbed response batch reaches the log *before* it is
+/// replayed, and [`DurableSession::resume`] rebuilds the session —
+/// mid-flight or completed — from the file alone (plus the workload).
+///
+/// The log is fsynced once per label round (see [`write_ahead_step`]).
+/// Process death loses nothing; an OS crash or a power loss loses at most
+/// the labels absorbed since the last completed round, which the resumed
+/// session asks for again. No label and no outcome is ever wrong.
 ///
 /// ```no_run
 /// use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
@@ -565,7 +742,8 @@ impl<'w> DurableSession<'w> {
     ) -> Result<Self> {
         let session = LabelingSession::with_warm_start(config, workload, warm.clone())?;
         let mut wal = WalWriter::create(path)?;
-        wal.append(&WalRecord::SessionBegin { workload_len: workload.len() as u64, config, warm })?;
+        let begin = WalRecord::SessionBegin { workload_len: workload.len() as u64, config, warm };
+        wal.append_observed(&begin, workload.obs())?;
         Ok(Self { session, wal, committed: false })
     }
 
@@ -604,20 +782,26 @@ impl<'w> DurableSession<'w> {
         Ok(Self { session, wal, committed })
     }
 
-    /// Advances the session durably: the newly absorbed responses are
-    /// appended and fsynced *before* the replay consumes them, and completion
-    /// appends the `Commit` record. Exactly [`LabelingSession::step`]
+    /// Advances the session under the write-ahead rule of
+    /// [`write_ahead_step`]: the newly absorbed responses reach the log
+    /// before the replay consumes them, and the log is fsynced before any
+    /// poll that can open a new round or complete. Completion appends the
+    /// `Commit` record, durable on return. Exactly [`LabelingSession::step`]
     /// semantics otherwise.
+    ///
+    /// Process death at any point loses nothing. An OS crash or a power loss
+    /// loses at most the labels absorbed since the last completed round;
+    /// [`DurableSession::resume`] asks for them again. The `session.wal.*`
+    /// counters and the `resolve.wal_append`/`resolve.wal_sync` spans go to
+    /// the workload's recorder.
     pub fn step(&mut self, responses: &[LabelResponse]) -> Result<Step> {
-        let absorbed = self.session.absorb(responses)?.to_vec();
-        if !absorbed.is_empty() {
-            self.wal.append(&WalRecord::Labels(absorbed))?;
-        }
-        let step = self.session.poll()?;
+        let workload = self.session.workload();
+        let step =
+            write_ahead_step(self.session.state_mut(), workload, responses, Some(&mut self.wal))?;
         if let Step::Done(_) = &step {
             if !self.committed {
                 let warm = self.session.next_warm_start().cloned();
-                self.wal.append(&WalRecord::Commit { warm })?;
+                self.wal.append_observed(&WalRecord::Commit { warm }, workload.obs())?;
                 self.committed = true;
             }
         }
@@ -743,6 +927,56 @@ mod tests {
         let recovery = read_log(&path).unwrap();
         assert_eq!(recovery.records.len(), 3);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn writes_defer_durability_until_sync() {
+        let path = temp_path("group");
+        let mut writer = WalWriter::create(&path).unwrap();
+        let magic = HAL1_MAGIC.len() as u64;
+        assert_eq!(writer.synced_len(), magic);
+        // Nothing written since the magic was synced: no fsync to make.
+        assert!(!writer.sync().unwrap());
+        let labels =
+            WalRecord::Labels(vec![LabelResponse { pair_id: PairId(3), label: Label::Match }]);
+        let first = writer.write(&labels).unwrap();
+        let second = writer.write(&labels).unwrap();
+        // Written records are in the file (they survive process death) but
+        // not yet counted as durable.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), magic + first + second);
+        assert_eq!(writer.synced_len(), magic);
+        assert!(writer.sync().unwrap());
+        assert_eq!(writer.synced_len(), magic + first + second);
+        assert!(!writer.sync().unwrap());
+        let commit = writer.append(&WalRecord::Commit { warm: None }).unwrap();
+        assert_eq!(writer.synced_len(), magic + first + second + commit);
+        assert_eq!(writer.appended(), 3);
+        drop(writer);
+
+        let (writer, recovery) = WalWriter::recover(&path).unwrap();
+        assert_eq!(writer.synced_len(), recovery.valid_len);
+        assert_eq!(recovery.records.len(), 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A failed write poisons the writer: a later sync must not claim
+    /// durability, and a later write must not land after a partial frame.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_write_poisons_the_writer() {
+        let path = PathBuf::from("/dev/full");
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        let mut writer =
+            WalWriter { file, path, appended: 0, written: 0, synced: 0, poisoned: None };
+        let record = WalRecord::Commit { warm: None };
+        let first = writer.write(&record).unwrap_err().to_string();
+        assert!(first.contains("os error 28"), "expected ENOSPC, got {first}");
+        assert!(matches!(writer.sync(), Err(HumoError::Wal(_))));
+        assert!(matches!(writer.write(&record), Err(HumoError::Wal(_))));
+        assert!(matches!(writer.append(&record), Err(HumoError::Wal(_))));
+        let obs = ObsHandle::default();
+        assert!(matches!(writer.sync_observed(&obs), Err(HumoError::Wal(_))));
+        assert_eq!((writer.appended(), writer.synced_len()), (0, 0));
     }
 
     #[test]
