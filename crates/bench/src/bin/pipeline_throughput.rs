@@ -19,10 +19,7 @@
 //!    full-refit path (from-scratch refits, cache disabled), with the two
 //!    arms asserted byte-identical;
 //! 6. **parallel scoring speedup**: the worker pool vs a single thread over the
-//!    full candidate set, plus the token-memo rate (pre-tokenized records);
-//! 7. **shard-parallel ingest scaling**: the full candidate indexing replayed
-//!    through a 1-shard serial index vs the default sharded index on the pool
-//!    (deltas asserted identical).
+//!    full candidate set, plus the token-memo rate (pre-tokenized records).
 //!
 //! Environment knobs (see [`humo_bench::BenchConfig`]):
 //!
@@ -55,8 +52,7 @@
 use er_core::aggregate::{
     AttributeMeasure, AttributeWeighting, PairScorer, ScoringConfig, TokenCache,
 };
-use er_core::blocking::{TokenBlocker, DEFAULT_SHARDS};
-use er_core::parallel::SerialExecutor;
+use er_core::blocking::TokenBlocker;
 use er_core::record::{Record, RecordId};
 use er_core::similarity::StringMeasure;
 use er_core::spill::MemoryBudget;
@@ -637,43 +633,6 @@ fn main() {
         candidates.len() as f64 / tc
     );
 
-    // Shard-parallel ingest scaling: replay the full candidate indexing through
-    // a 1-shard serial index and through the default sharded index on the
-    // pool, asserting identical per-batch deltas. The ratio is reported
-    // unsuffixed (machine-dependent, like the scoring scaling).
-    let index_batches = 8usize;
-    let shard_left: Vec<Vec<Record>> = chunks(corpus.left.records(), index_batches);
-    let shard_right: Vec<Vec<Record>> = chunks(corpus.right.records(), index_batches);
-    let mut serial_index = blocker.incremental_sharded(1);
-    let mut serial_deltas = Vec::new();
-    let start = Instant::now();
-    for epoch in 0..index_batches {
-        let l = shard_left.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        let r = shard_right.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        serial_deltas.push(
-            serial_index.add_records_with(l, r, &SerialExecutor, None).expect("serial blocking"),
-        );
-    }
-    let t_serial = start.elapsed().as_secs_f64();
-    let mut sharded_index = blocker.incremental_sharded(DEFAULT_SHARDS);
-    let start = Instant::now();
-    for (epoch, serial_delta) in serial_deltas.iter().enumerate() {
-        let l = shard_left.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        let r = shard_right.get(epoch).map_or(&[] as &[Record], Vec::as_slice);
-        let delta = sharded_index
-            .add_records_with(l, r, &pool, Some(&token_cache))
-            .expect("sharded blocking");
-        assert_eq!(&delta, serial_delta, "sharded delta diverged on epoch {epoch}");
-    }
-    let t_sharded = start.elapsed().as_secs_f64();
-    let shard_scaling = t_serial / t_sharded.max(1e-9);
-    println!("\n-- sharded incremental blocking ({index_batches} batches) --");
-    println!("1 shard serial  : {:.1} ms", 1e3 * t_serial);
-    println!(
-        "{DEFAULT_SHARDS} shards on pool: {:.1} ms  {shard_scaling:.2}x [deltas identical]",
-        1e3 * t_sharded
-    );
-
     // Recorder overhead: re-stream the corpus into two fresh engines (no-op
     // recorder vs enabled metrics recorder) and compare ingest throughput.
     let overhead_ratio = ingest_overhead_ratio(&corpus, &truth, threads, batches, replay_reps);
@@ -711,7 +670,6 @@ fn main() {
                 ("total_delta_candidates", Json::num(total_delta as f64)),
                 ("last_epoch_pairs_per_s", Json::num(last_ingest_rate)),
                 ("pairs_per_s", Json::num(total_delta as f64 / total_ingest_secs.max(1e-9))),
-                ("shard_parallel_scaling", Json::num(shard_scaling)),
             ]),
         ),
         (

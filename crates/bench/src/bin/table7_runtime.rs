@@ -1,7 +1,6 @@
 //! Table VII — machine runtime of the three optimizers on DS and AB.
 //!
-//! Criterion-based measurements live in `benches/optimizer_runtime.rs`; this
-//! binary prints a quick single-run wall-clock version of the same table.
+//! Prints a single-run wall-clock version of the table.
 
 use humo::QualityRequirement;
 use humo_bench::{ab_workload, ds_workload, header, run_base, run_hybr, run_samp};

@@ -16,8 +16,7 @@
 //! without rescanning the pairs of previously ingested records.
 
 use crate::aggregate::{InternedTokens, PairScorer, TokenCache, LEFT, RIGHT};
-use crate::codec::{fnv1a, ByteReader, ByteWriter, Fnv1a};
-use crate::parallel::{ParallelExecutor, SerialExecutor};
+use crate::codec::{ByteReader, ByteWriter, Fnv1a};
 use crate::record::{Dataset, Record, RecordId};
 use crate::spill::{ChunkHandle, MemoryBudget, SpillFile};
 use crate::text::Tokenizer;
@@ -106,21 +105,16 @@ impl TokenBlocker {
     }
 
     /// Creates an empty incremental index with this blocker's attribute and
-    /// tokenizer, sharded over [`DEFAULT_SHARDS`] token-hash shards. Feed
-    /// record batches through [`IncrementalTokenIndex::add_records`] to obtain
-    /// delta candidates.
+    /// tokenizer. Feed record batches through
+    /// [`IncrementalTokenIndex::add_records`] to obtain delta candidates.
     pub fn incremental(&self) -> IncrementalTokenIndex {
-        self.incremental_sharded(DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty incremental index with an explicit shard count.
-    /// Candidates are shard-count-invariant; the count only controls how much
-    /// of the per-batch work a parallel executor can spread.
-    pub fn incremental_sharded(&self, shards: usize) -> IncrementalTokenIndex {
         IncrementalTokenIndex {
             attribute: self.attribute.clone(),
             tokenizer: self.tokenizer,
-            shards: (0..shards.max(1)).map(|_| TokenShard::default()).collect(),
+            resident_left: BTreeMap::new(),
+            resident_right: BTreeMap::new(),
+            resident_postings: 0,
+            generations: Vec::new(),
             records_indexed: 0,
             budget: MemoryBudget::default(),
             spill: None,
@@ -128,9 +122,6 @@ impl TokenBlocker {
         }
     }
 }
-
-/// Default shard count of [`TokenBlocker::incremental`].
-pub const DEFAULT_SHARDS: usize = 8;
 
 /// The distinct tokens of one record, in no particular order: borrowed from
 /// the token cache's `(attribute, tokenizer)` entry when the record was
@@ -155,41 +146,33 @@ fn unique_record_tokens<'a>(
     (tokens.into_iter().map(Cow::Owned).collect(), false)
 }
 
-/// A persistent token-blocking index supporting incremental ingestion,
-/// sharded by token hash.
+/// A persistent token-blocking index supporting incremental ingestion.
 ///
-/// The index keeps one posting list per token and side, spread over N
-/// independent shards (token → shard via FNV-1a). Adding a batch probes the
-/// *existing* posting lists for the new records' tokens, so the work per
+/// The index keeps one posting list per token and side. Adding a batch probes
+/// the *existing* posting lists for the new records' tokens, so the work per
 /// batch is proportional to the new records and their matching postings — old
 /// candidate pairs are never re-derived. The union of the deltas over any batch
 /// split equals [`TokenBlocker::candidates`] on the union of the records, and a
 /// pair is never emitted twice (every delta pair involves a record of the
 /// current batch).
 ///
-/// Sharding is behaviour-invisible: because every token lives in exactly one
-/// shard and each shard replays the same probe-before-insert discipline over
-/// its token subset, the merged + deduplicated per-batch delta is identical
-/// for every shard count — pairs sharing tokens in several shards are emitted
-/// by each of them (always in the same batch, the one where the later record
-/// arrives) and collapse in the merge. [`add_records_with`] fans the per-shard
-/// work out over a [`ParallelExecutor`].
-///
-/// Under a [`MemoryBudget`] with a posting bound, shards freeze their resident
-/// posting maps into immutable on-disk *generations* (`HPG1` chunks, see
-/// [`crate::spill`]) between batches; probes consult the resident maps plus
-/// every generation through a small resident hash directory, so budgeted and
-/// unbounded indexes produce identical candidates. A generation entry that
-/// cannot be read back, runs past its bytes, or does not hash to the bucket
-/// that points at it fails the batch with [`ErError::Spill`] rather than
-/// dropping candidates.
-///
-/// [`add_records_with`]: IncrementalTokenIndex::add_records_with
+/// Under a [`MemoryBudget`] with a posting bound, the index freezes its
+/// resident posting maps into an immutable on-disk *generation* (an `HPG1`
+/// chunk, see [`crate::spill`]) between batches; probes consult the resident
+/// maps plus every generation through a small resident hash directory, so
+/// budgeted and unbounded indexes produce identical candidates. A generation
+/// entry that cannot be read back, runs past its bytes, or does not hash to
+/// the bucket that points at it fails the batch with [`ErError::Spill`]
+/// rather than dropping candidates.
 #[derive(Debug, Clone)]
 pub struct IncrementalTokenIndex {
     attribute: String,
     tokenizer: Tokenizer,
-    shards: Vec<TokenShard>,
+    resident_left: BTreeMap<String, Vec<RecordId>>,
+    resident_right: BTreeMap<String, Vec<RecordId>>,
+    /// Total record-id entries across both resident maps.
+    resident_postings: usize,
+    generations: Vec<PostingGeneration>,
     records_indexed: usize,
     budget: MemoryBudget,
     spill: Option<Arc<SpillFile>>,
@@ -211,17 +194,15 @@ fn posting_key(side: u8, token: &[u8]) -> u64 {
     hash.finish()
 }
 
-/// One token-hash shard: resident posting maps plus frozen on-disk generations.
-#[derive(Debug, Clone, Default)]
-struct TokenShard {
-    resident_left: BTreeMap<String, Vec<RecordId>>,
-    resident_right: BTreeMap<String, Vec<RecordId>>,
-    /// Total record-id entries across both resident maps.
-    resident_postings: usize,
-    generations: Vec<PostingGeneration>,
+/// Converts an offset, length or count to its `u32` field of the `HPG1`
+/// format, failing instead of wrapping once a generation outgrows it.
+fn generation_u32(value: usize, what: &str) -> Result<u32> {
+    u32::try_from(value).map_err(|_| {
+        ErError::Spill(format!("posting generation {what} {value} does not fit in 32 bits"))
+    })
 }
 
-/// An immutable spilled snapshot of a shard's posting maps.
+/// An immutable spilled snapshot of the index's posting maps.
 #[derive(Debug, Clone)]
 struct PostingGeneration {
     spill: Arc<SpillFile>,
@@ -275,106 +256,14 @@ fn push_posting(map: &mut BTreeMap<String, Vec<RecordId>>, token: &str, id: Reco
     }
 }
 
-impl TokenShard {
-    /// Calls `f` on every indexed record id for a token on one side: every
-    /// frozen generation plus the resident map.
-    fn probe(&self, side: u8, token: &str, mut f: impl FnMut(RecordId)) -> Result<()> {
-        for generation in &self.generations {
-            generation.probe(side, token, &mut f)?;
-        }
-        let resident = if side == SIDE_LEFT { &self.resident_left } else { &self.resident_right };
-        resident.get(token).into_iter().flatten().copied().for_each(f);
-        Ok(())
-    }
-
-    /// Folds this shard's slice of a batch into the shard and returns its
-    /// sorted, duplicate-free delta pairs. Right side first, mirroring the
-    /// pre-shard index: new right records pair with previously indexed left
-    /// records here, and pairs with the new left records are found below once
-    /// the right postings are in place — the split that keeps every
-    /// within-batch pair emitted exactly once per shard.
-    ///
-    /// A failed generation read returns its error with the shard holding the
-    /// postings of the tokens before it.
-    fn apply(&mut self, work: &ShardWork<'_>) -> Result<Vec<(RecordId, RecordId)>> {
-        let mut delta = Vec::new();
-        for (id, tokens) in &work.rights {
-            for token in tokens {
-                self.probe(SIDE_LEFT, token, |left_id| delta.push((left_id, *id)))?;
-                push_posting(&mut self.resident_right, token, *id);
-                self.resident_postings += 1;
-            }
-        }
-        for (id, tokens) in &work.lefts {
-            for token in tokens {
-                self.probe(SIDE_RIGHT, token, |right_id| delta.push((*id, right_id)))?;
-                push_posting(&mut self.resident_left, token, *id);
-                self.resident_postings += 1;
-            }
-        }
-        delta.sort_unstable();
-        delta.dedup();
-        Ok(delta)
-    }
-
-    /// Freezes the resident posting maps into one immutable `HPG1` generation
-    /// chunk and clears them.
-    fn freeze(&mut self, spill: &Arc<SpillFile>) -> Result<()> {
-        if self.resident_postings == 0 {
-            return Ok(());
-        }
-        let entry_count = self.resident_left.len() + self.resident_right.len();
-        let mut w = ByteWriter::with_capacity(16 + self.resident_postings * 8);
-        w.put_bytes(&POSTING_MAGIC);
-        w.put_u32(entry_count as u32);
-        let mut entries: Vec<(u64, u32, u32)> = Vec::with_capacity(entry_count);
-        for (side, map) in [(SIDE_LEFT, &self.resident_left), (SIDE_RIGHT, &self.resident_right)] {
-            for (token, ids) in map {
-                let start = w.len() as u32;
-                w.put_u8(side);
-                w.put_u32(token.len() as u32);
-                w.put_bytes(token.as_bytes());
-                w.put_u32(ids.len() as u32);
-                for id in ids {
-                    w.put_u64(id.0);
-                }
-                entries.push((posting_key(side, token.as_bytes()), start, w.len() as u32 - start));
-            }
-        }
-        let handle = spill.append(&w.finish())?;
-        let mut directory: HashMap<u64, Vec<(u32, u32)>> = HashMap::with_capacity(entry_count);
-        for (key, start, len) in entries {
-            directory.entry(key).or_default().push((start, len));
-        }
-        self.generations.push(PostingGeneration { spill: Arc::clone(spill), handle, directory });
-        self.resident_left.clear();
-        self.resident_right.clear();
-        self.resident_postings = 0;
-        Ok(())
-    }
-}
-
-/// One shard's slice of a record batch: per record, the unique tokens that
-/// hash into the shard, in batch order.
-#[derive(Debug, Default)]
-struct ShardWork<'a> {
-    lefts: Vec<(RecordId, Vec<Cow<'a, str>>)>,
-    rights: Vec<(RecordId, Vec<Cow<'a, str>>)>,
-}
-
 impl IncrementalTokenIndex {
     /// Number of records folded into the index so far (both sides).
     pub fn records_indexed(&self) -> usize {
         self.records_indexed
     }
 
-    /// Number of token-hash shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Sets the memory budget governing resident postings and immediately
-    /// freezes shards if the index is already over it.
+    /// freezes them if the index is already over it.
     pub fn set_memory_budget(&mut self, budget: MemoryBudget) -> Result<()> {
         self.budget = budget;
         self.enforce_budget()
@@ -385,14 +274,14 @@ impl IncrementalTokenIndex {
         &self.budget
     }
 
-    /// Record-id posting entries currently resident across all shards.
+    /// Record-id posting entries currently resident.
     pub fn resident_postings(&self) -> usize {
-        self.shards.iter().map(|s| s.resident_postings).sum()
+        self.resident_postings
     }
 
-    /// Number of frozen on-disk posting generations across all shards.
+    /// Number of frozen on-disk posting generations.
     pub fn spilled_generations(&self) -> usize {
-        self.shards.iter().map(|s| s.generations.len()).sum()
+        self.generations.len()
     }
 
     /// Total bytes appended to the index's spill file (0 without spilling).
@@ -419,96 +308,120 @@ impl IncrementalTokenIndex {
         left_batch: &[Record],
         right_batch: &[Record],
     ) -> Result<Vec<(RecordId, RecordId)>> {
-        self.add_records_with(left_batch, right_batch, &SerialExecutor, None)
+        self.add_records_with(left_batch, right_batch, None)
     }
 
-    /// [`add_records`](IncrementalTokenIndex::add_records) with an explicit
-    /// execution seam and optional token memo: the per-shard candidate deltas
-    /// are computed through `executor` (one work item per shard) and record
-    /// tokens come from `cache`'s interned ids where admitted. Both knobs are
-    /// behaviour-invisible — the returned delta is identical for any executor,
-    /// cache state and shard count.
-    pub fn add_records_with<E: ParallelExecutor>(
+    /// [`add_records`](IncrementalTokenIndex::add_records) reading record
+    /// tokens from `cache`'s interned ids where admitted. The cache is
+    /// behaviour-invisible: the returned delta is identical for any cache
+    /// state.
+    pub fn add_records_with(
         &mut self,
         left_batch: &[Record],
         right_batch: &[Record],
-        executor: &E,
         cache: Option<&TokenCache>,
     ) -> Result<Vec<(RecordId, RecordId)>> {
-        let shard_count = self.shards.len();
         let entry = cache.and_then(|c| c.interned(&self.attribute, self.tokenizer));
-        let mut work: Vec<ShardWork> = (0..shard_count).map(|_| ShardWork::default()).collect();
-        let mut split: Vec<Vec<Cow<str>>> = vec![Vec::new(); shard_count];
         let mut token_cache_hits = 0u64;
-        let mut token_cache_misses = 0u64;
-        for (side, batch) in [(LEFT, left_batch), (RIGHT, right_batch)] {
+        let mut delta = Vec::new();
+        // Right side first: new right records pair with previously indexed
+        // left records here, and pairs with the new left records are found
+        // once the right postings are in place — so every within-batch pair is
+        // emitted exactly once.
+        for (side, batch) in [(RIGHT, right_batch), (LEFT, left_batch)] {
             for record in batch {
                 let (tokens, cache_hit) =
                     unique_record_tokens(entry, &self.attribute, self.tokenizer, record, side);
-                if cache_hit {
-                    token_cache_hits += 1;
-                } else {
-                    token_cache_misses += 1;
-                }
-                for token in tokens {
-                    let shard = (fnv1a(token.as_bytes()) % shard_count as u64) as usize;
-                    split[shard].push(token);
-                }
-                for (shard, shard_tokens) in split.iter_mut().enumerate() {
-                    if shard_tokens.is_empty() {
-                        continue;
-                    }
-                    let routed = (record.id(), std::mem::take(shard_tokens));
-                    if side == LEFT {
-                        work[shard].lefts.push(routed);
+                token_cache_hits += u64::from(cache_hit);
+                let id = record.id();
+                for token in &tokens {
+                    if side == RIGHT {
+                        self.probe(SIDE_LEFT, token, |left_id| delta.push((left_id, id)))?;
+                        push_posting(&mut self.resident_right, token, id);
                     } else {
-                        work[shard].rights.push(routed);
+                        self.probe(SIDE_RIGHT, token, |right_id| delta.push((id, right_id)))?;
+                        push_posting(&mut self.resident_left, token, id);
                     }
+                    self.resident_postings += 1;
                 }
             }
         }
-        let deltas = executor.map_mut(&mut self.shards, |i, shard| shard.apply(&work[i]));
-        let deltas = deltas.into_iter().collect::<Result<Vec<_>>>()?;
-        self.records_indexed += left_batch.len() + right_batch.len();
-        if self.obs.is_enabled() {
-            // Token-cache hits only mean something when a cache was supplied;
-            // per-shard delta sizes expose blocking skew across shards.
-            if cache.is_some() {
-                self.obs.counter("blocking.tokencache.hits", token_cache_hits);
-                self.obs.counter("blocking.tokencache.misses", token_cache_misses);
-            }
-            for delta in &deltas {
-                self.obs.observe("blocking.shard_delta_pairs", delta.len() as f64);
-            }
+        let records = left_batch.len() + right_batch.len();
+        self.records_indexed += records;
+        // Token-cache hits only mean something when a cache was supplied.
+        if cache.is_some() && self.obs.is_enabled() {
+            self.obs.counter("blocking.tokencache.hits", token_cache_hits);
+            self.obs.counter("blocking.tokencache.misses", records as u64 - token_cache_hits);
         }
-        let mut merged = deltas.concat();
-        merged.sort_unstable();
-        merged.dedup();
+        delta.sort_unstable();
+        delta.dedup();
         self.enforce_budget()?;
-        Ok(merged)
+        Ok(delta)
     }
 
-    /// Freezes every shard's resident postings into on-disk generations when
-    /// the resident total exceeds the budget.
+    /// Calls `f` on every indexed record id for a token on one side: every
+    /// frozen generation plus the resident map.
+    fn probe(&self, side: u8, token: &str, mut f: impl FnMut(RecordId)) -> Result<()> {
+        for generation in &self.generations {
+            generation.probe(side, token, &mut f)?;
+        }
+        let resident = if side == SIDE_LEFT { &self.resident_left } else { &self.resident_right };
+        resident.get(token).into_iter().flatten().copied().for_each(f);
+        Ok(())
+    }
+
+    /// Freezes the resident postings into one on-disk generation when they
+    /// exceed the budget.
     fn enforce_budget(&mut self) -> Result<()> {
         let budget = self.budget.resident_postings;
-        if budget == 0 || self.resident_postings() <= budget {
+        if budget == 0 || self.resident_postings <= budget {
             return Ok(());
         }
         if self.spill.is_none() {
             self.spill = Some(Arc::new(SpillFile::create_in(self.budget.spill_dir.as_deref())?));
         }
         let spill = Arc::clone(self.spill.as_ref().expect("spill file just ensured"));
-        let generations_before = self.spilled_generations();
         let bytes_before = spill.bytes_written();
-        for shard in &mut self.shards {
-            shard.freeze(&spill)?;
+        self.freeze(&spill)?;
+        self.obs.counter("spill.postings.generations_spilled", 1);
+        self.obs.counter("spill.postings.bytes_spilled", spill.bytes_written() - bytes_before);
+        Ok(())
+    }
+
+    /// Writes the resident posting maps as one immutable `HPG1` generation
+    /// chunk and clears them. A failure leaves the resident maps intact.
+    fn freeze(&mut self, spill: &Arc<SpillFile>) -> Result<()> {
+        let entry_count = self.resident_left.len() + self.resident_right.len();
+        let mut w = ByteWriter::with_capacity(16 + self.resident_postings * 8);
+        w.put_bytes(&POSTING_MAGIC);
+        w.put_u32(generation_u32(entry_count, "entry count")?);
+        let mut entries: Vec<(u64, u32, u32)> = Vec::with_capacity(entry_count);
+        for (side, map) in [(SIDE_LEFT, &self.resident_left), (SIDE_RIGHT, &self.resident_right)] {
+            for (token, ids) in map {
+                let start = w.len();
+                w.put_u8(side);
+                w.put_u32(generation_u32(token.len(), "token length")?);
+                w.put_bytes(token.as_bytes());
+                w.put_u32(generation_u32(ids.len(), "posting count")?);
+                for id in ids {
+                    w.put_u64(id.0);
+                }
+                entries.push((
+                    posting_key(side, token.as_bytes()),
+                    generation_u32(start, "entry offset")?,
+                    generation_u32(w.len() - start, "entry length")?,
+                ));
+            }
         }
-        let frozen = (self.spilled_generations() - generations_before) as u64;
-        if frozen > 0 {
-            self.obs.counter("spill.postings.generations_spilled", frozen);
-            self.obs.counter("spill.postings.bytes_spilled", spill.bytes_written() - bytes_before);
+        let handle = spill.append(&w.finish())?;
+        let mut directory: HashMap<u64, Vec<(u32, u32)>> = HashMap::with_capacity(entry_count);
+        for (key, start, len) in entries {
+            directory.entry(key).or_default().push((start, len));
         }
+        self.generations.push(PostingGeneration { spill: Arc::clone(spill), handle, directory });
+        self.resident_left.clear();
+        self.resident_right.clear();
+        self.resident_postings = 0;
         Ok(())
     }
 }
@@ -725,6 +638,7 @@ pub fn build_workload(
 mod tests {
     use super::*;
     use crate::aggregate::{AttributeMeasure, AttributeWeighting, ScoringConfig};
+    use crate::codec::fnv1a;
     use crate::record::{Record, Schema};
     use crate::similarity::StringMeasure;
     use proptest::prelude::*;
@@ -998,7 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_spills_postings_and_keeps_candidates() {
+    fn budgeted_index_spills_postings_and_keeps_candidates() {
         let titles: Vec<(u64, String)> =
             (0..40).map(|i| (i, format!("tok{} tok{} shared", i % 7, (i * 3) % 11))).collect();
         let mut a = Dataset::new("a", Schema::new(["title"]));
@@ -1021,7 +935,7 @@ mod tests {
                 unbounded.add_records(l, r).unwrap(),
                 "budgeted delta diverged on batch {i}"
             );
-            // Over-budget shards were frozen between batches.
+            // Over-budget postings were frozen between batches.
             assert!(budgeted.resident_postings() <= 16, "resident postings left over budget");
         }
         assert!(budgeted.spilled_generations() > 0, "budget never triggered a spill");
@@ -1034,60 +948,6 @@ mod tests {
         let from_orig = budgeted.add_records(&[], std::slice::from_ref(&extra)).unwrap();
         assert_eq!(from_clone, from_orig);
         assert!(!from_clone.is_empty());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
-        #[test]
-        fn shard_count_never_changes_candidates(
-            n_left in 1usize..14,
-            n_right in 1usize..14,
-            split in 1usize..4,
-            salt in 0u64..1_000,
-        ) {
-            // Same generator as the split-invariance proptest: tiny vocabulary,
-            // high token overlap.
-            let vocab = ["ant", "bee", "cat", "dog", "elk"];
-            let title = |id: u64| -> String {
-                let mut words = Vec::new();
-                for k in 0..(1 + (id.wrapping_mul(2654435761).wrapping_add(salt) % 3)) {
-                    let h = id.wrapping_mul(31).wrapping_add(k).wrapping_add(salt);
-                    words.push(vocab[(h % vocab.len() as u64) as usize]);
-                }
-                words.join(" ")
-            };
-            let mut a = Dataset::new("a", Schema::new(["title"]));
-            for i in 0..n_left as u64 {
-                a.push(Record::new(RecordId(i)).with("title", title(i))).unwrap();
-            }
-            let mut b = Dataset::new("b", Schema::new(["title"]));
-            for i in 0..n_right as u64 {
-                b.push(Record::new(RecordId(1_000 + i)).with("title", title(77 + i))).unwrap();
-            }
-            let blocker = TokenBlocker::new("title", Tokenizer::Words);
-            let expected: BTreeSet<_> = blocker.candidates(&a, &b).into_iter().collect();
-            let left_chunks = batched(a.records(), split);
-            let right_chunks = batched(b.records(), split);
-            // Per-batch deltas must be identical for every shard count, and
-            // their union must equal the batch candidates.
-            let mut reference: Option<Vec<Vec<(RecordId, RecordId)>>> = None;
-            for shards in [1usize, 2, 7, 16] {
-                let mut index = blocker.incremental_sharded(shards);
-                prop_assert_eq!(index.shard_count(), shards);
-                let mut deltas = Vec::new();
-                for i in 0..left_chunks.len().max(right_chunks.len()) {
-                    let l = left_chunks.get(i).copied().unwrap_or(&[]);
-                    let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                    deltas.push(index.add_records(l, r).unwrap());
-                }
-                let union: BTreeSet<_> = deltas.iter().flatten().copied().collect();
-                prop_assert_eq!(&union, &expected);
-                match &reference {
-                    None => reference = Some(deltas),
-                    Some(reference) => prop_assert_eq!(reference, &deltas),
-                }
-            }
-        }
     }
 
     #[test]
@@ -1103,11 +963,18 @@ mod tests {
         }
     }
 
+    #[test]
+    fn generation_fields_past_u32_fail_instead_of_wrapping() {
+        assert_eq!(generation_u32(u32::MAX as usize, "entry offset").unwrap(), u32::MAX);
+        let err = generation_u32(u32::MAX as usize + 1, "entry offset").unwrap_err();
+        assert!(matches!(err, ErError::Spill(_)), "{err:?}");
+    }
+
     /// An index over 40 left and 40 right records whose posting budget froze
-    /// generations in every shard, plus a right record sharing the token
-    /// every left record holds.
+    /// several generations, plus a right record sharing the token every left
+    /// record holds.
     fn spilled_index() -> (IncrementalTokenIndex, Record) {
-        let mut index = TokenBlocker::new("title", Tokenizer::Words).incremental_sharded(3);
+        let mut index = TokenBlocker::new("title", Tokenizer::Words).incremental();
         index
             .set_memory_budget(MemoryBudget { resident_postings: 16, ..MemoryBudget::default() })
             .unwrap();
@@ -1120,7 +987,8 @@ mod tests {
         for i in 0..4 {
             index.add_records(&left[i * 10..(i + 1) * 10], &right[i * 10..(i + 1) * 10]).unwrap();
         }
-        assert!(index.shards.iter().all(|s| !s.generations.is_empty()), "every shard spilled");
+        // Several generations, so probes span more than one of them.
+        assert!(index.generations.len() >= 2, "only {} generations froze", index.generations.len());
         (index, Record::new(RecordId(5_000)).with("title", "shared"))
     }
 
@@ -1131,16 +999,14 @@ mod tests {
         index: &mut IncrementalTokenIndex,
         corrupt: impl Fn(&mut [u8], usize, usize),
     ) {
-        for shard in &mut index.shards {
-            for generation in &mut shard.generations {
-                let mut bytes = generation.spill.read_chunk(generation.handle).unwrap();
-                for ranges in generation.directory.values() {
-                    for &(start, len) in ranges {
-                        corrupt(&mut bytes, start as usize, len as usize);
-                    }
+        for generation in &mut index.generations {
+            let mut bytes = generation.spill.read_chunk(generation.handle).unwrap();
+            for ranges in generation.directory.values() {
+                for &(start, len) in ranges {
+                    corrupt(&mut bytes, start as usize, len as usize);
                 }
-                generation.handle = generation.spill.append(&bytes).unwrap();
             }
+            generation.handle = generation.spill.append(&bytes).unwrap();
         }
     }
 
@@ -1166,10 +1032,8 @@ mod tests {
 
         // A generation whose bytes cannot be read back at all.
         let mut index = healthy.clone();
-        for shard in &mut index.shards {
-            for generation in &mut shard.generations {
-                generation.handle.offset = u64::MAX / 2;
-            }
+        for generation in &mut index.generations {
+            generation.handle.offset = u64::MAX / 2;
         }
         let err = index.add_records(&[], std::slice::from_ref(&probe)).unwrap_err();
         assert!(matches!(err, ErError::Spill(_)), "{err:?}");
@@ -1236,9 +1100,11 @@ mod tests {
             cache.admit_left("title", tokenizer, &admitted(&left, &mut state));
             cache.admit_right("title", tokenizer, &admitted(&right, &mut state));
             let blocker = TokenBlocker::new("title", tokenizer);
-            for shards in [1usize, 3, 8] {
-                for budget in [0usize, 3] {
-                    let mut index = blocker.incremental_sharded(shards);
+            // Both step parities per budget: every step runs with and without
+            // the cache.
+            for budget in [0usize, 3] {
+                for parity in [0usize, 1] {
+                    let mut index = blocker.incremental();
                     index
                         .set_memory_budget(MemoryBudget { resident_postings: budget, ..MemoryBudget::default() })
                         .unwrap();
@@ -1246,10 +1112,9 @@ mod tests {
                     for step in 0..steps {
                         let l = left_batches.get(step).copied().unwrap_or(&[]);
                         let r = right_batches.get(step).copied().unwrap_or(&[]);
-                        let use_cache = (step + shards) % 2 == 0;
-                        let delta = index
-                            .add_records_with(l, r, &SerialExecutor, use_cache.then_some(&cache))
-                            .unwrap();
+                        let use_cache = (step + parity) % 2 == 0;
+                        let delta =
+                            index.add_records_with(l, r, use_cache.then_some(&cache)).unwrap();
                         let (old_left, old_right) = (seen_left, seen_right);
                         seen_left += l.len();
                         seen_right += r.len();
@@ -1265,8 +1130,8 @@ mod tests {
                         let reference: Vec<_> = reference.into_iter().collect();
                         prop_assert!(
                             delta == reference,
-                            "shards {} budget {} step {}: {:?} != {:?}",
-                            shards, budget, step, delta, reference
+                            "budget {} parity {} step {}: {:?} != {:?}",
+                            budget, parity, step, delta, reference
                         );
                     }
                     if budget > 0 {

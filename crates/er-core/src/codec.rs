@@ -38,8 +38,8 @@
 use crate::{ErError, Result};
 use std::hash::Hasher;
 
-/// FNV-1a 64-bit hash — the platform-independent hash used for token → shard
-/// assignment, posting directories and chunk checksums.
+/// FNV-1a 64-bit hash — the platform-independent hash used for posting
+/// directories and chunk checksums.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = Fnv1a::default();
     hash.write(bytes);
@@ -319,8 +319,8 @@ mod tests {
 
     #[test]
     fn fnv_is_stable() {
-        // Pinned reference values: the hash decides token → shard placement
-        // and on-disk directories, so it must never drift across platforms.
+        // Pinned reference values: the hash keys on-disk posting directories
+        // and checksums, so it must never drift across platforms.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

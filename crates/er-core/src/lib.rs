@@ -10,8 +10,8 @@
 //! * attribute-weighted [`aggregate`] similarity, with the paper's weighting rule
 //!   (weights proportional to the number of distinct attribute values);
 //! * [`blocking`] strategies to avoid the full cartesian product of record pairs,
-//!   including a hash-sharded incremental token index that parallelizes across
-//!   any [`parallel::ParallelExecutor`];
+//!   including an incremental token index that returns per-batch candidate
+//!   deltas and spills its posting lists under a [`spill::MemoryBudget`];
 //! * the [`workload`] model: similarity-scored instance pairs with ground-truth
 //!   labels, label assignments, quality metrics, and the equal-count subset
 //!   partitioning used by the HUMO optimizers — stored column-wise in chunked
@@ -29,7 +29,6 @@ pub mod aggregate;
 pub mod blocking;
 pub mod codec;
 pub mod error;
-pub mod parallel;
 pub mod record;
 pub mod similarity;
 pub mod spill;
@@ -38,7 +37,6 @@ pub mod workload;
 
 pub use aggregate::{AttributeMeasure, AttributeWeighting, PairScorer, ScoringConfig, TokenCache};
 pub use error::ErError;
-pub use parallel::{ParallelExecutor, SerialExecutor};
 pub use record::{AttributeValue, Dataset, Record, RecordId, Schema};
 pub use spill::{MemoryBudget, SpillStats};
 pub use workload::{

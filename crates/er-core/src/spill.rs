@@ -59,9 +59,9 @@ pub struct MemoryBudget {
     /// Maximum number of workload pairs kept in resident segment columns
     /// (`0` = unbounded). Coldest (lowest-similarity) segments spill first.
     pub resident_pairs: usize,
-    /// Maximum number of resident posting-list entries across all blocking
-    /// index shards (`0` = unbounded). Exceeding it freezes shards into
-    /// on-disk generations.
+    /// Maximum number of resident posting-list entries in the blocking index
+    /// (`0` = unbounded). Exceeding it freezes the resident postings into an
+    /// on-disk generation.
     pub resident_postings: usize,
     /// Capacity (in segments) of the read cache that pins recently touched
     /// spilled segments; at least one entry is always cached.

@@ -50,7 +50,7 @@
 //! {
 //!     let _span = obs.span("pipeline.ingest");
 //!     obs.counter("ingest.retained_pairs", 128);
-//!     obs.observe("blocking.shard_delta_pairs", 16.0);
+//!     obs.observe("pool.chunk_pairs", 16.0);
 //! }
 //!
 //! let snap = metrics.snapshot();

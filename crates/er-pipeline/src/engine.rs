@@ -454,8 +454,8 @@ impl ResolutionEngine {
         self.candidate_count
     }
 
-    /// The incremental blocking index — exposes shard count and posting-spill
-    /// state for observability.
+    /// The incremental blocking index — exposes its resident postings and
+    /// posting-spill state for observability.
     pub fn blocking_index(&self) -> &IncrementalTokenIndex {
         &self.index
     }
@@ -515,8 +515,8 @@ impl ResolutionEngine {
                 }
             }
         }
-        // Tokenize each record once: the memo feeds both the sharded blocking
-        // probes and every token-based scoring measure below.
+        // Tokenize each record once: the memo feeds both the blocking probes
+        // and every token-based scoring measure below.
         self.cache.admit_left(&self.config.blocking_attribute, self.config.tokenizer, &left_batch);
         self.cache.admit_right(
             &self.config.blocking_attribute,
@@ -526,7 +526,7 @@ impl ResolutionEngine {
         self.cache.admit_scoring(&self.config.scoring, &left_batch, &right_batch);
         let delta = {
             let _block_span = obs.span("ingest.block");
-            self.index.add_records_with(&left_batch, &right_batch, &self.pool, Some(&self.cache))
+            self.index.add_records_with(&left_batch, &right_batch, Some(&self.cache))
         };
         self.blocking_failed = delta.is_err();
         let delta = delta?;

@@ -8,17 +8,14 @@
 //! entities. This crate supplies that missing machinery:
 //!
 //! * [`engine::ResolutionEngine`] — ingest record batches through `er-core`'s
-//!   hash-sharded incremental blocking index (per-shard candidate deltas fan
-//!   out over the worker pool), score only the delta candidate pairs — with
+//!   incremental blocking index, score only the delta candidate pairs — with
 //!   each record tokenized once at ingest into interned token ids
 //!   ([`er_core::aggregate::TokenCache`]), so set similarities are one merge
 //!   of two sorted id slices — and maintain the
 //!   similarity-sorted workload under insertion (`Workload::insert_sorted`);
 //! * [`pool::WorkerPool`] — a hand-rolled `std::thread` chunk-sharded map used
 //!   for parallel pair scoring (the environment is offline, so no `rayon`),
-//!   with balanced chunk sizes and an
-//!   [`er_core::parallel::ParallelExecutor`] implementation so `er-core`'s
-//!   sharded blocking can borrow the pool without a dependency cycle;
+//!   with balanced chunk sizes;
 //! * out-of-core operation — [`engine::PipelineConfig::memory_budget`] caps
 //!   resident workload pairs and posting-list entries; past the budget, cold
 //!   workload segments and frozen posting generations overflow into

@@ -12,14 +12,12 @@
 //! the last worker nearly idle — 10 items over 4 workers strides as 3/3/3/1
 //! instead of 3/3/2/2 — which wastes a worker slot on every uneven input.)
 //!
-//! The pool also implements [`er_core::parallel::ParallelExecutor`], so it can
-//! drive the per-shard candidate generation of
-//! [`er_core::blocking::IncrementalTokenIndex`] without `er-core` depending on
-//! any threading machinery.
+//! The pool drives scoring only: blocking
+//! ([`er_core::blocking::IncrementalTokenIndex`]) runs inline on the ingesting
+//! thread.
 
 use crate::Result;
 use er_core::aggregate::{PairScorer, TokenCache};
-use er_core::parallel::ParallelExecutor;
 use er_core::record::{Dataset, RecordId};
 
 /// A fixed-width pool of scoped worker threads.
@@ -139,44 +137,6 @@ impl WorkerPool {
     }
 }
 
-impl ParallelExecutor for WorkerPool {
-    fn map_mut<T, U, F>(&self, items: &mut [T], f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(usize, &mut T) -> U + Sync,
-    {
-        if self.threads <= 1 || items.len() < 2 {
-            return items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect();
-        }
-        let len = items.len();
-        let mut results: Vec<Vec<U>> = Vec::with_capacity(self.threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.threads);
-            let mut rest = items;
-            let mut base = 0;
-            for size in balanced_chunk_sizes(len, self.threads) {
-                let (shard, tail) = rest.split_at_mut(size);
-                rest = tail;
-                let f = &f;
-                let start = base;
-                base += size;
-                handles.push(scope.spawn(move || {
-                    shard
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, item)| f(start + i, item))
-                        .collect::<Vec<U>>()
-                }));
-            }
-            for handle in handles {
-                results.push(handle.join().expect("executor worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
-    }
-}
-
 impl Default for WorkerPool {
     fn default() -> Self {
         Self::new(0)
@@ -227,22 +187,6 @@ mod tests {
         // Inputs smaller than the worker count still work.
         assert_eq!(WorkerPool::new(16).map(&[7u64], |&x| x + 1), vec![8]);
         assert_eq!(WorkerPool::new(4).map(&[] as &[u64], |&x| x), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn map_mut_mutates_in_place_and_preserves_order() {
-        let expected_out: Vec<usize> = (0..101).map(|i| i * 2).collect();
-        let expected_items: Vec<u64> = (1..102).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let pool = WorkerPool::new(threads);
-            let mut items: Vec<u64> = (0..101).collect();
-            let out = pool.map_mut(&mut items, |i, item| {
-                *item += 1;
-                i * 2
-            });
-            assert_eq!(out, expected_out, "threads = {threads}");
-            assert_eq!(items, expected_items, "threads = {threads}");
-        }
     }
 
     fn dataset(name: &str, titles: &[(u64, &str)]) -> Dataset {
