@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! trace_check <trace.jsonl> [required-name-prefix ...]
+//! trace_check <trace.jsonl> [--summary] [required-name-prefix ...]
 //! ```
 //!
 //! The file is checked against the documented trace schema
@@ -12,8 +12,14 @@
 //! running counter totals. Each extra argument is a required event-name
 //! prefix; the check fails if no event name starts with it. CI runs this
 //! over a `streaming_dedup` trace with the prefixes
-//! `pipeline.ingest blocking. ingest.score spill. session.` to prove the
-//! trace covers ingest, blocking, scoring, spill and session-round events.
+//! `pipeline.ingest blocking. ingest.score spill. session. plan.` to prove
+//! the trace covers ingest, blocking, scoring, spill, session-round and SAMP
+//! plan events.
+//!
+//! With `--summary` it also prints one row per span name
+//! ([`er_obs::summarize_spans`]): how many spans closed, their total wall
+//! time, and their self time — the total minus the time of the spans nested
+//! directly inside them.
 //!
 //! Exits non-zero (with the violations printed) on any schema violation or
 //! missing prefix.
@@ -21,9 +27,12 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let summary = args.iter().any(|arg| arg == "--summary");
+    args.retain(|arg| arg != "--summary");
+    let mut args = args.into_iter();
     let Some(path) = args.next() else {
-        eprintln!("usage: trace_check <trace.jsonl> [required-name-prefix ...]");
+        eprintln!("usage: trace_check <trace.jsonl> [--summary] [required-name-prefix ...]");
         return ExitCode::FAILURE;
     };
     let text = match std::fs::read_to_string(&path) {
@@ -36,6 +45,16 @@ fn main() -> ExitCode {
 
     let report = er_obs::validate_trace(&text);
     println!("{path}: {} events, {} distinct names", report.events, report.names.len());
+
+    if summary {
+        println!("{:<28} {:>8} {:>12} {:>12}", "span", "count", "total_ms", "self_ms");
+        for row in er_obs::summarize_spans(&text) {
+            println!(
+                "{:<28} {:>8} {:>12.3} {:>12.3}",
+                row.name, row.count, row.total_ms, row.self_ms
+            );
+        }
+    }
 
     let mut failed = false;
     if !report.is_valid() {

@@ -33,7 +33,11 @@
 //! and `session.replay_cache.reemit_hits` for each step that re-emits a
 //! partly answered batch without replaying the optimizer),
 //! `refine.search_evaluations` (boundary-search bound evaluations per
-//! replay), `gp.*` — and, since the crowd-labeling subsystem,
+//! replay), `gp.*`, `plan.*` (the SAMP/HYBR estimation phase, once per
+//! replay that misses the cached plan: the `plan.train` span around
+//! Algorithm 1's sampling and GP training, and the `plan.calibrate` span
+//! around the GP posterior, the count estimator and the subset-bound
+//! search) — and, since the crowd-labeling subsystem,
 //! `crowd.*` (votes, disagreements, escalations, aggregated labels, EM
 //! runs/iterations as counters; `crowd.reliability_abs_error` as a gauge
 //! reporting estimated-vs-true worker error after each EM pass).
@@ -70,7 +74,7 @@ pub mod trace;
 pub use config::{ObsConfig, ObsMode, ObsSetup};
 pub use json::Json;
 pub use metrics::{Histogram, MetricsRecorder, MetricsSnapshot, SpanStats};
-pub use schema::{validate_trace, TraceReport};
+pub use schema::{summarize_spans, validate_trace, SpanSummary, TraceReport};
 pub use trace::TraceRecorder;
 
 use std::sync::Arc;

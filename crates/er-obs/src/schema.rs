@@ -159,6 +159,58 @@ pub fn validate_trace(text: &str) -> TraceReport {
     report
 }
 
+/// Time spent in one span name over a whole trace.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SpanSummary {
+    /// The span name.
+    pub name: String,
+    /// Number of closed spans with this name.
+    pub count: u64,
+    /// Sum of their `elapsed_us`, in milliseconds.
+    pub total_ms: f64,
+    /// `total_ms` minus the time of the spans nested directly inside them.
+    pub self_ms: f64,
+}
+
+/// Folds the span events of a JSONL trace into one [`SpanSummary`] per span
+/// name, largest total first (ties by name).
+///
+/// Self time subtracts each child's `elapsed_us` from the span it nests in,
+/// so the self times of a trace's spans add up to the time its top-level
+/// spans cover. The fold assumes the nesting [`validate_trace`] checks:
+/// lines that do not parse, and a `span_end` that does not match the open
+/// span, are skipped.
+pub fn summarize_spans(text: &str) -> Vec<SpanSummary> {
+    let mut rows: BTreeMap<String, SpanSummary> = BTreeMap::new();
+    // Open spans, each with the time of its closed children so far.
+    let mut open: Vec<(String, f64)> = Vec::new();
+    for line in text.lines() {
+        let Ok(event) = Json::parse(line) else { continue };
+        let Some(name) = event.get("name").and_then(Json::as_str) else { continue };
+        match event.get("kind").and_then(Json::as_str) {
+            Some("span_start") => open.push((name.to_string(), 0.0)),
+            Some("span_end") if open.last().is_some_and(|(top, _)| top == name) => {
+                let (_, children) = open.pop().expect("checked non-empty");
+                let elapsed = f64_field(&event, "elapsed_us").unwrap_or(0.0) / 1e3;
+                let row = rows.entry(name.to_string()).or_insert_with(|| SpanSummary {
+                    name: name.to_string(),
+                    ..Default::default()
+                });
+                row.count += 1;
+                row.total_ms += elapsed;
+                row.self_ms += elapsed - children;
+                if let Some((_, parent_children)) = open.last_mut() {
+                    *parent_children += elapsed;
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut rows: Vec<SpanSummary> = rows.into_values().collect();
+    rows.sort_by(|a, b| b.total_ms.total_cmp(&a.total_ms).then_with(|| a.name.cmp(&b.name)));
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +286,27 @@ mod tests {
         assert!(report.violations.iter().any(|v| v.contains("unknown kind")));
         assert!(report.violations.iter().any(|v| v.contains("still open")));
         assert!(report.violations.iter().any(|v| v.contains("invalid JSON")));
+    }
+
+    #[test]
+    fn span_summary_splits_total_into_self_and_child_time() {
+        let trace = concat!(
+            "{\"ts_us\":0,\"kind\":\"span_start\",\"name\":\"session.step\",\"depth\":0}\n",
+            "{\"ts_us\":1,\"kind\":\"span_start\",\"name\":\"plan.train\",\"depth\":1}\n",
+            "{\"ts_us\":2,\"kind\":\"counter\",\"name\":\"gp.reselect\",\"delta\":1,\"total\":1}\n",
+            "{\"ts_us\":3,\"kind\":\"span_end\",\"name\":\"plan.train\",\"elapsed_us\":2000}\n",
+            "{\"ts_us\":4,\"kind\":\"span_start\",\"name\":\"plan.calibrate\",\"depth\":1}\n",
+            "{\"ts_us\":5,\"kind\":\"span_end\",\"name\":\"plan.calibrate\",\"elapsed_us\":3000}\n",
+            "{\"ts_us\":6,\"kind\":\"span_end\",\"name\":\"session.step\",\"elapsed_us\":10000}\n",
+            "{\"ts_us\":7,\"kind\":\"span_start\",\"name\":\"plan.train\",\"depth\":0}\n",
+            "{\"ts_us\":8,\"kind\":\"span_end\",\"name\":\"plan.train\",\"elapsed_us\":500}\n",
+        );
+        let rows = summarize_spans(trace);
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["session.step", "plan.calibrate", "plan.train"]);
+        assert_eq!((rows[0].count, rows[0].total_ms, rows[0].self_ms), (1, 10.0, 5.0));
+        assert_eq!((rows[1].count, rows[1].total_ms, rows[1].self_ms), (1, 3.0, 3.0));
+        assert_eq!((rows[2].count, rows[2].total_ms, rows[2].self_ms), (2, 2.5, 2.5));
     }
 
     #[test]

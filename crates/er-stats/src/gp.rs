@@ -13,8 +13,14 @@
 //! The implementation uses a squared-exponential (RBF) kernel plus a noise
 //! (nugget) term, and a Cholesky factorization of the training covariance.
 
-use crate::linalg::{dot, Cholesky, Matrix};
+use crate::linalg::{dot, dot_seed, Cholesky, Matrix};
 use crate::{Result, StatsError};
+use std::collections::HashMap;
+
+/// Query points per side of one covariance tile in
+/// [`GaussianProcess::predict_joint_into`]: the tile's `TILE²` dot products
+/// accumulate side by side.
+const TILE: usize = 4;
 
 /// A covariance kernel over scalar inputs.
 pub trait Kernel {
@@ -506,29 +512,175 @@ impl GaussianProcess {
 
     /// Full posterior (means and joint covariance) at a set of query points
     /// (Eq. 15–20 of the paper).
+    ///
+    /// Allocates the `m × m` covariance and fills it with
+    /// [`GaussianProcess::predict_joint_into`], which documents the cost and
+    /// the bit-identity contract.
     pub fn predict_joint(&self, query: &[f64]) -> GpPosterior {
         let m = query.len();
-        let mean: Vec<f64> = query.iter().map(|&x| self.predict_mean(x)).collect();
-
-        // Covariance: K(X*,X*) − K(X*,X) (K+σ²I)⁻¹ K(X,X*)
-        // computed as K** − Vᵀ V with V = L⁻¹ K(X,X*).
-        let k_star = self.kernel.matrix(&self.train_x, query); // n × m
-        let mut v_cols: Vec<Vec<f64>> = Vec::with_capacity(m);
-        for j in 0..m {
-            let col: Vec<f64> = (0..self.train_x.len()).map(|i| k_star[(i, j)]).collect();
-            v_cols.push(self.factor.forward_substitute(&col));
-        }
-        let covariance = Matrix::from_fn(m, m, |i, j| {
-            let prior = self.kernel.eval(query[i], query[j]);
-            let reduction = dot(&v_cols[i], &v_cols[j]);
-            let value = prior - reduction;
-            if i == j {
-                value.max(0.0)
-            } else {
-                value
-            }
-        });
+        let mut mean = vec![0.0; m];
+        let mut covariance = vec![0.0; m * m];
+        self.predict_joint_into(query, &mut mean, &mut covariance, m);
+        let covariance = Matrix::from_rows(m, m, covariance).expect("an m × m covariance buffer");
         GpPosterior { mean, covariance }
+    }
+
+    /// Writes the posterior at the `m` query points into caller-owned
+    /// buffers: the mean of point `i` into `mean[i]` and the covariance of
+    /// points `i` and `j` into `covariance[i * stride + j]`. Cells outside the
+    /// `m × m` block are left untouched, so the block can sit inside a larger
+    /// table (the HUMO count estimator writes it at offset `(1, 1)` of its
+    /// `(m+1)²` prefix table and never holds a separate covariance matrix).
+    ///
+    /// The covariance is `K(X*,X*) − Vᵀ V` with `V = L⁻¹ K(X,X*)`
+    /// (Rasmussen & Williams 2006, Alg. 2.1). Equal query points have equal
+    /// posterior rows, so the work runs on the `u ≤ m` distinct points and
+    /// the block is then expanded in place. `K(X,X*)` is evaluated once,
+    /// into one buffer of k-major panels of four query columns; the mean
+    /// reads it before it is solved into `V` in place. Only the upper
+    /// triangle is computed — one prior kernel evaluation and one
+    /// length-`n` dot product per unordered pair, O(u²·n/2) — and mirrored.
+    /// The dot products of a 4 × 4 block of pairs accumulate side by side,
+    /// so none waits on the latency of its own previous addition.
+    ///
+    /// **Bit-identity.** Every value equals, bit for bit, the dense textbook
+    /// computation: `target_mean + dot(k*ᵢ, α)` for mean `i`, and
+    /// `k(x*ᵢ, x*ⱼ) − dot(vᵢ, vⱼ)` for cell `(i, j)` (the diagonal clamped
+    /// at zero), where `vᵢ` is [`Cholesky::forward_substitute`] of `k*ᵢ`.
+    /// Each sum keeps [`dot`]'s left-to-right order and initial value, and
+    /// each solve step keeps the substitution's. The covariance is therefore
+    /// exactly symmetric.
+    ///
+    /// # Panics
+    /// Panics if `mean.len() != query.len()`, if `stride < query.len()`, or
+    /// if `covariance` is too short to hold row `m − 1` at that stride.
+    pub fn predict_joint_into(
+        &self,
+        query: &[f64],
+        mean: &mut [f64],
+        covariance: &mut [f64],
+        stride: usize,
+    ) {
+        let m = query.len();
+        assert_eq!(mean.len(), m, "one mean slot per query point");
+        assert!(stride >= m, "covariance stride {stride} is below the {m} query points");
+        assert!(
+            m == 0 || covariance.len() >= (m - 1) * stride + m,
+            "covariance buffer too short for {m} query points at stride {stride}"
+        );
+        // Distinct points in order of first occurrence, so `slot[i] <= i`.
+        let mut first: HashMap<u64, usize> = HashMap::with_capacity(m);
+        let mut points: Vec<f64> = Vec::with_capacity(m);
+        let slot: Vec<usize> = query
+            .iter()
+            .map(|&x| {
+                *first.entry(x.to_bits()).or_insert_with(|| {
+                    points.push(x);
+                    points.len() - 1
+                })
+            })
+            .collect();
+        let u = points.len();
+        self.distinct_posterior(&points, &mut mean[..u], covariance, stride);
+        if u < m {
+            // Row `i` copies distinct row `slot[i] <= i`, and cell `j` reads
+            // column `slot[j] <= j`: walking both downwards reads every
+            // source before it is overwritten.
+            for i in (0..m).rev() {
+                mean[i] = mean[slot[i]];
+                let (src, dst) = (slot[i] * stride, i * stride);
+                for j in (0..m).rev() {
+                    covariance[dst + j] = covariance[src + slot[j]];
+                }
+            }
+        }
+        for i in 0..m {
+            let cell = &mut covariance[i * stride + i];
+            *cell = cell.max(0.0);
+        }
+    }
+
+    /// The posterior at pairwise distinct `points`, laid out as in
+    /// [`GaussianProcess::predict_joint_into`] but with the diagonal not yet
+    /// clamped at zero: the off-diagonal cell of two equal query points
+    /// copies the unclamped value.
+    fn distinct_posterior(
+        &self,
+        points: &[f64],
+        mean: &mut [f64],
+        covariance: &mut [f64],
+        stride: usize,
+    ) {
+        let (m, n) = (points.len(), self.train_x.len());
+        let panel_len = n * TILE;
+        let panels = m.div_ceil(TILE);
+
+        // Panel `p` holds points `p·TILE ..`, k-major: entry `k·TILE + c`
+        // is K(x_k, x*_{p·TILE+c}), zero past the last point.
+        let mut v = vec![0.0; panels * panel_len];
+        for (panel, cols) in v.chunks_exact_mut(panel_len).zip(points.chunks(TILE)) {
+            for (row, &t) in panel.chunks_exact_mut(TILE).zip(&self.train_x) {
+                for (cell, &x) in row.iter_mut().zip(cols) {
+                    *cell = self.kernel.eval(t, x);
+                }
+            }
+        }
+
+        let seed = dot_seed();
+        let l = self.factor.factor();
+        for (panel, out) in v.chunks_exact_mut(panel_len).zip(mean.chunks_mut(TILE)) {
+            // Mean: target_mean + Σ_k K(x_k, x*) α_k, before the solve
+            // overwrites the kernel column.
+            let mut sums = [seed; TILE];
+            for (row, &a) in panel.chunks_exact(TILE).zip(&self.alpha) {
+                for (sum, &k) in sums.iter_mut().zip(row) {
+                    *sum += k * a;
+                }
+            }
+            for (value, sum) in out.iter_mut().zip(sums) {
+                *value = self.target_mean + sum;
+            }
+            // Forward substitution L V = K, all of the panel's columns at once.
+            for i in 0..n {
+                let (solved, rest) = panel.split_at_mut(i * TILE);
+                let row = &mut rest[..TILE];
+                for (k, solved_row) in solved.chunks_exact(TILE).enumerate() {
+                    let lik = l[(i, k)];
+                    for (y, &yk) in row.iter_mut().zip(solved_row) {
+                        *y -= lik * yk;
+                    }
+                }
+                let pivot = l[(i, i)];
+                for y in row.iter_mut() {
+                    *y /= pivot;
+                }
+            }
+        }
+
+        for (pi, vi) in v.chunks_exact(panel_len).enumerate() {
+            for (pj, vj) in v.chunks_exact(panel_len).enumerate().skip(pi) {
+                let mut acc = [[seed; TILE]; TILE];
+                // `as_chunks` gives the tile's rows a static length, so the
+                // accumulators stay in registers.
+                for (a, b) in vi.as_chunks::<TILE>().0.iter().zip(vj.as_chunks::<TILE>().0) {
+                    for r in 0..TILE {
+                        for c in 0..TILE {
+                            acc[r][c] += a[r] * b[c];
+                        }
+                    }
+                }
+                let cols = pj * TILE..m.min(pj * TILE + TILE);
+                for (r, acc_row) in acc.iter().enumerate() {
+                    let i = pi * TILE + r;
+                    for j in cols.start.max(i)..cols.end {
+                        let value =
+                            self.kernel.eval(points[i], points[j]) - acc_row[j - cols.start];
+                        covariance[i * stride + j] = value;
+                        covariance[j * stride + i] = value;
+                    }
+                }
+            }
+        }
     }
 
     /// Convenience wrapper returning `(mean, std_dev)` at a single point.
@@ -633,9 +785,132 @@ mod tests {
         for i in 0..4 {
             assert!(post.covariance[(i, i)] >= 0.0);
             for j in 0..4 {
-                assert_close(post.covariance[(i, j)], post.covariance[(j, i)], 1e-9);
+                assert_eq!(
+                    post.covariance[(i, j)].to_bits(),
+                    post.covariance[(j, i)].to_bits(),
+                    "covariance ({i},{j}) is not bitwise symmetric"
+                );
             }
         }
+    }
+
+    /// The dense posterior `predict_joint` computed before the tiled kernel:
+    /// per-point means through `predict_mean`, one forward substitution per
+    /// query column, and a `dot` per covariance cell. Kept as the reference
+    /// the tiled kernel must match bit for bit.
+    fn predict_joint_reference(gp: &GaussianProcess, query: &[f64]) -> GpPosterior {
+        let m = query.len();
+        let mean: Vec<f64> = query.iter().map(|&x| gp.predict_mean(x)).collect();
+        let k_star = gp.kernel.matrix(&gp.train_x, query); // n × m
+        let mut v_cols: Vec<Vec<f64>> = Vec::with_capacity(m);
+        for j in 0..m {
+            let col: Vec<f64> = (0..gp.train_x.len()).map(|i| k_star[(i, j)]).collect();
+            v_cols.push(gp.factor.forward_substitute(&col));
+        }
+        let covariance = Matrix::from_fn(m, m, |i, j| {
+            let prior = gp.kernel.eval(query[i], query[j]);
+            let reduction = dot(&v_cols[i], &v_cols[j]);
+            let value = prior - reduction;
+            if i == j {
+                value.max(0.0)
+            } else {
+                value
+            }
+        });
+        GpPosterior { mean, covariance }
+    }
+
+    /// A heteroscedastic fit on `n` random points with a random kernel, and
+    /// `m` unsorted query points with duplicates and training inputs mixed
+    /// in. `None` when the random training covariance cannot be factored.
+    fn random_fit_and_query(n: usize, m: usize, seed: u64) -> Option<(GaussianProcess, Vec<f64>)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x * x + rng.gen_range(-0.1..0.1)).collect();
+        let noise: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..0.02)).collect();
+        let config = GpConfig {
+            signal_variance: rng.gen_range(0.01..2.0),
+            length_scale: Some(rng.gen_range(0.02..1.0)),
+            optimize_length_scale: false,
+            ..GpConfig::default()
+        };
+        let gp = GaussianProcess::fit_with_noise(&xs, &ys, &noise, config).ok()?;
+        // Repeat an earlier point with probability 0, 1/4, 1/2 or 3/4.
+        let repeats = rng.gen_range(0..4);
+        let mut query: Vec<f64> = Vec::with_capacity(m);
+        for _ in 0..m {
+            let x = match rng.gen_range(0..8) {
+                r if r < 2 * repeats && !query.is_empty() => query[rng.gen_range(0..query.len())],
+                7 => xs[rng.gen_range(0..n)],
+                _ => rng.gen_range(-0.2..1.2),
+            };
+            query.push(x);
+        }
+        Some((gp, query))
+    }
+
+    proptest::proptest! {
+        // A case costs O(m²·n) twice in an unoptimized test build; 16 cases
+        // keep the property at a few seconds.
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 16,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// The tiled posterior is bit-identical to the dense reference: every
+        /// mean and every covariance cell, for any training size, any query
+        /// count (including empty and tile remainders), duplicate and
+        /// unsorted query points, random kernels and heteroscedastic noise.
+        #[test]
+        fn predict_joint_is_bit_identical_to_the_dense_reference(
+            n in 2usize..65,
+            m in 0usize..901,
+            seed in 0u64..1_000_000,
+        ) {
+            let Some((gp, query)) = random_fit_and_query(n, m, seed) else {
+                proptest::prop_assume!(false);
+                unreachable!()
+            };
+            let fast = gp.predict_joint(&query);
+            let reference = predict_joint_reference(&gp, &query);
+            for i in 0..m {
+                proptest::prop_assert_eq!(fast.mean[i].to_bits(), reference.mean[i].to_bits());
+                for j in 0..m {
+                    let (a, b) = (fast.covariance[(i, j)], reference.covariance[(i, j)]);
+                    proptest::prop_assert!(
+                        a.to_bits() == b.to_bits(),
+                        "cell ({i},{j}): {a} vs reference {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predict_joint_into_writes_only_the_strided_block() {
+        let xs = [0.0, 0.3, 0.6, 1.0];
+        let ys = [0.0, 0.25, 0.65, 1.0];
+        let gp = GaussianProcess::fit(&xs, &ys, config_no_opt()).unwrap();
+        let query = [0.9, 0.15, 0.45, 0.15, 0.7];
+        let (m, stride) = (query.len(), query.len() + 3);
+        let mut mean = vec![0.0; m];
+        let mut buffer = vec![f64::NAN; (m - 1) * stride + m + 2];
+        gp.predict_joint_into(&query, &mut mean, &mut buffer, stride);
+        let dense = gp.predict_joint(&query);
+        for i in 0..m {
+            assert_eq!(mean[i].to_bits(), dense.mean[i].to_bits());
+            for j in 0..m {
+                assert_eq!(buffer[i * stride + j].to_bits(), dense.covariance[(i, j)].to_bits());
+            }
+        }
+        let outside = buffer
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| k >= (m - 1) * stride + m || k % stride >= m)
+            .map(|(_, v)| *v);
+        assert!(outside.clone().count() > 0 && outside.into_iter().all(f64::is_nan));
     }
 
     #[test]

@@ -331,6 +331,13 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// The value [`dot`] starts its left-to-right sum from (the identity of
+/// `f64`'s `Sum`). Kernels that interleave many dot products and must match
+/// [`dot`] bit for bit start every accumulator here.
+pub(crate) fn dot_seed() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -402,8 +402,12 @@ impl PartialSamplingOptimizer {
         let partition = cache.partition_or_compute(|| Ok(workload.partition(cfg.unit_size)?))?;
         let m = partition.len();
 
-        let (gp, diagonal_scale, used, prior_coords) =
-            self.train_match_proportion_gp(workload, &partition, slate, warm, cache)?;
+        let obs = workload.obs();
+        let (gp, diagonal_scale, used, prior_coords) = {
+            let _train = obs.span("plan.train");
+            self.train_match_proportion_gp(workload, &partition, slate, warm, cache)?
+        };
+        let calibrate_span = obs.span("plan.calibrate");
         let query: Vec<f64> = partition.subsets().iter().map(|s| s.mean_similarity()).collect();
         // Independent per-subset variance: the calibrated scatter term (when the
         // workload exhibits scatter) plus a Poisson-style floor — the number of
@@ -437,6 +441,7 @@ impl PartialSamplingOptimizer {
         let sizes: Vec<usize> = partition.subsets().iter().map(|s| s.len()).collect();
         let estimator = CalibratedEstimator::new(base, &sizes, &query, &used, length_scale, tail);
         let subset_bounds = search_subset_bounds(&estimator, m, &cfg.requirement);
+        drop(calibrate_span);
         // Reused priors keep the coordinate they were originally sampled at;
         // fresh samples are keyed by their subset's mean similarity.
         let observations = used
