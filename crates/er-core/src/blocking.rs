@@ -8,9 +8,8 @@
 //! [`build_workload`] helper reproduces that pipeline: candidate generation →
 //! scoring → threshold filter → similarity-sorted [`Workload`].
 //!
-//! Both blockers also come in an **incremental** flavour for streaming
-//! ingestion ([`TokenBlocker::incremental`],
-//! [`SortedNeighbourhoodBlocker::incremental`]): record batches are folded into
+//! The token blocker also comes in an **incremental** flavour for streaming
+//! ingestion ([`TokenBlocker::incremental`]): record batches are folded into
 //! a persistent index and each `add_records` call returns only the *delta*
 //! candidate pairs — the pairs involving at least one record of the new batch —
 //! without rescanning the pairs of previously ingested records.
@@ -426,182 +425,6 @@ impl IncrementalTokenIndex {
     }
 }
 
-/// Sorted-neighbourhood blocking: both datasets are sorted by a normalized blocking
-/// key and records within a sliding window of each other become candidates.
-#[derive(Debug, Clone)]
-pub struct SortedNeighbourhoodBlocker {
-    attribute: String,
-    window: usize,
-}
-
-impl SortedNeighbourhoodBlocker {
-    /// Creates a sorted-neighbourhood blocker over the given attribute with the
-    /// given window size (a window of `w` pairs each record with the `w` records
-    /// around it in key order).
-    pub fn new(attribute: impl Into<String>, window: usize) -> Self {
-        Self { attribute: attribute.into(), window: window.max(1) }
-    }
-
-    /// Generates candidate pairs between two datasets.
-    ///
-    /// Overlapping windows encounter the same pair repeatedly; emitted pairs are
-    /// deduplicated so every candidate appears exactly once.
-    pub fn candidates(&self, a: &Dataset, b: &Dataset) -> Vec<(RecordId, RecordId)> {
-        let mut entries: Vec<SnEntry> = Vec::with_capacity(a.len() + b.len());
-        for r in a.iter() {
-            entries.push(SnEntry::new(&self.attribute, r, true));
-        }
-        for r in b.iter() {
-            entries.push(SnEntry::new(&self.attribute, r, false));
-        }
-        entries.sort_by(SnEntry::cmp);
-
-        let mut seen: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-        for i in 0..entries.len() {
-            let hi = (i + self.window + 1).min(entries.len());
-            for j in (i + 1)..hi {
-                if let Some(pair) = SnEntry::cross_pair(&entries[i], &entries[j]) {
-                    seen.insert(pair);
-                }
-            }
-        }
-        seen.into_iter().collect()
-    }
-
-    /// Creates an empty incremental index with this blocker's attribute and
-    /// window. Feed record batches through
-    /// [`IncrementalSortedNeighbourhoodIndex::add_records`] to obtain delta
-    /// candidates.
-    pub fn incremental(&self) -> IncrementalSortedNeighbourhoodIndex {
-        IncrementalSortedNeighbourhoodIndex {
-            attribute: self.attribute.clone(),
-            window: self.window,
-            entries: Vec::new(),
-        }
-    }
-}
-
-/// One key-sorted entry of a sorted-neighbourhood arrangement.
-#[derive(Debug, Clone)]
-struct SnEntry {
-    key: String,
-    id: RecordId,
-    from_left: bool,
-}
-
-impl SnEntry {
-    fn new(attribute: &str, record: &Record, from_left: bool) -> Self {
-        let key = crate::text::normalize(record.text(attribute).unwrap_or(""));
-        Self { key, id: record.id(), from_left }
-    }
-
-    /// Canonical total order: by key, then left-side entries before right-side
-    /// ones, then by record id. Because the order is total and independent of
-    /// insertion sequence, the batch and incremental arrangements agree.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| other.from_left.cmp(&self.from_left))
-            .then_with(|| self.id.cmp(&other.id))
-    }
-
-    /// The normalized `(left, right)` pair when the two entries come from
-    /// different sides, `None` otherwise.
-    fn cross_pair(x: &Self, y: &Self) -> Option<(RecordId, RecordId)> {
-        match (x.from_left, y.from_left) {
-            (true, false) => Some((x.id, y.id)),
-            (false, true) => Some((y.id, x.id)),
-            _ => None,
-        }
-    }
-}
-
-/// A persistent sorted-neighbourhood arrangement supporting incremental
-/// ingestion.
-///
-/// New batches are merge-inserted into the key-sorted arrangement and each new
-/// entry is paired with the records inside its window at its final position, so
-/// the per-batch work is `O(existing + batch·window)` — old windows are never
-/// re-scanned. Every delta pair involves a record of the current batch, hence a
-/// pair is never emitted twice across batches.
-///
-/// Unlike token blocking, sorted-neighbourhood candidates are **monotone but not
-/// split-invariant**: records inserted later can push two earlier records apart,
-/// so the union of the deltas is a *superset* of the batch
-/// [`SortedNeighbourhoodBlocker::candidates`] on the union (it covers every
-/// batch pair, plus pairs that were window-neighbours at some point of the
-/// ingestion history). Once emitted, a candidate stays a candidate.
-#[derive(Debug, Clone)]
-pub struct IncrementalSortedNeighbourhoodIndex {
-    attribute: String,
-    window: usize,
-    entries: Vec<SnEntry>,
-}
-
-impl IncrementalSortedNeighbourhoodIndex {
-    /// Number of records folded into the arrangement so far (both sides).
-    pub fn records_indexed(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Folds a batch of records into the arrangement and returns the **new**
-    /// candidate pairs: every cross-source pair within the window of a record of
-    /// this batch, at its position in the updated arrangement. Pairs are
-    /// deduplicated and sorted.
-    pub fn add_records(
-        &mut self,
-        left_batch: &[Record],
-        right_batch: &[Record],
-    ) -> Vec<(RecordId, RecordId)> {
-        let mut incoming: Vec<SnEntry> = Vec::with_capacity(left_batch.len() + right_batch.len());
-        for r in left_batch {
-            incoming.push(SnEntry::new(&self.attribute, r, true));
-        }
-        for r in right_batch {
-            incoming.push(SnEntry::new(&self.attribute, r, false));
-        }
-        incoming.sort_by(SnEntry::cmp);
-
-        // Merge the sorted batch into the sorted arrangement, recording the
-        // final positions of the new entries.
-        let old = std::mem::take(&mut self.entries);
-        let mut merged = Vec::with_capacity(old.len() + incoming.len());
-        let mut new_positions = Vec::with_capacity(incoming.len());
-        let mut old_iter = old.into_iter().peekable();
-        let mut new_iter = incoming.into_iter().peekable();
-        loop {
-            let take_new = match (old_iter.peek(), new_iter.peek()) {
-                (Some(o), Some(n)) => SnEntry::cmp(n, o) == std::cmp::Ordering::Less,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (None, None) => break,
-            };
-            if take_new {
-                new_positions.push(merged.len());
-                merged.push(new_iter.next().expect("peeked"));
-            } else {
-                merged.push(old_iter.next().expect("peeked"));
-            }
-        }
-        self.entries = merged;
-
-        let mut delta: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-        for &p in &new_positions {
-            let lo = p.saturating_sub(self.window);
-            let hi = (p + self.window).min(self.entries.len().saturating_sub(1));
-            for j in lo..=hi {
-                if j == p {
-                    continue;
-                }
-                if let Some(pair) = SnEntry::cross_pair(&self.entries[p], &self.entries[j]) {
-                    delta.insert(pair);
-                }
-            }
-        }
-        delta.into_iter().collect()
-    }
-}
-
 /// Scores candidate pairs, filters them by a similarity threshold, and assembles a
 /// similarity-sorted [`Workload`] with ground-truth labels.
 ///
@@ -720,19 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_neighbourhood_pairs_nearby_keys() {
-        let a = dataset("a", &[(1, "aaa"), (2, "mmm"), (3, "zzz")]);
-        let b = dataset("b", &[(10, "aab"), (11, "mmn"), (12, "zzy")]);
-        let blocker = SortedNeighbourhoodBlocker::new("title", 2);
-        let candidates = blocker.candidates(&a, &b);
-        assert!(candidates.contains(&(RecordId(1), RecordId(10))));
-        assert!(candidates.contains(&(RecordId(2), RecordId(11))));
-        assert!(candidates.contains(&(RecordId(3), RecordId(12))));
-        // Distant keys should not be paired with a small window.
-        assert!(!candidates.contains(&(RecordId(1), RecordId(12))));
-    }
-
-    #[test]
     fn build_workload_scores_filters_and_labels() {
         let a = dataset("a", &[(1, "entity resolution framework"), (2, "deep learning")]);
         let b = dataset(
@@ -766,28 +576,6 @@ mod tests {
         let scorer = title_scorer(&[&a, &b]);
         let bogus = vec![(RecordId(99), RecordId(10))];
         assert!(build_workload(&a, &b, &bogus, &scorer, &BTreeSet::new(), 0.0).is_err());
-    }
-
-    #[test]
-    fn sorted_neighbourhood_emits_no_duplicates_for_wide_windows() {
-        // Regression: with window > 2 every pair sits inside several overlapping
-        // windows (and equal keys maximize the overlap); each candidate must
-        // still be emitted exactly once.
-        let a = dataset("a", &[(1, "same key"), (2, "same key"), (3, "same key")]);
-        let b = dataset("b", &[(10, "same key"), (11, "same key"), (12, "same key")]);
-        for window in [3, 4, 6, 10] {
-            let blocker = SortedNeighbourhoodBlocker::new("title", window);
-            let candidates = blocker.candidates(&a, &b);
-            let unique: BTreeSet<_> = candidates.iter().collect();
-            assert_eq!(
-                unique.len(),
-                candidates.len(),
-                "window {window} emitted duplicate candidate pairs"
-            );
-        }
-        // A window spanning everything yields the full cross product exactly once.
-        let all = SortedNeighbourhoodBlocker::new("title", 10).candidates(&a, &b);
-        assert_eq!(all.len(), 9);
     }
 
     fn batched(records: &[Record], batches: usize) -> Vec<&[Record]> {
@@ -827,29 +615,6 @@ mod tests {
             assert_eq!(union, expected, "split ({left_batches},{right_batches}) diverged");
             assert_eq!(index.records_indexed(), a.len() + b.len());
         }
-    }
-
-    #[test]
-    fn incremental_sorted_neighbourhood_covers_batch_and_never_repeats() {
-        let a = dataset("a", &[(1, "aaa"), (2, "ccc"), (3, "mmm"), (4, "zzz")]);
-        let b = dataset("b", &[(10, "aab"), (11, "cce"), (12, "mmn"), (13, "zzy")]);
-        let blocker = SortedNeighbourhoodBlocker::new("title", 2);
-        let batch: BTreeSet<_> = blocker.candidates(&a, &b).into_iter().collect();
-        // Single-batch ingestion reproduces the batch candidates exactly.
-        let mut index = blocker.incremental();
-        let single: BTreeSet<_> = index.add_records(a.records(), b.records()).into_iter().collect();
-        assert_eq!(single, batch);
-        // Any split covers the batch candidates (superset) without repeats.
-        let mut index = blocker.incremental();
-        let mut union: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-        for i in 0..a.len().max(b.len()) {
-            let l = a.records().get(i..i + 1).unwrap_or(&[]);
-            let r = b.records().get(i..i + 1).unwrap_or(&[]);
-            for pair in index.add_records(l, r) {
-                assert!(union.insert(pair), "pair {pair:?} emitted twice");
-            }
-        }
-        assert!(union.is_superset(&batch), "incremental deltas miss batch candidates");
     }
 
     proptest! {
@@ -1139,42 +904,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, ..Default::default() })]
-        #[test]
-        fn incremental_sorted_neighbourhood_is_monotone_superset(
-            n_left in 1usize..10,
-            n_right in 1usize..10,
-            window in 1usize..5,
-            salt in 0u64..1_000,
-        ) {
-            let key = |id: u64| -> String {
-                let h = id.wrapping_mul(6364136223846793005).wrapping_add(salt);
-                format!("{:03}", h % 50)
-            };
-            let mut a = Dataset::new("a", Schema::new(["title"]));
-            for i in 0..n_left as u64 {
-                a.push(Record::new(RecordId(i)).with("title", key(i))).unwrap();
-            }
-            let mut b = Dataset::new("b", Schema::new(["title"]));
-            for i in 0..n_right as u64 {
-                b.push(Record::new(RecordId(1_000 + i)).with("title", key(31 + i))).unwrap();
-            }
-            let blocker = SortedNeighbourhoodBlocker::new("title", window);
-            let batch: BTreeSet<_> = blocker.candidates(&a, &b).into_iter().collect();
-            let mut index = blocker.incremental();
-            let mut union: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-            for i in 0..a.len().max(b.len()) {
-                let l = a.records().get(i..i + 1).unwrap_or(&[]);
-                let r = b.records().get(i..i + 1).unwrap_or(&[]);
-                for pair in index.add_records(l, r) {
-                    prop_assert!(union.insert(pair), "pair emitted twice: {:?}", pair);
-                }
-            }
-            prop_assert!(union.is_superset(&batch));
         }
     }
 }

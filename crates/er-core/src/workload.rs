@@ -18,8 +18,10 @@
 //! [`MemoryBudget`] the coldest (lowest-similarity) segments overflow into an
 //! out-of-core [`SpillFile`] through the documented `HSG1` byte codec (see
 //! [`crate::spill`]), with an LRU cache pinning recently read segments.
-//! Residency is invisible to every accessor: spilled and resident workloads
-//! return bit-identical values.
+//! The columns are the only in-memory copy of a pair: accessors such as
+//! [`Workload::pair`] decode owned values from them, and a spilled segment's
+//! decoded columns live only in the LRU cache. Residency is invisible to
+//! every accessor: spilled and resident workloads return bit-identical values.
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::record::RecordId;
@@ -27,7 +29,7 @@ use crate::spill::{ChunkHandle, MemoryBudget, SpillFile, SpillStats};
 use crate::{ErError, Result};
 use er_obs::ObsHandle;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Target number of pairs per workload segment. Merged segments that grow past
 /// twice this target are split back into target-sized chunks.
@@ -305,15 +307,14 @@ enum SegmentData {
 
 /// One sorted chunk of the workload, plus the summary stats that let range
 /// queries skip loading it: its length, ground-truth match count and maximum
-/// canonical key. The `aos` cell lazily materializes the segment as
-/// `InstancePair`s the first time [`Workload::pair`] needs a reference into it.
-#[derive(Debug)]
+/// canonical key. Its columns are the only in-memory copy of its pairs; a
+/// spilled segment's decoded columns live only in the workload's LRU cache.
+#[derive(Debug, Clone)]
 struct Segment {
     len: usize,
     match_count: usize,
     max_key: PairKey,
     data: SegmentData,
-    aos: OnceLock<Box<[InstancePair]>>,
 }
 
 impl Segment {
@@ -324,7 +325,6 @@ impl Segment {
             match_count: cols.match_count(),
             max_key: cols.key_at(cols.len() - 1),
             data: SegmentData::Resident(Arc::new(cols)),
-            aos: OnceLock::new(),
         }
     }
 
@@ -334,20 +334,6 @@ impl Segment {
 
     fn is_resident(&self) -> bool {
         matches!(self.data, SegmentData::Resident(_))
-    }
-}
-
-impl Clone for Segment {
-    fn clone(&self) -> Self {
-        // The AoS materialization cache is not carried over: clones rebuild it
-        // on demand, which keeps cloning cheap.
-        Self {
-            len: self.len,
-            match_count: self.match_count,
-            max_key: self.max_key,
-            data: self.data.clone(),
-            aos: OnceLock::new(),
-        }
     }
 }
 
@@ -716,7 +702,6 @@ impl Workload {
                 let handle = spill.append(&encode_segment(cols))?;
                 resident -= segment.len;
                 segment.data = SegmentData::Spilled(handle);
-                segment.aos = OnceLock::new();
                 spilled_segments += 1;
                 spilled_bytes += handle.len;
             }
@@ -822,19 +807,19 @@ impl Workload {
         self.iter().collect()
     }
 
-    /// The pair at a position in similarity order.
+    /// The pair at a position in similarity order, decoded from its segment's
+    /// columns. Resident columns are read in place; a spilled segment is read
+    /// through the LRU cache.
     ///
-    /// The returned reference comes from the segment's lazily materialized
-    /// pair cache, which stays alive for as long as the segment is neither
-    /// re-merged nor spilled.
-    pub fn pair(&self, index: usize) -> &InstancePair {
+    /// # Panics
+    /// Panics if `index >= len()`.
+    pub fn pair(&self, index: usize) -> InstancePair {
         let seg = self.segment_of(index);
         let offset = index - self.starts[seg];
-        let aos = self.segments[seg].aos.get_or_init(|| {
-            let cols = self.columns(seg);
-            (0..cols.len()).map(|i| cols.pair_at(i)).collect()
-        });
-        &aos[offset]
+        match &self.segments[seg].data {
+            SegmentData::Resident(cols) => cols.pair_at(offset),
+            SegmentData::Spilled(_) => self.columns(seg).pair_at(offset),
+        }
     }
 
     /// Total number of ground-truth matching pairs.
@@ -1403,7 +1388,7 @@ mod tests {
             assert_eq!(w.matches_in_range(start..end), expect, "range {start}..{end}");
         }
         for idx in [0, 1, SEGMENT_TARGET - 1, SEGMENT_TARGET, 2 * SEGMENT_TARGET + 17, n - 1] {
-            assert_eq!(w.pair(idx), &flat[idx], "pair({idx})");
+            assert_eq!(w.pair(idx), flat[idx], "pair({idx})");
             assert_eq!(w.similarity_at(idx).to_bits(), flat[idx].similarity().to_bits());
         }
         for threshold in [0.0, 0.25, 0.5004, 0.99, 1.0, 1.5] {
@@ -1466,10 +1451,33 @@ mod tests {
             assert_eq!(a.mean_similarity().to_bits(), b.mean_similarity().to_bits());
         }
         // pair() works on spilled segments too (it rehydrates through the codec).
-        assert_eq!(budgeted.pair(3), &reference.pairs()[3]);
+        assert_eq!(budgeted.pair(3), reference.pairs()[3]);
         // Clones share the spill file and stay readable.
         let clone = budgeted.clone();
         assert_eq!(clone.pairs(), reference.pairs());
+    }
+
+    #[test]
+    fn pair_reads_spilled_segments_only_through_the_lru() {
+        // With one cache slot, reading spilled segment A, then B, then A again
+        // must miss three times: no decoded copy of A may outlive its eviction.
+        let all = scrambled_pairs(3 * SEGMENT_TARGET, 31);
+        let reference = Workload::from_pairs(all.clone()).unwrap();
+        let mut w = Workload::from_pairs(all).unwrap();
+        w.set_memory_budget(MemoryBudget {
+            resident_pairs: SEGMENT_TARGET,
+            cached_segments: 1,
+            ..MemoryBudget::default()
+        })
+        .unwrap();
+        assert_eq!(w.spilled_pairs(), 2 * SEGMENT_TARGET, "segments A and B spill");
+        for idx in [0, SEGMENT_TARGET, 1] {
+            assert_eq!(w.pair(idx), reference.pair(idx), "pair({idx})");
+        }
+        let stats = w.spill_stats();
+        assert_eq!(stats.cache_misses, 3);
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.cache_evictions, 2);
     }
 
     #[test]

@@ -190,10 +190,9 @@ impl SpillReport {
 #[derive(Debug, Clone)]
 pub struct ResolutionReport {
     /// The HUMO outcome: partition, pair labels, pair-level metrics and human
-    /// cost counters. For the oracle-driven [`ResolutionEngine::resolve`]
-    /// wrapper the cost counters are cumulative over the oracle's lifetime
-    /// (the legacy engine semantics); for session-driven resolutions they are
-    /// session-scoped (distinct labels this session absorbed).
+    /// cost counters. The cost counters are session-scoped (distinct labels
+    /// this resolution's session absorbed), whether the session was driven by
+    /// hand or through [`ResolutionEngine::resolve`].
     pub outcome: OptimizationOutcome,
     /// The resolved entities (transitive closure of match-labeled pairs over
     /// all ingested records).
@@ -202,9 +201,7 @@ pub struct ResolutionReport {
     /// entities.
     pub cluster_metrics: QualityMetrics,
     /// Distinct labels newly supplied to *this* resolution — everything the
-    /// engine's cross-epoch label store did not already cover. For the
-    /// oracle-driven [`ResolutionEngine::resolve`] wrapper this equals the
-    /// delta of the oracle's distinct-label counter.
+    /// engine's cross-epoch label store did not already cover.
     pub oracle_queries: usize,
     /// Label round-trips of this resolution: the number of distinct dispatch
     /// waves the underlying labeling session emitted (re-emissions of a
@@ -611,9 +608,10 @@ impl ResolutionEngine {
     /// cold), draws the human labels for `DH` from `oracle`, and clusters the
     /// match-labeled pairs into entities.
     ///
-    /// Passing the *same* oracle across epochs models the streaming deployment:
-    /// pairs labeled in earlier epochs are cached, so a re-resolution only pays
-    /// for genuinely new questions.
+    /// Pairs labeled in earlier epochs stay in the engine's label store, so a
+    /// re-resolution only pays for genuinely new questions. The report is
+    /// exactly what the underlying session reports: its cost counters are
+    /// scoped to this resolution, not to the oracle's lifetime.
     ///
     /// This is the synchronous driver over [`ResolutionEngine::begin_resolve`]:
     /// it answers every label batch the session emits through
@@ -621,17 +619,7 @@ impl ResolutionEngine {
     /// should call [`ResolutionEngine::begin_resolve`] and drive the returned
     /// [`ResolutionSession`] themselves.
     pub fn resolve(&mut self, oracle: &mut dyn Oracle) -> Result<ResolutionReport> {
-        let queries_before = oracle.labels_issued();
-        let mut session = self.begin_resolve()?;
-        let mut report = session.drive(oracle)?;
-        // Oracle-driven cost accounting mirrors the pre-session engine: the
-        // outcome counters are cumulative over the oracle's lifetime and the
-        // per-resolution delta comes from the oracle's distinct-pair counter.
-        report.oracle_queries = oracle.labels_issued() - queries_before;
-        report.outcome.total_human_cost = oracle.labels_issued();
-        report.outcome.sampling_cost =
-            report.outcome.total_human_cost.saturating_sub(report.outcome.verification_cost);
-        Ok(report)
+        self.begin_resolve()?.drive(oracle)
     }
 
     /// Starts a sans-I/O resolution session over the current workload: the
@@ -1127,6 +1115,38 @@ mod tests {
             second.oracle_queries,
             report.oracle_queries
         );
+    }
+
+    #[test]
+    fn resolve_reports_exactly_what_its_session_reports_on_every_epoch() {
+        let corpus = corpus(240, 31);
+        let schema = BibliographicGenerator::schema();
+        let truth: Vec<(RecordId, RecordId)> = corpus.ground_truth.iter().copied().collect();
+        let mut driver =
+            ResolutionEngine::new(config(25, true), schema.clone(), schema.clone()).unwrap();
+        let mut twin = ResolutionEngine::new(config(25, true), schema.clone(), schema).unwrap();
+        let mut driver_oracle = GroundTruthOracle::new();
+        let mut twin_oracle = GroundTruthOracle::new();
+        let left = corpus.left.records().chunks(corpus.left.len().div_ceil(3));
+        let right = corpus.right.records().chunks(corpus.right.len().div_ceil(3));
+        for (epoch, (l, r)) in left.zip(right).enumerate() {
+            let edges = if epoch == 0 { truth.as_slice() } else { &[] };
+            driver.ingest(l.to_vec(), r.to_vec(), edges).unwrap();
+            twin.ingest(l.to_vec(), r.to_vec(), edges).unwrap();
+            let a = driver.resolve(&mut driver_oracle).unwrap();
+            let b = twin.begin_resolve().unwrap().drive(&mut twin_oracle).unwrap();
+            assert_eq!(a.outcome.solution, b.outcome.solution, "epoch {epoch}");
+            assert_eq!(a.outcome.assignment, b.outcome.assignment, "epoch {epoch}");
+            assert_eq!(a.outcome.metrics, b.outcome.metrics, "epoch {epoch}");
+            assert_eq!(a.outcome.verification_cost, b.outcome.verification_cost, "epoch {epoch}");
+            assert_eq!(a.outcome.sampling_cost, b.outcome.sampling_cost, "epoch {epoch}");
+            assert_eq!(a.outcome.total_human_cost, b.outcome.total_human_cost, "epoch {epoch}");
+            assert_eq!(a.oracle_queries, b.oracle_queries, "epoch {epoch}");
+            assert_eq!(a.label_rounds, b.label_rounds, "epoch {epoch}");
+            assert_eq!(a.plan_rounds, b.plan_rounds, "epoch {epoch}");
+            assert_eq!(a.refine_rounds, b.refine_rounds, "epoch {epoch}");
+            assert!(a.oracle_queries > 0, "epoch {epoch} asked no labels");
+        }
     }
 
     #[test]

@@ -215,14 +215,14 @@ impl CrowdOracle {
 
 impl Oracle for CrowdOracle {
     fn label(&mut self, pair: &InstancePair) -> Label {
-        self.label_batch(&[pair]).pop().expect("one label per request")
+        self.label_batch(std::slice::from_ref(pair)).pop().expect("one label per request")
     }
 
     /// Labels the batch by collecting (and possibly escalating) votes for
     /// every new pair, then aggregating once over the completed set — so an
     /// EM aggregation's scope is the accumulated vote matrix at batch
     /// boundaries, matching how an offline crowd round-trip would run.
-    fn label_batch(&mut self, pairs: &[&InstancePair]) -> Vec<Label> {
+    fn label_batch(&mut self, pairs: &[InstancePair]) -> Vec<Label> {
         let mut asks = Vec::new();
         for pair in pairs {
             let truth_is_match = pair.ground_truth() == Label::Match;
@@ -417,8 +417,7 @@ mod tests {
         reversed.sort_by_key(|&(id, _)| id);
         let batched: Vec<Label> = {
             let mut oracle = build();
-            let refs: Vec<&InstancePair> = pairs.iter().collect();
-            oracle.label_batch(&refs)
+            oracle.label_batch(&pairs)
         };
         assert_eq!(forward, reversed.into_iter().map(|(_, l)| l).collect::<Vec<_>>());
         assert_eq!(forward, batched);
@@ -440,8 +439,7 @@ mod tests {
             2,
         );
         let pairs: Vec<InstancePair> = (0..150).map(|i| pair(i, 0.5, i % 4 == 0)).collect();
-        let refs: Vec<&InstancePair> = pairs.iter().collect();
-        oracle.label_batch(&refs);
+        oracle.label_batch(&pairs);
         assert_eq!(oracle.labels_issued(), 150);
         assert_eq!(oracle.votes_cast(), 450);
         assert!((oracle.cost_multiplier() - 3.0).abs() < 1e-12);

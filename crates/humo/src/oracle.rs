@@ -50,8 +50,9 @@ pub trait Oracle {
     /// The default implementation simply labels one pair at a time; custom
     /// oracles can override it to amortize per-batch work (dispatching one
     /// crowdsourcing task per batch, bulk-loading context, …). The session
-    /// driver routes every emitted request batch through this method.
-    fn label_batch(&mut self, pairs: &[&InstancePair]) -> Vec<Label> {
+    /// driver routes every emitted request batch through this method, passing
+    /// the pairs it decoded from the workload.
+    fn label_batch(&mut self, pairs: &[InstancePair]) -> Vec<Label> {
         pairs.iter().map(|pair| self.label(pair)).collect()
     }
 
@@ -153,8 +154,7 @@ mod tests {
         let mut batched = GroundTruthOracle::new();
         let mut sequential = GroundTruthOracle::new();
         let pairs: Vec<InstancePair> = (0..20).map(|i| pair(i, 0.5, i % 3 == 0)).collect();
-        let refs: Vec<&InstancePair> = pairs.iter().collect();
-        let batch_labels = batched.label_batch(&refs);
+        let batch_labels = batched.label_batch(&pairs);
         let seq_labels: Vec<Label> = pairs.iter().map(|p| sequential.label(p)).collect();
         assert_eq!(batch_labels, seq_labels);
         assert_eq!(batched.labels_issued(), sequential.labels_issued());
@@ -217,8 +217,7 @@ mod tests {
         };
         let batched: BTreeMap<PairId, Label> = {
             let mut oracle = NoisyOracle::new(0.3, 17);
-            let refs: Vec<&InstancePair> = pairs.iter().collect();
-            pairs.iter().map(InstancePair::id).zip(oracle.label_batch(&refs)).collect()
+            pairs.iter().map(InstancePair::id).zip(oracle.label_batch(&pairs)).collect()
         };
         assert_eq!(forward, reversed);
         assert_eq!(forward, interleaved);
@@ -279,7 +278,8 @@ mod tests {
             assert_eq!(reversed, expected);
             // Two interleaved batches.
             let mut oracle = NoisyOracle::new(error_rate, seed);
-            let (evens, odds): (Vec<_>, Vec<_>) = pairs.iter().partition(|p| p.id().0 % 2 == 0);
+            let (evens, odds): (Vec<_>, Vec<_>) =
+                pairs.iter().cloned().partition(|p| p.id().0 % 2 == 0);
             oracle.label_batch(&odds);
             oracle.label_batch(&evens);
             let batched: Vec<Label> = pairs.iter().map(|p| oracle.label(p)).collect();

@@ -208,7 +208,7 @@ impl<'a> SubsetSampler<'a> {
         let indices = self.draw(subset_index);
         let positives = indices
             .iter()
-            .filter(|&&index| oracle.label(self.workload.pair(index)).is_match())
+            .filter(|&&index| oracle.label(&self.workload.pair(index)).is_match())
             .count();
         self.insert_summary(subset_index, indices.len(), positives)
     }

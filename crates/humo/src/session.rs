@@ -530,7 +530,7 @@ pub fn answer_requests(
     requests: &[LabelRequest],
     oracle: &mut dyn Oracle,
 ) -> Vec<LabelResponse> {
-    let pairs: Vec<&InstancePair> =
+    let pairs: Vec<InstancePair> =
         requests.iter().map(|request| workload.pair(request.index)).collect();
     let labels = oracle.label_batch(&pairs);
     assert_eq!(

@@ -75,7 +75,7 @@ impl HumoSolution {
     /// match, and every pair of `DH` is labeled by the oracle (counting towards
     /// its cost).
     pub fn resolve(&self, workload: &Workload, oracle: &mut dyn Oracle) -> LabelAssignment {
-        self.resolve_from_labels(workload, |idx| oracle.label(workload.pair(idx)))
+        self.resolve_from_labels(workload, |idx| oracle.label(&workload.pair(idx)))
     }
 
     /// Resolves the workload under this solution from an arbitrary label
@@ -264,8 +264,8 @@ mod tests {
         let w = workload();
         let mut oracle = GroundTruthOracle::new();
         // Simulate a search that sampled two pairs outside the final DH.
-        oracle.label(w.pair(0));
-        oracle.label(w.pair(9));
+        oracle.label(&w.pair(0));
+        oracle.label(&w.pair(9));
         let outcome =
             OptimizationOutcome::from_solution(HumoSolution::new(4, 7, w.len()), &w, &mut oracle)
                 .unwrap();

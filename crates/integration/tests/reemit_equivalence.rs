@@ -142,7 +142,7 @@ fn trickle(config: SessionConfig, w: &Workload, schedule: &mut Schedule, error: 
             let share = schedule.below(101);
             for request in &batch {
                 if schedule.percent(share) {
-                    responses.push(answer(w.pair(request.index)));
+                    responses.push(answer(&w.pair(request.index)));
                 }
             }
         }
@@ -160,7 +160,7 @@ fn trickle(config: SessionConfig, w: &Workload, schedule: &mut Schedule, error: 
         }
         // An answer for a pair the session may not have asked about yet.
         if schedule.percent(10) {
-            responses.push(answer(w.pair(schedule.below(w.len()))));
+            responses.push(answer(&w.pair(schedule.below(w.len()))));
         }
         match lockstep.step(&responses) {
             Some(next) => batch = next,

@@ -113,13 +113,13 @@ fn refit_equivalence_survives_noisy_labels() {
         let mut fast_labeler = NoisyOracle::new(0.08, 93);
         let mut fast =
             LabelingSession::new(SessionConfig::for_kind(kind, requirement), &w).unwrap();
-        let fast_run = drive(&mut fast, |index| fast_labeler.label(w.pair(index)));
+        let fast_run = drive(&mut fast, |index| fast_labeler.label(&w.pair(index)));
 
         let mut slow_labeler = NoisyOracle::new(0.08, 93);
         let mut slow = LabelingSession::new(full_refit_config(kind, requirement), &w)
             .unwrap()
             .with_replay_cache(false);
-        let slow_run = drive(&mut slow, |index| slow_labeler.label(w.pair(index)));
+        let slow_run = drive(&mut slow, |index| slow_labeler.label(&w.pair(index)));
 
         assert_identical(kind, &fast_run, &slow_run);
     }

@@ -122,7 +122,7 @@ fn run(config: SessionConfig, w: &Workload, seed: u64, event: Event) -> (usize, 
     let (mut searched, mut fired) = (0, false);
     loop {
         let mut responses: Vec<LabelResponse> =
-            batch.iter().map(|request| answer(w.pair(request.index))).collect();
+            batch.iter().map(|request| answer(&w.pair(request.index))).collect();
         if lockstep.phase() == SessionPhase::BoundarySearch {
             searched += 1;
             match event {
@@ -131,7 +131,7 @@ fn run(config: SessionConfig, w: &Workload, seed: u64, event: Event) -> (usize, 
                     // advance: the next replay joins several moves at once.
                     let lo = batch.iter().map(|r| r.index).min().unwrap().saturating_sub(1_500);
                     let hi = (batch.iter().map(|r| r.index).max().unwrap() + 1_500).min(w.len());
-                    let ahead: Vec<LabelResponse> = (lo..hi).map(|i| answer(w.pair(i))).collect();
+                    let ahead: Vec<LabelResponse> = (lo..hi).map(|i| answer(&w.pair(i))).collect();
                     lockstep.preload(&ahead);
                     responses.clear();
                     fired = true;

@@ -111,7 +111,7 @@ fn drive_manually(
                         );
                         let pair = workload.pair(request.index);
                         assert_eq!(pair.id(), request.pair_id, "request index/id mismatch");
-                        let label = label_of(pair);
+                        let label = label_of(&pair);
                         order.push((request.pair_id, label));
                         LabelResponse { pair_id: request.pair_id, label }
                     })
