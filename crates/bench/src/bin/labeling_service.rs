@@ -70,7 +70,8 @@
 //! assignment and the cost counters — everything the paper's quality
 //! guarantee speaks about. Label round-trips are deliberately excluded: they
 //! are per-process bookkeeping, not part of the checkpoint (see
-//! [`humo::SessionState::rounds`]).
+//! [`humo::SessionState::rounds`], which every session wrapper dereferences
+//! to).
 
 use er_core::aggregate::{AttributeMeasure, AttributeWeighting, ScoringConfig};
 use er_core::codec::fnv1a;
@@ -81,14 +82,14 @@ use er_core::workload::{Label, Workload};
 use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator};
 use er_pipeline::{PipelineConfig, ResolutionEngine, ResolutionSession, ResolutionStep};
 use humo::crowd::mix;
-use humo::wal::{read_log, WalRecord};
+use humo::wal::read_log;
 use humo::{
     Aggregation, CrowdSession, HumoError, LabelRequest, LabelResponse, OptimizationOutcome,
-    QualityRequirement, Redundancy, SessionConfig, SessionState, Step, VoteRequest, WarmStart,
-    WorkerModel, WorkerVote,
+    QualityRequirement, Redundancy, SessionConfig, SessionState, Step, VoteRequest, WorkerModel,
+    WorkerVote,
 };
 use humo_bench::BenchConfig;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
@@ -323,41 +324,14 @@ fn scan_log(workload: &Workload, path: &Path) -> humo::Result<LogShape> {
     if !path.exists() {
         return Ok(LogShape::Empty);
     }
-    let recovery = read_log(path)?;
-    let mut store: BTreeMap<er_core::workload::PairId, Label> = BTreeMap::new();
-    let mut last: Option<(SessionConfig, Option<WarmStart>, Vec<LabelResponse>)> = None;
-    let mut open: Option<(SessionConfig, Option<WarmStart>, Vec<LabelResponse>)> = None;
-    for record in recovery.records {
-        match record {
-            WalRecord::SessionBegin { config, warm, .. } => {
-                open = Some((config, warm, Vec::new()));
-            }
-            WalRecord::Labels(batch) => {
-                if let Some((_, _, log)) = &mut open {
-                    log.extend(batch);
-                }
-            }
-            WalRecord::Commit { .. } => {
-                if let Some(group) = open.take() {
-                    if let Some((_, _, log)) = last.replace(group) {
-                        for response in log {
-                            store.insert(response.pair_id, response.label);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if open.is_some() {
+    let mut epochs = read_log(path)?.epochs()?;
+    let Some(last) = epochs.pop() else { return Ok(LogShape::Empty) };
+    if last.commit.is_none() {
         return Ok(LogShape::InFlight);
     }
-    let Some((config, warm, log)) = last else { return Ok(LogShape::Empty) };
-    let preload = |state: &mut SessionState| {
-        state.preload(store.iter().map(|(&pair_id, &label)| LabelResponse { pair_id, label }));
-    };
-    let mut state = SessionState::resume(config, workload, &log)?.with_warm_start(warm);
-    preload(&mut state);
-    let mut fell_back = false;
+    let mut state =
+        SessionState::resume(last.config, workload, &last.log)?.with_warm_start(last.warm);
+    state.preload(epochs.into_iter().flat_map(|epoch| epoch.log));
     loop {
         match state.poll(workload) {
             Ok(Step::Done(outcome)) => return Ok(LogShape::Committed(Box::new(outcome))),
@@ -366,15 +340,11 @@ fn scan_log(workload: &Workload, path: &Path) -> humo::Result<LogShape> {
                     "committed epoch's log does not replay to completion".to_string(),
                 ))
             }
-            // Mirror the engine's deterministic all-human fallback: the
-            // degeneracy is a property of the data, so the original session
-            // fell back at exactly this point too.
-            Err(HumoError::Stats(_)) if !fell_back => {
-                let log = state.answered_log().to_vec();
-                let mut next = SessionState::resume(SessionConfig::AllHuman, workload, &log)?;
-                preload(&mut next);
-                state = next;
-                fell_back = true;
+            // The engine's deterministic all-human fallback: the degeneracy
+            // is a property of the data, so the original session fell back
+            // at exactly this point too.
+            Err(HumoError::Stats(_)) if !matches!(state.config(), SessionConfig::AllHuman) => {
+                state.fall_back_to_all_human();
             }
             Err(e) => return Err(e),
         }

@@ -62,7 +62,7 @@ use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator, Gen
 use er_obs::{MetricsRecorder, ObsHandle};
 use er_pipeline::{PipelineConfig, ResolutionEngine, WorkerPool};
 use humo::{
-    GroundTruthOracle, HybridConfig, HybridOptimizer, OptimizationOutcome, Oracle,
+    GroundTruthOracle, HybridConfig, HybridOptimizer, OptimizationOutcome, Optimizer, Oracle,
     PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement, RefitStrategy, Step,
 };
 use humo_bench::trajectory::emit_and_gate;

@@ -361,74 +361,33 @@ impl ResolutionEngine {
     /// usual).
     pub fn resume(&mut self, path: impl AsRef<Path>) -> Result<Option<ResolutionSession<'_>>> {
         let (wal, recovery) = WalWriter::recover(path)?;
-        let obs = self.config.recorder.clone();
-        obs.counter("session.wal.resumes", 1);
+        self.config.recorder.counter("session.wal.resumes", 1);
         // Fold the log: committed epochs land in the engine's label store and
         // warm state; a trailing uncommitted epoch stays open for rebuild.
-        let mut open: Option<(u64, SessionConfig, Option<WarmStart>, Vec<LabelResponse>)> = None;
-        for record in recovery.records {
-            match record {
-                WalRecord::SessionBegin { workload_len, config, warm } => {
-                    if open.is_some() {
-                        return Err(HumoError::Wal(
-                            "log opens a session before committing the previous one".to_string(),
-                        )
-                        .into());
-                    }
-                    open = Some((workload_len, config, warm, Vec::new()));
-                }
-                WalRecord::Labels(responses) => match &mut open {
-                    Some((.., log)) => log.extend(responses),
-                    None => {
-                        return Err(HumoError::Wal(
-                            "log holds labels outside any session".to_string(),
-                        )
-                        .into())
-                    }
-                },
-                WalRecord::Commit { warm } => {
-                    let Some((.., log)) = open.take() else {
-                        return Err(HumoError::Wal(
-                            "log holds a commit outside any session".to_string(),
-                        )
-                        .into());
-                    };
-                    for response in log {
-                        self.labels.insert(response.pair_id, response.label);
-                    }
-                    if let Some(warm) = warm {
-                        self.warm = Some(warm);
-                    }
-                }
+        let mut epochs = recovery.epochs()?;
+        let open = epochs.pop_if(|epoch| epoch.commit.is_none());
+        for epoch in epochs {
+            for response in epoch.log {
+                self.labels.insert(response.pair_id, response.label);
+            }
+            if let Some(Some(warm)) = epoch.commit {
+                self.warm = Some(warm);
             }
         }
         self.wal = Some(wal);
-        let Some((workload_len, config, warm, log)) = open else {
-            return Ok(None);
-        };
-        if workload_len != self.workload.len() as u64 {
+        let Some(epoch) = open else { return Ok(None) };
+        if epoch.workload_len != self.workload.len() as u64 {
             return Err(HumoError::Wal(format!(
-                "in-flight session ran over a {workload_len}-pair workload, \
+                "in-flight session ran over a {}-pair workload, \
                  engine holds {} pairs — re-ingest the same batches first",
+                epoch.workload_len,
                 self.workload.len()
             ))
             .into());
         }
-        let used_warm = warm.as_ref().is_some_and(|w| !w.is_empty());
-        let fallback = matches!(config, SessionConfig::AllHuman);
-        let mut state = SessionState::resume(config, &self.workload, &log)?.with_warm_start(warm);
-        state
-            .preload(self.labels.iter().map(|(&pair_id, &label)| LabelResponse { pair_id, label }));
-        Ok(Some(ResolutionSession {
-            engine: self,
-            state,
-            completed_rounds: 0,
-            completed_plan_rounds: 0,
-            completed_refine_rounds: 0,
-            used_warm_start: used_warm,
-            fallback_all_human: fallback,
-            report: None,
-        }))
+        let state = SessionState::resume(epoch.config, &self.workload, &epoch.log)?
+            .with_warm_start(epoch.warm);
+        Ok(Some(self.open_session(state)))
     }
 
     /// The current similarity-sorted workload.
@@ -639,40 +598,29 @@ impl ResolutionEngine {
         // optimizer; resolving them entirely by hand is exact, deterministic
         // and — at this size — cheap.
         let too_small = self.workload.len() < 2 * self.config.optimizer.unit_size;
-        let (mut state, session_config, warm, used_warm, fallback) = if too_small {
-            (
-                SessionState::new(SessionConfig::AllHuman)?,
-                SessionConfig::AllHuman,
-                None,
-                false,
-                true,
-            )
+        let (config, warm) = if too_small {
+            (SessionConfig::AllHuman, None)
         } else {
             let warm = if self.config.warm_start { self.warm.clone() } else { None };
-            let used_warm = warm.as_ref().is_some_and(|w| !w.is_empty());
-            let config = SessionConfig::PartialSampling(self.config.optimizer);
-            let state = SessionState::new(config)?.with_warm_start(warm.clone());
-            (state, config, warm, used_warm, false)
+            (SessionConfig::PartialSampling(self.config.optimizer), warm)
         };
-        state
-            .preload(self.labels.iter().map(|(&pair_id, &label)| LabelResponse { pair_id, label }));
+        let state = SessionState::new(config)?.with_warm_start(warm.clone());
         // Write-ahead: the epoch's inputs (configuration + warm start) go to
         // disk before any label does, so a resume always knows how to replay.
         self.wal_append(&WalRecord::SessionBegin {
             workload_len: self.workload.len() as u64,
-            config: session_config,
+            config,
             warm,
         })?;
-        Ok(ResolutionSession {
-            engine: self,
-            state,
-            completed_rounds: 0,
-            completed_plan_rounds: 0,
-            completed_refine_rounds: 0,
-            used_warm_start: used_warm,
-            fallback_all_human: fallback,
-            report: None,
-        })
+        Ok(self.open_session(state))
+    }
+
+    /// Wraps a session state over the current workload, preloaded with every
+    /// label of the engine's cross-epoch store.
+    fn open_session(&mut self, mut state: SessionState) -> ResolutionSession<'_> {
+        state
+            .preload(self.labels.iter().map(|(&pair_id, &label)| LabelResponse { pair_id, label }));
+        ResolutionSession { engine: self, state, report: None }
     }
 
     /// All ingested records as cluster nodes (so unmatched records appear as
@@ -723,56 +671,31 @@ pub enum ResolutionStep {
 /// [`humo::LabelingSession`], but completes into a full [`ResolutionReport`]
 /// (entities, cluster metrics, cost counters) and commits labels plus
 /// warm-start state back to the engine.
+///
+/// Everything but the engine borrow, commit and log is its [`SessionState`],
+/// which it dereferences to, read-only (`session.rounds()`, …).
 #[derive(Debug)]
 pub struct ResolutionSession<'e> {
     engine: &'e mut ResolutionEngine,
     state: SessionState,
-    /// Dispatch waves of session states retired by the all-human fallback;
-    /// the live count is `completed_rounds + state.rounds()`.
-    completed_rounds: usize,
-    /// Plan-stage share of `completed_rounds` (same retirement bookkeeping).
-    completed_plan_rounds: usize,
-    /// Refine-stage share of `completed_rounds`.
-    completed_refine_rounds: usize,
-    used_warm_start: bool,
-    fallback_all_human: bool,
     /// The assembled report, cached at completion so repeated `step`/`drive`
     /// calls do not re-run the clustering and commit work.
     report: Option<ResolutionReport>,
 }
 
+impl std::ops::Deref for ResolutionSession<'_> {
+    type Target = SessionState;
+
+    fn deref(&self) -> &SessionState {
+        &self.state
+    }
+}
+
 impl ResolutionSession<'_> {
-    /// The still-unanswered requests of the most recent batch.
-    pub fn pending(&self) -> &[LabelRequest] {
-        self.state.pending()
-    }
-
-    /// Number of distinct label dispatch waves emitted so far (label
-    /// round-trips); re-emissions of a still-outstanding batch do not count.
-    pub fn rounds(&self) -> usize {
-        self.completed_rounds + self.state.rounds()
-    }
-
-    /// Plan-stage (sampling) share of [`ResolutionSession::rounds`].
-    pub fn plan_rounds(&self) -> usize {
-        self.completed_plan_rounds + self.state.plan_rounds()
-    }
-
-    /// Refine-stage (boundary search + verification) share of
-    /// [`ResolutionSession::rounds`].
-    pub fn refine_rounds(&self) -> usize {
-        self.completed_refine_rounds + self.state.refine_rounds()
-    }
-
     /// Whether the session fell back to exact all-human resolution (tiny or
     /// statistically degenerate workload).
     pub fn fallback_all_human(&self) -> bool {
-        self.fallback_all_human
-    }
-
-    /// The distinct responses absorbed so far — the session's checkpoint log.
-    pub fn answered_log(&self) -> &[LabelResponse] {
-        self.state.answered_log()
+        matches!(self.state.config(), SessionConfig::AllHuman)
     }
 
     /// The durable length of the engine's attached log, in bytes — see
@@ -810,31 +733,13 @@ impl ResolutionSession<'_> {
                 // collapse onto duplicate similarity coordinates and break the
                 // GP fit) is a property of the data, so both an incremental
                 // and a from-scratch run hit it identically; resolving by hand
-                // is the exact, deterministic way out — and because a resumed
-                // replay hits the same degeneracy at the same point, the WAL
-                // needs no record of the switch. Real errors still propagate.
-                // The fallback swaps in an all-human session and loops so the
-                // fresh state's first step shares the handling above;
-                // re-absorbing the labels already paid for keeps them counting
-                // toward the session's cost. They are on the log already, so
-                // the fresh state absorbs them directly rather than through
-                // the write-ahead step.
-                Err(humo::HumoError::Stats(_)) if !self.fallback_all_human => {
-                    let log = self.state.answered_log().to_vec();
-                    self.completed_rounds += self.state.rounds();
-                    self.completed_plan_rounds += self.state.plan_rounds();
-                    self.completed_refine_rounds += self.state.refine_rounds();
-                    let mut state = SessionState::new(SessionConfig::AllHuman)?;
-                    state.preload(
-                        self.engine
-                            .labels
-                            .iter()
-                            .map(|(&pair_id, &label)| LabelResponse { pair_id, label }),
-                    );
-                    state.absorb_responses(&self.engine.workload, &log)?;
-                    self.state = state;
-                    self.fallback_all_human = true;
-                    self.used_warm_start = false;
+                // is the exact, deterministic way out. A resumed replay hits
+                // the same degeneracy at the same point, so the WAL needs no
+                // record of the switch. The state keeps every label already
+                // paid for, and the loop takes the all-human state's first
+                // step through the handling above. Real errors propagate.
+                Err(humo::HumoError::Stats(_)) if !self.fallback_all_human() => {
+                    self.state.fall_back_to_all_human();
                     responses = &[];
                 }
                 Err(e) => return Err(e.into()),
@@ -868,29 +773,29 @@ impl ResolutionSession<'_> {
         // The commit record seals the epoch in the log *before* the engine
         // mutates its cross-epoch state, so a resumed engine either replays
         // the epoch (no commit on disk) or folds it in wholesale.
-        self.engine
-            .wal_append(&WalRecord::Commit { warm: self.state.next_warm_start().cloned() })?;
-        for response in self.state.answered_log() {
+        let state = &self.state;
+        self.engine.wal_append(&WalRecord::Commit { warm: state.next_warm_start().cloned() })?;
+        for response in state.answered_log() {
             self.engine.labels.insert(response.pair_id, response.label);
         }
-        if let Some(warm) = self.state.next_warm_start() {
+        if let Some(warm) = state.next_warm_start() {
             self.engine.warm = Some(warm.clone());
         }
         let entities = self.engine.entities_of(&outcome);
         let cluster_metrics = entities.pairwise_metrics(&self.engine.truth_entities());
         let obs = &self.engine.config.recorder;
         obs.counter("pipeline.epochs", 1);
-        obs.counter("pipeline.label_rounds", self.rounds() as u64);
+        obs.counter("pipeline.label_rounds", state.rounds() as u64);
         Ok(ResolutionReport {
-            oracle_queries: self.state.answered_log().len(),
-            label_rounds: self.rounds(),
-            plan_rounds: self.plan_rounds(),
-            refine_rounds: self.refine_rounds(),
+            oracle_queries: state.answered_log().len(),
+            label_rounds: state.rounds(),
+            plan_rounds: state.plan_rounds(),
+            refine_rounds: state.refine_rounds(),
             outcome,
             entities,
             cluster_metrics,
-            used_warm_start: self.used_warm_start,
-            fallback_all_human: self.fallback_all_human,
+            used_warm_start: state.warm_start().is_some_and(|warm| !warm.is_empty()),
+            fallback_all_human: self.fallback_all_human(),
         })
     }
 }
@@ -1259,6 +1164,86 @@ mod tests {
         assert_eq!(report.outcome.solution, reference_report.outcome.solution);
         assert_eq!(report.outcome.assignment, reference_report.outcome.assignment);
         assert_eq!(report.oracle_queries, reference_report.oracle_queries);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Four left and five right records whose 20 pairs score only 1 or 2/3
+    /// on titles: too few distinct similarities for the SAMP plan's GP fit.
+    fn degenerate_engine() -> ResolutionEngine {
+        let scoring = ScoringConfig::new(
+            [("title", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words)))],
+            AttributeWeighting::Uniform,
+        );
+        let requirement = QualityRequirement::symmetric(0.9).unwrap();
+        let mut config = PipelineConfig::new(scoring, "title", requirement);
+        config.similarity_threshold = 0.15;
+        config.optimizer.unit_size = 10;
+        let schema = BibliographicGenerator::schema();
+        let mut engine = ResolutionEngine::new(config, schema.clone(), schema).unwrap();
+        let left = (0..4)
+            .map(|i| Record::new(RecordId(i)).with("title", "entity resolution quality"))
+            .collect();
+        let right = (0..5)
+            .map(|i| {
+                let title =
+                    if i % 2 == 0 { "entity resolution quality" } else { "entity resolution" };
+                Record::new(RecordId(100 + i)).with("title", title)
+            })
+            .collect();
+        let truth: Vec<(RecordId, RecordId)> =
+            (0..4).map(|i| (RecordId(i), RecordId(100 + i))).collect();
+        engine.ingest(left, right, &truth).unwrap();
+        engine
+    }
+
+    #[test]
+    fn a_degenerate_fit_falls_back_mid_session_and_resumes_to_the_same_report() {
+        let mut engine = degenerate_engine();
+        assert_eq!(engine.workload().len(), 20);
+        let path = wal_path("fallback");
+        engine.attach_wal(&path).unwrap();
+        let mut session = engine.begin_resolve().unwrap();
+        assert!(!session.fallback_all_human(), "20 pairs at unit size 10 run SAMP");
+        let ResolutionStep::NeedLabels(plan) = session.step(&[]).unwrap() else {
+            panic!("expected the first plan round");
+        };
+        assert_eq!(plan.len(), 20);
+        assert_eq!((session.plan_rounds(), session.phase()), (1, humo::SessionPhase::Sampling));
+        // The GP fit on these answers fails; the session falls back and
+        // completes from the labels it already holds.
+        let responses = answer(&session, &plan);
+        let ResolutionStep::Done(report) = session.step(&responses).unwrap() else {
+            panic!("expected the fallback to complete");
+        };
+        assert!(report.fallback_all_human);
+        assert!(!report.used_warm_start);
+        assert_eq!((report.label_rounds, report.plan_rounds, report.refine_rounds), (1, 1, 0));
+        assert_eq!(report.oracle_queries, 20);
+        drop(engine);
+
+        // Cut the log before its commit. The log holds no record of the
+        // switch: the resumed replay must hit the same degeneracy.
+        let epochs = humo::wal::read_log(&path).unwrap().epochs().unwrap();
+        assert!(epochs.last().unwrap().commit.is_some());
+        let commit = humo::wal::encode_record(&WalRecord::Commit { warm: None }).len() as u64;
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(file.metadata().unwrap().len() - commit).unwrap();
+        drop(file);
+        let epochs = humo::wal::read_log(&path).unwrap().epochs().unwrap();
+        assert_eq!((epochs.len(), epochs[0].commit.is_none()), (1, true));
+
+        let mut resumed = degenerate_engine();
+        let mut session = resumed.resume(&path).unwrap().expect("the cut log is in flight");
+        let mut oracle = GroundTruthOracle::new();
+        let again = session.drive(&mut oracle).unwrap();
+        assert_eq!(oracle.labels_issued(), 0, "every label is on the log");
+        assert!(again.fallback_all_human);
+        assert_eq!(again.outcome.solution, report.outcome.solution);
+        assert_eq!(again.outcome.assignment, report.outcome.assignment);
+        assert_eq!(again.outcome.metrics, report.outcome.metrics);
+        assert_eq!(again.outcome.total_human_cost, report.outcome.total_human_cost);
+        assert_eq!(again.entities, report.entities);
+        assert_eq!(again.oracle_queries, report.oracle_queries);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -31,7 +31,9 @@
 //! * sans-I/O resolution sessions — [`ResolutionEngine::begin_resolve`]
 //!   returns a [`ResolutionSession`] that emits batched label requests and is
 //!   driven with responses (the engine-side twin of
-//!   [`humo::LabelingSession`]), so resolution does not require a blocking
+//!   [`humo::LabelingSession`]: a thin wrapper that dereferences to its
+//!   [`humo::SessionState`], which owns the rounds and the all-human
+//!   fallback), so resolution does not require a blocking
 //!   oracle in hand: labels can come from crowdsourcing dispatch, labeling
 //!   UIs, or a checkpoint/resume loop, and the engine's label store keeps
 //!   later epochs from re-asking answered pairs.

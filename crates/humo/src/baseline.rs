@@ -21,13 +21,11 @@
 //! single one, to smooth out the distribution irregularity of matching pairs.
 
 use crate::optimizer::Optimizer;
-use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::session::{
-    verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession, ReplayCache,
-    SessionConfig, SessionPhase,
+    verified_assignment, CoreOutput, Drive, LabelSlate, ReplayCache, SessionConfig, SessionPhase,
 };
-use crate::solution::{HumoSolution, OptimizationOutcome};
+use crate::solution::HumoSolution;
 use crate::{HumoError, Result};
 use er_core::workload::Workload;
 use std::ops::Range;
@@ -110,13 +108,6 @@ impl BaselineOptimizer {
     /// The configuration.
     pub fn config(&self) -> &BaselineConfig {
         &self.config
-    }
-
-    /// Starts a sans-I/O [`LabelingSession`] for this optimizer over the
-    /// workload — the batched, resumable alternative to
-    /// [`Optimizer::optimize`].
-    pub fn session<'w>(&self, workload: &'w Workload) -> Result<LabelingSession<'w>> {
-        LabelingSession::new(SessionConfig::Baseline(self.config), workload)
     }
 }
 
@@ -375,12 +366,8 @@ impl BaselineOptimizer {
 }
 
 impl Optimizer for BaselineOptimizer {
-    fn optimize(
-        &self,
-        workload: &Workload,
-        oracle: &mut dyn Oracle,
-    ) -> Result<OptimizationOutcome> {
-        self.session(workload)?.drive(oracle)
+    fn session_config(&self) -> SessionConfig {
+        SessionConfig::Baseline(self.config)
     }
 
     fn name(&self) -> &'static str {
@@ -392,6 +379,7 @@ impl Optimizer for BaselineOptimizer {
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
+    use crate::solution::OptimizationOutcome;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
     fn monotone_workload(n: usize) -> Workload {

@@ -15,16 +15,15 @@
 
 use crate::baseline::{BoundarySearch, Moves};
 use crate::optimizer::Optimizer;
-use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::sampling::{
     censored_proportion_lower, censored_proportion_upper, MatchCountEstimator,
     PartialSamplingConfig, PartialSamplingOptimizer, SamplingPlan,
 };
 use crate::session::{
-    verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession, ReplayCache, SessionConfig,
+    verified_assignment, CoreOutput, Drive, LabelSlate, ReplayCache, SessionConfig,
 };
-use crate::solution::{HumoSolution, OptimizationOutcome};
+use crate::solution::HumoSolution;
 use crate::{HumoError, Result};
 use er_core::workload::{SubsetPartition, Workload};
 
@@ -83,13 +82,6 @@ impl HybridOptimizer {
     /// The configuration.
     pub fn config(&self) -> &HybridConfig {
         &self.config
-    }
-
-    /// Starts a sans-I/O [`LabelingSession`] for this optimizer over the
-    /// workload — the batched, resumable alternative to
-    /// [`Optimizer::optimize`].
-    pub fn session<'w>(&self, workload: &'w Workload) -> Result<LabelingSession<'w>> {
-        LabelingSession::new(SessionConfig::Hybrid(self.config), workload)
     }
 }
 
@@ -321,12 +313,8 @@ impl HybridOptimizer {
 }
 
 impl Optimizer for HybridOptimizer {
-    fn optimize(
-        &self,
-        workload: &Workload,
-        oracle: &mut dyn Oracle,
-    ) -> Result<OptimizationOutcome> {
-        self.session(workload)?.drive(oracle)
+    fn session_config(&self) -> SessionConfig {
+        SessionConfig::Hybrid(self.config)
     }
 
     fn name(&self) -> &'static str {
@@ -339,6 +327,7 @@ mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
     use crate::sampling::PartialSamplingOptimizer;
+    use crate::solution::OptimizationOutcome;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
     fn workload(n: usize, tau: f64, sigma: f64, seed: u64) -> Workload {

@@ -38,7 +38,8 @@
 //! production system needs when labels come from real people asynchronously.
 //! The classic `Optimizer::optimize(workload, oracle)` entry point is a thin
 //! driver loop over that state machine ([`LabelingSession::drive`]), so both
-//! APIs behave byte-identically; see the [`session`] module docs.
+//! APIs behave byte-identically. [`SessionState`] is the one session core
+//! every wrapper dereferences or delegates to; see the [`session`] module docs.
 //!
 //! All three sampling-based optimizers route their count bounds through the
 //! two-sided tail-calibrated estimator ([`sampling::CalibratedEstimator`]):

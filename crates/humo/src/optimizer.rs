@@ -1,28 +1,42 @@
 //! The common interface implemented by all HUMO optimizers.
 
 use crate::oracle::Oracle;
+use crate::session::{LabelingSession, SessionConfig};
 use crate::solution::OptimizationOutcome;
 use crate::Result;
 use er_core::workload::Workload;
 
 /// A HUMO optimizer: searches for a low-human-cost partition of a workload that
 /// satisfies the configured quality requirement.
+/// It runs as a sans-I/O [`LabelingSession`] of its [`SessionConfig`].
 pub trait Optimizer {
-    /// Runs the optimization, drawing all manual labels from `oracle`, and returns
-    /// the resolved outcome (partition, labels, achieved quality and human cost).
-    ///
-    /// Every implementation in this crate is a thin driver loop over the
-    /// optimizer's sans-I/O [`LabelingSession`](crate::LabelingSession): the
-    /// session emits batched label requests and this method answers them
-    /// synchronously through [`crate::Oracle::label_batch`].
-    /// Systems whose labels arrive asynchronously (crowdsourcing, labeling
-    /// UIs, queues) should use the session API directly — each optimizer
-    /// exposes a `session(workload)` constructor.
-    fn optimize(&self, workload: &Workload, oracle: &mut dyn Oracle)
-        -> Result<OptimizationOutcome>;
+    /// The session configuration this optimizer runs.
+    fn session_config(&self) -> SessionConfig;
 
     /// A short human-readable name (used by the experiment harness and logs).
     fn name(&self) -> &'static str;
+
+    /// Starts a sans-I/O [`LabelingSession`] for this optimizer over the
+    /// workload — the batched, resumable alternative to
+    /// [`Optimizer::optimize`] for systems whose labels arrive
+    /// asynchronously (crowdsourcing, labeling UIs, queues).
+    fn session<'w>(&self, workload: &'w Workload) -> Result<LabelingSession<'w>> {
+        LabelingSession::new(self.session_config(), workload)
+    }
+
+    /// Runs the optimization, drawing all manual labels from `oracle`, and returns
+    /// the resolved outcome (partition, labels, achieved quality and human cost).
+    ///
+    /// This is a driver loop over [`Optimizer::session`]: the session emits
+    /// batched label requests and [`LabelingSession::drive`] answers them
+    /// synchronously through [`crate::Oracle::label_batch`].
+    fn optimize(
+        &self,
+        workload: &Workload,
+        oracle: &mut dyn Oracle,
+    ) -> Result<OptimizationOutcome> {
+        self.session(workload)?.drive(oracle)
+    }
 }
 
 /// Enumeration of the optimizer families described in the paper, used by the

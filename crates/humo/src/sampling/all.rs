@@ -11,12 +11,9 @@ use super::calibrated::{CalibratedEstimator, ShortfallBaseline, TailCalibration}
 use super::estimator::{search_subset_bounds, StratifiedCountEstimator};
 use super::sampler::SubsetSampler;
 use crate::optimizer::Optimizer;
-use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
-use crate::session::{
-    verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession, SessionConfig,
-};
-use crate::solution::{HumoSolution, OptimizationOutcome};
+use crate::session::{verified_assignment, CoreOutput, Drive, LabelSlate, SessionConfig};
+use crate::solution::HumoSolution;
 use crate::{HumoError, Result};
 use er_core::workload::Workload;
 
@@ -97,13 +94,6 @@ impl AllSamplingOptimizer {
         &self.config
     }
 
-    /// Starts a sans-I/O [`LabelingSession`] for this optimizer over the
-    /// workload — the batched, resumable alternative to
-    /// [`Optimizer::optimize`].
-    pub fn session<'w>(&self, workload: &'w Workload) -> Result<LabelingSession<'w>> {
-        LabelingSession::new(SessionConfig::AllSampling(self.config), workload)
-    }
-
     /// The suspendable all-sampling run. Every subset's sample membership is
     /// label-independent, so the entire sampling phase is emitted as **one**
     /// label batch: an all-sampling session costs at most two round-trips
@@ -153,12 +143,8 @@ impl AllSamplingOptimizer {
 }
 
 impl Optimizer for AllSamplingOptimizer {
-    fn optimize(
-        &self,
-        workload: &Workload,
-        oracle: &mut dyn Oracle,
-    ) -> Result<OptimizationOutcome> {
-        self.session(workload)?.drive(oracle)
+    fn session_config(&self) -> SessionConfig {
+        SessionConfig::AllSampling(self.config)
     }
 
     fn name(&self) -> &'static str {
@@ -170,6 +156,7 @@ impl Optimizer for AllSamplingOptimizer {
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
+    use crate::solution::OptimizationOutcome;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
     fn workload(n: usize, seed: u64) -> Workload {

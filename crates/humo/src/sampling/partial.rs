@@ -22,7 +22,7 @@ use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::session::{
     drive_with_oracle, verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession,
-    ReplayCache, SessionConfig,
+    ReplayCache, SessionConfig, SessionState,
 };
 use crate::solution::{HumoSolution, OptimizationOutcome};
 use crate::{HumoError, Result};
@@ -350,27 +350,6 @@ impl PartialSamplingOptimizer {
         })
     }
 
-    /// Starts a sans-I/O [`LabelingSession`](crate::LabelingSession) for this
-    /// optimizer over the workload — the batched, resumable alternative to
-    /// [`Optimizer::optimize`].
-    pub fn session<'w>(&self, workload: &'w Workload) -> Result<LabelingSession<'w>> {
-        LabelingSession::new(SessionConfig::PartialSampling(self.config), workload)
-    }
-
-    /// Starts a session seeded with warm-start state from a previous epoch's
-    /// plan.
-    pub fn session_with_warm_start<'w>(
-        &self,
-        workload: &'w Workload,
-        warm: Option<WarmStart>,
-    ) -> Result<LabelingSession<'w>> {
-        LabelingSession::with_warm_start(
-            SessionConfig::PartialSampling(self.config),
-            workload,
-            warm,
-        )
-    }
-
     /// The suspendable estimation phase backing both the session state machine
     /// and the oracle-driven [`PartialSamplingOptimizer::plan_with_warm_start`].
     ///
@@ -466,7 +445,8 @@ impl PartialSamplingOptimizer {
         oracle: &mut dyn Oracle,
         warm: Option<&WarmStart>,
     ) -> Result<(OptimizationOutcome, WarmStart)> {
-        let mut session = self.session_with_warm_start(workload, warm.cloned())?;
+        let state = SessionState::new(self.session_config())?.with_warm_start(warm.cloned());
+        let mut session = LabelingSession::from_state(state, workload);
         let outcome = session.drive(oracle)?;
         let next = session
             .next_warm_start()
@@ -957,12 +937,8 @@ fn nearest_index(sorted: &[f64], x: f64) -> usize {
 }
 
 impl Optimizer for PartialSamplingOptimizer {
-    fn optimize(
-        &self,
-        workload: &Workload,
-        oracle: &mut dyn Oracle,
-    ) -> Result<OptimizationOutcome> {
-        self.session(workload)?.drive(oracle)
+    fn session_config(&self) -> SessionConfig {
+        SessionConfig::PartialSampling(self.config)
     }
 
     fn name(&self) -> &'static str {

@@ -73,6 +73,14 @@
 //! replay cost that a from-scratch re-run per step would pay, and the
 //! per-step replay that answers arriving in pieces would trigger.
 //!
+//! # One core, thin wrappers
+//!
+//! [`SessionState`] is the one state machine: rounds, the all-human fallback
+//! ([`SessionState::fall_back_to_all_human`]) and log replay live there.
+//! [`LabelingSession`] binds a workload borrow and dereferences, read-only, to
+//! its state; `er_pipeline::ResolutionSession` and
+//! [`crate::wal::DurableSession`] add an engine commit and a write-ahead log.
+//!
 //! # Driving a session with an oracle
 //!
 //! ```
@@ -452,7 +460,7 @@ impl ReplayCache {
         Ok(partition)
     }
 
-    /// Drops all cached state (used once a session completes).
+    /// Drops all cached state (once a session completes or falls back).
     fn clear(&mut self) {
         self.plan = None;
         self.training = None;
@@ -545,6 +553,17 @@ pub fn answer_requests(
         .collect()
 }
 
+/// The label requests for a batch of workload indices, in batch order.
+fn requests_for(workload: &Workload, indices: Vec<usize>) -> Vec<LabelRequest> {
+    indices
+        .into_iter()
+        .map(|index| {
+            let pair = workload.pair(index);
+            LabelRequest { pair_id: pair.id(), index, similarity: pair.similarity() }
+        })
+        .collect()
+}
+
 /// Drives a suspendable computation to completion by answering every emitted
 /// batch through an [`Oracle`] — the internal engine behind the oracle-based
 /// public APIs (`PartialSamplingOptimizer::plan`, …).
@@ -560,13 +579,7 @@ pub(crate) fn drive_with_oracle<T>(
         match attempt {
             Ok(value) => return Ok(value),
             Err(Suspend::Need { indices, .. }) => {
-                let requests: Vec<LabelRequest> = indices
-                    .iter()
-                    .map(|&index| {
-                        let pair = workload.pair(index);
-                        LabelRequest { pair_id: pair.id(), index, similarity: pair.similarity() }
-                    })
-                    .collect();
+                let requests = requests_for(workload, indices);
                 for (request, response) in
                     requests.iter().zip(answer_requests(workload, &requests, oracle))
                 {
@@ -578,15 +591,12 @@ pub(crate) fn drive_with_oracle<T>(
     }
 }
 
-/// The owned, workload-detached part of a labeling session: configuration,
-/// answered-label log and progress counters.
-///
-/// [`LabelingSession`] is the ergonomic borrowing wrapper most callers want;
-/// `SessionState` exists for embedders (such as
-/// `er_pipeline::ResolutionEngine`) whose workload lives inside a larger
-/// mutable structure and therefore cannot be borrowed for the session's whole
-/// lifetime. Every [`SessionState::step`] must be called with the same
-/// workload the session was started for.
+/// The one session core: configuration, answered-label log, round counters,
+/// the all-human fallback and log replay, detached from the workload (see the
+/// [module docs](self#one-core-thin-wrappers) for the wrappers). Embedders
+/// whose workload lives inside a larger mutable structure drive it directly:
+/// every [`SessionState::step`] must be called with the same workload the
+/// session was started for.
 #[derive(Debug, Clone)]
 pub struct SessionState {
     config: SessionConfig,
@@ -732,9 +742,9 @@ impl SessionState {
     ///
     /// The log replaces the *labels*, not the session's inputs: a session
     /// that was seeded with a [`WarmStart`] must be resumed with the **same**
-    /// warm start (chain [`SessionState::with_warm_start`], or use
-    /// [`LabelingSession::resume_with_warm_start`]) — resuming it cold replays
-    /// a different optimization.
+    /// warm start (chain [`SessionState::with_warm_start`], and wrap the
+    /// state with [`LabelingSession::from_state`] if needed) — resuming it
+    /// cold replays a different optimization.
     pub fn resume(
         config: SessionConfig,
         workload: &Workload,
@@ -766,6 +776,24 @@ impl SessionState {
         self.labels = None;
     }
 
+    /// Switches a mid-flight session to the exact all-human fallback
+    /// ([`SessionConfig::AllHuman`]) without losing a label: the answered
+    /// log, the preloads and the round counters carry over; the warm start,
+    /// the outstanding batch and the replay cache are dropped. The next step
+    /// asks for every still-unknown label in one verification round.
+    ///
+    /// Drivers call this when a replay fails with a statistical degeneracy
+    /// ([`HumoError::Stats`]), a property of the data: a resumed replay of
+    /// the same log hits it at the same point and falls back the same way.
+    pub fn fall_back_to_all_human(&mut self) {
+        self.config = SessionConfig::AllHuman;
+        self.phase = self.config.initial_phase();
+        self.warm = None;
+        self.warm_out = None;
+        self.pending.clear();
+        self.cache.clear();
+    }
+
     /// The configuration the session runs.
     pub fn config(&self) -> &SessionConfig {
         &self.config
@@ -782,9 +810,10 @@ impl SessionState {
     /// however many pairs it contains). Re-emissions of a still-outstanding
     /// batch (zero-progress polls, partial-response steps) do not count.
     ///
-    /// Unlike the label cost, this counter is per-process bookkeeping, not
-    /// part of the checkpoint: a session rebuilt via [`SessionState::resume`]
-    /// starts counting at zero again (the checkpointed labels arrive in one
+    /// [`SessionState::fall_back_to_all_human`] keeps counting. Unlike the
+    /// label cost, this counter is per-process bookkeeping, not part of the
+    /// checkpoint: a session rebuilt via [`SessionState::resume`] starts
+    /// counting at zero again (the checkpointed labels arrive in one
     /// replayed wave, not in their original cadence). Drivers that need a
     /// cumulative latency figure across restarts should persist it alongside
     /// the log.
@@ -824,6 +853,11 @@ impl SessionState {
     /// The finished outcome, once the session is done.
     pub fn outcome(&self) -> Option<&OptimizationOutcome> {
         self.outcome.as_ref()
+    }
+
+    /// The warm start the session was seeded with, if any.
+    pub fn warm_start(&self) -> Option<&WarmStart> {
+        self.warm.as_ref()
     }
 
     /// Warm-start state for the next epoch, produced by completed
@@ -1001,13 +1035,7 @@ impl SessionState {
                 // a label round-trip.
                 let outstanding: HashSet<PairId> =
                     self.pending.iter().map(|request| request.pair_id).collect();
-                self.pending = indices
-                    .into_iter()
-                    .map(|index| {
-                        let pair = workload.pair(index);
-                        LabelRequest { pair_id: pair.id(), index, similarity: pair.similarity() }
-                    })
-                    .collect();
+                self.pending = requests_for(workload, indices);
                 let reemission = !self.pending.is_empty()
                     && self.pending.iter().all(|request| outstanding.contains(&request.pair_id));
                 if !reemission {
@@ -1044,10 +1072,22 @@ impl SessionState {
 /// start), dispatch every emitted [`Step::NeedLabels`] batch to your labelers,
 /// and keep stepping until [`Step::Done`]. [`LabelingSession::drive`] runs
 /// that loop against a synchronous [`Oracle`].
+///
+/// The wrapper binds the workload borrow and dereferences, read-only, to its
+/// [`SessionState`] for every accessor (`session.rounds()`, …), so its own
+/// `step` is the only way to advance it: always against its workload.
 #[derive(Debug, Clone)]
 pub struct LabelingSession<'w> {
     workload: &'w Workload,
     state: SessionState,
+}
+
+impl std::ops::Deref for LabelingSession<'_> {
+    type Target = SessionState;
+
+    fn deref(&self) -> &SessionState {
+        &self.state
+    }
 }
 
 impl<'w> LabelingSession<'w> {
@@ -1056,21 +1096,11 @@ impl<'w> LabelingSession<'w> {
         Ok(Self { workload, state: SessionState::new(config)? })
     }
 
-    /// Creates a session seeded with warm-start state from a previous
-    /// optimization (honored by the partial-sampling optimizer).
-    pub fn with_warm_start(
-        config: SessionConfig,
-        workload: &'w Workload,
-        warm: Option<WarmStart>,
-    ) -> Result<Self> {
-        Ok(Self { workload, state: SessionState::new(config)?.with_warm_start(warm) })
-    }
-
     /// Rebuilds a session from a previous session's answered-label log; the
     /// next [`LabelingSession::step`] resumes to the same outcome the original
     /// session was heading for. A session that was created with a warm start
-    /// must be resumed via [`LabelingSession::resume_with_warm_start`] with
-    /// the same warm start. See [`SessionState::resume`].
+    /// must be rebuilt with the same warm start, through
+    /// [`LabelingSession::from_state`]. See [`SessionState::resume`].
     pub fn resume(
         config: SessionConfig,
         workload: &'w Workload,
@@ -1079,24 +1109,9 @@ impl<'w> LabelingSession<'w> {
         Ok(Self { workload, state: SessionState::resume(config, workload, log)? })
     }
 
-    /// Rebuilds a warm-started session from its answered-label log: the same
-    /// configuration, workload *and* warm start the original session was
-    /// created with, plus the log, reproduce its optimization exactly.
-    pub fn resume_with_warm_start(
-        config: SessionConfig,
-        workload: &'w Workload,
-        log: &[LabelResponse],
-        warm: Option<WarmStart>,
-    ) -> Result<Self> {
-        Ok(Self {
-            workload,
-            state: SessionState::resume(config, workload, log)?.with_warm_start(warm),
-        })
-    }
-
-    /// Wraps an owned [`SessionState`] (e.g. one rebuilt via
-    /// [`SessionState::resume`] and re-seeded with
-    /// [`SessionState::with_warm_start`]) for the given workload.
+    /// Wraps an owned [`SessionState`] (e.g. one seeded or re-seeded with
+    /// [`SessionState::with_warm_start`], or rebuilt via
+    /// [`SessionState::resume`]) for the given workload.
     pub fn from_state(state: SessionState, workload: &'w Workload) -> Self {
         Self { workload, state }
     }
@@ -1156,52 +1171,6 @@ impl<'w> LabelingSession<'w> {
                 }
             }
         }
-    }
-
-    /// The still-unanswered requests of the most recent batch.
-    pub fn pending(&self) -> &[LabelRequest] {
-        self.state.pending()
-    }
-
-    /// Number of distinct label dispatch waves so far (label round-trips);
-    /// re-emissions of a still-outstanding batch do not count. See
-    /// [`SessionState::rounds`].
-    pub fn rounds(&self) -> usize {
-        self.state.rounds()
-    }
-
-    /// Rounds dispatched during the plan stage. See
-    /// [`SessionState::plan_rounds`].
-    pub fn plan_rounds(&self) -> usize {
-        self.state.plan_rounds()
-    }
-
-    /// Rounds dispatched during the refine stage. See
-    /// [`SessionState::refine_rounds`].
-    pub fn refine_rounds(&self) -> usize {
-        self.state.refine_rounds()
-    }
-
-    /// The optimization stage the most recent batch belongs to.
-    pub fn phase(&self) -> SessionPhase {
-        self.state.phase()
-    }
-
-    /// The distinct responses absorbed so far, in arrival order — the
-    /// checkpoint log accepted by [`LabelingSession::resume`].
-    pub fn answered_log(&self) -> &[LabelResponse] {
-        self.state.answered_log()
-    }
-
-    /// Whether the session has completed.
-    pub fn is_done(&self) -> bool {
-        self.state.is_done()
-    }
-
-    /// Warm-start state for the next epoch, produced by completed
-    /// partial-sampling sessions.
-    pub fn next_warm_start(&self) -> Option<&WarmStart> {
-        self.state.next_warm_start()
     }
 }
 
@@ -1527,6 +1496,78 @@ mod tests {
     }
 
     #[test]
+    fn falling_back_mid_flight_matches_a_fresh_all_human_state_over_the_same_labels() {
+        let w = workload(8_000);
+        let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
+        let config = SessionConfig::for_kind(OptimizerKind::Hybrid, requirement);
+        let preloads =
+            ground_truth_responses(&w, &requests_for(&w, (0..w.len()).step_by(97).collect()));
+        let mut state = SessionState::new(config).unwrap();
+        state.preload(preloads.iter().copied());
+        let mut responses = Vec::new();
+        while state.plan_rounds() < 2 {
+            let Step::NeedLabels(requests) = state.step(&w, &responses).unwrap() else {
+                panic!("HYBR plans for more than two rounds");
+            };
+            responses = ground_truth_responses(&w, &requests);
+        }
+        // Mid-flight: half of the second plan round is answered.
+        state.absorb_responses(&w, &responses[..responses.len() / 2]).unwrap();
+        assert!(!state.pending().is_empty());
+        let log = state.answered_log().to_vec();
+        let counters = (state.rounds(), state.plan_rounds(), state.refine_rounds());
+        // The reference: a fresh all-human state, preloaded, absorbing the
+        // log.
+        let mut reference = SessionState::new(SessionConfig::AllHuman).unwrap();
+        reference.preload(preloads.iter().copied());
+        reference.absorb_responses(&w, &log).unwrap();
+
+        state.fall_back_to_all_human();
+        assert_eq!(state.config(), &SessionConfig::AllHuman);
+        assert_eq!(state.answered_log(), &log[..]);
+        assert_eq!((state.rounds(), state.plan_rounds(), state.refine_rounds()), counters);
+        assert!(state.pending().is_empty() && state.warm_start().is_none());
+        assert_eq!(state.phase(), reference.phase());
+
+        // Lockstep, answering half of every batch so re-emissions show too.
+        let mut responses = Vec::new();
+        let mut steps = 0;
+        loop {
+            let step = state.step(&w, &responses).unwrap();
+            let expected = reference.step(&w, &responses).unwrap();
+            steps += 1;
+            if steps == 1 {
+                let (rounds, plan, refine) = counters;
+                let after = (state.rounds(), state.plan_rounds(), state.refine_rounds());
+                assert_eq!(after, (rounds + 1, plan, refine + 1), "one refine round opens");
+            }
+            assert_eq!(state.rounds(), counters.0 + reference.rounds());
+            assert_eq!(state.plan_rounds(), counters.1 + reference.plan_rounds());
+            assert_eq!(state.refine_rounds(), counters.2 + reference.refine_rounds());
+            assert_eq!(state.phase(), reference.phase());
+            assert_eq!(state.pending(), reference.pending());
+            match (step, expected) {
+                (Step::NeedLabels(batch), Step::NeedLabels(expected)) => {
+                    assert_eq!(batch, expected);
+                    responses = ground_truth_responses(&w, &batch[..batch.len().div_ceil(2)]);
+                }
+                (Step::Done(outcome), Step::Done(expected)) => {
+                    assert_eq!(outcome.solution, expected.solution);
+                    assert_eq!(outcome.assignment, expected.assignment);
+                    assert_eq!(outcome.metrics, expected.metrics);
+                    assert_eq!(outcome.verification_cost, expected.verification_cost);
+                    assert_eq!(outcome.sampling_cost, expected.sampling_cost);
+                    assert_eq!(outcome.total_human_cost, expected.total_human_cost);
+                    break;
+                }
+                _ => panic!("step {steps}: the fallback and the reference diverged"),
+            }
+        }
+        assert!(steps > 2, "the verification round was answered in pieces");
+        assert_eq!(state.answered_log(), reference.answered_log());
+    }
+
+    #[test]
     fn late_responses_after_completion_do_not_pollute_the_checkpoint_log() {
         let w = workload(400);
         let mut session = LabelingSession::new(SessionConfig::AllHuman, &w).unwrap();
@@ -1580,13 +1621,13 @@ mod tests {
         assert!(!warm.is_empty());
         // Reference: a warm-started session driven to completion.
         let session_config = SessionConfig::PartialSampling(config);
-        let mut reference =
-            LabelingSession::with_warm_start(session_config, &w, Some(warm.clone())).unwrap();
+        let warm_state =
+            || SessionState::new(session_config).unwrap().with_warm_start(Some(warm.clone()));
+        let mut reference = LabelingSession::from_state(warm_state(), &w);
         let reference_outcome = drive_manually(&mut reference);
         // Checkpoint a second warm-started session after a few rounds, then
         // resume it with the same warm start: identical outcome and log.
-        let mut session =
-            LabelingSession::with_warm_start(session_config, &w, Some(warm.clone())).unwrap();
+        let mut session = LabelingSession::from_state(warm_state(), &w);
         let mut responses = Vec::new();
         for _ in 0..2 {
             match session.step(&responses).unwrap() {
@@ -1599,8 +1640,9 @@ mod tests {
         let _ = session.step(&responses).unwrap();
         let log = session.answered_log().to_vec();
         drop(session);
-        let mut resumed =
-            LabelingSession::resume_with_warm_start(session_config, &w, &log, Some(warm)).unwrap();
+        let resumed_state =
+            SessionState::resume(session_config, &w, &log).unwrap().with_warm_start(Some(warm));
+        let mut resumed = LabelingSession::from_state(resumed_state, &w);
         let resumed_outcome = drive_manually(&mut resumed);
         assert_eq!(resumed_outcome.solution, reference_outcome.solution);
         assert_eq!(resumed_outcome.assignment, reference_outcome.assignment);

@@ -68,8 +68,12 @@
 //!
 //! A well-formed log is `SessionBegin (Labels)* (Commit)?`, repeated — one
 //! group per epoch when an engine logs several sessions into one file (see
-//! `er_pipeline::ResolutionEngine::attach_wal`). [`WalWriter`] does not
-//! enforce the grammar (it appends what it is told); readers do.
+//! `er_pipeline::ResolutionEngine::attach_wal`). Only the last epoch may lack
+//! its `Commit`. [`WalWriter`] does not enforce the grammar (it appends what
+//! it is told). One reader does: [`WalRecovery::epochs`] folds the records
+//! into [`WalEpoch`]s and rejects any log that breaks the grammar, and every
+//! resume ([`DurableSession::resume`], `er_pipeline::ResolutionEngine::resume`)
+//! reads the log through it.
 
 use crate::sampling::{
     AllSamplingConfig, PartialSamplingConfig, PriorObservation, RefitStrategy, ShortfallBaseline,
@@ -430,6 +434,55 @@ pub struct WalRecovery {
     pub valid_len: u64,
 }
 
+/// One epoch of a `HAL1` log: a `SessionBegin` record, the labels logged
+/// after it and its `Commit`, if it got that far.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalEpoch {
+    /// `workload.len()` of the epoch's workload.
+    pub workload_len: u64,
+    /// The optimizer configuration the epoch's session ran.
+    pub config: SessionConfig,
+    /// The warm start the session was seeded with.
+    pub warm: Option<WarmStart>,
+    /// The epoch's answered log, in logged order.
+    pub log: Vec<LabelResponse>,
+    /// `Some` once the epoch committed, carrying the warm start it handed
+    /// to the next epoch; `None` while it is in flight.
+    pub commit: Option<Option<WarmStart>>,
+}
+
+impl WalRecovery {
+    /// Folds the records into epochs under the log grammar
+    /// `(SessionBegin (Labels)* Commit?)*`, in which only the last epoch may
+    /// lack its commit. Labels or a commit outside a session, and a
+    /// `SessionBegin` while an epoch is still open, are [`HumoError::Wal`].
+    pub fn epochs(self) -> Result<Vec<WalEpoch>> {
+        let mut epochs: Vec<WalEpoch> = Vec::new();
+        for record in self.records {
+            let open = epochs.last_mut().filter(|epoch| epoch.commit.is_none());
+            match (record, open) {
+                (WalRecord::SessionBegin { workload_len, config, warm }, None) => {
+                    let log = Vec::new();
+                    epochs.push(WalEpoch { workload_len, config, warm, log, commit: None });
+                }
+                (WalRecord::Labels(responses), Some(epoch)) => epoch.log.extend(responses),
+                (WalRecord::Commit { warm }, Some(epoch)) => epoch.commit = Some(warm),
+                (record, _) => {
+                    let misplaced = match record {
+                        WalRecord::SessionBegin { .. } => {
+                            "opens a session before committing the previous one"
+                        }
+                        WalRecord::Labels(_) => "holds labels outside any session",
+                        WalRecord::Commit { .. } => "holds a commit outside any session",
+                    };
+                    return Err(HumoError::Wal(format!("log {misplaced}")));
+                }
+            }
+        }
+        Ok(epochs)
+    }
+}
+
 /// Decodes a full in-memory `HAL1` image (magic included), recovering from a
 /// torn tail. Corruption inside a complete frame is an error.
 pub fn decode_log(bytes: &[u8]) -> Result<WalRecovery> {
@@ -740,7 +793,8 @@ impl<'w> DurableSession<'w> {
         warm: Option<WarmStart>,
         path: impl AsRef<Path>,
     ) -> Result<Self> {
-        let session = LabelingSession::with_warm_start(config, workload, warm.clone())?;
+        let state = SessionState::new(config)?.with_warm_start(warm.clone());
+        let session = LabelingSession::from_state(state, workload);
         let mut wal = WalWriter::create(path)?;
         let begin = WalRecord::SessionBegin { workload_len: workload.len() as u64, config, warm };
         wal.append_observed(&begin, workload.obs())?;
@@ -750,36 +804,24 @@ impl<'w> DurableSession<'w> {
     /// Rebuilds a session from its log: the `SessionBegin` record supplies
     /// the configuration and warm start, the `Labels` records replay the
     /// answered log, and a torn tail is truncated away. The file must hold
-    /// exactly one session (engines multiplexing epochs use
-    /// `er_pipeline::ResolutionEngine::resume`).
+    /// exactly one epoch (see [`WalRecovery::epochs`]); engines multiplexing
+    /// epochs use `er_pipeline::ResolutionEngine::resume`.
     pub fn resume(workload: &'w Workload, path: impl AsRef<Path>) -> Result<Self> {
         let (wal, recovery) = WalWriter::recover(path)?;
-        let mut records = recovery.records.into_iter();
-        let Some(WalRecord::SessionBegin { workload_len, config, warm }) = records.next() else {
-            return Err(HumoError::Wal(
-                "log does not start with a SessionBegin record".to_string(),
-            ));
-        };
-        if workload_len != workload.len() as u64 {
+        let [epoch] = <[WalEpoch; 1]>::try_from(recovery.epochs()?).map_err(|epochs| {
+            HumoError::Wal(format!("log holds {} sessions, expected one", epochs.len()))
+        })?;
+        if epoch.workload_len != workload.len() as u64 {
             return Err(HumoError::Wal(format!(
-                "log was written for a {workload_len}-pair workload, got {} pairs",
+                "log was written for a {}-pair workload, got {} pairs",
+                epoch.workload_len,
                 workload.len()
             )));
         }
-        let mut log: Vec<LabelResponse> = Vec::new();
-        let mut committed = false;
-        for record in records {
-            match record {
-                WalRecord::Labels(responses) => log.extend(responses),
-                WalRecord::Commit { .. } => committed = true,
-                WalRecord::SessionBegin { .. } => {
-                    return Err(HumoError::Wal("log holds more than one session".to_string()))
-                }
-            }
-        }
-        let state = SessionState::resume(config, workload, &log)?.with_warm_start(warm);
+        let state =
+            SessionState::resume(epoch.config, workload, &epoch.log)?.with_warm_start(epoch.warm);
         let session = LabelingSession::from_state(state, workload);
-        Ok(Self { session, wal, committed })
+        Ok(Self { session, wal, committed: epoch.commit.is_some() })
     }
 
     /// Advances the session under the write-ahead rule of
@@ -1011,6 +1053,64 @@ mod tests {
         let recovery = read_log(&path).unwrap();
         assert!(!recovery.torn_tail);
         assert_eq!(recovery.records.len(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_epoch_fold_enforces_the_log_grammar() {
+        let begin = |workload_len| WalRecord::SessionBegin {
+            workload_len,
+            config: SessionConfig::AllHuman,
+            warm: None,
+        };
+        let labels = |id| {
+            WalRecord::Labels(vec![LabelResponse { pair_id: PairId(id), label: Label::Match }])
+        };
+        let commit = || WalRecord::Commit { warm: None };
+        let cases: Vec<(Vec<WalRecord>, &str)> = vec![
+            (vec![labels(1)], "log holds labels outside any session"),
+            (vec![begin(5), commit(), labels(1)], "log holds labels outside any session"),
+            (vec![commit()], "log holds a commit outside any session"),
+            (vec![begin(5), commit(), commit()], "log holds a commit outside any session"),
+            (
+                vec![begin(5), labels(1), begin(5)],
+                "log opens a session before committing the previous one",
+            ),
+        ];
+        for (records, expected) in cases {
+            let recovery = WalRecovery { records: records.clone(), torn_tail: false, valid_len: 0 };
+            match recovery.epochs() {
+                Err(HumoError::Wal(message)) => assert_eq!(message, expected, "{records:?}"),
+                other => panic!("{records:?} folded to {other:?}"),
+            }
+        }
+        // A well-formed log: a committed epoch, then one still in flight.
+        let records = vec![begin(5), labels(1), labels(2), commit(), begin(6), labels(3)];
+        let epochs = WalRecovery { records, torn_tail: false, valid_len: 0 }.epochs().unwrap();
+        assert_eq!(epochs.len(), 2);
+        assert_eq!(
+            (epochs[0].workload_len, epochs[0].log.len(), epochs[0].commit.clone()),
+            (5, 2, Some(None))
+        );
+        assert_eq!(
+            (epochs[1].workload_len, epochs[1].log.len(), epochs[1].commit.clone()),
+            (6, 1, None)
+        );
+
+        // A durable session owns exactly one epoch: a two-epoch log is refused.
+        let w = workload(400);
+        let path = temp_path("two-epochs");
+        let mut writer = WalWriter::create(&path).unwrap();
+        for record in [begin(w.len() as u64), commit(), begin(w.len() as u64)] {
+            writer.append(&record).unwrap();
+        }
+        drop(writer);
+        match DurableSession::resume(&w, &path) {
+            Err(HumoError::Wal(message)) => {
+                assert_eq!(message, "log holds 2 sessions, expected one")
+            }
+            other => panic!("a two-epoch log resumed: {other:?}"),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
