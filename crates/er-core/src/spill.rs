@@ -2,11 +2,9 @@
 //! blocking index and the workload use to push cold data past a configurable
 //! resident budget.
 //!
-//! The codec primitives ([`ByteWriter`], [`ByteReader`], [`fnv1a`]) live in
-//! [`crate::codec`] and are re-exported here for compatibility; every
-//! structure spilled through this module is written in a hand-rolled,
-//! documented, little-endian byte format and verified with an FNV-1a checksum
-//! on read. The two on-disk chunk layouts are:
+//! Every structure spilled through this module is written in a hand-rolled,
+//! documented, little-endian byte format with the [`crate::codec`] primitives
+//! and verified with an FNV-1a checksum on read. The two on-disk chunk layouts are:
 //!
 //! **Workload segment** (`HSG1`, written by [`crate::workload::Workload`]):
 //!
@@ -42,7 +40,6 @@
 //! abandons its old chunk (the store is an arena, not a heap), which keeps
 //! every previously returned [`ChunkHandle`] valid for the file's lifetime.
 
-pub use crate::codec::{fnv1a, ByteReader, ByteWriter};
 use crate::{ErError, Result};
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -237,18 +234,5 @@ mod tests {
         assert_eq!(file.bytes_written(), 1010);
         // Reading past the end fails instead of returning short data.
         assert!(file.read_at(1005, 100).is_err());
-    }
-
-    #[test]
-    fn codec_primitives_stay_reexported() {
-        // `HSG1`/`HPG1` callers historically imported the codec from here;
-        // the re-export keeps that path stable after the move to
-        // `crate::codec`.
-        let mut w = ByteWriter::default();
-        w.put_u64(42);
-        let chunk = w.finish();
-        let mut r = ByteReader::checked(&chunk).unwrap();
-        assert_eq!(r.take_u64().unwrap(), 42);
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

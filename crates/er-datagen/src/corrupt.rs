@@ -5,7 +5,7 @@
 //! same classes of noise in a controlled, seeded way so the generated corpora
 //! produce realistic similarity distributions.
 
-use crate::rng::{bernoulli, choice};
+use crate::rng::bernoulli;
 use rand::Rng;
 
 /// Injects a single character-level typo (substitution, swap, deletion or
@@ -118,12 +118,6 @@ pub fn corrupt<R: Rng + ?Sized>(rng: &mut R, input: &str, severity: f64) -> Stri
         out = truncate_tokens(&out, keep);
     }
     out
-}
-
-/// Picks a random word from a pool — a convenience helper used by the corpus
-/// generators when composing titles and descriptions.
-pub fn random_word<'a, R: Rng + ?Sized>(rng: &mut R, pool: &'a [&'a str]) -> &'a str {
-    choice::<_, &str>(rng, pool)
 }
 
 #[cfg(test)]

@@ -164,11 +164,6 @@ impl EntityClusters {
         self.clusters.iter().filter(|c| c.len() > 1).count()
     }
 
-    /// Index of the cluster containing `key`, if present.
-    pub fn cluster_of(&self, key: RecordKey) -> Option<usize> {
-        self.membership.get(&key).copied()
-    }
-
     /// Whether two record keys are placed in the same entity.
     pub fn same_entity(&self, a: RecordKey, b: RecordKey) -> bool {
         match (self.membership.get(&a), self.membership.get(&b)) {

@@ -67,50 +67,29 @@ impl Kernel for RbfKernel {
     }
 }
 
-/// How the length scale is chosen when [`GpConfig::length_scale`] is `None` and
-/// optimization is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LengthScaleSelection {
-    /// Maximize the log marginal likelihood over the candidate grid (the
-    /// textbook criterion).
-    #[default]
-    MarginalLikelihood,
-    /// Minimize the held-out squared prediction error of a two-fold
-    /// (alternating-point) split over the candidate grid. More robust than the
-    /// marginal likelihood when the per-point noise model is approximate — e.g.
-    /// sampled proportions whose observed value is exactly 0 or 1.
-    HeldOutError,
-}
-
 /// Configuration for fitting a [`GaussianProcess`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpConfig {
     /// Signal variance of the RBF kernel. Defaults to `0.05` which suits
     /// match-proportion curves living in `[0, 1]`.
     pub signal_variance: f64,
-    /// Length scale of the RBF kernel. When `None`, a heuristic based on the
-    /// spread of the training inputs is used (one quarter of the input range).
+    /// Length scale of the RBF kernel. `Some(ℓ)` pins the scale. `None`
+    /// selects it from a six-point grid around a heuristic (one quarter of
+    /// the input range): the candidate with the smallest two-fold held-out
+    /// squared prediction error wins. Held-out error stays robust when the
+    /// per-point noise model is approximate, e.g. sampled proportions whose
+    /// observed value is exactly 0 or 1. Selection needs at least four
+    /// observations (two per fold); pin the scale for smaller fits.
     pub length_scale: Option<f64>,
     /// Observation-noise variance added to the diagonal of the training
     /// covariance (the "nugget"); models sampling error of the observed match
     /// proportions.
     pub noise_variance: f64,
-    /// Whether to select the length scale over a small grid around the heuristic
-    /// value.
-    pub optimize_length_scale: bool,
-    /// The criterion used when selecting the length scale.
-    pub selection: LengthScaleSelection,
 }
 
 impl Default for GpConfig {
     fn default() -> Self {
-        Self {
-            signal_variance: 0.05,
-            length_scale: None,
-            noise_variance: 1e-4,
-            optimize_length_scale: true,
-            selection: LengthScaleSelection::MarginalLikelihood,
-        }
+        Self { signal_variance: 0.05, length_scale: None, noise_variance: 1e-4 }
     }
 }
 
@@ -211,6 +190,10 @@ impl GaussianProcess {
     /// near 0 or 1 carries far less sampling error than one near 0.5, and treating
     /// them alike makes the posterior either overconfident in the middle or far
     /// too loose at the extremes.
+    ///
+    /// The length scale is [`GpConfig::length_scale`] when pinned; otherwise
+    /// it is selected by two-fold held-out error (see [`GpConfig`]), which
+    /// fails when no candidate can fit both folds.
     pub fn fit_with_noise(
         xs: &[f64],
         ys: &[f64],
@@ -240,55 +223,33 @@ impl GaussianProcess {
                 "noise variances must be non-negative".to_string(),
             ));
         }
-        let heuristic = Self::heuristic_length_scale(xs);
-        let base_scale = config.length_scale.unwrap_or(heuristic);
+        let length_scale = match config.length_scale {
+            Some(length_scale) => length_scale,
+            None => Self::select_length_scale(xs, ys, noise_variances, &config)?,
+        };
+        Self::fit_with_scale(xs, ys, noise_variances, &config, length_scale)
+    }
 
-        if config.optimize_length_scale && config.length_scale.is_none() {
-            // Small log-spaced grid around the heuristic.
-            let candidates = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0].map(|f| base_scale * f);
-            match config.selection {
-                LengthScaleSelection::MarginalLikelihood => {
-                    let mut best: Option<GaussianProcess> = None;
-                    for ls in candidates {
-                        if let Ok(gp) = Self::fit_with_scale(xs, ys, noise_variances, &config, ls) {
-                            let better = best
-                                .as_ref()
-                                .map(|b| gp.log_marginal_likelihood > b.log_marginal_likelihood)
-                                .unwrap_or(true);
-                            if better {
-                                best = Some(gp);
-                            }
-                        }
-                    }
-                    best.ok_or_else(|| {
-                        StatsError::Linalg(
-                            "failed to fit GP for any candidate length scale".to_string(),
-                        )
-                    })
-                }
-                LengthScaleSelection::HeldOutError => {
-                    let mut best: Option<(f64, f64)> = None; // (error, length scale)
-                    for ls in candidates {
-                        if let Some(error) =
-                            Self::held_out_error(xs, ys, noise_variances, &config, ls)
-                        {
-                            let better = best.map(|(e, _)| error < e).unwrap_or(true);
-                            if better {
-                                best = Some((error, ls));
-                            }
-                        }
-                    }
-                    let (_, ls) = best.ok_or_else(|| {
-                        StatsError::Linalg(
-                            "failed to fit GP for any candidate length scale".to_string(),
-                        )
-                    })?;
-                    Self::fit_with_scale(xs, ys, noise_variances, &config, ls)
+    /// The candidate of a small log-spaced grid around the heuristic length
+    /// scale with the smallest two-fold held-out error.
+    fn select_length_scale(
+        xs: &[f64],
+        ys: &[f64],
+        noise_variances: &[f64],
+        config: &GpConfig,
+    ) -> Result<f64> {
+        let heuristic = Self::heuristic_length_scale(xs);
+        let mut best: Option<(f64, f64)> = None; // (error, length scale)
+        for ls in [0.125, 0.25, 0.5, 1.0, 2.0, 4.0].map(|f| heuristic * f) {
+            if let Some(error) = Self::held_out_error(xs, ys, noise_variances, config, ls) {
+                if best.map(|(e, _)| error < e).unwrap_or(true) {
+                    best = Some((error, ls));
                 }
             }
-        } else {
-            Self::fit_with_scale(xs, ys, noise_variances, &config, base_scale)
         }
+        best.map(|(_, ls)| ls).ok_or_else(|| {
+            StatsError::Linalg("failed to fit GP for any candidate length scale".to_string())
+        })
     }
 
     /// Two-fold (alternating points in input order) held-out squared prediction
@@ -395,10 +356,10 @@ impl GaussianProcess {
     /// and length scale) is **not** re-selected: the resulting model is
     /// bit-identical to [`GaussianProcess::fit_with_noise`] on the
     /// concatenated data with the same fixed length scale
-    /// (`length_scale: Some(self.kernel().length_scale)`,
-    /// `optimize_length_scale: false`), because every entry of a Cholesky
-    /// factor depends only on the leading submatrix. Appending points one at
-    /// a time or all in one call yields the same model.
+    /// (`length_scale: Some(self.kernel().length_scale)`), because every
+    /// entry of a Cholesky factor depends only on the leading submatrix.
+    /// Appending points one at a time or all in one call yields the same
+    /// model.
     ///
     /// An empty append is a no-op. On error (length mismatch, non-finite
     /// input, negative noise, or a covariance that stops being positive
@@ -697,8 +658,13 @@ mod tests {
         assert!((actual - expected).abs() <= tol, "expected {expected}, got {actual} (tol {tol})");
     }
 
-    fn config_no_opt() -> GpConfig {
-        GpConfig { optimize_length_scale: false, ..GpConfig::default() }
+    fn pinned(length_scale: f64) -> GpConfig {
+        GpConfig { length_scale: Some(length_scale), ..GpConfig::default() }
+    }
+
+    /// Pins the quarter-range heuristic that selection centres its grid on.
+    fn pinned_heuristic(xs: &[f64]) -> GpConfig {
+        pinned(GaussianProcess::heuristic_length_scale(xs))
     }
 
     #[test]
@@ -723,7 +689,11 @@ mod tests {
     #[test]
     fn gp_requires_two_points() {
         assert!(GaussianProcess::fit(&[0.5], &[0.5], GpConfig::default()).is_err());
-        assert!(GaussianProcess::fit(&[0.1, 0.9], &[0.0, 1.0], GpConfig::default()).is_ok());
+        // Two points are too few for held-out selection: pin the grid scale
+        // with the highest log marginal likelihood on this data.
+        let xs = [0.1, 0.9];
+        let config = pinned(GaussianProcess::heuristic_length_scale(&xs) * 0.125);
+        assert!(GaussianProcess::fit(&xs, &[0.0, 1.0], config).is_ok());
     }
 
     #[test]
@@ -735,7 +705,7 @@ mod tests {
     fn gp_interpolates_training_points_with_small_noise() {
         let xs = [0.0, 0.25, 0.5, 0.75, 1.0];
         let ys = [0.05, 0.2, 0.5, 0.8, 0.95];
-        let config = GpConfig { noise_variance: 1e-8, ..config_no_opt() };
+        let config = GpConfig { noise_variance: 1e-8, ..pinned_heuristic(&xs) };
         let gp = GaussianProcess::fit(&xs, &ys, config).unwrap();
         for (x, y) in xs.iter().zip(&ys) {
             assert_close(gp.predict_mean(*x), *y, 1e-2);
@@ -746,7 +716,7 @@ mod tests {
     fn gp_posterior_variance_smaller_near_training_points() {
         let xs = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
         let ys = [0.1, 0.2, 0.4, 0.6, 0.8, 0.9];
-        let gp = GaussianProcess::fit(&xs, &ys, config_no_opt()).unwrap();
+        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
         // Variance at a training point should be below variance far outside the data.
         assert!(gp.predict_variance(0.4) < gp.predict_variance(3.0));
     }
@@ -755,7 +725,9 @@ mod tests {
     fn gp_variance_nonnegative_everywhere() {
         let xs = [0.0, 0.1, 0.3, 0.55, 0.8, 1.0];
         let ys = [0.02, 0.05, 0.2, 0.5, 0.85, 0.97];
-        let gp = GaussianProcess::fit(&xs, &ys, GpConfig::default()).unwrap();
+        // The grid scale with the highest log marginal likelihood here.
+        let config = pinned(GaussianProcess::heuristic_length_scale(&xs) * 2.0);
+        let gp = GaussianProcess::fit(&xs, &ys, config).unwrap();
         for i in 0..=50 {
             let x = i as f64 / 50.0;
             assert!(gp.predict_variance(x) >= 0.0);
@@ -767,7 +739,8 @@ mod tests {
         // A smooth increasing curve should stay roughly increasing between samples.
         let xs: Vec<f64> = (0..11).map(|i| i as f64 / 10.0).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 1.0 / (1.0 + (-10.0 * (x - 0.5)).exp())).collect();
-        let gp = GaussianProcess::fit(&xs, &ys, GpConfig::default()).unwrap();
+        // The grid scale with the highest log marginal likelihood here.
+        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
         let y_low = gp.predict_mean(0.25);
         let y_mid = gp.predict_mean(0.5);
         let y_high = gp.predict_mean(0.75);
@@ -778,7 +751,7 @@ mod tests {
     fn gp_joint_covariance_is_symmetric_and_psd_on_diagonal() {
         let xs = [0.0, 0.25, 0.5, 0.75, 1.0];
         let ys = [0.1, 0.3, 0.5, 0.7, 0.9];
-        let gp = GaussianProcess::fit(&xs, &ys, config_no_opt()).unwrap();
+        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
         let query = [0.1, 0.4, 0.6, 0.9];
         let post = gp.predict_joint(&query);
         assert_eq!(post.mean.len(), 4);
@@ -833,7 +806,6 @@ mod tests {
         let config = GpConfig {
             signal_variance: rng.gen_range(0.01..2.0),
             length_scale: Some(rng.gen_range(0.02..1.0)),
-            optimize_length_scale: false,
             ..GpConfig::default()
         };
         let gp = GaussianProcess::fit_with_noise(&xs, &ys, &noise, config).ok()?;
@@ -892,7 +864,7 @@ mod tests {
     fn predict_joint_into_writes_only_the_strided_block() {
         let xs = [0.0, 0.3, 0.6, 1.0];
         let ys = [0.0, 0.25, 0.65, 1.0];
-        let gp = GaussianProcess::fit(&xs, &ys, config_no_opt()).unwrap();
+        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
         let query = [0.9, 0.15, 0.45, 0.15, 0.7];
         let (m, stride) = (query.len(), query.len() + 3);
         let mut mean = vec![0.0; m];
@@ -917,7 +889,7 @@ mod tests {
     fn gp_joint_mean_matches_pointwise_mean() {
         let xs = [0.0, 0.3, 0.6, 1.0];
         let ys = [0.0, 0.25, 0.65, 1.0];
-        let gp = GaussianProcess::fit(&xs, &ys, config_no_opt()).unwrap();
+        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
         let query = [0.15, 0.45, 0.85];
         let post = gp.predict_joint(&query);
         for (i, &q) in query.iter().enumerate() {
@@ -927,7 +899,7 @@ mod tests {
 
     #[test]
     fn gp_length_scale_optimization_picks_reasonable_fit() {
-        // Data from a smooth sigmoid; the optimized fit should track it closely.
+        // Data from a smooth sigmoid; the selected fit should track it closely.
         let xs: Vec<f64> = (0..21).map(|i| i as f64 / 20.0).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 0.95 / (1.0 + (-14.0 * (x - 0.55)).exp())).collect();
         let gp = GaussianProcess::fit(&xs, &ys, GpConfig::default()).unwrap();
@@ -942,7 +914,7 @@ mod tests {
         // smaller noise should pull the posterior mean towards itself.
         let xs = [0.0, 0.5, 0.5001, 1.0];
         let ys = [0.0, 0.2, 0.8, 1.0];
-        let config = GpConfig { optimize_length_scale: false, ..GpConfig::default() };
+        let config = pinned_heuristic(&xs);
         let noisy_first = [1e-6, 1.0, 1e-6, 1e-6];
         let gp = GaussianProcess::fit_with_noise(&xs, &ys, &noisy_first, config).unwrap();
         assert!(gp.predict_mean(0.5) > 0.6, "posterior should side with the precise 0.8");
@@ -953,7 +925,9 @@ mod tests {
 
     #[test]
     fn heteroscedastic_fit_validates_inputs() {
-        let config = GpConfig::default();
+        // Two points are too few for held-out selection: pin the grid scale
+        // with the highest log marginal likelihood on the valid fit below.
+        let config = pinned(0.25 * 0.125);
         assert!(GaussianProcess::fit_with_noise(&[0.0, 1.0], &[0.0, 1.0], &[0.1], config).is_err());
         assert!(GaussianProcess::fit_with_noise(&[0.0, 1.0], &[0.0, 1.0], &[0.1, -0.1], config)
             .is_err());
@@ -980,7 +954,7 @@ mod tests {
     fn inflating_variances_never_shrinks_them() {
         let xs = [0.0, 0.25, 0.5, 0.75, 1.0];
         let ys = [0.1, 0.3, 0.5, 0.7, 0.9];
-        let gp = GaussianProcess::fit(&xs, &ys, config_no_opt()).unwrap();
+        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
         let query = [0.1, 0.4, 0.6, 0.9];
         let mut post = gp.predict_joint(&query);
         let before = post.variances();
@@ -998,7 +972,7 @@ mod tests {
     fn distance_to_nearest_observation_is_zero_at_training_points() {
         let xs = [0.1, 0.4, 0.9];
         let ys = [0.0, 0.5, 1.0];
-        let gp = GaussianProcess::fit(&xs, &ys, config_no_opt()).unwrap();
+        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
         assert_close(gp.distance_to_nearest_observation(0.4), 0.0, 1e-12);
         assert_close(gp.distance_to_nearest_observation(0.25), 0.15, 1e-12);
         assert_close(gp.distance_to_nearest_observation(1.0), 0.1, 1e-12);
@@ -1008,7 +982,7 @@ mod tests {
     fn gp_log_marginal_likelihood_is_finite() {
         let xs = [0.0, 0.5, 1.0];
         let ys = [0.1, 0.5, 0.9];
-        let gp = GaussianProcess::fit(&xs, &ys, config_no_opt()).unwrap();
+        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
         assert!(gp.log_marginal_likelihood().is_finite());
     }
 
@@ -1024,7 +998,6 @@ mod tests {
         let config = GpConfig {
             signal_variance: gp.kernel().signal_variance,
             length_scale: Some(gp.kernel().length_scale),
-            optimize_length_scale: false,
             ..GpConfig::default()
         };
         GaussianProcess::fit_with_noise(xs, ys, noise, config).unwrap()
@@ -1035,8 +1008,9 @@ mod tests {
         let xs = [0.0, 0.3, 0.6, 1.0];
         let ys = [0.05, 0.2, 0.6, 0.95];
         let noise = [1e-3, 2e-3, 1e-3, 5e-4];
-        let mut gp =
-            GaussianProcess::fit_with_noise(&xs, &ys, &noise, GpConfig::default()).unwrap();
+        // The grid scale with the highest log marginal likelihood here.
+        let config = pinned(GaussianProcess::heuristic_length_scale(&xs) * 2.0);
+        let mut gp = GaussianProcess::fit_with_noise(&xs, &ys, &noise, config).unwrap();
         let (new_x, new_y, new_n) = ([0.45, 0.8], [0.4, 0.85], [3e-3, 1e-3]);
         gp.extend_with_noise(&new_x, &new_y, &new_n).unwrap();
 
@@ -1060,7 +1034,8 @@ mod tests {
         let xs = [0.0, 0.5, 1.0];
         let ys = [0.1, 0.5, 0.9];
         let noise = [1e-3, 1e-3, 1e-3];
-        let mut batch = GaussianProcess::fit_with_noise(&xs, &ys, &noise, config_no_opt()).unwrap();
+        let mut batch =
+            GaussianProcess::fit_with_noise(&xs, &ys, &noise, pinned_heuristic(&xs)).unwrap();
         let mut stepwise = batch.clone();
         let (new_x, new_y, new_n) = ([0.25, 0.75], [0.3, 0.7], [2e-3, 2e-3]);
         batch.extend_with_noise(&new_x, &new_y, &new_n).unwrap();
@@ -1078,7 +1053,7 @@ mod tests {
     #[test]
     fn empty_extend_is_a_noop() {
         let mut gp =
-            GaussianProcess::fit(&[0.0, 0.5, 1.0], &[0.1, 0.5, 0.9], config_no_opt()).unwrap();
+            GaussianProcess::fit(&[0.0, 0.5, 1.0], &[0.1, 0.5, 0.9], pinned(0.25)).unwrap();
         let before = gp.log_marginal_likelihood();
         gp.extend(&[], &[]).unwrap();
         assert_eq!(gp.training_size(), 3);
@@ -1088,7 +1063,7 @@ mod tests {
     #[test]
     fn failed_extend_leaves_the_model_unchanged() {
         let mut gp =
-            GaussianProcess::fit(&[0.0, 0.5, 1.0], &[0.1, 0.5, 0.9], config_no_opt()).unwrap();
+            GaussianProcess::fit(&[0.0, 0.5, 1.0], &[0.1, 0.5, 0.9], pinned(0.25)).unwrap();
         let before_lml = gp.log_marginal_likelihood();
         let before_mean = gp.predict_mean(0.3);
         assert!(gp.extend(&[0.25], &[f64::NAN]).is_err());
@@ -1104,7 +1079,8 @@ mod tests {
         let xs = [0.0, 0.5, 1.0];
         let ys = [0.1, 0.5, 0.9];
         let noise = [1e-3, 3e-3, 2e-3];
-        let mut plain = GaussianProcess::fit_with_noise(&xs, &ys, &noise, config_no_opt()).unwrap();
+        let mut plain =
+            GaussianProcess::fit_with_noise(&xs, &ys, &noise, pinned_heuristic(&xs)).unwrap();
         let avg = plain.noise_variance();
         let mut explicit = plain.clone();
         plain.extend(&[0.25], &[0.3]).unwrap();

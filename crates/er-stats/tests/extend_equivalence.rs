@@ -92,8 +92,6 @@ proptest! {
             signal_variance: 0.05,
             length_scale: Some(rng.gen_range(0.5..4.0)),
             noise_variance: 1e-4,
-            optimize_length_scale: false,
-            ..GpConfig::default()
         };
 
         let mut grown = GaussianProcess::fit_with_noise(

@@ -203,11 +203,6 @@ impl CrowdOracle {
         reliability_abs_error(&self.plan, &self.workers)
     }
 
-    /// The latest EM-estimated reliability per worker, when EM has run.
-    pub fn estimated_reliabilities(&self) -> Option<&BTreeMap<WorkerId, WorkerReliability>> {
-        self.plan.last_em().map(|em| &em.reliabilities)
-    }
-
     fn vote(&self, ask: VoteAsk, truth_is_match: bool) -> bool {
         self.workers[ask.worker.0 as usize].vote(ask.pair, truth_is_match)
     }

@@ -147,7 +147,7 @@ impl HybridOptimizer {
             matches as f64 / pairs as f64
         };
         let base = d_plus * proportion;
-        let samp = estimator.lower_bound(state.search.upper()..num_subsets, confidence);
+        let samp = estimator.lower_bound(state.search.upper()..num_subsets);
         base.max(samp).min(d_plus)
     }
 
@@ -181,7 +181,7 @@ impl HybridOptimizer {
             matches as f64 / pairs as f64
         };
         let base = d_minus * proportion;
-        let samp = estimator.upper_bound(0..state.search.lower(), confidence);
+        let samp = estimator.upper_bound(0..state.search.lower());
         base.min(samp).max(0.0)
     }
 

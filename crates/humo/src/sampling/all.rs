@@ -8,12 +8,11 @@
 //! variant (`SAMP`) to cut that cost, and keeps this one as an internal baseline.
 
 use super::calibrated::{CalibratedEstimator, ShortfallBaseline, TailCalibration};
-use super::estimator::{search_subset_bounds, StratifiedCountEstimator};
+use super::estimator::{search_subset_bounds, subset_solution, StratifiedCountEstimator};
 use super::sampler::SubsetSampler;
 use crate::optimizer::Optimizer;
 use crate::requirement::QualityRequirement;
 use crate::session::{verified_assignment, CoreOutput, Drive, LabelSlate, SessionConfig};
-use crate::solution::HumoSolution;
 use crate::{HumoError, Result};
 use er_core::workload::Workload;
 
@@ -112,11 +111,11 @@ impl AllSamplingOptimizer {
         }
         let cfg = &self.config;
         let partition = workload.partition(cfg.unit_size)?;
-        let mut sampler =
-            SubsetSampler::new(workload, &partition, cfg.samples_per_subset, cfg.seed);
+        let mut sampler = SubsetSampler::new(&partition, cfg.samples_per_subset, cfg.seed);
         let all: Vec<usize> = (0..partition.len()).collect();
         let samples = sampler.sample_many_core(&all, slate)?;
-        let base = StratifiedCountEstimator::new(&partition, &samples);
+        let confidence = cfg.requirement.split_confidence();
+        let base = StratifiedCountEstimator::new(&partition, &samples, confidence);
         // Every subset carries its own sample (distance zero), so the tail
         // bound reduces to each stratum's own Clopper–Pearson limits; the
         // length scale only matters for unsampled subsets and is arbitrary here.
@@ -129,14 +128,10 @@ impl AllSamplingOptimizer {
             sampler.samples(),
             1.0,
             cfg.tail_calibration,
-        );
-        let (lo, hi) = search_subset_bounds(&estimator, partition.len(), &cfg.requirement);
-
-        let lower_index =
-            if lo >= partition.len() { workload.len() } else { partition.subset(lo).range().start };
-        let upper_index =
-            if hi == 0 { 0 } else { partition.subset(hi - 1).range().end.max(lower_index) };
-        let solution = HumoSolution::new(lower_index, upper_index.max(lower_index), workload.len());
+            confidence,
+        )?;
+        let bounds = search_subset_bounds(&estimator, partition.len(), &cfg.requirement);
+        let solution = subset_solution(&partition, bounds, workload.len());
         let assignment = verified_assignment(&solution, workload, slate)?;
         Ok(CoreOutput { solution, assignment, warm_out: None })
     }

@@ -67,6 +67,13 @@
 //! properties (restored recall coverage on flat curves, restored precision
 //! coverage on mid-steep curves, near-zero cost overhead on steep ones) are
 //! measured by the `calibration_coverage` harness in `crates/bench`.
+//!
+//! # Confidence
+//!
+//! An estimator is built at one per-bound confidence (`√θ`, the same one its
+//! base estimator was built with), so each run's pooled limit is computed
+//! once, at construction, and stored with the run. The bound sweeps then only
+//! read them; there are no limit caches.
 
 use super::estimator::MatchCountEstimator;
 use crate::HumoError;
@@ -74,8 +81,7 @@ use er_stats::{
     clopper_pearson_lower, clopper_pearson_upper, pooled_lower_limit, pooled_upper_limit,
     SampleSummary,
 };
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What the pooled detection-limit allowance of a quiet (or saturated) run is
 /// compared against before adjusting the base estimator's bound.
@@ -280,36 +286,32 @@ struct PooledRun {
     /// Half-open subset range `[start, end)`.
     start: usize,
     end: usize,
-    /// Pooled sample size and positives over the run's distinct samples.
-    pooled_size: f64,
-    pooled_positives: f64,
-    /// Largest distance from any member subset to its nearest informing
-    /// sample; deflates the pooled size.
-    max_distance: f64,
+    /// The pooled one-sided Clopper–Pearson limit on the run's mean match
+    /// proportion: an upper limit for a quiet run, a lower limit for a
+    /// saturated one.
+    limit: f64,
 }
 
 /// A [`MatchCountEstimator`] decorator that widens intervals to respect the
 /// binomial detection limits of the underlying samples. See the module docs
 /// for the construction.
+///
+/// The per-bound confidence is fixed at construction, like the base
+/// estimator's, so every run's pooled limit is computed once there.
 #[derive(Debug, Clone)]
 pub struct CalibratedEstimator<E> {
     base: E,
     config: TailCalibration,
     /// Prefix sums of subset sizes, for O(1) run-overlap pair counts.
     size_prefix: Vec<f64>,
-    /// Maximal runs of subsets informed only by quiet samples (upper side).
+    /// Maximal runs of subsets informed only by quiet samples (upper side),
+    /// each with its pooled upper limit. Empty unless the calibration is
+    /// enabled.
     quiet_runs: Vec<PooledRun>,
-    /// Maximal runs of subsets informed only by near-pure samples (lower side).
+    /// Maximal runs of subsets informed only by near-pure samples (lower
+    /// side), each with its pooled lower limit. Empty unless the calibration
+    /// and `calibrate_lower` are enabled.
     saturated_runs: Vec<PooledRun>,
-    /// Length scale used to normalize extrapolation distances.
-    length_scale: f64,
-    /// Cache of per-quiet-run pooled upper limits keyed by
-    /// `(run, confidence bits)`. Confidence is validated before it is
-    /// bit-keyed (a NaN key would poison the cache).
-    run_limits: RefCell<HashMap<(usize, u64), f64>>,
-    /// Cache of per-saturated-run pooled lower limits, keyed like
-    /// [`Self::run_limits`].
-    saturated_limits: RefCell<HashMap<(usize, u64), f64>>,
 }
 
 impl<E: MatchCountEstimator> CalibratedEstimator<E> {
@@ -320,7 +322,14 @@ impl<E: MatchCountEstimator> CalibratedEstimator<E> {
     ///   coordinate works; distances are measured in this space);
     /// * `samples` — subset index → sample summary for every sampled subset;
     /// * `length_scale` — the fitted GP length scale (or any positive scale of
-    ///   "how far a sample generalizes" in the input coordinate).
+    ///   "how far a sample generalizes" in the input coordinate);
+    /// * `confidence` — the per-bound confidence the base estimator was built
+    ///   with (`√θ` for a requirement at confidence `θ`).
+    ///
+    /// Rejects a `confidence` outside `[0, 1)` (NaN and infinities included)
+    /// with [`HumoError::InvalidConfig`]. The domain matches
+    /// [`crate::QualityRequirement::new`]: a degenerate `0` collapses the
+    /// tail limits onto the observed proportions rather than erroring.
     pub fn new(
         base: E,
         subset_sizes: &[usize],
@@ -328,7 +337,13 @@ impl<E: MatchCountEstimator> CalibratedEstimator<E> {
         samples: &BTreeMap<usize, SampleSummary>,
         length_scale: f64,
         config: TailCalibration,
-    ) -> Self {
+        confidence: f64,
+    ) -> crate::Result<Self> {
+        if !(confidence.is_finite() && (0.0..1.0).contains(&confidence)) {
+            return Err(HumoError::InvalidConfig(format!(
+                "bound confidence must lie in [0, 1), got {confidence}"
+            )));
+        }
         assert_eq!(subset_sizes.len(), inputs.len(), "one input coordinate per subset");
         let mut summaries = Vec::with_capacity(samples.len());
         let mut sampled: Vec<(usize, usize)> = Vec::with_capacity(samples.len()); // (subset, summary idx)
@@ -379,32 +394,40 @@ impl<E: MatchCountEstimator> CalibratedEstimator<E> {
             size_prefix[i + 1] = size_prefix[i] + subsets[i].size;
         }
 
-        let quiet_flags: Vec<bool> =
-            summaries.iter().map(|s| is_quiet(s, config.quiet_fraction)).collect();
-        let saturated_flags: Vec<bool> =
-            summaries.iter().map(|s| is_saturated(s, config.quiet_fraction)).collect();
-        let quiet_runs = Self::pooled_runs(&subsets, &summaries, &quiet_flags);
-        let saturated_runs = Self::pooled_runs(&subsets, &summaries, &saturated_flags);
+        let length_scale = length_scale.max(1e-9);
+        let one_sided = one_sided_confidence(confidence);
+        let strength = config.distance_strength;
+        let runs = |flagged: fn(&SampleSummary, f64) -> bool,
+                    limit: fn(f64, f64, f64, f64, f64, f64) -> er_stats::Result<f64>,
+                    fallback: f64| {
+            let flags: Vec<bool> =
+                summaries.iter().map(|s| flagged(s, config.quiet_fraction)).collect();
+            Self::pooled_runs(&subsets, &summaries, &flags, |size, positives, distance| {
+                limit(size, positives, distance, length_scale, strength, one_sided)
+                    .unwrap_or(fallback)
+            })
+        };
+        let quiet_runs =
+            if config.enabled { runs(is_quiet, pooled_upper_limit, 1.0) } else { Vec::new() };
+        let saturated_runs = if config.enabled && config.calibrate_lower {
+            runs(is_saturated, pooled_lower_limit, 0.0)
+        } else {
+            Vec::new()
+        };
 
-        Self {
-            base,
-            config,
-            size_prefix,
-            quiet_runs,
-            saturated_runs,
-            length_scale: length_scale.max(1e-9),
-            run_limits: RefCell::new(HashMap::new()),
-            saturated_limits: RefCell::new(HashMap::new()),
-        }
+        Ok(Self { base, config, size_prefix, quiet_runs, saturated_runs })
     }
 
     /// Builds the maximal runs of consecutive subsets whose every existing
     /// informing neighbour carries a flagged (quiet or saturated) sample,
-    /// pooling the distinct flagged samples of each run.
+    /// pooling the distinct flagged samples of each run. `limit` maps a
+    /// run's pooled sample size, pooled positives and largest distance from
+    /// a member subset to its nearest informing sample onto the run's limit.
     fn pooled_runs(
         subsets: &[SubsetTail],
         summaries: &[SampleSummary],
         flags: &[bool],
+        limit: impl Fn(f64, f64, f64) -> f64,
     ) -> Vec<PooledRun> {
         let member = |tail: &SubsetTail| -> bool {
             let mut any = false;
@@ -444,95 +467,37 @@ impl<E: MatchCountEstimator> CalibratedEstimator<E> {
                 pooled_positives += summaries[s].positives as f64;
             }
             if pooled_size > 0.0 {
-                runs.push(PooledRun { start, end: i, pooled_size, pooled_positives, max_distance });
+                let limit = limit(pooled_size, pooled_positives, max_distance);
+                runs.push(PooledRun { start, end: i, limit });
             }
         }
         runs
     }
 
-    /// The wrapped base estimator.
-    pub fn base(&self) -> &E {
-        &self.base
-    }
-
-    /// The calibration configuration in force.
-    pub fn calibration(&self) -> &TailCalibration {
-        &self.config
-    }
-
-    /// Rejects a confidence level that cannot key the limit caches: the caches
-    /// are keyed by the confidence's bit pattern, so a NaN (or infinite, or
-    /// out-of-range) confidence would silently poison them and fall through to
-    /// unclamped bounds. The accepted domain `[0, 1)` matches
-    /// [`crate::QualityRequirement::new`] — a degenerate `0` collapses the
-    /// tail limits onto the observed proportions rather than erroring, so a
-    /// requirement that was constructible keeps producing bounds.
-    fn validate_confidence(confidence: f64) -> crate::Result<()> {
-        if !(confidence.is_finite() && (0.0..1.0).contains(&confidence)) {
-            return Err(HumoError::InvalidConfig(format!(
-                "bound confidence must lie in [0, 1), got {confidence}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Pooled upper limit on the mean match proportion of one quiet run.
-    fn run_upper_limit(&self, run_index: usize, confidence: f64) -> f64 {
-        let key = (run_index, confidence.to_bits());
-        if let Some(&cached) = self.run_limits.borrow().get(&key) {
-            return cached;
-        }
-        let run = &self.quiet_runs[run_index];
-        let limit = pooled_upper_limit(
-            run.pooled_size,
-            run.pooled_positives,
-            run.max_distance,
-            self.length_scale,
-            self.config.distance_strength,
-            one_sided_confidence(confidence),
-        )
-        .unwrap_or(1.0);
-        self.run_limits.borrow_mut().insert(key, limit);
-        limit
-    }
-
-    /// Pooled lower limit on the mean match proportion of one saturated run.
-    fn run_lower_limit(&self, run_index: usize, confidence: f64) -> f64 {
-        let key = (run_index, confidence.to_bits());
-        if let Some(&cached) = self.saturated_limits.borrow().get(&key) {
-            return cached;
-        }
-        let run = &self.saturated_runs[run_index];
-        let limit = pooled_lower_limit(
-            run.pooled_size,
-            run.pooled_positives,
-            run.max_distance,
-            self.length_scale,
-            self.config.distance_strength,
-            one_sided_confidence(confidence),
-        )
-        .unwrap_or(0.0);
-        self.saturated_limits.borrow_mut().insert(key, limit);
-        limit
+    /// The overlap of a range with a run: its pair count and subset range,
+    /// or `None` when the two are disjoint.
+    fn overlap(
+        &self,
+        range: &std::ops::Range<usize>,
+        run: &PooledRun,
+    ) -> Option<(f64, std::ops::Range<usize>)> {
+        let lo = range.start.max(run.start);
+        let hi = range.end.min(run.end);
+        (lo < hi).then(|| (self.size_prefix[hi] - self.size_prefix[lo], lo..hi))
     }
 
     /// The detection-limit shortfall of a range: for every quiet run
     /// overlapping it, how much match mass the pooled binomial limit allows
     /// beyond what the base estimator already grants there (the point estimate
     /// or the base upper bound, per [`ShortfallBaseline`]).
-    fn quiet_shortfall(&self, range: &std::ops::Range<usize>, confidence: f64) -> f64 {
+    fn quiet_shortfall(&self, range: &std::ops::Range<usize>) -> f64 {
         let mut total = 0.0;
-        for (index, run) in self.quiet_runs.iter().enumerate() {
-            let lo = range.start.max(run.start);
-            let hi = range.end.min(run.end);
-            if lo >= hi {
-                continue;
-            }
-            let pairs = self.size_prefix[hi] - self.size_prefix[lo];
-            let allowed = pairs * self.run_upper_limit(index, confidence);
+        for run in &self.quiet_runs {
+            let Some((pairs, overlap)) = self.overlap(range, run) else { continue };
+            let allowed = pairs * run.limit;
             let granted = match self.config.shortfall_baseline {
-                ShortfallBaseline::Estimate => self.base.estimate(lo..hi),
-                ShortfallBaseline::UpperBound => self.base.upper_bound(lo..hi, confidence),
+                ShortfallBaseline::Estimate => self.base.estimate(overlap),
+                ShortfallBaseline::UpperBound => self.base.upper_bound(overlap),
             };
             total += (allowed - granted).max(0.0);
         }
@@ -547,54 +512,18 @@ impl<E: MatchCountEstimator> CalibratedEstimator<E> {
     /// slack is orthogonal to the coherent pure-one bias) or the base lower
     /// bound itself ([`ShortfallBaseline::UpperBound`]: the stratified slack
     /// shares the pooled limit's draws, so only the actual claim is capped).
-    fn saturated_excess(&self, range: &std::ops::Range<usize>, confidence: f64) -> f64 {
+    fn saturated_excess(&self, range: &std::ops::Range<usize>) -> f64 {
         let mut total = 0.0;
-        for (index, run) in self.saturated_runs.iter().enumerate() {
-            let lo = range.start.max(run.start);
-            let hi = range.end.min(run.end);
-            if lo >= hi {
-                continue;
-            }
-            let pairs = self.size_prefix[hi] - self.size_prefix[lo];
-            let certified = pairs * self.run_lower_limit(index, confidence);
+        for run in &self.saturated_runs {
+            let Some((pairs, overlap)) = self.overlap(range, run) else { continue };
+            let certified = pairs * run.limit;
             let claimed = match self.config.shortfall_baseline {
-                ShortfallBaseline::Estimate => self.base.estimate(lo..hi),
-                ShortfallBaseline::UpperBound => self.base.lower_bound(lo..hi, confidence),
+                ShortfallBaseline::Estimate => self.base.estimate(overlap),
+                ShortfallBaseline::UpperBound => self.base.lower_bound(overlap),
             };
             total += (claimed - certified).max(0.0);
         }
         total
-    }
-
-    /// Fallible lower bound: rejects a non-finite or out-of-range confidence
-    /// with [`HumoError::InvalidConfig`] instead of bit-keying it into the
-    /// limit caches. The [`MatchCountEstimator`] impl delegates here.
-    pub fn try_lower_bound(
-        &self,
-        range: std::ops::Range<usize>,
-        confidence: f64,
-    ) -> crate::Result<f64> {
-        Self::validate_confidence(confidence)?;
-        let base = self.base.lower_bound(range.clone(), confidence);
-        if !self.config.enabled || !self.config.calibrate_lower {
-            return Ok(base);
-        }
-        Ok((base - self.saturated_excess(&range, confidence)).max(0.0))
-    }
-
-    /// Fallible upper bound; see [`Self::try_lower_bound`].
-    pub fn try_upper_bound(
-        &self,
-        range: std::ops::Range<usize>,
-        confidence: f64,
-    ) -> crate::Result<f64> {
-        Self::validate_confidence(confidence)?;
-        let base = self.base.upper_bound(range.clone(), confidence);
-        if !self.config.enabled {
-            return Ok(base);
-        }
-        let count = self.pair_count(range.clone()) as f64;
-        Ok((base + self.quiet_shortfall(&range, confidence)).min(count))
     }
 }
 
@@ -607,12 +536,21 @@ impl<E: MatchCountEstimator> MatchCountEstimator for CalibratedEstimator<E> {
         self.base.estimate(range)
     }
 
-    fn lower_bound(&self, range: std::ops::Range<usize>, confidence: f64) -> f64 {
-        self.try_lower_bound(range, confidence).unwrap_or_else(|e| panic!("{e}"))
+    fn lower_bound(&self, range: std::ops::Range<usize>) -> f64 {
+        let base = self.base.lower_bound(range.clone());
+        if !self.config.enabled || !self.config.calibrate_lower {
+            return base;
+        }
+        (base - self.saturated_excess(&range)).max(0.0)
     }
 
-    fn upper_bound(&self, range: std::ops::Range<usize>, confidence: f64) -> f64 {
-        self.try_upper_bound(range, confidence).unwrap_or_else(|e| panic!("{e}"))
+    fn upper_bound(&self, range: std::ops::Range<usize>) -> f64 {
+        let base = self.base.upper_bound(range.clone());
+        if !self.config.enabled {
+            return base;
+        }
+        let count = self.pair_count(range.clone()) as f64;
+        (base + self.quiet_shortfall(&range)).min(count)
     }
 }
 
@@ -635,10 +573,10 @@ mod tests {
         fn estimate(&self, range: std::ops::Range<usize>) -> f64 {
             range.map(|i| self.sizes[i] as f64 * self.proportions[i]).sum()
         }
-        fn lower_bound(&self, range: std::ops::Range<usize>, _c: f64) -> f64 {
+        fn lower_bound(&self, range: std::ops::Range<usize>) -> f64 {
             self.estimate(range)
         }
-        fn upper_bound(&self, range: std::ops::Range<usize>, _c: f64) -> f64 {
+        fn upper_bound(&self, range: std::ops::Range<usize>) -> f64 {
             self.estimate(range)
         }
     }
@@ -682,15 +620,17 @@ mod tests {
             &samples,
             0.25,
             TailCalibration::default(),
-        );
+            0.95,
+        )
+        .unwrap();
         // The uncalibrated upper bound is exactly zero; the calibrated one must
         // allow at least the pooled detection limit of the 10 × 100 quiet
         // draws, yet stay far below "everything matches".
-        let ub = est.upper_bound(0..40, 0.95);
+        let ub = est.upper_bound(0..40);
         assert!(ub > 10.0, "detection-limit upper bound missing: {ub}");
         assert!(ub < 0.05 * est.pair_count(0..40) as f64, "tail bound absurdly wide: {ub}");
         // Lower bounds stay at zero (no positives anywhere).
-        assert_eq!(est.lower_bound(0..40, 0.95), 0.0);
+        assert_eq!(est.lower_bound(0..40), 0.0);
     }
 
     #[test]
@@ -703,17 +643,19 @@ mod tests {
             &samples,
             0.25,
             TailCalibration::default(),
-        );
+            0.95,
+        )
+        .unwrap();
         // The uncalibrated lower bound claims all 8000 pairs match; the
         // calibrated one must concede at least the pooled lower detection
         // limit of the 10 × 100 pure-one draws, yet stay far above "nothing
         // is certain" — pooling keeps the concession near 3.7/(Σk) per pair.
         let pairs = est.pair_count(0..40) as f64;
-        let lb = est.lower_bound(0..40, 0.95);
+        let lb = est.lower_bound(0..40);
         assert!(lb < pairs, "pure-one lower bound not capped: {lb}");
         assert!(lb > 0.95 * pairs, "pooled lower cap absurdly weak: {lb}");
         // The upper bound is untouched (nothing is quiet here).
-        assert_eq!(est.upper_bound(0..40, 0.95), pairs);
+        assert_eq!(est.upper_bound(0..40), pairs);
     }
 
     #[test]
@@ -724,9 +666,10 @@ mod tests {
         // one would be — that is the whole point of pooling.
         let (base, sizes, inputs, samples) = all_one_setup(40);
         let config = TailCalibration::default();
-        let est = CalibratedEstimator::new(base, &sizes, &inputs, &samples, 0.25, config);
+        let est =
+            CalibratedEstimator::new(base, &sizes, &inputs, &samples, 0.25, config, 0.95).unwrap();
         let pairs = est.pair_count(0..40) as f64;
-        let lb = est.lower_bound(0..40, 0.95);
+        let lb = est.lower_bound(0..40);
         // Per-subset form: each subset capped at its own 100-draw limit
         // (at best — distance deflation only weakens it further).
         let per_subset =
@@ -750,9 +693,11 @@ mod tests {
             &samples,
             0.25,
             TailCalibration::default(),
-        );
-        let expected = base.upper_bound(0..40, 0.95);
-        assert!((generous.upper_bound(0..40, 0.95) - expected).abs() < 1e-9);
+            0.95,
+        )
+        .unwrap();
+        let expected = base.upper_bound(0..40);
+        assert!((generous.upper_bound(0..40) - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -768,9 +713,11 @@ mod tests {
             &samples,
             0.25,
             TailCalibration::default(),
-        );
-        let expected = base.lower_bound(0..40, 0.95);
-        assert!((modest.lower_bound(0..40, 0.95) - expected).abs() < 1e-9);
+            0.95,
+        )
+        .unwrap();
+        let expected = base.lower_bound(0..40);
+        assert!((modest.lower_bound(0..40) - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -784,24 +731,25 @@ mod tests {
         for (i, s) in samples.iter_mut() {
             *s = SampleSummary::new(100, (100 * i) / 32).unwrap();
         }
-        let est = CalibratedEstimator::new(
-            base.clone(),
-            &sizes,
-            &inputs,
-            &samples,
-            0.25,
-            TailCalibration::default(),
-        );
-        for lo in [0usize, 5, 16] {
-            for hi in [17usize, 25, 32] {
-                for conf in [0.5, 0.9, 0.949] {
-                    let b_lb = base.lower_bound(lo..hi, conf);
-                    let b_ub = base.upper_bound(lo..hi, conf);
-                    assert!(est.lower_bound(lo..hi, conf) <= b_lb + 1e-9);
-                    assert!(est.lower_bound(lo..hi, conf) >= 0.0);
+        for conf in [0.5, 0.9, 0.949] {
+            let est = CalibratedEstimator::new(
+                base.clone(),
+                &sizes,
+                &inputs,
+                &samples,
+                0.25,
+                TailCalibration::default(),
+                conf,
+            )
+            .unwrap();
+            for lo in [0usize, 5, 16] {
+                for hi in [17usize, 25, 32] {
+                    let b_lb = base.lower_bound(lo..hi);
+                    let b_ub = base.upper_bound(lo..hi);
+                    assert!(est.lower_bound(lo..hi) <= b_lb + 1e-9);
+                    assert!(est.lower_bound(lo..hi) >= 0.0);
                     assert!(
-                        est.upper_bound(lo..hi, conf)
-                            >= b_ub.min(est.pair_count(lo..hi) as f64) - 1e-9
+                        est.upper_bound(lo..hi) >= b_ub.min(est.pair_count(lo..hi) as f64) - 1e-9
                     );
                 }
             }
@@ -818,10 +766,12 @@ mod tests {
             &samples,
             0.25,
             TailCalibration::disabled(),
-        );
+            0.9,
+        )
+        .unwrap();
         for range in [0..24usize, 3..9, 12..24] {
-            assert_eq!(est.upper_bound(range.clone(), 0.9), base.upper_bound(range.clone(), 0.9));
-            assert_eq!(est.lower_bound(range.clone(), 0.9), base.lower_bound(range, 0.9));
+            assert_eq!(est.upper_bound(range.clone()), base.upper_bound(range.clone()));
+            assert_eq!(est.lower_bound(range.clone()), base.lower_bound(range));
         }
     }
 
@@ -835,9 +785,11 @@ mod tests {
             &samples,
             0.25,
             TailCalibration::upper_only(),
-        );
+            0.9,
+        )
+        .unwrap();
         for range in [0..24usize, 3..9, 12..24] {
-            assert_eq!(est.lower_bound(range.clone(), 0.9), base.lower_bound(range, 0.9));
+            assert_eq!(est.lower_bound(range.clone()), base.lower_bound(range));
         }
     }
 
@@ -858,10 +810,12 @@ mod tests {
         sparse.insert(0usize, SampleSummary::new(100, 0).unwrap());
         sparse.insert(m - 1, SampleSummary::new(100, 0).unwrap());
         let dense_est =
-            CalibratedEstimator::new(base.clone(), &sizes, &inputs, &dense, 0.05, config);
-        let sparse_est = CalibratedEstimator::new(base, &sizes, &inputs, &sparse, 0.05, config);
-        let dense_ub = dense_est.upper_bound(0..m, 0.95);
-        let sparse_ub = sparse_est.upper_bound(0..m, 0.95);
+            CalibratedEstimator::new(base.clone(), &sizes, &inputs, &dense, 0.05, config, 0.95)
+                .unwrap();
+        let sparse_est =
+            CalibratedEstimator::new(base, &sizes, &inputs, &sparse, 0.05, config, 0.95).unwrap();
+        let dense_ub = dense_est.upper_bound(0..m);
+        let sparse_ub = sparse_est.upper_bound(0..m);
         // The sparse configuration pools fewer draws *and* extrapolates them
         // further, so per pair its limit must be wider. (Dense pools 10× the
         // draws; compare per-draw to isolate the distance effect.)
@@ -886,10 +840,12 @@ mod tests {
         sparse.insert(0usize, SampleSummary::new(100, 100).unwrap());
         sparse.insert(m - 1, SampleSummary::new(100, 100).unwrap());
         let dense_est =
-            CalibratedEstimator::new(base.clone(), &sizes, &inputs, &dense, 0.05, config);
-        let sparse_est = CalibratedEstimator::new(base, &sizes, &inputs, &sparse, 0.05, config);
-        let dense_lb = dense_est.lower_bound(0..m, 0.95);
-        let sparse_lb = sparse_est.lower_bound(0..m, 0.95);
+            CalibratedEstimator::new(base.clone(), &sizes, &inputs, &dense, 0.05, config, 0.95)
+                .unwrap();
+        let sparse_est =
+            CalibratedEstimator::new(base, &sizes, &inputs, &sparse, 0.05, config, 0.95).unwrap();
+        let dense_lb = dense_est.lower_bound(0..m);
+        let sparse_lb = sparse_est.lower_bound(0..m);
         assert!(
             sparse_lb < dense_lb,
             "sparser, further samples must yield a weaker lower cap ({sparse_lb} vs {dense_lb})"
@@ -898,29 +854,24 @@ mod tests {
 
     #[test]
     fn higher_confidence_widens_the_calibrated_bounds() {
-        let (base, sizes, inputs, samples) = all_zero_setup(40);
-        let est = CalibratedEstimator::new(
-            base,
-            &sizes,
-            &inputs,
-            &samples,
-            0.25,
-            TailCalibration::default(),
-        );
-        let narrow = est.upper_bound(0..40, 0.5);
-        let wide = est.upper_bound(0..40, 0.99);
+        let at = |(base, sizes, inputs, samples): (PointEstimator, Vec<usize>, Vec<f64>, _),
+                  confidence: f64| {
+            CalibratedEstimator::new(
+                base,
+                &sizes,
+                &inputs,
+                &samples,
+                0.25,
+                TailCalibration::default(),
+                confidence,
+            )
+            .unwrap()
+        };
+        let narrow = at(all_zero_setup(40), 0.5).upper_bound(0..40);
+        let wide = at(all_zero_setup(40), 0.99).upper_bound(0..40);
         assert!(wide > narrow);
-        let (base, sizes, inputs, samples) = all_one_setup(40);
-        let est = CalibratedEstimator::new(
-            base,
-            &sizes,
-            &inputs,
-            &samples,
-            0.25,
-            TailCalibration::default(),
-        );
-        let narrow = est.lower_bound(0..40, 0.5);
-        let wide = est.lower_bound(0..40, 0.99);
+        let narrow = at(all_one_setup(40), 0.5).lower_bound(0..40);
+        let wide = at(all_one_setup(40), 0.99).lower_bound(0..40);
         assert!(wide < narrow, "higher confidence must lower the lower bound ({wide} vs {narrow})");
     }
 
@@ -943,13 +894,15 @@ mod tests {
             &samples,
             0.1,
             TailCalibration::default(),
-        );
+            0.95,
+        )
+        .unwrap();
         // Subsets informed by the loud sample get no quiet-run shortfall: the
         // base estimator (zero-width here) is left alone.
-        let near_loud = est.upper_bound(15..16, 0.95);
+        let near_loud = est.upper_bound(15..16);
         assert_eq!(near_loud, 0.0, "loud-informed subsets must not be topped up");
         // Far from the loud sample the quiet run still applies.
-        assert!(est.upper_bound(0..6, 0.95) > 0.0);
+        assert!(est.upper_bound(0..6) > 0.0);
     }
 
     #[test]
@@ -971,13 +924,15 @@ mod tests {
             &samples,
             0.1,
             TailCalibration::default(),
-        );
+            0.95,
+        )
+        .unwrap();
         // Subsets informed by the mixed sample get no saturation cap: the base
         // estimator's claim stands.
-        let near_mixed = est.lower_bound(15..16, 0.95);
+        let near_mixed = est.lower_bound(15..16);
         assert_eq!(near_mixed, 100.0, "mixed-informed subsets must not be capped");
         // Far from the mixed sample the saturated run still applies.
-        assert!(est.lower_bound(0..6, 0.95) < 600.0);
+        assert!(est.lower_bound(0..6) < 600.0);
     }
 
     #[test]
@@ -996,11 +951,13 @@ mod tests {
             &samples,
             0.3,
             TailCalibration::default(),
-        );
+            0.9,
+        )
+        .unwrap();
         // Every subset sampled at distance zero, all pure-one: one saturated
         // run pooling 200 draws. The cap must be the pooled 200-draw limit,
         // not the far weaker per-subset 50-draw one.
-        let lb = est.lower_bound(1..2, 0.9);
+        let lb = est.lower_bound(1..2);
         let pooled =
             100.0 * er_stats::detection_limit_lower(200.0, one_sided_confidence(0.9)).unwrap();
         assert!(lb < 100.0, "pure-one subset must concede its detection limit ({lb})");
@@ -1045,35 +1002,33 @@ mod tests {
     }
 
     #[test]
-    fn invalid_confidence_is_rejected_not_cached() {
+    fn invalid_confidence_is_rejected_at_construction() {
         let (base, sizes, inputs, samples) = all_zero_setup(16);
-        let est = CalibratedEstimator::new(
-            base,
-            &sizes,
-            &inputs,
-            &samples,
-            0.25,
-            TailCalibration::default(),
-        );
+        let build = |confidence: f64| {
+            CalibratedEstimator::new(
+                base.clone(),
+                &sizes,
+                &inputs,
+                &samples,
+                0.25,
+                TailCalibration::default(),
+                confidence,
+            )
+        };
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0, -0.5, 2.0] {
+            let error = build(bad).err().unwrap_or_else(|| panic!("accepted confidence {bad}"));
             assert!(
-                est.try_lower_bound(0..16, bad).is_err(),
-                "lower bound accepted confidence {bad}"
-            );
-            assert!(
-                est.try_upper_bound(0..16, bad).is_err(),
-                "upper bound accepted confidence {bad}"
+                error.to_string().contains("bound confidence must lie in [0, 1)"),
+                "unexpected error for {bad}: {error}"
             );
         }
-        // Nothing was cached under a poisoned key.
-        assert!(est.run_limits.borrow().is_empty());
-        assert!(est.saturated_limits.borrow().is_empty());
-        // Valid confidences still work afterwards, and the degenerate zero
-        // accepted by `QualityRequirement::new` keeps producing bounds
-        // (collapsed onto the observed proportions) instead of erroring.
-        assert!(est.try_upper_bound(0..16, 0.9).unwrap() > 0.0);
-        assert!(est.try_upper_bound(0..16, 0.0).is_ok());
-        assert!(est.try_lower_bound(0..16, 0.0).is_ok());
+        // Valid confidences build, and the degenerate zero accepted by
+        // `QualityRequirement::new` keeps producing bounds (collapsed onto
+        // the observed proportions) instead of erroring.
+        assert!(build(0.9).unwrap().upper_bound(0..16) > 0.0);
+        let zero = build(0.0).unwrap();
+        assert!(zero.upper_bound(0..16).is_finite());
+        assert!(zero.lower_bound(0..16).is_finite());
     }
 
     #[test]
@@ -1108,20 +1063,5 @@ mod tests {
         assert_eq!(censored_proportion_upper(400, 100, 0.05, 0.9), 0.25);
         // Degenerate inputs stay safe (an empty census certifies nothing).
         assert_eq!(censored_proportion_upper(0, 0, 0.05, 0.9), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bound confidence must lie in [0, 1)")]
-    fn nan_confidence_panics_on_the_infallible_path() {
-        let (base, sizes, inputs, samples) = all_zero_setup(8);
-        let est = CalibratedEstimator::new(
-            base,
-            &sizes,
-            &inputs,
-            &samples,
-            0.25,
-            TailCalibration::default(),
-        );
-        est.upper_bound(0..8, f64::NAN);
     }
 }

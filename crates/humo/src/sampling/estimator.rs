@@ -1,6 +1,10 @@
 //! Match-count estimators over subset unions, and the shared bound search.
+//!
+//! Each estimator takes its per-bound confidence when it is built, so the
+//! search and HYBR's refinement ask for bounds by subset range only.
 
 use crate::requirement::QualityRequirement;
+use crate::solution::HumoSolution;
 use er_core::workload::SubsetPartition;
 use er_stats::{StratifiedEstimate, Stratum};
 
@@ -8,7 +12,9 @@ use er_stats::{StratifiedEstimate, Stratum};
 /// contiguous union of workload subsets.
 ///
 /// Subset indices refer to positions in the similarity-ordered
-/// [`SubsetPartition`]; ranges are half-open.
+/// [`SubsetPartition`]; ranges are half-open. Every estimator is built at one
+/// per-bound confidence (`√θ` for a requirement at confidence `θ`, see
+/// [`QualityRequirement::split_confidence`]), and both bounds hold at it.
 pub trait MatchCountEstimator {
     /// Total number of pairs in the subset range.
     fn pair_count(&self, range: std::ops::Range<usize>) -> usize;
@@ -17,26 +23,32 @@ pub trait MatchCountEstimator {
     fn estimate(&self, range: std::ops::Range<usize>) -> f64;
 
     /// Lower confidence bound on the number of matching pairs in the range.
-    fn lower_bound(&self, range: std::ops::Range<usize>, confidence: f64) -> f64;
+    fn lower_bound(&self, range: std::ops::Range<usize>) -> f64;
 
     /// Upper confidence bound on the number of matching pairs in the range.
-    fn upper_bound(&self, range: std::ops::Range<usize>, confidence: f64) -> f64;
+    fn upper_bound(&self, range: std::ops::Range<usize>) -> f64;
 }
 
 /// Stratified-sampling estimator: every subset carries its own sample
 /// (Section VI-A). Bounds come from Student-t intervals on the stratified
-/// aggregate (Eq. 12).
+/// aggregate (Eq. 12) at the confidence given at construction.
 #[derive(Debug, Clone)]
 pub struct StratifiedCountEstimator {
     strata: Vec<Stratum>,
+    confidence: f64,
 }
 
 impl StratifiedCountEstimator {
-    /// Builds the estimator from the partition and one sample summary per subset.
+    /// Builds the estimator from the partition, one sample summary per subset
+    /// and the per-bound confidence of its intervals.
     ///
     /// # Panics
     /// Panics if the number of summaries differs from the number of subsets.
-    pub fn new(partition: &SubsetPartition, samples: &[er_stats::SampleSummary]) -> Self {
+    pub fn new(
+        partition: &SubsetPartition,
+        samples: &[er_stats::SampleSummary],
+        confidence: f64,
+    ) -> Self {
         assert_eq!(partition.len(), samples.len(), "one sample summary per subset is required");
         let strata = partition
             .subsets()
@@ -47,7 +59,7 @@ impl StratifiedCountEstimator {
                     .expect("sample size never exceeds the subset size")
             })
             .collect();
-        Self { strata }
+        Self { strata, confidence }
     }
 
     fn aggregate(&self, range: std::ops::Range<usize>) -> StratifiedEstimate {
@@ -64,13 +76,13 @@ impl MatchCountEstimator for StratifiedCountEstimator {
         self.aggregate(range).estimated_positives
     }
 
-    fn lower_bound(&self, range: std::ops::Range<usize>, confidence: f64) -> f64 {
-        self.aggregate(range).lower_bound(confidence).unwrap_or(0.0)
+    fn lower_bound(&self, range: std::ops::Range<usize>) -> f64 {
+        self.aggregate(range).lower_bound(self.confidence).unwrap_or(0.0)
     }
 
-    fn upper_bound(&self, range: std::ops::Range<usize>, confidence: f64) -> f64 {
+    fn upper_bound(&self, range: std::ops::Range<usize>) -> f64 {
         let population: usize = self.pair_count(range.clone());
-        self.aggregate(range).upper_bound(confidence).unwrap_or(population as f64)
+        self.aggregate(range).upper_bound(self.confidence).unwrap_or(population as f64)
     }
 }
 
@@ -79,9 +91,11 @@ impl MatchCountEstimator for StratifiedCountEstimator {
 /// Returns the subset-index range `(lo, hi)` of the human region `DH`
 /// (half-open): the search first pushes the lower bound `lo` as far right as the
 /// recall requirement allows (Eq. 13), then pulls the upper bound `hi` as far
-/// left as the precision requirement allows (Eq. 14). Each of the two bound
-/// estimates uses the per-bound confidence `√θ` so their conjunction holds with
-/// confidence `θ`.
+/// left as the precision requirement allows (Eq. 14). The estimator must be
+/// built at the per-bound confidence `√θ`
+/// ([`QualityRequirement::split_confidence`]) so the conjunction of the two
+/// bound estimates holds with confidence `θ`; the search reads only the
+/// requirement's precision and recall.
 ///
 /// Both sweeps lean on whatever calibration the estimator carries: with the
 /// default [`super::CalibratedEstimator`] the `lo` sweep's upper bounds are
@@ -95,7 +109,6 @@ pub fn search_subset_bounds(
     num_subsets: usize,
     requirement: &QualityRequirement,
 ) -> (usize, usize) {
-    let confidence = requirement.split_confidence();
     let beta = requirement.recall();
     let alpha = requirement.precision();
 
@@ -105,8 +118,8 @@ pub fn search_subset_bounds(
         if lo == 0 {
             return true;
         }
-        let missed_ub = estimator.upper_bound(0..lo, confidence);
-        let kept_lb = estimator.lower_bound(lo..num_subsets, confidence);
+        let missed_ub = estimator.upper_bound(0..lo);
+        let kept_lb = estimator.lower_bound(lo..num_subsets);
         let denom = missed_ub + kept_lb;
         if denom <= 0.0 {
             return true;
@@ -122,8 +135,8 @@ pub fn search_subset_bounds(
     // match keeps precision above alpha. hi = m is trivially feasible (no pair is
     // auto-labelled match).
     let precision_feasible = |hi: usize| -> bool {
-        let dh_lb = estimator.lower_bound(lo..hi, confidence);
-        let plus_lb = estimator.lower_bound(hi..num_subsets, confidence);
+        let dh_lb = estimator.lower_bound(lo..hi);
+        let plus_lb = estimator.lower_bound(hi..num_subsets);
         let plus_count = estimator.pair_count(hi..num_subsets) as f64;
         let denom = dh_lb + plus_count;
         if denom <= 0.0 {
@@ -137,6 +150,20 @@ pub fn search_subset_bounds(
     }
 
     (lo, hi)
+}
+
+/// Translates subset-index bounds `(lo, hi)` of the human region into a
+/// workload-index [`HumoSolution`], clamping an empty or inverted region to
+/// zero width at the lower boundary.
+pub(crate) fn subset_solution(
+    partition: &SubsetPartition,
+    (lo, hi): (usize, usize),
+    workload_len: usize,
+) -> HumoSolution {
+    let lower_index =
+        if lo >= partition.len() { workload_len } else { partition.subset(lo).range().start };
+    let upper_index = if hi == 0 { 0 } else { partition.subset(hi - 1).range().end };
+    HumoSolution::new(lower_index, upper_index.max(lower_index), workload_len)
 }
 
 #[cfg(test)]
@@ -169,13 +196,13 @@ mod tests {
     #[test]
     fn stratified_estimator_point_estimates_are_exact_when_fully_sampled() {
         let (partition, samples, w) = fully_sampled(2_000, 100, 0.3);
-        let est = StratifiedCountEstimator::new(&partition, &samples);
+        let est = StratifiedCountEstimator::new(&partition, &samples, 0.95);
         let m = partition.len();
         assert_eq!(est.pair_count(0..m), 2_000);
         assert!((est.estimate(0..m) - w.total_matches() as f64).abs() < 1e-9);
         // Fully-sampled strata have zero variance, so the bounds collapse.
-        assert!((est.lower_bound(0..m, 0.95) - est.estimate(0..m)).abs() < 1e-9);
-        assert!((est.upper_bound(0..m, 0.95) - est.estimate(0..m)).abs() < 1e-9);
+        assert!((est.lower_bound(0..m) - est.estimate(0..m)).abs() < 1e-9);
+        assert!((est.upper_bound(0..m) - est.estimate(0..m)).abs() < 1e-9);
     }
 
     #[test]
@@ -190,13 +217,13 @@ mod tests {
                 SampleSummary::new(10, (p * 10.0).round() as usize).unwrap()
             })
             .collect();
-        let est = StratifiedCountEstimator::new(&partition, &samples);
+        let est = StratifiedCountEstimator::new(&partition, &samples, 0.9);
         let m = partition.len();
         let mid = est.estimate(0..m);
-        assert!(est.lower_bound(0..m, 0.9) <= mid);
-        assert!(est.upper_bound(0..m, 0.9) >= mid);
+        assert!(est.lower_bound(0..m) <= mid);
+        assert!(est.upper_bound(0..m) >= mid);
         // Mixed subsets exist only at the boundary; overall uncertainty is small but nonzero.
-        assert!(est.upper_bound(0..m, 0.9) - est.lower_bound(0..m, 0.9) >= 0.0);
+        assert!(est.upper_bound(0..m) - est.lower_bound(0..m) >= 0.0);
     }
 
     #[test]
@@ -204,8 +231,9 @@ mod tests {
         // 30% of pairs are matches and they are exactly the top of the range. With
         // exact per-subset counts the search should keep DH very small.
         let (partition, samples, _) = fully_sampled(4_000, 100, 0.3);
-        let est = StratifiedCountEstimator::new(&partition, &samples);
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
+        let est =
+            StratifiedCountEstimator::new(&partition, &samples, requirement.split_confidence());
         let (lo, hi) = search_subset_bounds(&est, partition.len(), &requirement);
         assert!(lo <= hi);
         // The boundary between non-matches and matches sits at subset 28 of 40.
@@ -229,20 +257,22 @@ mod tests {
                 SampleSummary::new(20, (p * 20.0).round() as usize).unwrap()
             })
             .collect();
-        let est = StratifiedCountEstimator::new(&partition, &samples);
-        let loose = QualityRequirement::symmetric(0.7).unwrap();
-        let strict = QualityRequirement::symmetric(0.97).unwrap();
-        let (lo_loose, hi_loose) = search_subset_bounds(&est, partition.len(), &loose);
-        let (lo_strict, hi_strict) = search_subset_bounds(&est, partition.len(), &strict);
+        let search = |requirement: QualityRequirement| {
+            let confidence = requirement.split_confidence();
+            let est = StratifiedCountEstimator::new(&partition, &samples, confidence);
+            search_subset_bounds(&est, partition.len(), &requirement)
+        };
+        let (lo_loose, hi_loose) = search(QualityRequirement::symmetric(0.7).unwrap());
+        let (lo_strict, hi_strict) = search(QualityRequirement::symmetric(0.97).unwrap());
         assert!(hi_loose - lo_loose <= hi_strict - lo_strict);
     }
 
     #[test]
     fn degenerate_requirements() {
         let (partition, samples, _) = fully_sampled(1_000, 100, 0.5);
-        let est = StratifiedCountEstimator::new(&partition, &samples);
         // Requiring nothing keeps DH empty.
         let trivial = QualityRequirement::new(0.0, 0.0, 0.9).unwrap();
+        let est = StratifiedCountEstimator::new(&partition, &samples, trivial.split_confidence());
         let (lo, hi) = search_subset_bounds(&est, partition.len(), &trivial);
         assert_eq!(lo, hi);
     }

@@ -1,10 +1,11 @@
 //! Gaussian-process match-count estimator over subset unions (Eq. 15–21).
+//!
+//! The estimator is built once per plan from the fitted GP, at the per-bound
+//! confidence of the requirement; its bounds take a subset range only.
 
 use super::estimator::MatchCountEstimator;
-use crate::{HumoError, Result};
 use er_core::workload::SubsetPartition;
-use er_stats::{GaussianProcess, GpConfig, Normal, SampleSummary};
-use std::collections::BTreeMap;
+use er_stats::{GaussianProcess, Normal};
 
 /// Match-count estimator backed by a Gaussian-process regression of the
 /// match-proportion function.
@@ -14,7 +15,8 @@ use std::collections::BTreeMap;
 /// similarity. For a union of subsets `D*` the estimated number of matches is
 /// `n̄* = Σ nᵢ R̄ᵢ` (Eq. 19) with standard deviation
 /// `σ* = sqrt(Σᵢⱼ nᵢ nⱼ cov(vᵢ, vⱼ))` (Eq. 20), and the confidence interval uses
-/// the normal critical value `Z₁₋θ` (Eq. 21).
+/// the normal critical value `Z₁₋θ` (Eq. 21) of the per-bound confidence the
+/// estimator is built with, computed once at construction.
 ///
 /// Range queries are O(1) thanks to precomputed prefix sums of the weighted
 /// means and a 2-D prefix table of the weighted posterior covariance.
@@ -32,52 +34,18 @@ pub struct GpCountEstimator {
     cov_prefix: Vec<f64>,
     /// Number of subsets `m`.
     m: usize,
+    /// Two-sided normal critical value of the per-bound confidence.
+    z: f64,
 }
 
 impl GpCountEstimator {
-    /// Fits a GP to the sampled subsets and precomputes the range-query tables.
-    ///
-    /// `samples` maps subset index → sample summary; at least two subsets must be
-    /// sampled.
-    pub fn fit(
-        partition: &SubsetPartition,
-        samples: &BTreeMap<usize, SampleSummary>,
-        gp_config: GpConfig,
-    ) -> Result<Self> {
-        if samples.len() < 2 {
-            return Err(HumoError::Stats(
-                "Gaussian-process estimation needs at least two sampled subsets".to_string(),
-            ));
-        }
-        let train_x: Vec<f64> =
-            samples.keys().map(|&i| partition.subset(i).mean_similarity()).collect();
-        let train_y: Vec<f64> = samples.values().map(|s| s.proportion()).collect();
-        let gp = GaussianProcess::fit(&train_x, &train_y, gp_config)?;
-        Ok(Self::from_gp(partition, &gp))
-    }
-
-    /// Builds the estimator from an already-fitted GP (used by Algorithm 1, which
-    /// refits the GP several times before the final bound search).
-    ///
-    /// The per-subset prediction variance combines the GP posterior covariance
-    /// (uncertainty about the smooth match-proportion *curve*) with the GP's
-    /// observation-noise variance (per-subset idiosyncratic deviation from that
-    /// curve plus within-subset sampling error), added independently on the
-    /// diagonal. Without the noise term the count bounds become overconfident on
-    /// workloads with irregular per-subset proportions (the paper's large-σ
-    /// regime, Figure 10).
-    pub fn from_gp(partition: &SubsetPartition, gp: &GaussianProcess) -> Self {
-        let noise = gp.noise_variance().max(0.0);
-        let query: Vec<f64> = partition.subsets().iter().map(|s| s.mean_similarity()).collect();
-        Self::with_noise_model(partition, gp, &query, move |_, _, _| noise)
-    }
-
-    /// Builds the estimator with explicit per-subset GP inputs and an explicit
-    /// per-subset noise model.
+    /// Builds the estimator from a fitted GP, per-subset GP inputs, the
+    /// per-bound confidence of its intervals and a per-subset noise model.
     ///
     /// `query_inputs[i]` is the GP input coordinate of subset `i` (the partial
     /// sampling optimizer uses the subset's mean similarity, so distances and
-    /// the GP length scale live in similarity space `[0, 1]`).
+    /// the GP length scale live in similarity space `[0, 1]`). A `confidence`
+    /// of zero or below collapses both bounds onto the point estimate.
     /// `noise_for(i, p, var)` returns the independent per-subset
     /// deviation variance for subset `i` whose predicted match proportion is `p`
     /// and whose GP posterior variance is `var`; the partial-sampling optimizer
@@ -98,6 +66,7 @@ impl GpCountEstimator {
         partition: &SubsetPartition,
         gp: &GaussianProcess,
         query_inputs: &[f64],
+        confidence: f64,
         noise_for: impl Fn(usize, f64, f64) -> f64,
     ) -> Self {
         let m = partition.len();
@@ -129,7 +98,7 @@ impl GpCountEstimator {
         let weights: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
         prefix_scan_in_place(&mut cov_prefix, &weights);
 
-        Self { size_prefix, mean_prefix, cov_prefix, m }
+        Self { size_prefix, mean_prefix, cov_prefix, m, z: critical_value(confidence) }
     }
 
     /// Number of subsets covered by the estimator.
@@ -148,13 +117,15 @@ impl GpCountEstimator {
         let variance = at(hi, hi) - 2.0 * at(lo, hi) + at(lo, lo);
         variance.max(0.0).sqrt()
     }
+}
 
-    fn critical_value(confidence: f64) -> f64 {
-        if confidence <= 0.0 {
-            0.0
-        } else {
-            Normal::two_sided_critical_value(confidence).unwrap_or(0.0)
-        }
+/// The two-sided normal critical value `Z₁₋θ` of a confidence, `0` for a
+/// confidence of zero or below.
+fn critical_value(confidence: f64) -> f64 {
+    if confidence <= 0.0 {
+        0.0
+    } else {
+        Normal::two_sided_critical_value(confidence).unwrap_or(0.0)
     }
 }
 
@@ -225,15 +196,13 @@ impl MatchCountEstimator for GpCountEstimator {
         }
     }
 
-    fn lower_bound(&self, range: std::ops::Range<usize>, confidence: f64) -> f64 {
-        let z = Self::critical_value(confidence);
-        (self.estimate(range.clone()) - z * self.std_dev(range)).max(0.0)
+    fn lower_bound(&self, range: std::ops::Range<usize>) -> f64 {
+        (self.estimate(range.clone()) - self.z * self.std_dev(range)).max(0.0)
     }
 
-    fn upper_bound(&self, range: std::ops::Range<usize>, confidence: f64) -> f64 {
-        let z = Self::critical_value(confidence);
+    fn upper_bound(&self, range: std::ops::Range<usize>) -> f64 {
         let count = self.pair_count(range.clone()) as f64;
-        (self.estimate(range.clone()) + z * self.std_dev(range)).min(count)
+        (self.estimate(range.clone()) + self.z * self.std_dev(range)).min(count)
     }
 }
 
@@ -241,7 +210,8 @@ impl MatchCountEstimator for GpCountEstimator {
 mod tests {
     use super::*;
     use er_core::workload::Workload;
-    use er_stats::SampleSummary;
+    use er_stats::{GpConfig, SampleSummary};
+    use std::collections::BTreeMap;
 
     /// Workload whose match proportion rises linearly with similarity.
     fn linear_workload(n: usize) -> Workload {
@@ -269,12 +239,33 @@ mod tests {
         samples
     }
 
+    /// Fits a GP to the sampled subsets' proportions and builds the estimator
+    /// with the GP's average noise on every subset. The length scale is
+    /// pinned at twice the quarter-range heuristic: the grid scale with the
+    /// highest log marginal likelihood on every data set below.
+    fn fit(
+        partition: &SubsetPartition,
+        samples: &BTreeMap<usize, SampleSummary>,
+        confidence: f64,
+    ) -> er_stats::Result<GpCountEstimator> {
+        let xs: Vec<f64> = samples.keys().map(|&i| partition.subset(i).mean_similarity()).collect();
+        let ys: Vec<f64> = samples.values().map(|s| s.proportion()).collect();
+        let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let length_scale = ((max - min) / 4.0).max(1e-3) * 2.0;
+        let config = GpConfig { length_scale: Some(length_scale), ..GpConfig::default() };
+        let gp = GaussianProcess::fit(&xs, &ys, config)?;
+        let noise = gp.noise_variance().max(0.0);
+        let query: Vec<f64> = partition.subsets().iter().map(|s| s.mean_similarity()).collect();
+        Ok(GpCountEstimator::with_noise_model(partition, &gp, &query, confidence, |_, _, _| noise))
+    }
+
     #[test]
     fn estimates_track_the_true_match_counts() {
         let w = linear_workload(10_000);
         let partition = w.partition(200).unwrap();
         let samples = sample_exact(&w, &partition, 5);
-        let est = GpCountEstimator::fit(&partition, &samples, GpConfig::default()).unwrap();
+        let est = fit(&partition, &samples, 0.9).unwrap();
         let m = partition.len();
         let truth = w.total_matches() as f64;
         let predicted = est.estimate(0..m);
@@ -283,10 +274,10 @@ mod tests {
             "GP estimate {predicted} too far from truth {truth}"
         );
         // Bounds bracket the estimate and respect physical limits.
-        assert!(est.lower_bound(0..m, 0.9) <= predicted);
-        assert!(est.upper_bound(0..m, 0.9) >= predicted);
-        assert!(est.lower_bound(0..m, 0.9) >= 0.0);
-        assert!(est.upper_bound(0..m, 0.9) <= w.len() as f64);
+        assert!(est.lower_bound(0..m) <= predicted);
+        assert!(est.upper_bound(0..m) >= predicted);
+        assert!(est.lower_bound(0..m) >= 0.0);
+        assert!(est.upper_bound(0..m) <= w.len() as f64);
     }
 
     #[test]
@@ -295,7 +286,7 @@ mod tests {
         let w = linear_workload(6_000);
         let partition = w.partition(200).unwrap();
         let samples = sample_exact(&w, &partition, 4);
-        let est = GpCountEstimator::fit(&partition, &samples, GpConfig::default()).unwrap();
+        let est = fit(&partition, &samples, 0.9).unwrap();
         let m = partition.len();
         let whole = est.estimate(0..m);
         let split = est.estimate(0..m / 2) + est.estimate(m / 2..m);
@@ -310,10 +301,12 @@ mod tests {
         let w = linear_workload(6_000);
         let partition = w.partition(200).unwrap();
         let samples = sample_exact(&w, &partition, 6);
-        let est = GpCountEstimator::fit(&partition, &samples, GpConfig::default()).unwrap();
-        let m = partition.len();
-        let narrow = est.upper_bound(0..m, 0.6) - est.lower_bound(0..m, 0.6);
-        let wide = est.upper_bound(0..m, 0.99) - est.lower_bound(0..m, 0.99);
+        let width = |confidence: f64| {
+            let est = fit(&partition, &samples, confidence).unwrap();
+            let m = partition.len();
+            est.upper_bound(0..m) - est.lower_bound(0..m)
+        };
+        let (narrow, wide) = (width(0.6), width(0.99));
         assert!(wide >= narrow);
     }
 
@@ -322,10 +315,10 @@ mod tests {
         let w = linear_workload(4_000);
         let partition = w.partition(200).unwrap();
         let samples = sample_exact(&w, &partition, 4);
-        let est = GpCountEstimator::fit(&partition, &samples, GpConfig::default()).unwrap();
+        let est = fit(&partition, &samples, 0.0).unwrap();
         let m = partition.len();
-        assert!((est.lower_bound(0..m, 0.0) - est.estimate(0..m)).abs() < 1e-9);
-        assert!((est.upper_bound(0..m, 0.0) - est.estimate(0..m)).abs() < 1e-9);
+        assert!((est.lower_bound(0..m) - est.estimate(0..m)).abs() < 1e-9);
+        assert!((est.upper_bound(0..m) - est.estimate(0..m)).abs() < 1e-9);
     }
 
     #[test]
@@ -334,7 +327,7 @@ mod tests {
         let partition = w.partition(200).unwrap();
         let mut samples = BTreeMap::new();
         samples.insert(0usize, SampleSummary::new(10, 1).unwrap());
-        assert!(GpCountEstimator::fit(&partition, &samples, GpConfig::default()).is_err());
+        assert!(fit(&partition, &samples, 0.9).is_err());
     }
 
     /// The estimator as built before the one-buffer prefix table: a dense
@@ -344,6 +337,7 @@ mod tests {
         partition: &SubsetPartition,
         gp: &GaussianProcess,
         query_inputs: &[f64],
+        confidence: f64,
         noise_for: impl Fn(usize, f64, f64) -> f64,
     ) -> GpCountEstimator {
         let m = partition.len();
@@ -377,7 +371,7 @@ mod tests {
                     + weighted;
             }
         }
-        GpCountEstimator { size_prefix, mean_prefix, cov_prefix, m }
+        GpCountEstimator { size_prefix, mean_prefix, cov_prefix, m, z: critical_value(confidence) }
     }
 
     proptest::proptest! {
@@ -415,7 +409,6 @@ mod tests {
             let config = GpConfig {
                 signal_variance: rng.gen_range(0.01..2.0),
                 length_scale: Some(rng.gen_range(0.02..1.0)),
-                optimize_length_scale: false,
                 ..GpConfig::default()
             };
             let Ok(gp) = GaussianProcess::fit_with_noise(&xs, &ys, &noise, config) else {
@@ -438,8 +431,9 @@ mod tests {
                 scale * p * (1.0 - p) + (i % 5) as f64 * 1e-3 + 0.3 * var - 1e-3
             };
 
-            let fast = GpCountEstimator::with_noise_model(&partition, &gp, &query, noise_for);
-            let reference = with_noise_model_reference(&partition, &gp, &query, noise_for);
+            let theta = rng.gen_range(0.0..0.999);
+            let fast = GpCountEstimator::with_noise_model(&partition, &gp, &query, theta, noise_for);
+            let reference = with_noise_model_reference(&partition, &gp, &query, theta, noise_for);
             proptest::prop_assert_eq!(&fast.size_prefix, &reference.size_prefix);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             proptest::prop_assert!(bits(&fast.mean_prefix) == bits(&reference.mean_prefix));
@@ -447,13 +441,12 @@ mod tests {
             for _ in 0..64 {
                 let (a, b) = (rng.gen_range(0..=m + 1), rng.gen_range(0..=m + 1));
                 let range = a.min(b)..a.max(b);
-                let theta = rng.gen_range(0.0..0.999);
                 let queries = |e: &GpCountEstimator| {
                     [
                         e.estimate(range.clone()),
                         e.std_dev(range.clone()),
-                        e.lower_bound(range.clone(), theta),
-                        e.upper_bound(range.clone(), theta),
+                        e.lower_bound(range.clone()),
+                        e.upper_bound(range.clone()),
                     ]
                     .map(f64::to_bits)
                 };
@@ -467,7 +460,7 @@ mod tests {
         let w = linear_workload(4_000);
         let partition = w.partition(200).unwrap();
         let samples = sample_exact(&w, &partition, 3);
-        let est = GpCountEstimator::fit(&partition, &samples, GpConfig::default()).unwrap();
+        let est = fit(&partition, &samples, 0.9).unwrap();
         assert_eq!(est.std_dev(7..7), 0.0);
         for lo in 0..partition.len() {
             assert!(est.std_dev(lo..partition.len()) >= 0.0);

@@ -31,5 +31,4 @@ pub(crate) use partial::GpTrainingState;
 pub use partial::{
     PartialSamplingConfig, PartialSamplingOptimizer, RefitStrategy, SamplingPlan, SELECTION_WARMUP,
 };
-pub use sampler::SubsetSampler;
 pub use warm::{PriorObservation, WarmStart};

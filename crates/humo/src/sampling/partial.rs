@@ -13,7 +13,7 @@
 //! 3. run the bound search of Section VI over the GP posterior (Eq. 19–21).
 
 use super::calibrated::{CalibratedEstimator, TailCalibration};
-use super::estimator::search_subset_bounds;
+use super::estimator::{search_subset_bounds, subset_solution};
 use super::gp_estimator::GpCountEstimator;
 use super::sampler::{SamplerSnapshot, SubsetSampler};
 use super::warm::{PriorObservation, WarmStart};
@@ -21,10 +21,10 @@ use crate::optimizer::Optimizer;
 use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::session::{
-    drive_with_oracle, verified_assignment, CoreOutput, Drive, LabelSlate, LabelingSession,
-    ReplayCache, SessionConfig, SessionState,
+    drive_with_oracle, verified_assignment, CoreOutput, Drive, LabelSlate, ReplayCache,
+    SessionConfig,
 };
-use crate::solution::{HumoSolution, OptimizationOutcome};
+use crate::solution::HumoSolution;
 use crate::{HumoError, Result};
 use er_core::workload::{SubsetPartition, Workload};
 use er_stats::{GaussianProcess, GpConfig, SampleSummary};
@@ -193,13 +193,11 @@ impl PartialSamplingConfig {
         };
         GpConfig {
             signal_variance: (1.5 * spread).max(0.25 * range * range).max(0.02),
+            // Selected by held-out error, which stays robust when many observed
+            // proportions are exactly 0 or 1 (their sampling noise is then
+            // severely understated).
             length_scale: None,
             noise_variance: mean_binomial_variance.max(1e-4),
-            optimize_length_scale: true,
-            // Held-out error is more robust than the marginal likelihood when many
-            // observed proportions are exactly 0 or 1 (their sampling noise is then
-            // severely understated, which skews the likelihood).
-            selection: er_stats::gp::LengthScaleSelection::HeldOutError,
         }
     }
 }
@@ -225,14 +223,7 @@ pub struct SamplingPlan {
 impl SamplingPlan {
     /// Translates the subset bounds into a workload-index [`HumoSolution`].
     pub fn solution(&self, workload: &Workload) -> HumoSolution {
-        let (lo, hi) = self.subset_bounds;
-        let lower_index = if lo >= self.partition.len() {
-            workload.len()
-        } else {
-            self.partition.subset(lo).range().start
-        };
-        let upper_index = if hi == 0 { 0 } else { self.partition.subset(hi - 1).range().end };
-        HumoSolution::new(lower_index, upper_index.max(lower_index), workload.len())
+        subset_solution(&self.partition, self.subset_bounds, workload.len())
     }
 
     /// Packages this plan's observations and human interval as a [`WarmStart`]
@@ -325,7 +316,11 @@ impl PartialSamplingOptimizer {
     }
 
     /// Runs the estimation phase (Algorithm 1 plus the bound search) without
-    /// resolving the workload. The hybrid optimizer builds on this.
+    /// resolving the workload, pulling labels from `oracle`. Sessions and the
+    /// hybrid optimizer run the same phase through the suspendable
+    /// `plan_core`; this synchronous form serves callers that measure a plan
+    /// on its own, such as the plan-query rows of the `pipeline_throughput`
+    /// harness.
     pub fn plan(&self, workload: &Workload, oracle: &mut dyn Oracle) -> Result<SamplingPlan> {
         self.plan_with_warm_start(workload, oracle, None)
     }
@@ -356,10 +351,9 @@ impl PartialSamplingOptimizer {
     /// A completed plan is memoized in the [`ReplayCache`]: SAMP's final
     /// verification round and HYBR's boundary-search rounds re-enter here on
     /// every step and take the cached plan out instead of re-running the
-    /// whole estimation phase. The plan is moved, not copied, so memoized
-    /// bound evaluations inside its estimator survive across replays; a
-    /// session caller must put it back with [`ReplayCache::store_plan`] on
-    /// every exit.
+    /// whole estimation phase. The plan is moved, not copied; a session
+    /// caller must put it back with [`ReplayCache::store_plan`] on every
+    /// exit.
     pub(crate) fn plan_core(
         &self,
         workload: &Workload,
@@ -404,21 +398,26 @@ impl PartialSamplingOptimizer {
         let length_scale = gp.kernel().length_scale;
         let distances: Vec<f64> =
             query.iter().map(|&x| gp.distance_to_nearest_observation(x)).collect();
-        let base = GpCountEstimator::with_noise_model(&partition, &gp, &query, |i, p, var| {
-            let inflation = if tail.enabled {
-                let factor = er_stats::posterior_inflation_factor(
-                    distances[i],
-                    length_scale,
-                    tail.distance_strength,
-                );
-                (factor - 1.0) * var
-            } else {
-                0.0
-            };
-            diagonal_scale * Self::stabilized_spread(p) + p.max(detection_floor) / unit + inflation
-        });
+        let confidence = cfg.requirement.split_confidence();
+        let base =
+            GpCountEstimator::with_noise_model(&partition, &gp, &query, confidence, |i, p, var| {
+                let inflation = if tail.enabled {
+                    let factor = er_stats::posterior_inflation_factor(
+                        distances[i],
+                        length_scale,
+                        tail.distance_strength,
+                    );
+                    (factor - 1.0) * var
+                } else {
+                    0.0
+                };
+                diagonal_scale * Self::stabilized_spread(p)
+                    + p.max(detection_floor) / unit
+                    + inflation
+            });
         let sizes: Vec<usize> = partition.subsets().iter().map(|s| s.len()).collect();
-        let estimator = CalibratedEstimator::new(base, &sizes, &query, &used, length_scale, tail);
+        let estimator =
+            CalibratedEstimator::new(base, &sizes, &query, &used, length_scale, tail, confidence)?;
         let subset_bounds = search_subset_bounds(&estimator, m, &cfg.requirement);
         drop(calibrate_span);
         // Reused priors keep the coordinate they were originally sampled at;
@@ -435,24 +434,6 @@ impl PartialSamplingOptimizer {
             })
             .collect();
         Ok(SamplingPlan { partition, estimator, subset_bounds, observations })
-    }
-
-    /// Optimizes the workload with an optional warm start and returns both the
-    /// outcome and the [`WarmStart`] state seeding the next epoch.
-    pub fn optimize_with_warm_start(
-        &self,
-        workload: &Workload,
-        oracle: &mut dyn Oracle,
-        warm: Option<&WarmStart>,
-    ) -> Result<(OptimizationOutcome, WarmStart)> {
-        let state = SessionState::new(self.session_config())?.with_warm_start(warm.cloned());
-        let mut session = LabelingSession::from_state(state, workload);
-        let outcome = session.drive(oracle)?;
-        let next = session
-            .next_warm_start()
-            .cloned()
-            .expect("a completed partial-sampling session always produces warm-start state");
-        Ok((outcome, next))
     }
 
     /// The suspendable full SAMP run: estimation plan, solution translation
@@ -588,7 +569,7 @@ impl PartialSamplingOptimizer {
             None => GpTrainingState::new(cfg.seed),
         };
         let mut sampler =
-            SubsetSampler::restore(workload, partition, cfg.samples_per_subset, st.sampler.clone());
+            SubsetSampler::restore(partition, cfg.samples_per_subset, st.sampler.clone());
 
         // Fitting noise: the paper-faithful mode uses the raw binomial sampling
         // variance of each observed proportion (which vanishes in the near-pure
@@ -774,8 +755,6 @@ impl PartialSamplingOptimizer {
                             signal_variance: gp.kernel().signal_variance,
                             length_scale: Some(gp.kernel().length_scale),
                             noise_variance: gp.noise_variance(),
-                            optimize_length_scale: false,
-                            selection: er_stats::gp::LengthScaleSelection::HeldOutError,
                         };
                         gp = GaussianProcess::fit_with_noise(
                             &st.train_x,
@@ -842,26 +821,6 @@ impl PartialSamplingOptimizer {
         } else {
             0.0
         };
-        if std::env::var_os("HUMO_DEBUG").is_some() {
-            eprintln!(
-                "[humo-debug] sampled_subsets={} noise_scale={noise_scale:.5} scatter={scatter_detected} \
-                 diag_scale={diagonal_scale:.5} length_scale={:.4} signal_var={:.4} gp_noise={:.6}",
-                sampler.sampled_subset_count(),
-                gp.kernel().length_scale,
-                gp.kernel().signal_variance,
-                gp.noise_variance(),
-            );
-            let mut points: Vec<(f64, f64)> =
-                train_x.iter().copied().zip(train_y.iter().copied()).collect();
-            points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-            let tail: Vec<String> = points
-                .iter()
-                .rev()
-                .take(10)
-                .map(|(x, y)| format!("({x:.3},{y:.2}->{:.2})", gp.predict_mean(*x)))
-                .collect();
-            eprintln!("[humo-debug] top training points (x, observed->fit): {}", tail.join(" "));
-        }
         Ok((gp, diagonal_scale, st.used, st.prior_coords))
     }
 
@@ -950,6 +909,7 @@ impl Optimizer for PartialSamplingOptimizer {
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
+    use crate::solution::OptimizationOutcome;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
     fn workload(n: usize, sigma: f64, seed: u64) -> Workload {

@@ -4,21 +4,19 @@
 //! labels: which pairs get drawn from a subset is decided by a seeded RNG whose
 //! draw order never depends on label values, so a
 //! [`LabelingSession`](crate::LabelingSession) replay reproduces the exact same
-//! draws. Labels are then read from the session's answered slate (suspending
-//! the replay when missing) or, through the legacy synchronous API, pulled
-//! from an [`Oracle`].
+//! draws. Labels are then read from the session's answered slate, and the
+//! replay suspends when some are missing.
 
-use crate::oracle::Oracle;
 use crate::session::{Drive, LabelSlate, SessionPhase};
-use er_core::workload::{SubsetPartition, Workload};
+use er_core::workload::SubsetPartition;
 use er_stats::SampleSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The owned, workload-independent part of a [`SubsetSampler`]: cached draws,
-/// cached summaries and the RNG state. The sampler itself borrows the workload
-/// and partition, so it cannot be stored across session steps — a suspended
+/// cached summaries and the RNG state. The sampler itself borrows the
+/// partition, so it cannot be stored across session steps — a suspended
 /// replay snapshots this state instead and restores an equivalent sampler on
 /// the next step ([`SubsetSampler::restore`]).
 #[derive(Debug, Clone)]
@@ -39,8 +37,7 @@ impl SamplerSnapshot {
 /// Draws simple random samples from workload subsets and caches the per-subset
 /// draws and summaries so a subset is never re-sampled.
 #[derive(Debug)]
-pub struct SubsetSampler<'a> {
-    workload: &'a Workload,
+pub(crate) struct SubsetSampler<'a> {
     partition: &'a SubsetPartition,
     samples_per_subset: usize,
     rng: StdRng,
@@ -51,14 +48,8 @@ pub struct SubsetSampler<'a> {
 
 impl<'a> SubsetSampler<'a> {
     /// Creates a sampler drawing `samples_per_subset` pairs from each sampled subset.
-    pub fn new(
-        workload: &'a Workload,
-        partition: &'a SubsetPartition,
-        samples_per_subset: usize,
-        seed: u64,
-    ) -> Self {
+    pub fn new(partition: &'a SubsetPartition, samples_per_subset: usize, seed: u64) -> Self {
         Self {
-            workload,
             partition,
             samples_per_subset: samples_per_subset.max(1),
             rng: StdRng::seed_from_u64(seed),
@@ -70,13 +61,11 @@ impl<'a> SubsetSampler<'a> {
     /// Rebuilds a sampler from a [`SamplerSnapshot`], continuing exactly where
     /// the snapshotted sampler stopped (same cached draws, same RNG state).
     pub(crate) fn restore(
-        workload: &'a Workload,
         partition: &'a SubsetPartition,
         samples_per_subset: usize,
         snapshot: SamplerSnapshot,
     ) -> Self {
         Self {
-            workload,
             partition,
             samples_per_subset: samples_per_subset.max(1),
             rng: snapshot.rng,
@@ -102,11 +91,6 @@ impl<'a> SubsetSampler<'a> {
     /// The cached sample summaries, keyed by subset index.
     pub fn samples(&self) -> &BTreeMap<usize, SampleSummary> {
         &self.cache
-    }
-
-    /// Whether a subset has already been sampled.
-    pub fn is_sampled(&self, subset_index: usize) -> bool {
-        self.cache.contains_key(&subset_index)
     }
 
     /// The workload indices sampled from a subset, drawing (and advancing the
@@ -140,18 +124,7 @@ impl<'a> SubsetSampler<'a> {
         slate: &LabelSlate<'_>,
     ) -> SampleSummary {
         let positives = indices.iter().filter(|&&index| slate.is_match(index)).count();
-        self.insert_summary(subset_index, indices.len(), positives)
-    }
-
-    /// Caches and returns a subset's sample summary — the single construction
-    /// point shared by the slate and oracle labeling paths.
-    fn insert_summary(
-        &mut self,
-        subset_index: usize,
-        sample_size: usize,
-        positives: usize,
-    ) -> SampleSummary {
-        let summary = SampleSummary::new(sample_size, positives)
+        let summary = SampleSummary::new(indices.len(), positives)
             .expect("positives cannot exceed the sample size by construction");
         self.cache.insert(subset_index, summary);
         summary
@@ -197,53 +170,59 @@ impl<'a> SubsetSampler<'a> {
         }
         Ok(subsets.iter().map(|subset| self.cache[subset]).collect())
     }
-
-    /// Samples a subset (or returns the cached summary), labelling the drawn
-    /// pairs synchronously through the oracle. This is the legacy blocking
-    /// API; session replays use the suspendable path instead.
-    pub fn sample(&mut self, subset_index: usize, oracle: &mut dyn Oracle) -> SampleSummary {
-        if let Some(summary) = self.cache.get(&subset_index) {
-            return *summary;
-        }
-        let indices = self.draw(subset_index);
-        let positives = indices
-            .iter()
-            .filter(|&&index| oracle.label(&self.workload.pair(index)).is_match())
-            .count();
-        self.insert_summary(subset_index, indices.len(), positives)
-    }
-
-    /// Samples every subset of the partition (the all-sampling regime).
-    pub fn sample_all(&mut self, oracle: &mut dyn Oracle) -> Vec<SampleSummary> {
-        (0..self.partition.len()).map(|i| self.sample(i, oracle)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{GroundTruthOracle, Oracle};
-    use er_core::workload::Label;
+    use er_core::workload::{Label, Workload};
 
     fn workload(n: usize) -> Workload {
         // Top half of the similarity range is all matches.
         Workload::from_scores((0..n).map(|i| (i as f64 / n as f64, i >= n / 2))).unwrap()
     }
 
+    /// Every pair's ground-truth label, as an answered slate holds it.
+    fn answered(w: &Workload) -> Vec<Option<Label>> {
+        (0..w.len()).map(|i| Some(w.pair(i).ground_truth())).collect()
+    }
+
+    /// Samples one subset from a slate that must hold every drawn label.
+    fn sample(
+        sampler: &mut SubsetSampler<'_>,
+        subset: usize,
+        labels: &[Option<Label>],
+    ) -> SampleSummary {
+        sampler
+            .sample_core(subset, &LabelSlate::new(labels))
+            .unwrap_or_else(|_| panic!("subset {subset} suspended on an answered slate"))
+    }
+
+    /// The workload indices a fresh draw of `subset` asks labels for.
+    fn requested(sampler: &mut SubsetSampler<'_>, subset: usize, len: usize) -> Vec<usize> {
+        let empty: Vec<Option<Label>> = vec![None; len];
+        match sampler.sample_core(subset, &LabelSlate::new(&empty)) {
+            Err(crate::session::Suspend::Need { indices, .. }) => indices,
+            _ => panic!("expected a suspension for unanswered labels"),
+        }
+    }
+
     #[test]
     fn sampling_respects_budget_and_caches() {
         let w = workload(1_000);
         let partition = w.partition(100).unwrap();
-        let mut sampler = SubsetSampler::new(&w, &partition, 10, 1);
-        let mut oracle = GroundTruthOracle::new();
-        let first = sampler.sample(3, &mut oracle);
+        let labels = answered(&w);
+        let mut sampler = SubsetSampler::new(&partition, 10, 1);
+        // A fresh subset asks for exactly the per-subset budget.
+        assert_eq!(requested(&mut sampler, 3, w.len()).len(), 10);
+        let first = sample(&mut sampler, 3, &labels);
         assert_eq!(first.sample_size, 10);
-        let cost_after_first = oracle.labels_issued();
-        assert_eq!(cost_after_first, 10);
-        // Re-sampling the same subset is free and returns the cached summary.
-        let second = sampler.sample(3, &mut oracle);
+        // Re-sampling the same subset is free: it returns the cached summary
+        // without asking for any label.
+        let unanswered: Vec<Option<Label>> = vec![None; w.len()];
+        let second = sample(&mut sampler, 3, &unanswered);
         assert_eq!(first, second);
-        assert_eq!(oracle.labels_issued(), cost_after_first);
         assert_eq!(sampler.sampled_subset_count(), 1);
     }
 
@@ -251,9 +230,8 @@ mod tests {
     fn small_subsets_are_fully_sampled() {
         let w = workload(100);
         let partition = w.partition(20).unwrap();
-        let mut sampler = SubsetSampler::new(&w, &partition, 50, 1);
-        let mut oracle = GroundTruthOracle::new();
-        let summary = sampler.sample(0, &mut oracle);
+        let mut sampler = SubsetSampler::new(&partition, 50, 1);
+        let summary = sample(&mut sampler, 0, &answered(&w));
         assert_eq!(summary.sample_size, 20);
     }
 
@@ -261,9 +239,12 @@ mod tests {
     fn sampled_proportions_reflect_the_ground_truth() {
         let w = workload(2_000);
         let partition = w.partition(200).unwrap();
-        let mut sampler = SubsetSampler::new(&w, &partition, 200, 1);
-        let mut oracle = GroundTruthOracle::new();
-        let summaries = sampler.sample_all(&mut oracle);
+        let mut sampler = SubsetSampler::new(&partition, 200, 1);
+        let labels = answered(&w);
+        let all: Vec<usize> = (0..partition.len()).collect();
+        let summaries = sampler
+            .sample_many_core(&all, &LabelSlate::new(&labels))
+            .unwrap_or_else(|_| panic!("every label is answered"));
         // First subsets are pure non-matches, last ones pure matches.
         assert_eq!(summaries.first().unwrap().proportion(), 0.0);
         assert_eq!(summaries.last().unwrap().proportion(), 1.0);
@@ -273,60 +254,53 @@ mod tests {
     fn deterministic_given_seed() {
         let w = workload(1_000);
         let partition = w.partition(100).unwrap();
-        let mut a = SubsetSampler::new(&w, &partition, 15, 9);
-        let mut b = SubsetSampler::new(&w, &partition, 15, 9);
-        let mut oracle_a = GroundTruthOracle::new();
-        let mut oracle_b = GroundTruthOracle::new();
-        assert_eq!(a.sample(5, &mut oracle_a), b.sample(5, &mut oracle_b));
+        let labels = answered(&w);
+        let mut a = SubsetSampler::new(&partition, 15, 9);
+        let mut b = SubsetSampler::new(&partition, 15, 9);
+        assert_eq!(sample(&mut a, 5, &labels), sample(&mut b, 5, &labels));
     }
 
     #[test]
     fn snapshot_restore_resumes_identically() {
         let w = workload(1_000);
         let partition = w.partition(100).unwrap();
-        let mut reference = SubsetSampler::new(&w, &partition, 15, 9);
-        let mut oracle = GroundTruthOracle::new();
-        let first = reference.sample(2, &mut oracle);
+        let labels = answered(&w);
+        let mut reference = SubsetSampler::new(&partition, 15, 9);
+        let first = sample(&mut reference, 2, &labels);
         // Snapshot mid-flight, restore, and continue: the restored sampler
         // reproduces both the cached summary and the future draws.
         let snapshot = reference.snapshot();
-        let mut restored = SubsetSampler::restore(&w, &partition, 15, snapshot);
-        assert_eq!(restored.sample(2, &mut oracle), first);
-        assert_eq!(restored.sample(7, &mut oracle), reference.sample(7, &mut oracle));
+        let mut restored = SubsetSampler::restore(&partition, 15, snapshot);
+        assert_eq!(sample(&mut restored, 2, &labels), first);
+        assert_eq!(sample(&mut restored, 7, &labels), sample(&mut reference, 7, &labels));
         // A fresh snapshot is equivalent to a fresh sampler.
-        let mut from_fresh = SubsetSampler::restore(&w, &partition, 15, SamplerSnapshot::new(9));
-        let mut fresh = SubsetSampler::new(&w, &partition, 15, 9);
-        assert_eq!(from_fresh.sample(5, &mut oracle), fresh.sample(5, &mut oracle));
+        let mut from_fresh = SubsetSampler::restore(&partition, 15, SamplerSnapshot::new(9));
+        let mut fresh = SubsetSampler::new(&partition, 15, 9);
+        assert_eq!(sample(&mut from_fresh, 5, &labels), sample(&mut fresh, 5, &labels));
     }
 
     #[test]
     fn suspendable_sampling_matches_the_oracle_path() {
-        // The same seed must draw the same pairs whether labels are pulled
-        // from an oracle or read from an answered slate — that equivalence is
-        // what makes session replays byte-identical with oracle runs.
+        // The same seed must draw the same pairs whether every label was
+        // pulled from an oracle up front or the draw suspends and is answered
+        // afterwards — that equivalence is what makes session replays
+        // byte-identical with oracle-driven runs.
         let w = workload(1_000);
         let partition = w.partition(100).unwrap();
-        let mut oracle_sampler = SubsetSampler::new(&w, &partition, 15, 9);
         let mut oracle = GroundTruthOracle::new();
-        let via_oracle = oracle_sampler.sample(5, &mut oracle);
+        let pulled: Vec<Option<Label>> =
+            (0..w.len()).map(|i| Some(oracle.label(&w.pair(i)))).collect();
+        let via_oracle = sample(&mut SubsetSampler::new(&partition, 15, 9), 5, &pulled);
 
-        let mut session_sampler = SubsetSampler::new(&w, &partition, 15, 9);
-        let empty: Vec<Option<Label>> = vec![None; w.len()];
-        let slate = LabelSlate::new(&empty);
+        let mut session_sampler = SubsetSampler::new(&partition, 15, 9);
         // First attempt suspends with the drawn pairs.
-        let suspended = session_sampler.sample_core(5, &slate);
-        let indices = match suspended {
-            Err(crate::session::Suspend::Need { indices, .. }) => indices,
-            _ => panic!("expected a suspension for unanswered labels"),
-        };
+        let indices = requested(&mut session_sampler, 5, w.len());
         assert_eq!(indices.len(), 15);
         // Answer them from the ground truth and retry: summary matches.
         let mut answered: Vec<Option<Label>> = vec![None; w.len()];
         for &i in &indices {
             answered[i] = Some(w.pair(i).ground_truth());
         }
-        let slate = LabelSlate::new(&answered);
-        let via_slate = session_sampler.sample_core(5, &slate).unwrap_or_else(|_| panic!());
-        assert_eq!(via_oracle, via_slate);
+        assert_eq!(sample(&mut session_sampler, 5, &answered), via_oracle);
     }
 }

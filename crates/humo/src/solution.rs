@@ -125,7 +125,6 @@ impl OptimizationOutcome {
         workload: &Workload,
         oracle: &mut dyn Oracle,
     ) -> Result<Self> {
-        let labels_before_outside = oracle.labels_issued();
         let assignment = solution.resolve(workload, oracle);
         let metrics = workload.evaluate(&assignment)?;
         let total_human_cost = oracle.labels_issued();
@@ -135,7 +134,6 @@ impl OptimizationOutcome {
         // matter whether they were first requested during the search or during the
         // final resolution.)
         let sampling_cost = total_human_cost.saturating_sub(verification_cost);
-        let _ = labels_before_outside;
         Ok(Self {
             solution,
             assignment,

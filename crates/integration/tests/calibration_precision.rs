@@ -154,6 +154,7 @@ fn all_path_estimators(
     positives: &[usize],
     samples_per_subset: usize,
     tail: TailCalibration,
+    confidence: f64,
 ) -> (StratifiedCountEstimator, CalibratedEstimator<StratifiedCountEstimator>) {
     let m = positives.len();
     let unit = 50usize;
@@ -166,12 +167,14 @@ fn all_path_estimators(
         .map(|&k| er_stats::SampleSummary::new(samples_per_subset, k.min(samples_per_subset)))
         .collect::<Result<_, _>>()
         .unwrap();
-    let base = StratifiedCountEstimator::new(&partition, &summaries);
+    let base = StratifiedCountEstimator::new(&partition, &summaries, confidence);
     let sizes: Vec<usize> = partition.subsets().iter().map(|s| s.len()).collect();
     let inputs: Vec<f64> = partition.subsets().iter().map(|s| s.mean_similarity()).collect();
     let samples: BTreeMap<usize, er_stats::SampleSummary> =
         summaries.iter().copied().enumerate().collect();
-    let calibrated = CalibratedEstimator::new(base.clone(), &sizes, &inputs, &samples, 1.0, tail);
+    let calibrated =
+        CalibratedEstimator::new(base.clone(), &sizes, &inputs, &samples, 1.0, tail, confidence)
+            .unwrap();
     (base, calibrated)
 }
 
@@ -205,15 +208,15 @@ proptest! {
             ..TailCalibration::default()
         };
         let upper_only = TailCalibration { calibrate_lower: false, ..tail };
-        let (base, calibrated) = all_path_estimators(&profile, 20, tail);
-        let (_, reference) = all_path_estimators(&profile, 20, upper_only);
+        let (base, calibrated) = all_path_estimators(&profile, 20, tail, confidence);
+        let (_, reference) = all_path_estimators(&profile, 20, upper_only, confidence);
         let m = profile.len();
         for (lo, hi) in [(0usize, m), (0, m / 2), (m / 3, m), (m / 4, (3 * m / 4).max(m / 4 + 1))] {
-            let b_lb = base.lower_bound(lo..hi, confidence);
-            let b_ub = base.upper_bound(lo..hi, confidence);
-            let c_lb = calibrated.lower_bound(lo..hi, confidence);
-            let c_ub = calibrated.upper_bound(lo..hi, confidence);
-            let r_lb = reference.lower_bound(lo..hi, confidence);
+            let b_lb = base.lower_bound(lo..hi);
+            let b_ub = base.upper_bound(lo..hi);
+            let c_lb = calibrated.lower_bound(lo..hi);
+            let c_ub = calibrated.upper_bound(lo..hi);
+            let r_lb = reference.lower_bound(lo..hi);
             // Never exceeds the base bound, never negative.
             prop_assert!(c_lb <= b_lb + 1e-9, "calibrated lower {c_lb} above base {b_lb}");
             prop_assert!(c_lb >= 0.0, "calibrated lower bound went negative: {c_lb}");
@@ -221,7 +224,7 @@ proptest! {
             // end can only move down relative to the upper-only reference,
             // and the upper end is shared.
             prop_assert!(c_lb <= r_lb + 1e-9, "calibrate_lower narrowed the interval: {c_lb} > {r_lb}");
-            prop_assert!((c_ub - reference.upper_bound(lo..hi, confidence)).abs() < 1e-9);
+            prop_assert!((c_ub - reference.upper_bound(lo..hi)).abs() < 1e-9);
             // The interval stays an interval.
             prop_assert!(c_lb <= c_ub + 1e-9);
             prop_assert!(b_ub <= c_ub + 1e-9 || c_ub >= b_ub.min(calibrated.pair_count(lo..hi) as f64) - 1e-9);
