@@ -12,11 +12,12 @@ use crate::record::{Dataset, Record, RecordId};
 use crate::similarity::StringMeasure;
 use crate::similarity::{
     absolute_difference_similarity, dice_from_counts, jaccard_from_counts, overlap_from_counts,
-    relative_difference_similarity, tf_cosine_similarity,
+    relative_difference_similarity,
 };
 use crate::text::Tokenizer;
 use crate::{AttributeValue, ErError, Result};
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::HashMap;
+use std::convert::Infallible;
 use std::hash::BuildHasherDefault;
 
 /// How per-attribute weights are derived.
@@ -44,6 +45,9 @@ pub enum AttributeMeasure {
     NumberRelative,
 }
 
+/// A token-set measure as a function of `(|A|, |B|, |A ∩ B|)`.
+type SetFormula = fn(usize, usize, usize) -> f64;
+
 impl AttributeMeasure {
     fn eval(&self, a: &AttributeValue, b: &AttributeValue) -> Option<f64> {
         match self {
@@ -63,6 +67,18 @@ impl AttributeMeasure {
                 (Some(na), Some(nb)) => Some(relative_difference_similarity(na, nb)),
                 _ => None,
             },
+        }
+    }
+
+    /// The tokenizer and count formula of a token-set measure (Jaccard, Dice,
+    /// overlap), the measures a [`TokenCache`] memoizes; `None` for every
+    /// other measure. Cosine needs token multiplicities, so it is not one.
+    fn token_set(&self) -> Option<(Tokenizer, SetFormula)> {
+        match *self {
+            AttributeMeasure::Text(StringMeasure::Jaccard(t)) => Some((t, jaccard_from_counts)),
+            AttributeMeasure::Text(StringMeasure::Dice(t)) => Some((t, dice_from_counts)),
+            AttributeMeasure::Text(StringMeasure::Overlap(t)) => Some((t, overlap_from_counts)),
+            _ => None,
         }
     }
 }
@@ -167,93 +183,174 @@ impl PairScorer {
     /// Attributes missing on either side are excluded and the remaining weights are
     /// renormalized; if every attribute is missing the pair scores `0`.
     pub fn score(&self, a: &Record, b: &Record) -> f64 {
-        self.score_with_cache(a, b, &TokenCache::default())
+        let mut mean = WeightedMean::default();
+        for attr in &self.attributes {
+            mean.add(attr.weight, attr.measure.eval(a.get(&attr.name), b.get(&attr.name)));
+        }
+        mean.finish()
     }
 
-    /// Weighted aggregate similarity, reusing the interned token ids of a
-    /// [`TokenCache`] for the token-based string measures (Jaccard, Dice,
-    /// overlap, TF-cosine). `a` is looked up on the cache's left side and `b`
-    /// on its right side.
+    /// Weighted aggregate similarity through a [`TokenCache`]: `a` is looked
+    /// up on the cache's left side and `b` on its right side.
     ///
-    /// Bit-identical to [`PairScorer::score`]: the set measures count the same
-    /// distinct tokens by merging sorted ids and evaluate the same expressions
-    /// on those counts, cosine sees the same token multisets, and anything
-    /// the cache does not cover (a record missing on either side,
-    /// character-based or numeric measures) is evaluated directly.
+    /// A one-pair [`PairScorer::bind`]: it resolves the cache entries for
+    /// this call alone, so a scoring pass should bind once and score every
+    /// pair through the [`BoundScorer`]. Bit-identical to
+    /// [`PairScorer::score`] for any cache state.
     pub fn score_with_cache(&self, a: &Record, b: &Record, cache: &TokenCache) -> f64 {
-        let mut weighted_sum = 0.0;
-        let mut weight_total = 0.0;
-        for attr in &self.attributes {
-            if let Some(sim) = attr.eval(a, b, cache) {
-                weighted_sum += attr.weight * sim;
-                weight_total += attr.weight;
-            }
+        let Ok(score) = self.bind(cache).score_by(a.id(), b.id(), || Ok::<_, Infallible>((a, b)));
+        score
+    }
+
+    /// Binds this scorer to a [`TokenCache`] for a scoring pass: every
+    /// token-set attribute (Jaccard, Dice, overlap) finds its cache entry
+    /// here, once, instead of once per pair.
+    pub fn bind<'a>(&'a self, cache: &'a TokenCache) -> BoundScorer<'a> {
+        let entries = self
+            .attributes
+            .iter()
+            .map(|attr| {
+                let (tokenizer, formula) = attr.measure.token_set()?;
+                Some((cache.interned(&attr.name, tokenizer)?, formula))
+            })
+            .collect();
+        BoundScorer { attributes: &self.attributes, slots: &cache.slots, entries }
+    }
+}
+
+/// A running weighted mean over the attributes present on both records.
+#[derive(Default)]
+struct WeightedMean {
+    weighted_sum: f64,
+    weight_total: f64,
+}
+
+impl WeightedMean {
+    fn add(&mut self, weight: f64, similarity: Option<f64>) {
+        if let Some(similarity) = similarity {
+            self.weighted_sum += weight * similarity;
+            self.weight_total += weight;
         }
-        if weight_total == 0.0 {
+    }
+
+    /// The mean clamped to `[0, 1]`, or `0` when no attribute was present.
+    fn finish(self) -> f64 {
+        if self.weight_total == 0.0 {
             0.0
         } else {
-            (weighted_sum / weight_total).clamp(0.0, 1.0)
+            (self.weighted_sum / self.weight_total).clamp(0.0, 1.0)
         }
     }
 }
 
-impl WeightedAttribute {
-    /// This attribute's similarity on a record pair, `None` where either side
-    /// is missing or of the wrong type.
-    fn eval(&self, a: &Record, b: &Record, cache: &TokenCache) -> Option<f64> {
-        if let AttributeMeasure::Text(measure) = self.measure {
-            let entry = token_based_tokenizer(measure).and_then(|t| cache.interned(&self.name, t));
-            if let Some(entry) = entry {
-                // An entry holds a record exactly when the record had text for
-                // the attribute, so two hits mean both texts are present.
-                if let (Some(ids_a), Some(ids_b)) =
-                    (entry.ids(LEFT, a.id()), entry.ids(RIGHT, b.id()))
-                {
-                    return Some(entry.eval(measure, ids_a, ids_b));
+/// A [`PairScorer`] bound to a [`TokenCache`] for one scoring pass
+/// ([`PairScorer::bind`]); it scores pairs by record id.
+///
+/// A token-set attribute whose cache entry holds both records costs one
+/// merge of two short, sorted, deduplicated id sets. Everything else — a
+/// record the entry lacks, a missing or non-text value, a character-based,
+/// cosine or numeric measure — is evaluated directly on the records, which
+/// are looked up in the datasets only then. Every score is bit-identical to
+/// [`PairScorer::score`]: the set measures evaluate the same expressions on
+/// the same distinct-token counts.
+#[derive(Debug, Clone)]
+pub struct BoundScorer<'a> {
+    attributes: &'a [WeightedAttribute],
+    slots: &'a [FnvMap<u64, usize>; 2],
+    /// Per attribute, the cache entry and count formula of a memoized measure.
+    entries: Vec<Option<(&'a InternedTokens, SetFormula)>>,
+}
+
+impl BoundScorer<'_> {
+    /// Weighted aggregate similarity of record `a` of `left` and record `b`
+    /// of `right`, the sides the cache admitted them on.
+    ///
+    /// Fails with [`ErError::UnknownRecord`] when the cache cannot answer for
+    /// a record that its dataset does not hold. A record the cache does hold
+    /// is trusted to be the dataset's record: admit exactly the records the
+    /// datasets store, as the resolution engine does at ingest.
+    pub fn score(&self, left: &Dataset, right: &Dataset, a: RecordId, b: RecordId) -> Result<f64> {
+        self.score_by(a, b, || Ok((left.require(a)?, right.require(b)?)))
+    }
+
+    /// The score of `a` and `b`, calling `records` for the two records when
+    /// the first attribute the cache cannot answer needs them.
+    fn score_by<'r, E>(
+        &self,
+        a: RecordId,
+        b: RecordId,
+        records: impl Fn() -> std::result::Result<(&'r Record, &'r Record), E>,
+    ) -> std::result::Result<f64, E> {
+        let (slot_a, slot_b) = (self.slots[LEFT].get(&a.0), self.slots[RIGHT].get(&b.0));
+        let mut fetched = None;
+        let mut mean = WeightedMean::default();
+        for (attr, entry) in self.attributes.iter().zip(&self.entries) {
+            // An entry holds a record exactly when the record had text for
+            // the attribute, so two hits mean both texts are present.
+            let cached = entry.and_then(|(interned, formula)| {
+                let ids_a = interned.ids(LEFT, *slot_a?)?;
+                let ids_b = interned.ids(RIGHT, *slot_b?)?;
+                Some(formula(ids_a.len(), ids_b.len(), common_ids(ids_a, ids_b)))
+            });
+            let similarity = match cached {
+                Some(similarity) => Some(similarity),
+                None => {
+                    let (ra, rb) = match fetched {
+                        Some(pair) => pair,
+                        None => *fetched.insert(records()?),
+                    };
+                    attr.measure.eval(ra.get(&attr.name), rb.get(&attr.name))
                 }
-            }
+            };
+            mean.add(attr.weight, similarity);
         }
-        self.measure.eval(a.get(&self.name), b.get(&self.name))
+        Ok(mean.finish())
     }
 }
 
-/// The tokenizer of a token-based string measure, `None` for character-based ones.
-fn token_based_tokenizer(measure: StringMeasure) -> Option<Tokenizer> {
-    match measure {
-        StringMeasure::Jaccard(t)
-        | StringMeasure::Dice(t)
-        | StringMeasure::Overlap(t)
-        | StringMeasure::Cosine(t) => Some(t),
-        _ => None,
+/// `|A ∩ B|` of two sorted, deduplicated id sets, by a branchless
+/// two-pointer merge.
+fn common_ids(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        common += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    common
 }
 
-/// Index of the left-side record map of a [`TokenCache`] entry.
+/// Index of the left-side tables of a [`TokenCache`].
 pub(crate) const LEFT: usize = 0;
-/// Index of the right-side record map of a [`TokenCache`] entry.
+/// Index of the right-side tables of a [`TokenCache`].
 pub(crate) const RIGHT: usize = 1;
 
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
-
 /// A memo of per-record token ids, shared by blocking and scoring so a
 /// record's attribute text is normalized and tokenized once, at admission.
 ///
 /// Each `(attribute, tokenizer)` entry interns its tokens to dense `u32` ids
 /// (one interner for both sides, so ids compare across them) and keeps, per
-/// record, the sorted id multiset of the raw `Tokenizer::tokenize` output,
-/// duplicates included. Set measures then count overlaps by merging two
-/// sorted slices, and cosine and blocking still see exactly the multiset a
-/// fresh tokenization would produce.
+/// record, the *distinct* ids of the raw `Tokenizer::tokenize` output,
+/// sorted. The token-set measures (Jaccard, Dice, overlap) count overlaps
+/// by merging two such sets, and blocking reads the distinct tokens a fresh
+/// tokenization would deduplicate to. TF-cosine needs token multiplicities
+/// and is not memoized: scoring evaluates it directly.
 ///
-/// An entry holds a record exactly when the record had text for the entry's
-/// attribute: records where it is missing or not text are never admitted
-/// (an empty text is admitted as an empty multiset), so presence in the
-/// cache implies a text value. Records
-/// are keyed by `(side, record id)` because the two datasets' record ids may
-/// collide. The cache trusts that an admitted record's text does not change
-/// afterwards — the resolution engine admits each record once, at ingest.
+/// The cache gives every admitted record one slot per side, shared by all
+/// entries, so one record-id lookup serves every entry. An entry holds a
+/// record exactly when the record had text for the entry's attribute:
+/// records where it is missing or not text are never admitted (an empty
+/// text is admitted as an empty set), so presence in the entry implies a
+/// text value. Records are keyed by `(side, record id)` because the two
+/// datasets' record ids may collide. The cache trusts that an admitted
+/// record's text does not change afterwards — the resolution engine admits
+/// each record once, at ingest.
 #[derive(Debug, Default, Clone)]
 pub struct TokenCache {
+    /// Per side ([`LEFT`], [`RIGHT`]), record id → slot in every entry.
+    slots: [FnvMap<u64, usize>; 2],
     entries: Vec<InternedTokens>,
 }
 
@@ -265,8 +362,9 @@ pub(crate) struct InternedTokens {
     /// Token → id; `tokens[id]` is the reverse table.
     ids: FnvMap<Box<str>, u32>,
     tokens: Vec<Box<str>>,
-    /// Sorted token-id multisets by record id, index [`LEFT`] or [`RIGHT`].
-    sides: [FnvMap<u64, Box<[u32]>>; 2],
+    /// Per side, the sorted distinct token ids of the record in each slot,
+    /// `None` where the slot's record was not admitted under this entry.
+    sides: [Vec<Option<Box<[u32]>>>; 2],
 }
 
 impl InternedTokens {
@@ -276,19 +374,27 @@ impl InternedTokens {
             tokenizer,
             ids: FnvMap::default(),
             tokens: Vec::new(),
-            sides: [FnvMap::default(), FnvMap::default()],
+            sides: [Vec::new(), Vec::new()],
         }
     }
 
-    fn admit(&mut self, side: usize, records: &[Record]) {
+    /// Admits `records` on `side`, giving each record new to the cache the
+    /// next slot of `slots`, that side's slot table.
+    fn admit(&mut self, slots: &mut FnvMap<u64, usize>, side: usize, records: &[Record]) {
         let Self { attribute, tokenizer, ids, tokens, sides } = self;
-        let mut seq: Vec<u32> = Vec::new();
+        let sets = &mut sides[side];
+        let mut set: Vec<u32> = Vec::new();
         for record in records {
             let Some(text) = record.text(attribute) else { continue };
-            let Entry::Vacant(slot) = sides[side].entry(record.id().0) else {
+            let next = slots.len();
+            let slot = *slots.entry(record.id().0).or_insert(next);
+            if sets.len() <= slot {
+                sets.resize_with(slot + 1, || None);
+            }
+            if sets[slot].is_some() {
                 continue;
-            };
-            seq.clear();
+            }
+            set.clear();
             tokenizer.for_each_token(text, |token| {
                 let id = match ids.get(token) {
                     Some(&id) => id,
@@ -299,73 +405,19 @@ impl InternedTokens {
                         id
                     }
                 };
-                seq.push(id);
+                set.push(id);
             });
-            seq.sort_unstable();
-            slot.insert(seq.as_slice().into());
+            set.sort_unstable();
+            set.dedup();
+            sets[slot] = Some(set.as_slice().into());
         }
     }
 
-    /// The sorted token-id multiset of an admitted record on one side.
-    pub(crate) fn ids(&self, side: usize, id: RecordId) -> Option<&[u32]> {
-        self.sides[side].get(&id.0).map(|ids| &ids[..])
+    /// The sorted distinct token ids of the record in `slot` on `side`, if
+    /// it was admitted under this entry.
+    fn ids(&self, side: usize, slot: usize) -> Option<&[u32]> {
+        self.sides[side].get(slot)?.as_deref()
     }
-
-    /// The distinct tokens of a sorted id multiset, in id order.
-    pub(crate) fn distinct_tokens<'a>(&'a self, ids: &'a [u32]) -> impl Iterator<Item = &'a str> {
-        distinct_ids(ids).map(|id| &*self.tokens[id as usize])
-    }
-
-    /// A token-based measure on two sorted id multisets of this entry.
-    fn eval(&self, measure: StringMeasure, a: &[u32], b: &[u32]) -> f64 {
-        match measure {
-            StringMeasure::Jaccard(_) => {
-                let (na, nb, common) = merge_counts(a, b);
-                jaccard_from_counts(na, nb, common)
-            }
-            StringMeasure::Dice(_) => {
-                let (na, nb, common) = merge_counts(a, b);
-                dice_from_counts(na, nb, common)
-            }
-            StringMeasure::Overlap(_) => {
-                let (na, nb, common) = merge_counts(a, b);
-                overlap_from_counts(na, nb, common)
-            }
-            StringMeasure::Cosine(_) => {
-                let text = |ids: &[u32]| -> Vec<&str> {
-                    ids.iter().map(|&id| &*self.tokens[id as usize]).collect()
-                };
-                tf_cosine_similarity(&text(a), &text(b))
-            }
-            _ => unreachable!("only token-based measures are evaluated on token ids"),
-        }
-    }
-}
-
-/// The distinct ids of a sorted id multiset, ascending.
-fn distinct_ids(ids: &[u32]) -> impl Iterator<Item = u32> + '_ {
-    ids.chunk_by(|x, y| x == y).map(|run| run[0])
-}
-
-/// `(|A|, |B|, |A ∩ B|)` of the distinct ids of two sorted id multisets, in
-/// one merge.
-fn merge_counts(a: &[u32], b: &[u32]) -> (usize, usize, usize) {
-    let (mut a, mut b) = (distinct_ids(a).peekable(), distinct_ids(b).peekable());
-    let (mut na, mut nb, mut common) = (0, 0, 0);
-    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
-        if x <= y {
-            na += 1;
-            a.next();
-        }
-        if y <= x {
-            nb += 1;
-            b.next();
-        }
-        if x == y {
-            common += 1;
-        }
-    }
-    (na + a.count(), nb + b.count(), common)
 }
 
 impl TokenCache {
@@ -375,18 +427,17 @@ impl TokenCache {
     }
 
     fn admit(&mut self, attribute: &str, tokenizer: Tokenizer, side: usize, records: &[Record]) {
-        let entry = match self
-            .entries
-            .iter()
-            .position(|e| e.tokenizer == tokenizer && e.attribute == attribute)
-        {
-            Some(i) => &mut self.entries[i],
-            None => {
-                self.entries.push(InternedTokens::new(attribute, tokenizer));
-                self.entries.last_mut().expect("entry just pushed")
-            }
-        };
-        entry.admit(side, records);
+        let Self { slots, entries } = self;
+        let entry =
+            match entries.iter().position(|e| e.tokenizer == tokenizer && e.attribute == attribute)
+            {
+                Some(i) => &mut entries[i],
+                None => {
+                    entries.push(InternedTokens::new(attribute, tokenizer));
+                    entries.last_mut().expect("entry just pushed")
+                }
+            };
+        entry.admit(&mut slots[side], side, records);
     }
 
     /// Tokenizes and memoizes a batch of left-side records for an attribute.
@@ -399,10 +450,10 @@ impl TokenCache {
         self.admit(attribute, tokenizer, RIGHT, records);
     }
 
-    /// Admits left- and right-side batches for every *token-based* text
-    /// attribute of a scoring configuration (character-based and numeric
-    /// measures gain nothing from token memoization and are skipped), so
-    /// [`PairScorer::score_with_cache`] finds every record it can use.
+    /// Admits left- and right-side batches for every token-set attribute
+    /// (Jaccard, Dice, overlap) of a scoring configuration — the other
+    /// measures are evaluated directly and are skipped — so a
+    /// [`BoundScorer`] finds every record it can use.
     pub fn admit_scoring(
         &mut self,
         config: &ScoringConfig,
@@ -410,8 +461,7 @@ impl TokenCache {
         right_records: &[Record],
     ) {
         for (name, measure) in &config.attributes {
-            let AttributeMeasure::Text(measure) = measure else { continue };
-            let Some(tokenizer) = token_based_tokenizer(*measure) else { continue };
+            let Some((tokenizer, _)) = measure.token_set() else { continue };
             self.admit(name, tokenizer, LEFT, left_records);
             self.admit(name, tokenizer, RIGHT, right_records);
         }
@@ -427,9 +477,21 @@ impl TokenCache {
         self.entries.iter().find(|e| e.tokenizer == tokenizer && e.attribute == attribute)
     }
 
-    /// Total number of memoized record token sequences across all entries.
+    /// The distinct tokens, in id order, of record `id` as admitted on
+    /// `side` under `entry` (an entry of this cache); `None` if it was not.
+    pub(crate) fn distinct_tokens<'a>(
+        &'a self,
+        entry: &'a InternedTokens,
+        side: usize,
+        id: RecordId,
+    ) -> Option<impl Iterator<Item = &'a str>> {
+        let ids = entry.ids(side, *self.slots[side].get(&id.0)?)?;
+        Some(ids.iter().map(|&id| &*entry.tokens[id as usize]))
+    }
+
+    /// Total number of memoized record token sets across all entries.
     pub fn cached_records(&self) -> usize {
-        self.entries.iter().map(|e| e.sides[LEFT].len() + e.sides[RIGHT].len()).sum()
+        self.entries.iter().flat_map(|e| &e.sides).flatten().filter(|ids| ids.is_some()).count()
     }
 }
 
@@ -622,21 +684,28 @@ mod tests {
     }
 
     /// A record whose text attributes are missing, numeric, empty or drawn
-    /// from a tiny vocabulary (so duplicates and shared tokens are common).
+    /// from a tiny vocabulary (so duplicates and shared tokens are common),
+    /// some repeating their whole phrase ("new york new york"): the cache
+    /// deduplicates at admission, the direct measures at evaluation.
     fn random_record(id: u64, state: &mut u64) -> Record {
         let vocab = ["ab", "ba", "abc", "Ab,", "b", "a a", "", "--"];
         let mut record = Record::new(RecordId(id));
         for name in ["title", "authors", "venue"] {
-            record = match next(state) % 6 {
+            record = match next(state) % 7 {
                 0 => record,                       // missing
                 1 => record.with(name, id as f64), // numeric value on a text attribute
                 2 => record.with(name, ""),        // empty text
-                _ => {
+                draw => {
                     let words = 1 + next(state) % 5;
                     let text: Vec<&str> = (0..words)
                         .map(|_| vocab[(next(state) % vocab.len() as u64) as usize])
                         .collect();
-                    record.with(name, text.join(" "))
+                    let phrase = text.join(" ");
+                    if draw == 3 {
+                        record.with(name, format!("{phrase} {phrase}"))
+                    } else {
+                        record.with(name, phrase)
+                    }
                 }
             };
         }
@@ -691,6 +760,31 @@ mod tests {
                 records.iter().filter(|_| next(state).is_multiple_of(2)).cloned().collect()
             };
             partial.admit_scoring(&config, &some(&lefts, &mut state), &some(&rights, &mut state));
+            let dataset = |name: &str, records: &[Record]| {
+                let mut ds = Dataset::new(name, Schema::new(["title", "authors", "venue", "year"]));
+                for record in records {
+                    ds.push(record.clone()).unwrap();
+                }
+                ds
+            };
+            let (left, right) = (dataset("left", &lefts), dataset("right", &rights));
+            let empty = TokenCache::new();
+            let caches = [&full, &partial, &empty];
+            let bound: Vec<BoundScorer> = caches.iter().map(|cache| scorer.bind(cache)).collect();
+            // Cosine needs multiplicities, so the memo skips it: a cosine-only
+            // scorer admits nothing and scores every pair directly.
+            let cosine_only = PairScorer::with_weights([
+                ("title", AttributeMeasure::Text(StringMeasure::Cosine(Tokenizer::Words)), 1.0),
+                ("authors", AttributeMeasure::Text(StringMeasure::Cosine(Tokenizer::QGrams(2))), 2.0),
+            ])
+            .unwrap();
+            let cosine_config = ScoringConfig::new(
+                cosine_only.attributes.iter().map(|a| (a.name.clone(), a.measure)),
+                AttributeWeighting::Uniform,
+            );
+            let mut cosine_cache = TokenCache::new();
+            cosine_cache.admit_scoring(&cosine_config, &lefts, &rights);
+            prop_assert_eq!(cosine_cache.cached_records(), 0);
             let weights = scorer.weights();
             for a in &lefts {
                 for b in &rights {
@@ -706,10 +800,28 @@ mod tests {
                     let reference = if total == 0.0 { 0.0 } else { (sum / total).clamp(0.0, 1.0) };
                     let plain = scorer.score(a, b);
                     prop_assert_eq!(plain.to_bits(), reference.to_bits());
-                    for cache in [&full, &partial, &TokenCache::new()] {
+                    for (cache, bound) in caches.iter().zip(&bound) {
                         let cached = scorer.score_with_cache(a, b, cache);
                         prop_assert_eq!(cached.to_bits(), plain.to_bits());
+                        let by_id = bound.score(&left, &right, a.id(), b.id()).unwrap();
+                        prop_assert_eq!(by_id.to_bits(), plain.to_bits());
                     }
+                    let cosine = cosine_only.score(a, b);
+                    for cache in [&cosine_cache, &full] {
+                        let by_id = cosine_only.bind(cache).score(&left, &right, a.id(), b.id());
+                        prop_assert_eq!(by_id.unwrap().to_bits(), cosine.to_bits());
+                    }
+                }
+            }
+            // An id that neither the cache nor the datasets hold is an error,
+            // on either side and under any cache state.
+            let unknown = RecordId(1_000);
+            for bound in &bound {
+                for a in &lefts {
+                    prop_assert!(bound.score(&left, &right, a.id(), unknown).is_err());
+                }
+                for b in &rights {
+                    prop_assert!(bound.score(&left, &right, unknown, b.id()).is_err());
                 }
             }
         }

@@ -79,9 +79,9 @@ impl TokenBlocker {
         // into a posting list twice, nor probe the same posting list twice —
         // the output set would hide it, but every duplicate re-scans a whole
         // posting list.
-        let entry = cache.and_then(|c| c.interned(&self.attribute, self.tokenizer));
+        let cached = cache.and_then(|c| Some((c, c.interned(&self.attribute, self.tokenizer)?)));
         let record_tokens = |record: &Record, side: usize| {
-            unique_record_tokens(entry, &self.attribute, self.tokenizer, record, side).0
+            unique_record_tokens(cached, &self.attribute, self.tokenizer, record, side).0
         };
         // Invert dataset b: token → record ids.
         let mut index: BTreeMap<String, Vec<RecordId>> = BTreeMap::new();
@@ -127,16 +127,16 @@ impl TokenBlocker {
 /// admitted on `side`, freshly tokenized otherwise. The flag reports whether
 /// the cache answered (always `false` without an entry).
 fn unique_record_tokens<'a>(
-    entry: Option<&'a InternedTokens>,
+    cached: Option<(&'a TokenCache, &'a InternedTokens)>,
     attribute: &str,
     tokenizer: Tokenizer,
     record: &Record,
     side: usize,
 ) -> (Vec<Cow<'a, str>>, bool) {
-    if let Some(entry) = entry {
-        if let Some(ids) = entry.ids(side, record.id()) {
-            return (entry.distinct_tokens(ids).map(Cow::Borrowed).collect(), true);
-        }
+    if let Some(tokens) =
+        cached.and_then(|(cache, entry)| cache.distinct_tokens(entry, side, record.id()))
+    {
+        return (tokens.map(Cow::Borrowed).collect(), true);
     }
     let mut tokens =
         record.text(attribute).map(|text| tokenizer.tokenize(text)).unwrap_or_default();
@@ -320,7 +320,7 @@ impl IncrementalTokenIndex {
         right_batch: &[Record],
         cache: Option<&TokenCache>,
     ) -> Result<Vec<(RecordId, RecordId)>> {
-        let entry = cache.and_then(|c| c.interned(&self.attribute, self.tokenizer));
+        let cached = cache.and_then(|c| Some((c, c.interned(&self.attribute, self.tokenizer)?)));
         let mut token_cache_hits = 0u64;
         let mut delta = Vec::new();
         // Right side first: new right records pair with previously indexed
@@ -330,7 +330,7 @@ impl IncrementalTokenIndex {
         for (side, batch) in [(RIGHT, right_batch), (LEFT, left_batch)] {
             for record in batch {
                 let (tokens, cache_hit) =
-                    unique_record_tokens(entry, &self.attribute, self.tokenizer, record, side);
+                    unique_record_tokens(cached, &self.attribute, self.tokenizer, record, side);
                 token_cache_hits += u64::from(cache_hit);
                 let id = record.id();
                 for token in &tokens {

@@ -9,9 +9,9 @@
 //!
 //! * [`engine::ResolutionEngine`] — ingest record batches through `er-core`'s
 //!   incremental blocking index, score only the delta candidate pairs — with
-//!   each record tokenized once at ingest into interned token ids
+//!   each record tokenized once at ingest into sets of interned token ids
 //!   ([`er_core::aggregate::TokenCache`]), so set similarities are one merge
-//!   of two sorted id slices — and maintain the
+//!   of two sorted id sets — and maintain the
 //!   similarity-sorted workload under insertion (`Workload::insert_sorted`);
 //! * [`pool::WorkerPool`] — a hand-rolled `std::thread` chunk-sharded map used
 //!   for parallel pair scoring (the environment is offline, so no `rayon`),

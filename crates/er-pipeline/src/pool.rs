@@ -42,6 +42,19 @@ fn balanced_chunk_sizes(len: usize, workers: usize) -> Vec<usize> {
     sizes
 }
 
+/// Maps `f` over `items` into one vector allocated up front, stopping at
+/// the first error.
+fn try_collect<T, U, E>(
+    items: &[T],
+    f: impl Fn(&T) -> std::result::Result<U, E>,
+) -> std::result::Result<Vec<U>, E> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(f(item)?);
+    }
+    Ok(out)
+}
+
 impl WorkerPool {
     /// Creates a pool with the given number of workers; `0` selects the
     /// machine's available parallelism.
@@ -65,35 +78,41 @@ impl WorkerPool {
         balanced_chunk_sizes(len, self.threads)
     }
 
-    /// Maps `f` over `items` on the pool, preserving input order.
+    /// Maps the fallible `f` over `items` on the pool, preserving input
+    /// order and stopping at the first error.
     ///
     /// The slice is sharded into one balanced contiguous chunk per worker;
     /// with one thread (or a trivially small input) the map runs inline
-    /// without spawning.
-    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    /// without spawning. Each worker collects its chunk straight into one
+    /// vector, and the error of the earliest failing item is returned.
+    pub fn try_map<T, U, E, F>(&self, items: &[T], f: F) -> std::result::Result<Vec<U>, E>
     where
         T: Sync,
         U: Send,
-        F: Fn(&T) -> U + Sync,
+        E: Send,
+        F: Fn(&T) -> std::result::Result<U, E> + Sync,
     {
         if self.threads <= 1 || items.len() < 2 {
-            return items.iter().map(&f).collect();
+            return try_collect(items, &f);
         }
-        let mut results: Vec<Vec<U>> = Vec::with_capacity(self.threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.threads);
+        let chunks: Vec<_> = std::thread::scope(|scope| {
             let mut rest = items;
-            for size in balanced_chunk_sizes(items.len(), self.threads) {
-                let (shard, tail) = rest.split_at(size);
-                rest = tail;
-                let f = &f;
-                handles.push(scope.spawn(move || shard.iter().map(f).collect::<Vec<U>>()));
-            }
-            for handle in handles {
-                results.push(handle.join().expect("scoring worker panicked"));
-            }
+            let handles: Vec<_> = balanced_chunk_sizes(items.len(), self.threads)
+                .into_iter()
+                .map(|size| {
+                    let (shard, tail) = rest.split_at(size);
+                    rest = tail;
+                    let f = &f;
+                    scope.spawn(move || try_collect(shard, f))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("scoring worker panicked")).collect()
         });
-        results.into_iter().flatten().collect()
+        let mut out = Vec::with_capacity(items.len());
+        for chunk in chunks {
+            out.extend(chunk?);
+        }
+        Ok(out)
     }
 
     /// Scores candidate record pairs in parallel, returning one similarity per
@@ -105,19 +124,17 @@ impl WorkerPool {
         scorer: &PairScorer,
         pairs: &[(RecordId, RecordId)],
     ) -> Result<Vec<f64>> {
-        let scored = self.map(pairs, |&(l, r)| -> er_core::Result<f64> {
+        Ok(self.try_map(pairs, |&(l, r)| -> er_core::Result<f64> {
             Ok(scorer.score(left.require(l)?, right.require(r)?))
-        });
-        let mut similarities = Vec::with_capacity(scored.len());
-        for s in scored {
-            similarities.push(s?);
-        }
-        Ok(similarities)
+        })?)
     }
 
-    /// [`score_pairs`](WorkerPool::score_pairs) reading record token ids from
-    /// `cache` where admitted, so repeated scoring passes skip re-tokenizing.
-    /// Bit-identical to the uncached path for any cache state.
+    /// [`score_pairs`](WorkerPool::score_pairs) through `scorer` bound to
+    /// `cache` ([`PairScorer::bind`]): records admitted to the cache are
+    /// scored on their interned token-id sets without being looked up, so
+    /// repeated scoring passes skip re-tokenizing. Bit-identical to the
+    /// uncached path for any cache state; a pair naming a record that
+    /// neither the cache nor its dataset holds is an error.
     pub fn score_pairs_cached(
         &self,
         left: &Dataset,
@@ -126,14 +143,8 @@ impl WorkerPool {
         cache: &TokenCache,
         pairs: &[(RecordId, RecordId)],
     ) -> Result<Vec<f64>> {
-        let scored = self.map(pairs, |&(l, r)| -> er_core::Result<f64> {
-            Ok(scorer.score_with_cache(left.require(l)?, right.require(r)?, cache))
-        });
-        let mut similarities = Vec::with_capacity(scored.len());
-        for s in scored {
-            similarities.push(s?);
-        }
-        Ok(similarities)
+        let scorer = scorer.bind(cache);
+        Ok(self.try_map(pairs, |&(l, r)| scorer.score(left, right, l, r))?)
     }
 }
 
@@ -180,13 +191,19 @@ mod tests {
     fn map_preserves_order_for_any_thread_count() {
         let items: Vec<u64> = (0..1_003).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+        let square = |&x: &u64| Ok::<u64, ()>(x * x);
         for threads in [1, 2, 3, 8, 64] {
             let pool = WorkerPool::new(threads);
-            assert_eq!(pool.map(&items, |&x| x * x), expected, "threads = {threads}");
+            assert_eq!(pool.try_map(&items, square), Ok(expected.clone()), "threads = {threads}");
         }
         // Inputs smaller than the worker count still work.
-        assert_eq!(WorkerPool::new(16).map(&[7u64], |&x| x + 1), vec![8]);
-        assert_eq!(WorkerPool::new(4).map(&[] as &[u64], |&x| x), Vec::<u64>::new());
+        assert_eq!(WorkerPool::new(16).try_map(&[7u64], square), Ok(vec![49]));
+        assert_eq!(WorkerPool::new(4).try_map(&[] as &[u64], square), Ok(Vec::new()));
+        // The earliest failing item's error wins, whichever worker meets it.
+        let fail_from = |&x: &u64| if x % 400 == 399 { Err(x) } else { Ok(x) };
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(WorkerPool::new(threads).try_map(&items, fail_from), Err(399));
+        }
     }
 
     fn dataset(name: &str, titles: &[(u64, &str)]) -> Dataset {
@@ -239,5 +256,14 @@ mod tests {
         let scorer = PairScorer::new(&config, &[&left, &right]).unwrap();
         let bogus = vec![(RecordId(1), RecordId(10)), (RecordId(99), RecordId(10))];
         assert!(WorkerPool::new(2).score_pairs(&left, &right, &scorer, &bogus).is_err());
+        // The bound scorer skips the dataset lookup for cached records only:
+        // an id neither the warm cache nor the dataset holds still fails.
+        let mut cache = TokenCache::new();
+        cache.admit_left("title", Tokenizer::Words, left.records());
+        cache.admit_right("title", Tokenizer::Words, right.records());
+        for threads in [1, 2] {
+            let pool = WorkerPool::new(threads);
+            assert!(pool.score_pairs_cached(&left, &right, &scorer, &cache, &bogus).is_err());
+        }
     }
 }
