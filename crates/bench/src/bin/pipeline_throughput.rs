@@ -577,7 +577,7 @@ fn main() {
 
     // Parallel scoring speedup over the full candidate set.
     let blocker = TokenBlocker::new("title", Tokenizer::Words);
-    let candidates = blocker.candidates(&corpus.left, &corpus.right);
+    let candidates = blocker.candidates(&corpus.left, &corpus.right).expect("blocking succeeds");
     let scorer =
         PairScorer::new(&scoring_config(), &[&corpus.left, &corpus.right]).expect("valid scorer");
     let time_scoring = |pool: &WorkerPool| -> f64 {

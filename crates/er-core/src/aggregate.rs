@@ -334,9 +334,9 @@ type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
 /// (one interner for both sides, so ids compare across them) and keeps, per
 /// record, the *distinct* ids of the raw `Tokenizer::tokenize` output,
 /// sorted. The token-set measures (Jaccard, Dice, overlap) count overlaps
-/// by merging two such sets, and blocking reads the distinct tokens a fresh
-/// tokenization would deduplicate to. TF-cosine needs token multiplicities
-/// and is not memoized: scoring evaluates it directly.
+/// by merging two such sets, and blocking posts and probes the same sets by
+/// id. TF-cosine needs token multiplicities and is not memoized: scoring
+/// evaluates it directly.
 ///
 /// The cache gives every admitted record one slot per side, shared by all
 /// entries, so one record-id lookup serves every entry. An entry holds a
@@ -359,9 +359,8 @@ pub struct TokenCache {
 pub(crate) struct InternedTokens {
     attribute: String,
     tokenizer: Tokenizer,
-    /// Token → id; `tokens[id]` is the reverse table.
+    /// Token → id; ids are dense, so the next id is `ids.len()`.
     ids: FnvMap<Box<str>, u32>,
-    tokens: Vec<Box<str>>,
     /// Per side, the sorted distinct token ids of the record in each slot,
     /// `None` where the slot's record was not admitted under this entry.
     sides: [Vec<Option<Box<[u32]>>>; 2],
@@ -373,7 +372,6 @@ impl InternedTokens {
             attribute: attribute.to_string(),
             tokenizer,
             ids: FnvMap::default(),
-            tokens: Vec::new(),
             sides: [Vec::new(), Vec::new()],
         }
     }
@@ -381,7 +379,7 @@ impl InternedTokens {
     /// Admits `records` on `side`, giving each record new to the cache the
     /// next slot of `slots`, that side's slot table.
     fn admit(&mut self, slots: &mut FnvMap<u64, usize>, side: usize, records: &[Record]) {
-        let Self { attribute, tokenizer, ids, tokens, sides } = self;
+        let Self { attribute, tokenizer, ids, sides } = self;
         let sets = &mut sides[side];
         let mut set: Vec<u32> = Vec::new();
         for record in records {
@@ -399,8 +397,7 @@ impl InternedTokens {
                 let id = match ids.get(token) {
                     Some(&id) => id,
                     None => {
-                        let id = u32::try_from(tokens.len()).expect("token vocabulary exceeds u32");
-                        tokens.push(token.into());
+                        let id = u32::try_from(ids.len()).expect("token vocabulary exceeds u32");
                         ids.insert(token.into(), id);
                         id
                     }
@@ -426,7 +423,15 @@ impl TokenCache {
         Self::default()
     }
 
-    fn admit(&mut self, attribute: &str, tokenizer: Tokenizer, side: usize, records: &[Record]) {
+    /// Tokenizes and memoizes a batch of `side` records for an attribute;
+    /// records the entry already holds are skipped.
+    pub(crate) fn admit(
+        &mut self,
+        attribute: &str,
+        tokenizer: Tokenizer,
+        side: usize,
+        records: &[Record],
+    ) {
         let Self { slots, entries } = self;
         let entry =
             match entries.iter().position(|e| e.tokenizer == tokenizer && e.attribute == attribute)
@@ -477,16 +482,15 @@ impl TokenCache {
         self.entries.iter().find(|e| e.tokenizer == tokenizer && e.attribute == attribute)
     }
 
-    /// The distinct tokens, in id order, of record `id` as admitted on
-    /// `side` under `entry` (an entry of this cache); `None` if it was not.
-    pub(crate) fn distinct_tokens<'a>(
+    /// The sorted distinct token ids of record `id` as admitted on `side`
+    /// under `entry` (an entry of this cache); `None` if it was not.
+    pub(crate) fn token_ids<'a>(
         &'a self,
         entry: &'a InternedTokens,
         side: usize,
         id: RecordId,
-    ) -> Option<impl Iterator<Item = &'a str>> {
-        let ids = entry.ids(side, *self.slots[side].get(&id.0)?)?;
-        Some(ids.iter().map(|&id| &*entry.tokens[id as usize]))
+    ) -> Option<&'a [u32]> {
+        entry.ids(side, *self.slots[side].get(&id.0)?)
     }
 
     /// Total number of memoized record token sets across all entries.

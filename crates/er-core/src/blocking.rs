@@ -14,16 +14,14 @@
 //! candidate pairs — the pairs involving at least one record of the new batch —
 //! without rescanning the pairs of previously ingested records.
 
-use crate::aggregate::{InternedTokens, PairScorer, TokenCache, LEFT, RIGHT};
-use crate::codec::{ByteReader, ByteWriter, Fnv1a};
+use crate::aggregate::{PairScorer, TokenCache, LEFT, RIGHT};
+use crate::codec::{ByteReader, ByteWriter};
 use crate::record::{Dataset, Record, RecordId};
 use crate::spill::{ChunkHandle, MemoryBudget, SpillFile};
 use crate::text::Tokenizer;
 use crate::workload::{InstancePair, Label, PairId, Workload};
 use crate::{ErError, Result};
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::Hasher;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// All pairs of the cartesian product between two datasets.
@@ -51,56 +49,14 @@ impl TokenBlocker {
         Self { attribute: attribute.into(), tokenizer }
     }
 
-    /// Generates candidate pairs between two datasets.
-    pub fn candidates(&self, a: &Dataset, b: &Dataset) -> Vec<(RecordId, RecordId)> {
-        self.candidates_impl(a, b, None)
-    }
-
-    /// Generates candidate pairs between two datasets, reusing memoized token
-    /// sequences (records of `a` on the cache's left side, `b` on its right)
-    /// instead of re-tokenizing. Produces exactly [`TokenBlocker::candidates`].
-    pub fn candidates_with_cache(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        cache: &TokenCache,
-    ) -> Vec<(RecordId, RecordId)> {
-        self.candidates_impl(a, b, Some(cache))
-    }
-
-    fn candidates_impl(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        cache: Option<&TokenCache>,
-    ) -> Vec<(RecordId, RecordId)> {
-        // Tokens are deduplicated per record before indexing and probing: a
-        // record repeating a token ("new york, new york") must not push its id
-        // into a posting list twice, nor probe the same posting list twice —
-        // the output set would hide it, but every duplicate re-scans a whole
-        // posting list.
-        let cached = cache.and_then(|c| Some((c, c.interned(&self.attribute, self.tokenizer)?)));
-        let record_tokens = |record: &Record, side: usize| {
-            unique_record_tokens(cached, &self.attribute, self.tokenizer, record, side).0
-        };
-        // Invert dataset b: token → record ids.
-        let mut index: BTreeMap<String, Vec<RecordId>> = BTreeMap::new();
-        for rb in b.iter() {
-            for token in record_tokens(rb, RIGHT) {
-                index.entry(token.into_owned()).or_default().push(rb.id());
-            }
-        }
-        let mut pairs = Vec::new();
-        for ra in a.iter() {
-            for token in record_tokens(ra, LEFT) {
-                if let Some(ids) = index.get(token.as_ref()) {
-                    pairs.extend(ids.iter().map(|&rb_id| (ra.id(), rb_id)));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
+    /// Generates candidate pairs between two datasets, sorted and
+    /// deduplicated: one [`IncrementalTokenIndex::add_records`] batch on a
+    /// fresh index and token cache.
+    ///
+    /// The fresh index has no posting budget, so it never spills and the
+    /// call does not fail today; the `Result` is `add_records`'s.
+    pub fn candidates(&self, a: &Dataset, b: &Dataset) -> Result<Vec<(RecordId, RecordId)>> {
+        self.incremental().add_records(a.records(), b.records(), &mut TokenCache::new())
     }
 
     /// Creates an empty incremental index with this blocker's attribute and
@@ -110,11 +66,9 @@ impl TokenBlocker {
         IncrementalTokenIndex {
             attribute: self.attribute.clone(),
             tokenizer: self.tokenizer,
-            resident_left: BTreeMap::new(),
-            resident_right: BTreeMap::new(),
+            resident: [Vec::new(), Vec::new()],
             resident_postings: 0,
             generations: Vec::new(),
-            records_indexed: 0,
             budget: MemoryBudget::default(),
             spill: None,
             obs: er_obs::ObsHandle::default(),
@@ -122,78 +76,44 @@ impl TokenBlocker {
     }
 }
 
-/// The distinct tokens of one record, in no particular order: borrowed from
-/// the token cache's `(attribute, tokenizer)` entry when the record was
-/// admitted on `side`, freshly tokenized otherwise. The flag reports whether
-/// the cache answered (always `false` without an entry).
-fn unique_record_tokens<'a>(
-    cached: Option<(&'a TokenCache, &'a InternedTokens)>,
-    attribute: &str,
-    tokenizer: Tokenizer,
-    record: &Record,
-    side: usize,
-) -> (Vec<Cow<'a, str>>, bool) {
-    if let Some(tokens) =
-        cached.and_then(|(cache, entry)| cache.distinct_tokens(entry, side, record.id()))
-    {
-        return (tokens.map(Cow::Borrowed).collect(), true);
-    }
-    let mut tokens =
-        record.text(attribute).map(|text| tokenizer.tokenize(text)).unwrap_or_default();
-    tokens.sort_unstable();
-    tokens.dedup();
-    (tokens.into_iter().map(Cow::Owned).collect(), false)
-}
-
 /// A persistent token-blocking index supporting incremental ingestion.
 ///
-/// The index keeps one posting list per token and side. Adding a batch probes
-/// the *existing* posting lists for the new records' tokens, so the work per
-/// batch is proportional to the new records and their matching postings — old
-/// candidate pairs are never re-derived. The union of the deltas over any batch
-/// split equals [`TokenBlocker::candidates`] on the union of the records, and a
-/// pair is never emitted twice (every delta pair involves a record of the
-/// current batch).
+/// The index keeps one posting list per token and side, keyed by the token
+/// ids a [`TokenCache`] interns for the blocking `(attribute, tokenizer)`.
+/// Adding a batch probes the *existing* posting lists for the new records'
+/// tokens, so the work per batch is proportional to the new records and
+/// their matching postings — old candidate pairs are never re-derived. The
+/// union of the deltas over any batch split equals
+/// [`TokenBlocker::candidates`] on the union of the records, and a pair is
+/// never emitted twice (every delta pair involves a record of the current
+/// batch).
 ///
 /// Under a [`MemoryBudget`] with a posting bound, the index freezes its
-/// resident posting maps into an immutable on-disk *generation* (an `HPG1`
+/// resident postings into an immutable on-disk *generation* (an `HPG2`
 /// chunk, see [`crate::spill`]) between batches; probes consult the resident
-/// maps plus every generation through a small resident hash directory, so
+/// postings plus every generation through a small resident directory, so
 /// budgeted and unbounded indexes produce identical candidates. A generation
-/// entry that cannot be read back, runs past its bytes, or does not hash to
-/// the bucket that points at it fails the batch with [`ErError::Spill`]
-/// rather than dropping candidates.
+/// entry that cannot be read back, runs past its bytes, or holds another
+/// side or token id than the directory points at fails the batch with
+/// [`ErError::Spill`] rather than dropping candidates.
 #[derive(Debug, Clone)]
 pub struct IncrementalTokenIndex {
     attribute: String,
     tokenizer: Tokenizer,
-    resident_left: BTreeMap<String, Vec<RecordId>>,
-    resident_right: BTreeMap<String, Vec<RecordId>>,
-    /// Total record-id entries across both resident maps.
+    /// Per side (`LEFT`, `RIGHT`), token id → record ids posted since the
+    /// last freeze.
+    resident: [Vec<Vec<RecordId>>; 2],
+    /// Total record-id entries across both sides' resident postings.
     resident_postings: usize,
     generations: Vec<PostingGeneration>,
-    records_indexed: usize,
     budget: MemoryBudget,
     spill: Option<Arc<SpillFile>>,
     obs: er_obs::ObsHandle,
 }
 
-/// The side byte of posting keys and `HPG1` entries: the token cache's side
-/// index.
-const SIDE_LEFT: u8 = LEFT as u8;
-const SIDE_RIGHT: u8 = RIGHT as u8;
-const POSTING_MAGIC: [u8; 4] = *b"HPG1";
+const POSTING_MAGIC: [u8; 4] = *b"HPG2";
 
-/// FNV-1a over the bytes of `side` followed by `token` — the key of
-/// posting-generation directories.
-fn posting_key(side: u8, token: &[u8]) -> u64 {
-    let mut hash = Fnv1a::default();
-    hash.write(&[side]);
-    hash.write(token);
-    hash.finish()
-}
-
-/// Converts an offset, length or count to its `u32` field of the `HPG1`
+/// Converts an offset, length or count to its `u32` field of the `HPG2`
 /// format, failing instead of wrapping once a generation outgrows it.
 fn generation_u32(value: usize, what: &str) -> Result<u32> {
     u32::try_from(value).map_err(|_| {
@@ -201,76 +121,47 @@ fn generation_u32(value: usize, what: &str) -> Result<u32> {
     })
 }
 
-/// An immutable spilled snapshot of the index's posting maps.
+/// An immutable spilled snapshot of the index's resident postings.
 #[derive(Debug, Clone)]
 struct PostingGeneration {
     spill: Arc<SpillFile>,
     handle: ChunkHandle,
-    /// FNV-1a of `(side, token)` → byte ranges of matching entries inside the
-    /// chunk. A bucket may hold hash collisions; probes verify token bytes.
-    directory: HashMap<u64, Vec<(u32, u32)>>,
+    /// Per side, `(token id, entry offset, entry length)` inside the chunk,
+    /// sorted by token id.
+    directory: [Vec<(u32, u32, u32)>; 2],
 }
 
 impl PostingGeneration {
-    /// Calls `f` on every record id this generation holds for `(side, token)`.
-    fn probe(&self, side: u8, token: &str, f: &mut impl FnMut(RecordId)) -> Result<()> {
-        let key = posting_key(side, token.as_bytes());
-        let Some(ranges) = self.directory.get(&key) else {
+    /// Calls `f` on every record id this generation holds for `token` on
+    /// `side`.
+    fn probe(&self, side: usize, token: u32, f: &mut impl FnMut(RecordId)) -> Result<()> {
+        let directory = &self.directory[side];
+        let Ok(i) = directory.binary_search_by_key(&token, |&(id, _, _)| id) else {
             return Ok(());
         };
-        for &(start, len) in ranges {
-            // Sub-entry read: the enclosing chunk was checksummed when written
-            // whole; entry reads skip re-verification by design.
-            let bytes = self.spill.read_at(self.handle.offset + start as u64, len as usize)?;
-            let mut r = ByteReader::unchecked(&bytes);
-            let entry_side = r.take_u8()?;
-            let token_len = r.take_u32()? as usize;
-            let entry_token = r.take_bytes(token_len)?;
-            if entry_side != side || entry_token != token.as_bytes() {
-                // A bucket may also hold entries whose keys collide with this
-                // one, but never an entry that hashes elsewhere.
-                if posting_key(entry_side, entry_token) != key {
-                    return Err(ErError::Spill(format!(
-                        "posting generation entry at byte {start} does not match its key"
-                    )));
-                }
-                continue;
-            }
-            for _ in 0..r.take_u32()? {
-                f(RecordId(r.take_u64()?));
-            }
+        let (_, start, len) = directory[i];
+        // Sub-entry read: the enclosing chunk was checksummed when written
+        // whole; entry reads skip re-verification by design.
+        let bytes = self.spill.read_at(self.handle.offset + start as u64, len as usize)?;
+        let mut r = ByteReader::unchecked(&bytes);
+        if usize::from(r.take_u8()?) != side || r.take_u32()? != token {
+            return Err(ErError::Spill(format!(
+                "posting generation entry at byte {start} does not match its key"
+            )));
+        }
+        for _ in 0..r.take_u32()? {
+            f(RecordId(r.take_u64()?));
         }
         Ok(())
     }
 }
 
-/// Appends `id` to `token`'s posting list, allocating the key only for a new
-/// token.
-fn push_posting(map: &mut BTreeMap<String, Vec<RecordId>>, token: &str, id: RecordId) {
-    match map.get_mut(token) {
-        Some(ids) => ids.push(id),
-        None => {
-            map.insert(token.to_string(), vec![id]);
-        }
-    }
-}
-
 impl IncrementalTokenIndex {
-    /// Number of records folded into the index so far (both sides).
-    pub fn records_indexed(&self) -> usize {
-        self.records_indexed
-    }
-
     /// Sets the memory budget governing resident postings and immediately
     /// freezes them if the index is already over it.
     pub fn set_memory_budget(&mut self, budget: MemoryBudget) -> Result<()> {
         self.budget = budget;
         self.enforce_budget()
-    }
-
-    /// The configured memory budget.
-    pub fn memory_budget(&self) -> &MemoryBudget {
-        &self.budget
     }
 
     /// Record-id posting entries currently resident.
@@ -298,6 +189,12 @@ impl IncrementalTokenIndex {
     /// pairs: every `(left, right)` pair sharing at least one token where at
     /// least one side belongs to this batch. Pairs are deduplicated and sorted.
     ///
+    /// The batch is first admitted to `cache` under the index's attribute and
+    /// tokenizer (records the cache already holds are skipped), and the
+    /// postings are keyed by that entry's token ids. So every call must pass
+    /// the same cache, or the clone taken together with a clone of the index.
+    /// A record without text for the attribute posts nothing.
+    ///
     /// Fails with [`ErError::Spill`] when a frozen posting generation cannot
     /// be read back or is corrupt, or when freezing postings under the memory
     /// budget fails. A failed call may leave the batch partly folded in (its
@@ -306,52 +203,35 @@ impl IncrementalTokenIndex {
         &mut self,
         left_batch: &[Record],
         right_batch: &[Record],
+        cache: &mut TokenCache,
     ) -> Result<Vec<(RecordId, RecordId)>> {
-        self.add_records_with(left_batch, right_batch, None)
-    }
-
-    /// [`add_records`](IncrementalTokenIndex::add_records) reading record
-    /// tokens from `cache`'s interned ids where admitted. The cache is
-    /// behaviour-invisible: the returned delta is identical for any cache
-    /// state.
-    pub fn add_records_with(
-        &mut self,
-        left_batch: &[Record],
-        right_batch: &[Record],
-        cache: Option<&TokenCache>,
-    ) -> Result<Vec<(RecordId, RecordId)>> {
-        let cached = cache.and_then(|c| Some((c, c.interned(&self.attribute, self.tokenizer)?)));
-        let mut token_cache_hits = 0u64;
+        cache.admit(&self.attribute, self.tokenizer, LEFT, left_batch);
+        cache.admit(&self.attribute, self.tokenizer, RIGHT, right_batch);
+        let entry = cache.interned(&self.attribute, self.tokenizer).expect("entry just admitted");
         let mut delta = Vec::new();
+        let postings_before = self.resident_postings;
         // Right side first: new right records pair with previously indexed
         // left records here, and pairs with the new left records are found
         // once the right postings are in place — so every within-batch pair is
         // emitted exactly once.
-        for (side, batch) in [(RIGHT, right_batch), (LEFT, left_batch)] {
+        for (side, other, batch) in [(RIGHT, LEFT, right_batch), (LEFT, RIGHT, left_batch)] {
             for record in batch {
-                let (tokens, cache_hit) =
-                    unique_record_tokens(cached, &self.attribute, self.tokenizer, record, side);
-                token_cache_hits += u64::from(cache_hit);
                 let id = record.id();
-                for token in &tokens {
-                    if side == RIGHT {
-                        self.probe(SIDE_LEFT, token, |left_id| delta.push((left_id, id)))?;
-                        push_posting(&mut self.resident_right, token, id);
-                    } else {
-                        self.probe(SIDE_RIGHT, token, |right_id| delta.push((id, right_id)))?;
-                        push_posting(&mut self.resident_left, token, id);
+                for &token in cache.token_ids(entry, side, id).unwrap_or_default() {
+                    self.probe(other, token, |found| {
+                        delta.push(if side == LEFT { (id, found) } else { (found, id) })
+                    })?;
+                    let lists = &mut self.resident[side];
+                    let token = token as usize;
+                    if lists.len() <= token {
+                        lists.resize_with(token + 1, Vec::new);
                     }
+                    lists[token].push(id);
                     self.resident_postings += 1;
                 }
             }
         }
-        let records = left_batch.len() + right_batch.len();
-        self.records_indexed += records;
-        // Token-cache hits only mean something when a cache was supplied.
-        if cache.is_some() && self.obs.is_enabled() {
-            self.obs.counter("blocking.tokencache.hits", token_cache_hits);
-            self.obs.counter("blocking.tokencache.misses", records as u64 - token_cache_hits);
-        }
+        self.obs.counter("blocking.postings", (self.resident_postings - postings_before) as u64);
         delta.sort_unstable();
         delta.dedup();
         self.enforce_budget()?;
@@ -359,13 +239,12 @@ impl IncrementalTokenIndex {
     }
 
     /// Calls `f` on every indexed record id for a token on one side: every
-    /// frozen generation plus the resident map.
-    fn probe(&self, side: u8, token: &str, mut f: impl FnMut(RecordId)) -> Result<()> {
+    /// frozen generation plus the resident postings.
+    fn probe(&self, side: usize, token: u32, mut f: impl FnMut(RecordId)) -> Result<()> {
         for generation in &self.generations {
             generation.probe(side, token, &mut f)?;
         }
-        let resident = if side == SIDE_LEFT { &self.resident_left } else { &self.resident_right };
-        resident.get(token).into_iter().flatten().copied().for_each(f);
+        self.resident[side].get(token as usize).into_iter().flatten().copied().for_each(f);
         Ok(())
     }
 
@@ -387,39 +266,36 @@ impl IncrementalTokenIndex {
         Ok(())
     }
 
-    /// Writes the resident posting maps as one immutable `HPG1` generation
-    /// chunk and clears them. A failure leaves the resident maps intact.
+    /// Writes the resident postings as one immutable `HPG2` generation chunk,
+    /// entries in side then token-id order, and releases them. A failure
+    /// leaves the resident postings intact.
     fn freeze(&mut self, spill: &Arc<SpillFile>) -> Result<()> {
-        let entry_count = self.resident_left.len() + self.resident_right.len();
+        let entry_count = self.resident.iter().flatten().filter(|ids| !ids.is_empty()).count();
         let mut w = ByteWriter::with_capacity(16 + self.resident_postings * 8);
         w.put_bytes(&POSTING_MAGIC);
         w.put_u32(generation_u32(entry_count, "entry count")?);
-        let mut entries: Vec<(u64, u32, u32)> = Vec::with_capacity(entry_count);
-        for (side, map) in [(SIDE_LEFT, &self.resident_left), (SIDE_RIGHT, &self.resident_right)] {
-            for (token, ids) in map {
+        let mut directory = [Vec::new(), Vec::new()];
+        for (side, lists) in self.resident.iter().enumerate() {
+            for (token, ids) in lists.iter().enumerate().filter(|(_, ids)| !ids.is_empty()) {
+                // Token ids come from the cache's `u32` interner.
+                let token = token as u32;
                 let start = w.len();
-                w.put_u8(side);
-                w.put_u32(generation_u32(token.len(), "token length")?);
-                w.put_bytes(token.as_bytes());
+                w.put_u8(side as u8);
+                w.put_u32(token);
                 w.put_u32(generation_u32(ids.len(), "posting count")?);
                 for id in ids {
                     w.put_u64(id.0);
                 }
-                entries.push((
-                    posting_key(side, token.as_bytes()),
+                directory[side].push((
+                    token,
                     generation_u32(start, "entry offset")?,
                     generation_u32(w.len() - start, "entry length")?,
                 ));
             }
         }
         let handle = spill.append(&w.finish())?;
-        let mut directory: HashMap<u64, Vec<(u32, u32)>> = HashMap::with_capacity(entry_count);
-        for (key, start, len) in entries {
-            directory.entry(key).or_default().push((start, len));
-        }
         self.generations.push(PostingGeneration { spill: Arc::clone(spill), handle, directory });
-        self.resident_left.clear();
-        self.resident_right.clear();
+        self.resident = [Vec::new(), Vec::new()];
         self.resident_postings = 0;
         Ok(())
     }
@@ -461,7 +337,6 @@ pub fn build_workload(
 mod tests {
     use super::*;
     use crate::aggregate::{AttributeMeasure, AttributeWeighting, ScoringConfig};
-    use crate::codec::fnv1a;
     use crate::record::{Record, Schema};
     use crate::similarity::StringMeasure;
     use proptest::prelude::*;
@@ -501,7 +376,7 @@ mod tests {
             ],
         );
         let blocker = TokenBlocker::new("title", Tokenizer::Words);
-        let candidates = blocker.candidates(&a, &b);
+        let candidates = blocker.candidates(&a, &b).unwrap();
         assert!(candidates.contains(&(RecordId(1), RecordId(10))));
         assert!(candidates.contains(&(RecordId(2), RecordId(11)))); // shares "networks"
         assert!(!candidates.contains(&(RecordId(1), RecordId(12))));
@@ -518,10 +393,10 @@ mod tests {
         let a = dataset("a", &[(1, "york york york new new"), (2, "boston")]);
         let b = dataset("b", &[(10, "new york"), (11, "york york minster"), (12, "chicago")]);
         let blocker = TokenBlocker::new("title", Tokenizer::Words);
-        let candidates = blocker.candidates(&a, &b);
+        let candidates = blocker.candidates(&a, &b).unwrap();
         let dedup_a = dataset("a", &[(1, "york new"), (2, "boston")]);
         let dedup_b = dataset("b", &[(10, "new york"), (11, "york minster"), (12, "chicago")]);
-        let dedup_candidates = blocker.candidates(&dedup_a, &dedup_b);
+        let dedup_candidates = blocker.candidates(&dedup_a, &dedup_b).unwrap();
         assert_eq!(candidates, dedup_candidates);
         assert!(candidates.contains(&(RecordId(1), RecordId(10))));
         assert!(candidates.contains(&(RecordId(1), RecordId(11))));
@@ -534,7 +409,7 @@ mod tests {
     fn token_blocking_is_subset_of_cartesian() {
         let a = dataset("a", &[(1, "alpha beta"), (2, "gamma")]);
         let b = dataset("b", &[(10, "beta"), (11, "delta")]);
-        let candidates = TokenBlocker::new("title", Tokenizer::Words).candidates(&a, &b);
+        let candidates = TokenBlocker::new("title", Tokenizer::Words).candidates(&a, &b).unwrap();
         let all: BTreeSet<_> = cartesian_pairs(&a, &b).into_iter().collect();
         for c in &candidates {
             assert!(all.contains(c));
@@ -599,21 +474,21 @@ mod tests {
             ],
         );
         let blocker = TokenBlocker::new("title", Tokenizer::Words);
-        let expected: BTreeSet<_> = blocker.candidates(&a, &b).into_iter().collect();
+        let expected: BTreeSet<_> = blocker.candidates(&a, &b).unwrap().into_iter().collect();
         for (left_batches, right_batches) in [(1, 1), (2, 3), (3, 2), (3, 4)] {
             let mut index = blocker.incremental();
+            let mut cache = TokenCache::new();
             let mut union: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
             let left_chunks = batched(a.records(), left_batches);
             let right_chunks = batched(b.records(), right_batches);
             for i in 0..left_chunks.len().max(right_chunks.len()) {
                 let l = left_chunks.get(i).copied().unwrap_or(&[]);
                 let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                for pair in index.add_records(l, r).unwrap() {
+                for pair in index.add_records(l, r, &mut cache).unwrap() {
                     assert!(union.insert(pair), "pair {pair:?} emitted twice");
                 }
             }
             assert_eq!(union, expected, "split ({left_batches},{right_batches}) diverged");
-            assert_eq!(index.records_indexed(), a.len() + b.len());
         }
     }
 
@@ -645,35 +520,21 @@ mod tests {
                 b.push(Record::new(RecordId(1_000 + i)).with("title", title(77 + i))).unwrap();
             }
             let blocker = TokenBlocker::new("title", Tokenizer::Words);
-            let expected: BTreeSet<_> = blocker.candidates(&a, &b).into_iter().collect();
+            let expected: BTreeSet<_> = blocker.candidates(&a, &b).unwrap().into_iter().collect();
             let mut index = blocker.incremental();
+            let mut cache = TokenCache::new();
             let mut union: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
             let left_chunks = batched(a.records(), split);
             let right_chunks = batched(b.records(), split);
             for i in 0..left_chunks.len().max(right_chunks.len()) {
                 let l = left_chunks.get(i).copied().unwrap_or(&[]);
                 let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                for pair in index.add_records(l, r).unwrap() {
+                for pair in index.add_records(l, r, &mut cache).unwrap() {
                     prop_assert!(union.insert(pair), "pair emitted twice: {:?}", pair);
                 }
             }
             prop_assert_eq!(union, expected);
         }
-    }
-
-    #[test]
-    fn candidates_with_cache_match_uncached() {
-        let a = dataset("a", &[(1, "entity resolution survey"), (2, "graph neural networks")]);
-        let b =
-            dataset("b", &[(10, "a survey of entity resolution"), (11, "convolutional networks")]);
-        let blocker = TokenBlocker::new("title", Tokenizer::Words);
-        let expected = blocker.candidates(&a, &b);
-        // A fully warmed cache and a cold cache both reproduce the plain path.
-        let mut warm = TokenCache::new();
-        warm.admit_left("title", Tokenizer::Words, a.records());
-        warm.admit_right("title", Tokenizer::Words, b.records());
-        assert_eq!(blocker.candidates_with_cache(&a, &b, &warm), expected);
-        assert_eq!(blocker.candidates_with_cache(&a, &b, &TokenCache::new()), expected);
     }
 
     #[test]
@@ -689,6 +550,7 @@ mod tests {
         let blocker = TokenBlocker::new("title", Tokenizer::Words);
         let mut unbounded = blocker.incremental();
         let mut budgeted = blocker.incremental();
+        let (mut unbounded_cache, mut budgeted_cache) = (TokenCache::new(), TokenCache::new());
         budgeted
             .set_memory_budget(MemoryBudget { resident_postings: 16, ..MemoryBudget::default() })
             .unwrap();
@@ -696,8 +558,8 @@ mod tests {
             let l = &a.records()[i * 10..(i + 1) * 10];
             let r = &b.records()[i * 10..(i + 1) * 10];
             assert_eq!(
-                budgeted.add_records(l, r).unwrap(),
-                unbounded.add_records(l, r).unwrap(),
+                budgeted.add_records(l, r, &mut budgeted_cache).unwrap(),
+                unbounded.add_records(l, r, &mut unbounded_cache).unwrap(),
                 "budgeted delta diverged on batch {i}"
             );
             // Over-budget postings were frozen between batches.
@@ -706,26 +568,16 @@ mod tests {
         assert!(budgeted.spilled_generations() > 0, "budget never triggered a spill");
         assert!(budgeted.spilled_bytes() > 0);
         assert_eq!(unbounded.spilled_generations(), 0);
-        // A clone shares the spill file and still probes generations correctly.
-        let mut cloned = budgeted.clone();
+        // A clone, taken with its cache, shares the spill file and still
+        // probes generations correctly.
+        let (mut cloned, mut cloned_cache) = (budgeted.clone(), budgeted_cache.clone());
         let extra = Record::new(RecordId(9_999)).with("title", "tok1 shared");
-        let from_clone = cloned.add_records(&[], std::slice::from_ref(&extra)).unwrap();
-        let from_orig = budgeted.add_records(&[], std::slice::from_ref(&extra)).unwrap();
+        let from_clone =
+            cloned.add_records(&[], std::slice::from_ref(&extra), &mut cloned_cache).unwrap();
+        let from_orig =
+            budgeted.add_records(&[], std::slice::from_ref(&extra), &mut budgeted_cache).unwrap();
         assert_eq!(from_clone, from_orig);
         assert!(!from_clone.is_empty());
-    }
-
-    #[test]
-    fn posting_key_is_fnv1a_of_side_then_token() {
-        for side in [SIDE_LEFT, SIDE_RIGHT, 7] {
-            for token in ["", "a", "shared", "#ab", "zürich", "中文"] {
-                assert_eq!(
-                    posting_key(side, token.as_bytes()),
-                    fnv1a(&[&[side], token.as_bytes()].concat()),
-                    "side {side}, token {token:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -736,10 +588,11 @@ mod tests {
     }
 
     /// An index over 40 left and 40 right records whose posting budget froze
-    /// several generations, plus a right record sharing the token every left
-    /// record holds.
-    fn spilled_index() -> (IncrementalTokenIndex, Record) {
+    /// several generations, its token cache, and a right record sharing the
+    /// token every left record holds.
+    fn spilled_index() -> (IncrementalTokenIndex, TokenCache, Record) {
         let mut index = TokenBlocker::new("title", Tokenizer::Words).incremental();
+        let mut cache = TokenCache::new();
         index
             .set_memory_budget(MemoryBudget { resident_postings: 16, ..MemoryBudget::default() })
             .unwrap();
@@ -750,26 +603,22 @@ mod tests {
             .map(|i| Record::new(RecordId(1_000 + i)).with("title", format!("tok{}", i % 5)))
             .collect();
         for i in 0..4 {
-            index.add_records(&left[i * 10..(i + 1) * 10], &right[i * 10..(i + 1) * 10]).unwrap();
+            let (l, r) = (&left[i * 10..(i + 1) * 10], &right[i * 10..(i + 1) * 10]);
+            index.add_records(l, r, &mut cache).unwrap();
         }
         // Several generations, so probes span more than one of them.
         assert!(index.generations.len() >= 2, "only {} generations froze", index.generations.len());
-        (index, Record::new(RecordId(5_000)).with("title", "shared"))
+        (index, cache, Record::new(RecordId(5_000)).with("title", "shared"))
     }
 
     /// Rewrites every generation of `index` as a corrupted copy: `corrupt`
-    /// edits the chunk bytes given each entry's byte range, and the copy is
+    /// edits the chunk bytes given each entry's byte offset, and the copy is
     /// appended to the same spill file in place of the original.
-    fn corrupt_generations(
-        index: &mut IncrementalTokenIndex,
-        corrupt: impl Fn(&mut [u8], usize, usize),
-    ) {
+    fn corrupt_generations(index: &mut IncrementalTokenIndex, corrupt: impl Fn(&mut [u8], usize)) {
         for generation in &mut index.generations {
             let mut bytes = generation.spill.read_chunk(generation.handle).unwrap();
-            for ranges in generation.directory.values() {
-                for &(start, len) in ranges {
-                    corrupt(&mut bytes, start as usize, len as usize);
-                }
+            for &(_, start, _) in generation.directory.iter().flatten() {
+                corrupt(&mut bytes, start as usize);
             }
             generation.handle = generation.spill.append(&bytes).unwrap();
         }
@@ -777,22 +626,27 @@ mod tests {
 
     #[test]
     fn corrupt_posting_generations_fail_without_panicking() {
-        let (healthy, probe) = spilled_index();
-        let expected = healthy.clone().add_records(&[], std::slice::from_ref(&probe)).unwrap();
+        let (healthy, cache, probe) = spilled_index();
+        let probe_with = |mut index: IncrementalTokenIndex| {
+            index.add_records(&[], std::slice::from_ref(&probe), &mut cache.clone())
+        };
+        let expected = probe_with(healthy.clone()).unwrap();
         assert_eq!(expected.len(), 40, "the probe pairs with every left record");
 
-        // A token length running past the entry.
+        // An `HPG2` entry is `side u8, token_id u32, n u32, n × u64`.
+        // A flipped token-id byte: the entry is not the one the directory
+        // points at.
         let mut index = healthy.clone();
-        corrupt_generations(&mut index, |bytes, start, _| {
-            bytes[start + 1..start + 5].copy_from_slice(&u32::MAX.to_le_bytes());
-        });
-        let err = index.add_records(&[], std::slice::from_ref(&probe)).unwrap_err();
+        corrupt_generations(&mut index, |bytes, start| bytes[start + 1] ^= 0x01);
+        let err = probe_with(index).unwrap_err();
         assert!(matches!(err, ErError::Spill(_)), "{err:?}");
 
-        // A flipped token byte: the entry no longer hashes to its bucket.
+        // A posting count running past the entry.
         let mut index = healthy.clone();
-        corrupt_generations(&mut index, |bytes, start, _| bytes[start + 5] ^= 0x01);
-        let err = index.add_records(&[], std::slice::from_ref(&probe)).unwrap_err();
+        corrupt_generations(&mut index, |bytes, start| {
+            bytes[start + 5..start + 9].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let err = probe_with(index).unwrap_err();
         assert!(matches!(err, ErError::Spill(_)), "{err:?}");
 
         // A generation whose bytes cannot be read back at all.
@@ -800,7 +654,7 @@ mod tests {
         for generation in &mut index.generations {
             generation.handle.offset = u64::MAX / 2;
         }
-        let err = index.add_records(&[], std::slice::from_ref(&probe)).unwrap_err();
+        let err = probe_with(index).unwrap_err();
         assert!(matches!(err, ErError::Spill(_)), "{err:?}");
     }
 
@@ -856,20 +710,31 @@ mod tests {
             let left_batches = random_batches(&left, &mut state);
             let right_batches = random_batches(&right, &mut state);
             let steps = left_batches.len().max(right_batches.len());
-            // The cache holds a random subset of the records; the rest are
-            // tokenized fresh.
-            let mut cache = TokenCache::new();
+            // A cache pre-warmed with a random subset of the records, so its
+            // slots and token ids follow another order than a fresh cache's.
+            let mut warm = TokenCache::new();
             let admitted = |records: &[Record], state: &mut u64| -> Vec<Record> {
                 records.iter().filter(|_| next(state).is_multiple_of(2)).cloned().collect()
             };
-            cache.admit_left("title", tokenizer, &admitted(&left, &mut state));
-            cache.admit_right("title", tokenizer, &admitted(&right, &mut state));
+            warm.admit_left("title", tokenizer, &admitted(&left, &mut state));
+            warm.admit_right("title", tokenizer, &admitted(&right, &mut state));
             let blocker = TokenBlocker::new("title", tokenizer);
-            // Both step parities per budget: every step runs with and without
-            // the cache.
+            let reference = |seen: (usize, usize), old: (usize, usize)| -> Vec<(RecordId, RecordId)> {
+                let mut pairs: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
+                for (i, a) in left[..seen.0].iter().enumerate() {
+                    for (j, b) in right[..seen.1].iter().enumerate() {
+                        let new = i >= old.0 || j >= old.1;
+                        if new && !token_set(a).is_disjoint(&token_set(b)) {
+                            pairs.insert((a.id(), b.id()));
+                        }
+                    }
+                }
+                pairs.into_iter().collect()
+            };
             for budget in [0usize, 3] {
-                for parity in [0usize, 1] {
+                for prewarmed in [false, true] {
                     let mut index = blocker.incremental();
+                    let mut cache = if prewarmed { warm.clone() } else { TokenCache::new() };
                     index
                         .set_memory_budget(MemoryBudget { resident_postings: budget, ..MemoryBudget::default() })
                         .unwrap();
@@ -877,26 +742,15 @@ mod tests {
                     for step in 0..steps {
                         let l = left_batches.get(step).copied().unwrap_or(&[]);
                         let r = right_batches.get(step).copied().unwrap_or(&[]);
-                        let use_cache = (step + parity) % 2 == 0;
-                        let delta =
-                            index.add_records_with(l, r, use_cache.then_some(&cache)).unwrap();
-                        let (old_left, old_right) = (seen_left, seen_right);
+                        let delta = index.add_records(l, r, &mut cache).unwrap();
+                        let old = (seen_left, seen_right);
                         seen_left += l.len();
                         seen_right += r.len();
-                        let mut reference: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
-                        for (i, a) in left[..seen_left].iter().enumerate() {
-                            for (j, b) in right[..seen_right].iter().enumerate() {
-                                let new = i >= old_left || j >= old_right;
-                                if new && !token_set(a).is_disjoint(&token_set(b)) {
-                                    reference.insert((a.id(), b.id()));
-                                }
-                            }
-                        }
-                        let reference: Vec<_> = reference.into_iter().collect();
+                        let reference = reference((seen_left, seen_right), old);
                         prop_assert!(
                             delta == reference,
-                            "budget {} parity {} step {}: {:?} != {:?}",
-                            budget, parity, step, delta, reference
+                            "budget {} prewarmed {} step {}: {:?} != {:?}",
+                            budget, prewarmed, step, delta, reference
                         );
                     }
                     if budget > 0 {
@@ -904,6 +758,15 @@ mod tests {
                     }
                 }
             }
+            // The one-batch blocker over the full record sets.
+            let dataset = |name: &str, records: &[Record]| {
+                let mut ds = Dataset::new(name, Schema::new(["title"]));
+                records.iter().for_each(|r| ds.push(r.clone()).unwrap());
+                ds
+            };
+            let candidates =
+                blocker.candidates(&dataset("a", &left), &dataset("b", &right)).unwrap();
+            prop_assert_eq!(candidates, reference((left.len(), right.len()), (0, 0)));
         }
     }
 }

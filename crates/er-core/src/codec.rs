@@ -6,7 +6,7 @@
 //! verified with an FNV-1a checksum on read. Three formats ride on these
 //! primitives today:
 //!
-//! - `HSG1` workload segments and `HPG1` posting generations, written by
+//! - `HSG1` workload segments and `HPG2` posting generations, written by
 //!   [`crate::spill`] (formats documented there),
 //! - `HAL1` answered-label logs, written by `humo::wal` (format documented
 //!   there).
@@ -319,8 +319,9 @@ mod tests {
 
     #[test]
     fn fnv_is_stable() {
-        // Pinned reference values: the hash keys on-disk posting directories
-        // and checksums, so it must never drift across platforms.
+        // Pinned reference values: the hash checksums on-disk chunks (it
+        // also hashes in-memory maps), so it must never drift across
+        // platforms.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

@@ -19,7 +19,7 @@
 //!   [`spill::MemoryBudget`];
 //! * the shared [`codec`] primitives (little-endian byte writer/reader,
 //!   FNV-1a checksums, append-log framing) every hand-rolled on-disk format
-//!   in the workspace builds on (`HSG1`/`HPG1` in [`spill`], `HAL1` in
+//!   in the workspace builds on (`HSG1`/`HPG2` in [`spill`], `HAL1` in
 //!   `humo::wal`).
 
 #![forbid(unsafe_code)]

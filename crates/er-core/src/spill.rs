@@ -19,20 +19,23 @@
 //! pair carries record ids (so `left`/`right` are meaningful); `sim_bits` is
 //! the raw `f64::to_bits` of the similarity, making round trips bit-exact.
 //!
-//! **Posting generation** (`HPG1`, written by
+//! **Posting generation** (`HPG2`, written by
 //! [`crate::blocking::IncrementalTokenIndex`]):
 //!
 //! ```text
-//! magic   4 bytes  "HPG1"
+//! magic   4 bytes  "HPG2"
 //! count   u32      number of posting entries
-//! entry   count ×  { side u8, token_len u32, token bytes, n u32, n × u64 ids }
+//! entry   count ×  { side u8, token_id u32, n u32, n × u64 ids }
 //! check   u64      FNV-1a of every preceding byte
 //! ```
 //!
-//! A frozen generation keeps a small resident directory mapping the FNV-1a
-//! hash of `(side, token)` to the entry's byte range inside the chunk, so a
-//! probe reads exactly one entry (and verifies the token bytes against the
-//! hash collision case) instead of decoding the generation.
+//! `token_id` is the blocking attribute's interned token id in the index's
+//! [`crate::aggregate::TokenCache`]; entries are written side by side, in
+//! token-id order. A frozen generation keeps a small resident directory per
+//! side, its `(token_id, byte range)` pairs sorted by id, so a probe finds its
+//! entry by binary search and reads exactly that entry instead of decoding the
+//! generation. An entry whose side or id differs from the probed key is
+//! reported as corrupt.
 //!
 //! The [`SpillFile`] itself is an anonymous temporary: it is unlinked right
 //! after creation, so the space is reclaimed by the OS when the last handle

@@ -471,18 +471,12 @@ impl ResolutionEngine {
                 }
             }
         }
-        // Tokenize each record once: the memo feeds both the blocking probes
-        // and every token-based scoring measure below.
-        self.cache.admit_left(&self.config.blocking_attribute, self.config.tokenizer, &left_batch);
-        self.cache.admit_right(
-            &self.config.blocking_attribute,
-            self.config.tokenizer,
-            &right_batch,
-        );
+        // Tokenize each record once: the memo feeds every token-based scoring
+        // measure below, and the index admits the blocking attribute to it.
         self.cache.admit_scoring(&self.config.scoring, &left_batch, &right_batch);
         let delta = {
             let _block_span = obs.span("ingest.block");
-            self.index.add_records_with(&left_batch, &right_batch, Some(&self.cache))
+            self.index.add_records(&left_batch, &right_batch, &mut self.cache)
         };
         self.blocking_failed = delta.is_err();
         let delta = delta?;

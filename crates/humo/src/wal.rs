@@ -24,7 +24,7 @@
 //!
 //! # The `HAL1` byte format
 //!
-//! Like its siblings `HSG1`/`HPG1` (see [`er_core::spill`]), `HAL1` is a
+//! Like its siblings `HSG1`/`HPG2` (see [`er_core::spill`]), `HAL1` is a
 //! hand-rolled, documented, little-endian format with FNV-1a checksums — no
 //! serde in the offline build environment. Unlike them it is an *append log*,
 //! not a chunk store: records are discovered by scanning, and a file whose

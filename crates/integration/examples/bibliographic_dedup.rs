@@ -42,7 +42,7 @@ fn main() {
 
     // 2. Token blocking on titles keeps the candidate set manageable.
     let blocker = TokenBlocker::new("title", Tokenizer::Words);
-    let candidates = blocker.candidates(&corpus.left, &corpus.right);
+    let candidates = blocker.candidates(&corpus.left, &corpus.right).expect("blocking succeeds");
     println!(
         "blocking: {} candidate pairs (vs {} in the cartesian product)",
         candidates.len(),

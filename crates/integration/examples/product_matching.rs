@@ -41,7 +41,7 @@ fn main() {
 
     // 2. Blocking + scoring (product name and description, AB-style threshold 0.05).
     let blocker = TokenBlocker::new("name", Tokenizer::Words);
-    let candidates = blocker.candidates(&corpus.left, &corpus.right);
+    let candidates = blocker.candidates(&corpus.left, &corpus.right).expect("blocking succeeds");
     let scoring = ScoringConfig::new(
         [
             ("name", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words))),

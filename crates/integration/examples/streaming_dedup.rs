@@ -154,15 +154,14 @@ fn main() {
         let snap = metrics.snapshot();
         println!(
             "\nobs summary: {} ingest spans totaling {:.1} ms, {} delta candidates, \
-             {} label rounds ({} plan + {} refine), token cache {} hits / {} misses",
+             {} label rounds ({} plan + {} refine), {} blocking postings",
             snap.span("pipeline.ingest").map_or(0, |s| s.count),
             1e3 * snap.span("pipeline.ingest").map_or(0.0, |s| s.total_secs),
             snap.counter("ingest.delta_candidates"),
             snap.counter("session.rounds"),
             snap.counter("session.rounds.plan"),
             snap.counter("session.rounds.refine"),
-            snap.counter("blocking.tokencache.hits"),
-            snap.counter("blocking.tokencache.misses"),
+            snap.counter("blocking.postings"),
         );
     }
     setup.flush();

@@ -37,7 +37,7 @@ fn bibliographic_scorer(corpus: &GeneratedCorpus) -> PairScorer {
 
 fn bibliographic_workload(corpus: &GeneratedCorpus) -> Workload {
     let blocker = TokenBlocker::new("title", Tokenizer::Words);
-    let candidates = blocker.candidates(&corpus.left, &corpus.right);
+    let candidates = blocker.candidates(&corpus.left, &corpus.right).unwrap();
     let scorer = bibliographic_scorer(corpus);
     build_workload(&corpus.left, &corpus.right, &candidates, &scorer, &corpus.ground_truth, 0.2)
         .unwrap()
@@ -48,7 +48,7 @@ fn token_blocking_keeps_nearly_all_true_matches() {
     let corpus = bibliographic_corpus();
     let blocker = TokenBlocker::new("title", Tokenizer::Words);
     let candidates: BTreeSet<(RecordId, RecordId)> =
-        blocker.candidates(&corpus.left, &corpus.right).into_iter().collect();
+        blocker.candidates(&corpus.left, &corpus.right).unwrap().into_iter().collect();
     let retained = corpus.ground_truth.iter().filter(|pair| candidates.contains(pair)).count();
     let retention = retained as f64 / corpus.match_count() as f64;
     assert!(retention >= 0.95, "blocking must retain nearly all true matches, got {retention:.3}");
@@ -105,7 +105,7 @@ fn humo_resolves_the_product_pipeline_with_guarantees() {
     })
     .generate();
     let blocker = TokenBlocker::new("name", Tokenizer::Words);
-    let candidates = blocker.candidates(&corpus.left, &corpus.right);
+    let candidates = blocker.candidates(&corpus.left, &corpus.right).unwrap();
     let scoring = ScoringConfig::new(
         [
             ("name", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words))),
@@ -153,7 +153,7 @@ fn product_workloads_need_more_human_work_than_bibliographic_ones() {
     })
     .generate();
     let blocker = TokenBlocker::new("name", Tokenizer::Words);
-    let candidates = blocker.candidates(&product_corpus.left, &product_corpus.right);
+    let candidates = blocker.candidates(&product_corpus.left, &product_corpus.right).unwrap();
     let scoring = ScoringConfig::new(
         [
             ("name", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words))),

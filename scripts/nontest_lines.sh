@@ -22,8 +22,11 @@ is_source() {
 }
 
 # Lines of one file read on stdin, up to its first top-level #[cfg(test)].
+# awk reads to the end instead of exiting early: an early exit would kill the
+# `git show` writing into the pipe with SIGPIPE, failing the script under
+# pipefail.
 count() {
-    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'
+    awk '/^#\[cfg\(test\)\]/ { done = 1 } !done { n++ } END { print n + 0 }'
 }
 
 before=0
