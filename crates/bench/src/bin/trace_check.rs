@@ -12,9 +12,9 @@
 //! running counter totals. Each extra argument is a required event-name
 //! prefix; the check fails if no event name starts with it. CI runs this
 //! over a `streaming_dedup` trace with the prefixes
-//! `pipeline.ingest blocking. ingest.score spill. session. plan.` to prove
-//! the trace covers ingest, blocking, scoring, spill, session-round and SAMP
-//! plan events.
+//! `pipeline.ingest ingest.block blocking. ingest.score spill. session. plan.`
+//! to prove the trace covers ingest, blocking (its span and its counters),
+//! scoring, spill, session-round and SAMP plan events.
 //!
 //! With `--summary` it also prints one row per span name
 //! ([`er_obs::summarize_spans`]): how many spans closed, their total wall

@@ -7,6 +7,7 @@
 //! combines the scores with per-attribute weights, renormalizing over the
 //! attributes actually present on both records.
 
+use crate::blocking::{Candidate, TokenBlocker};
 use crate::codec::Fnv1a;
 use crate::record::{Dataset, Record, RecordId};
 use crate::similarity::StringMeasure;
@@ -193,25 +194,38 @@ impl PairScorer {
     /// Weighted aggregate similarity through a [`TokenCache`]: `a` is looked
     /// up on the cache's left side and `b` on its right side.
     ///
-    /// A one-pair [`PairScorer::bind`]: it resolves the cache entries for
-    /// this call alone, so a scoring pass should bind once and score every
-    /// pair through the [`BoundScorer`]. Bit-identical to
+    /// A one-pair [`PairScorer::bind`] without a blocker: it resolves the
+    /// cache entries for this call alone, so a scoring pass should bind once
+    /// and score every pair through the [`BoundScorer`]. Bit-identical to
     /// [`PairScorer::score`] for any cache state.
     pub fn score_with_cache(&self, a: &Record, b: &Record, cache: &TokenCache) -> f64 {
-        let Ok(score) = self.bind(cache).score_by(a.id(), b.id(), || Ok::<_, Infallible>((a, b)));
+        let scorer = self.bind(cache, None);
+        let Ok(score) = scorer.score_by(a.id(), b.id(), 0, || Ok::<_, Infallible>((a, b)));
         score
     }
 
     /// Binds this scorer to a [`TokenCache`] for a scoring pass: every
     /// token-set attribute (Jaccard, Dice, overlap) finds its cache entry
     /// here, once, instead of once per pair.
-    pub fn bind<'a>(&'a self, cache: &'a TokenCache) -> BoundScorer<'a> {
+    ///
+    /// `blocking` names the blocker whose [`Candidate`]s the pass scores. A
+    /// token-set attribute with the blocker's attribute and tokenizer shares
+    /// its cache entry with the blocking index, so it is scored from the
+    /// candidate's `shared` count instead of a merge. With `None`, every
+    /// candidate's count is ignored.
+    pub fn bind<'a>(
+        &'a self,
+        cache: &'a TokenCache,
+        blocking: Option<&TokenBlocker>,
+    ) -> BoundScorer<'a> {
         let entries = self
             .attributes
             .iter()
             .map(|attr| {
                 let (tokenizer, formula) = attr.measure.token_set()?;
-                Some((cache.interned(&attr.name, tokenizer)?, formula))
+                let counted =
+                    blocking.is_some_and(|b| b.tokenizer == tokenizer && b.attribute == attr.name);
+                Some(Memo { tokens: cache.interned(&attr.name, tokenizer)?, formula, counted })
             })
             .collect();
         BoundScorer { attributes: &self.attributes, slots: &cache.slots, entries }
@@ -244,41 +258,62 @@ impl WeightedMean {
 }
 
 /// A [`PairScorer`] bound to a [`TokenCache`] for one scoring pass
-/// ([`PairScorer::bind`]); it scores pairs by record id.
+/// ([`PairScorer::bind`]); it scores blocking [`Candidate`]s by record id.
 ///
-/// A token-set attribute whose cache entry holds both records costs one
-/// merge of two short, sorted, deduplicated id sets. Everything else — a
-/// record the entry lacks, a missing or non-text value, a character-based,
-/// cosine or numeric measure — is evaluated directly on the records, which
-/// are looked up in the datasets only then. Every score is bit-identical to
+/// A token-set attribute whose cache entry holds both records is scored
+/// from `|A|`, `|B|` and `|A ∩ B|`. On the blocking attribute `|A ∩ B|` is
+/// the candidate's `shared` count; on any other it costs one merge of two
+/// short, sorted, deduplicated id sets. Everything else — a record the
+/// entry lacks, a missing or non-text value, a character-based, cosine or
+/// numeric measure — is evaluated directly on the records, which are looked
+/// up in the datasets only then. Every score is bit-identical to
 /// [`PairScorer::score`]: the set measures evaluate the same expressions on
 /// the same distinct-token counts.
 #[derive(Debug, Clone)]
 pub struct BoundScorer<'a> {
     attributes: &'a [WeightedAttribute],
     slots: &'a [FnvMap<u64, usize>; 2],
-    /// Per attribute, the cache entry and count formula of a memoized measure.
-    entries: Vec<Option<(&'a InternedTokens, SetFormula)>>,
+    /// Per attribute, the memo of a token-set measure.
+    entries: Vec<Option<Memo<'a>>>,
+}
+
+/// The cache entry of a token-set attribute and its count formula.
+#[derive(Debug, Clone, Copy)]
+struct Memo<'a> {
+    tokens: &'a InternedTokens,
+    formula: SetFormula,
+    /// The entry is the blocking index's, so a candidate's `shared` count
+    /// is `|A ∩ B|`.
+    counted: bool,
 }
 
 impl BoundScorer<'_> {
-    /// Weighted aggregate similarity of record `a` of `left` and record `b`
-    /// of `right`, the sides the cache admitted them on.
+    /// Weighted aggregate similarity of a candidate: record `left` of the
+    /// `left` dataset and record `right` of the `right` one, the sides the
+    /// cache admitted them on.
+    ///
+    /// When the scorer was bound with a blocker, `candidate` must come from
+    /// that blocker's index fed with this cache
+    /// ([`crate::blocking::IncrementalTokenIndex::add_records`]), so its
+    /// `shared` count is the two records' shared blocking tokens.
     ///
     /// Fails with [`ErError::UnknownRecord`] when the cache cannot answer for
     /// a record that its dataset does not hold. A record the cache does hold
     /// is trusted to be the dataset's record: admit exactly the records the
     /// datasets store, as the resolution engine does at ingest.
-    pub fn score(&self, left: &Dataset, right: &Dataset, a: RecordId, b: RecordId) -> Result<f64> {
-        self.score_by(a, b, || Ok((left.require(a)?, right.require(b)?)))
+    pub fn score(&self, left: &Dataset, right: &Dataset, candidate: Candidate) -> Result<f64> {
+        let Candidate { left: a, right: b, shared } = candidate;
+        self.score_by(a, b, shared, || Ok((left.require(a)?, right.require(b)?)))
     }
 
-    /// The score of `a` and `b`, calling `records` for the two records when
-    /// the first attribute the cache cannot answer needs them.
+    /// The score of `a` and `b` sharing `shared` blocking tokens, calling
+    /// `records` for the two records when the first attribute the cache
+    /// cannot answer needs them.
     fn score_by<'r, E>(
         &self,
         a: RecordId,
         b: RecordId,
+        shared: u32,
         records: impl Fn() -> std::result::Result<(&'r Record, &'r Record), E>,
     ) -> std::result::Result<f64, E> {
         let (slot_a, slot_b) = (self.slots[LEFT].get(&a.0), self.slots[RIGHT].get(&b.0));
@@ -287,10 +322,11 @@ impl BoundScorer<'_> {
         for (attr, entry) in self.attributes.iter().zip(&self.entries) {
             // An entry holds a record exactly when the record had text for
             // the attribute, so two hits mean both texts are present.
-            let cached = entry.and_then(|(interned, formula)| {
-                let ids_a = interned.ids(LEFT, *slot_a?)?;
-                let ids_b = interned.ids(RIGHT, *slot_b?)?;
-                Some(formula(ids_a.len(), ids_b.len(), common_ids(ids_a, ids_b)))
+            let cached = entry.and_then(|memo| {
+                let ids_a = memo.tokens.ids(LEFT, *slot_a?)?;
+                let ids_b = memo.tokens.ids(RIGHT, *slot_b?)?;
+                let common = if memo.counted { shared as usize } else { common_ids(ids_a, ids_b) };
+                Some((memo.formula)(ids_a.len(), ids_b.len(), common))
             });
             let similarity = match cached {
                 Some(similarity) => Some(similarity),
@@ -482,15 +518,16 @@ impl TokenCache {
         self.entries.iter().find(|e| e.tokenizer == tokenizer && e.attribute == attribute)
     }
 
-    /// The sorted distinct token ids of record `id` as admitted on `side`
-    /// under `entry` (an entry of this cache); `None` if it was not.
+    /// The slot and sorted distinct token ids of record `id` as admitted on
+    /// `side` under `entry` (an entry of this cache); `None` if it was not.
     pub(crate) fn token_ids<'a>(
         &'a self,
         entry: &'a InternedTokens,
         side: usize,
         id: RecordId,
-    ) -> Option<&'a [u32]> {
-        entry.ids(side, *self.slots[side].get(&id.0)?)
+    ) -> Option<(usize, &'a [u32])> {
+        let slot = *self.slots[side].get(&id.0)?;
+        Some((slot, entry.ids(side, slot)?))
     }
 
     /// Total number of memoized record token sets across all entries.
@@ -720,6 +757,20 @@ mod tests {
         }
     }
 
+    fn dataset(name: &str, records: &[Record]) -> Dataset {
+        let mut ds = Dataset::new(name, Schema::new(["title", "authors", "venue", "year"]));
+        for record in records {
+            ds.push(record.clone()).unwrap();
+        }
+        ds
+    }
+
+    /// A candidate for a scorer bound without a blocker, which ignores its
+    /// count.
+    fn uncounted(left: RecordId, right: RecordId) -> Candidate {
+        Candidate { left, right, shared: 0 }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..Default::default() })]
         #[test]
@@ -764,17 +815,11 @@ mod tests {
                 records.iter().filter(|_| next(state).is_multiple_of(2)).cloned().collect()
             };
             partial.admit_scoring(&config, &some(&lefts, &mut state), &some(&rights, &mut state));
-            let dataset = |name: &str, records: &[Record]| {
-                let mut ds = Dataset::new(name, Schema::new(["title", "authors", "venue", "year"]));
-                for record in records {
-                    ds.push(record.clone()).unwrap();
-                }
-                ds
-            };
             let (left, right) = (dataset("left", &lefts), dataset("right", &rights));
             let empty = TokenCache::new();
             let caches = [&full, &partial, &empty];
-            let bound: Vec<BoundScorer> = caches.iter().map(|cache| scorer.bind(cache)).collect();
+            let bound: Vec<BoundScorer> =
+                caches.iter().map(|cache| scorer.bind(cache, None)).collect();
             // Cosine needs multiplicities, so the memo skips it: a cosine-only
             // scorer admits nothing and scores every pair directly.
             let cosine_only = PairScorer::with_weights([
@@ -807,12 +852,14 @@ mod tests {
                     for (cache, bound) in caches.iter().zip(&bound) {
                         let cached = scorer.score_with_cache(a, b, cache);
                         prop_assert_eq!(cached.to_bits(), plain.to_bits());
-                        let by_id = bound.score(&left, &right, a.id(), b.id()).unwrap();
+                        let by_id = bound.score(&left, &right, uncounted(a.id(), b.id())).unwrap();
                         prop_assert_eq!(by_id.to_bits(), plain.to_bits());
                     }
                     let cosine = cosine_only.score(a, b);
                     for cache in [&cosine_cache, &full] {
-                        let by_id = cosine_only.bind(cache).score(&left, &right, a.id(), b.id());
+                        let by_id = cosine_only
+                            .bind(cache, None)
+                            .score(&left, &right, uncounted(a.id(), b.id()));
                         prop_assert_eq!(by_id.unwrap().to_bits(), cosine.to_bits());
                     }
                 }
@@ -822,10 +869,66 @@ mod tests {
             let unknown = RecordId(1_000);
             for bound in &bound {
                 for a in &lefts {
-                    prop_assert!(bound.score(&left, &right, a.id(), unknown).is_err());
+                    prop_assert!(bound.score(&left, &right, uncounted(a.id(), unknown)).is_err());
                 }
                 for b in &rights {
-                    prop_assert!(bound.score(&left, &right, unknown, b.id()).is_err());
+                    prop_assert!(bound.score(&left, &right, uncounted(unknown, b.id())).is_err());
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..Default::default() })]
+        #[test]
+        fn counted_candidates_score_like_plain_scoring(seed in 0u64..1_000_000) {
+            let mut state = seed;
+            let lefts: Vec<Record> =
+                (0..1 + next(&mut state) % 8).map(|id| random_record(id, &mut state)).collect();
+            let rights: Vec<Record> =
+                (0..1 + next(&mut state) % 8).map(|id| random_record(id, &mut state)).collect();
+            let (left, right) = (dataset("left", &lefts), dataset("right", &rights));
+            for tokenizer in [Tokenizer::Words, Tokenizer::QGrams(2)] {
+                let other = if tokenizer == Tokenizer::Words { Tokenizer::QGrams(2) } else { Tokenizer::Words };
+                for measure in [
+                    StringMeasure::Jaccard(tokenizer),
+                    StringMeasure::Dice(tokenizer),
+                    StringMeasure::Overlap(tokenizer),
+                ] {
+                    let config = ScoringConfig::new(
+                        [
+                            ("title", AttributeMeasure::Text(measure)),
+                            ("authors", AttributeMeasure::Text(StringMeasure::Jaccard(Tokenizer::Words))),
+                            ("year", AttributeMeasure::NumberAbsolute { tolerance: 5.0 }),
+                        ],
+                        AttributeWeighting::Uniform,
+                    );
+                    let scorer = PairScorer::new(&config, &[]).unwrap();
+                    // Only the title blocker shares the scored title's cache
+                    // entry: the scorer does not score the venue, and the
+                    // last blocker tokenizes the title another way.
+                    for (blocker, counted) in [
+                        (TokenBlocker::new("title", tokenizer), true),
+                        (TokenBlocker::new("venue", tokenizer), false),
+                        (TokenBlocker::new("title", other), false),
+                    ] {
+                        let mut cache = TokenCache::new();
+                        cache.admit_scoring(&config, &lefts, &rights);
+                        let candidates =
+                            blocker.incremental().add_records(&lefts, &rights, &mut cache).unwrap();
+                        let bound = scorer.bind(&cache, Some(&blocker));
+                        for candidate in candidates {
+                            let (a, b) = (left.require(candidate.left), right.require(candidate.right));
+                            let plain = scorer.score(a.unwrap(), b.unwrap());
+                            let scored = bound.score(&left, &right, candidate).unwrap();
+                            prop_assert_eq!(scored.to_bits(), plain.to_bits());
+                            // One shared token fewer lowers the title's
+                            // similarity exactly when the count is used.
+                            let skewed = Candidate { shared: candidate.shared - 1, ..candidate };
+                            let skewed = bound.score(&left, &right, skewed).unwrap();
+                            prop_assert_eq!(skewed.to_bits() != plain.to_bits(), counted);
+                        }
+                    }
                 }
             }
         }

@@ -14,7 +14,7 @@
 //! candidate pairs — the pairs involving at least one record of the new batch —
 //! without rescanning the pairs of previously ingested records.
 
-use crate::aggregate::{PairScorer, TokenCache, LEFT, RIGHT};
+use crate::aggregate::{InternedTokens, PairScorer, TokenCache, LEFT, RIGHT};
 use crate::codec::{ByteReader, ByteWriter};
 use crate::record::{Dataset, Record, RecordId};
 use crate::spill::{ChunkHandle, MemoryBudget, SpillFile};
@@ -39,8 +39,8 @@ pub fn cartesian_pairs(a: &Dataset, b: &Dataset) -> Vec<(RecordId, RecordId)> {
 /// the blocking attribute.
 #[derive(Debug, Clone)]
 pub struct TokenBlocker {
-    attribute: String,
-    tokenizer: Tokenizer,
+    pub(crate) attribute: String,
+    pub(crate) tokenizer: Tokenizer,
 }
 
 impl TokenBlocker {
@@ -50,13 +50,17 @@ impl TokenBlocker {
     }
 
     /// Generates candidate pairs between two datasets, sorted and
-    /// deduplicated: one [`IncrementalTokenIndex::add_records`] batch on a
-    /// fresh index and token cache.
+    /// deduplicated: the pairs of one [`IncrementalTokenIndex::add_records`]
+    /// batch on a fresh index and token cache, without their shared-token
+    /// counts.
     ///
-    /// The fresh index has no posting budget, so it never spills and the
-    /// call does not fail today; the `Result` is `add_records`'s.
+    /// The fresh index has no posting budget, so it never spills, and dataset
+    /// record ids are unique, so the call does not fail today; the `Result`
+    /// is `add_records`'s.
     pub fn candidates(&self, a: &Dataset, b: &Dataset) -> Result<Vec<(RecordId, RecordId)>> {
-        self.incremental().add_records(a.records(), b.records(), &mut TokenCache::new())
+        let candidates =
+            self.incremental().add_records(a.records(), b.records(), &mut TokenCache::new())?;
+        Ok(candidates.iter().map(Candidate::pair).collect())
     }
 
     /// Creates an empty incremental index with this blocker's attribute and
@@ -64,15 +68,38 @@ impl TokenBlocker {
     /// [`IncrementalTokenIndex::add_records`] to obtain delta candidates.
     pub fn incremental(&self) -> IncrementalTokenIndex {
         IncrementalTokenIndex {
-            attribute: self.attribute.clone(),
-            tokenizer: self.tokenizer,
+            blocker: self.clone(),
             resident: [Vec::new(), Vec::new()],
             resident_postings: 0,
+            posted: [Vec::new(), Vec::new()],
             generations: Vec::new(),
             budget: MemoryBudget::default(),
             spill: None,
             obs: er_obs::ObsHandle::default(),
         }
+    }
+}
+
+/// A candidate pair from token blocking: a left and a right record that
+/// share `shared` distinct tokens of the blocking attribute.
+///
+/// `shared` is `|A ∩ B|` of the two records' distinct token sets, the
+/// count [`crate::aggregate::BoundScorer`] scores the blocking attribute
+/// from. Candidates order by `(left, right)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Candidate {
+    /// The left record.
+    pub left: RecordId,
+    /// The right record.
+    pub right: RecordId,
+    /// Distinct blocking tokens the two records share (at least 1).
+    pub shared: u32,
+}
+
+impl Candidate {
+    /// The `(left, right)` record pair.
+    pub fn pair(&self) -> (RecordId, RecordId) {
+        (self.left, self.right)
     }
 }
 
@@ -98,13 +125,15 @@ impl TokenBlocker {
 /// [`ErError::Spill`] rather than dropping candidates.
 #[derive(Debug, Clone)]
 pub struct IncrementalTokenIndex {
-    attribute: String,
-    tokenizer: Tokenizer,
+    blocker: TokenBlocker,
     /// Per side (`LEFT`, `RIGHT`), token id → record ids posted since the
     /// last freeze.
     resident: [Vec<Vec<RecordId>>; 2],
     /// Total record-id entries across both sides' resident postings.
     resident_postings: usize,
+    /// Per side, indexed by token-cache slot: whether the slot's record is
+    /// posted. A record posted twice would count every shared token twice.
+    posted: [Vec<bool>; 2],
     generations: Vec<PostingGeneration>,
     budget: MemoryBudget,
     spill: Option<Arc<SpillFile>>,
@@ -185,9 +214,22 @@ impl IncrementalTokenIndex {
         self.obs = obs;
     }
 
-    /// Folds a batch of records into the index and returns the **new** candidate
-    /// pairs: every `(left, right)` pair sharing at least one token where at
-    /// least one side belongs to this batch. Pairs are deduplicated and sorted.
+    /// The blocker whose attribute and tokenizer this index posts.
+    pub fn blocker(&self) -> &TokenBlocker {
+        &self.blocker
+    }
+
+    /// Folds a batch of records into the index and returns the **new**
+    /// candidates: every `(left, right)` pair sharing at least one token
+    /// where at least one side belongs to this batch, each once, with the
+    /// number of distinct tokens the two records share, sorted by
+    /// `(left, right)`.
+    ///
+    /// Every record probes the postings of the other side for its distinct
+    /// tokens, and the partners it visits are counted: a partner visited
+    /// `k` times shares `k` tokens. New right records probe first, before
+    /// the new left records are posted, so a within-batch pair is found by
+    /// its left record only and the two probing passes emit disjoint pairs.
     ///
     /// The batch is first admitted to `cache` under the index's attribute and
     /// tokenizer (records the cache already holds are skipped), and the
@@ -195,47 +237,100 @@ impl IncrementalTokenIndex {
     /// the same cache, or the clone taken together with a clone of the index.
     /// A record without text for the attribute posts nothing.
     ///
-    /// Fails with [`ErError::Spill`] when a frozen posting generation cannot
-    /// be read back or is corrupt, or when freezing postings under the memory
-    /// budget fails. A failed call may leave the batch partly folded in (its
-    /// delta is lost), so the index should then be discarded.
+    /// Fails with [`ErError::InvalidArgument`], before any posting changes,
+    /// when a batch names a record id twice on one side or names one the
+    /// index has already posted on that side: posting a record twice would
+    /// inflate the shared-token counts. (The batch's records may stay
+    /// admitted to the cache.) Fails with [`ErError::Spill`] when a frozen
+    /// posting generation cannot be read back or is corrupt, or when
+    /// freezing postings under the memory budget fails; such a call may
+    /// leave the batch partly folded in (its delta is lost), so the index
+    /// should then be discarded.
     pub fn add_records(
         &mut self,
         left_batch: &[Record],
         right_batch: &[Record],
         cache: &mut TokenCache,
-    ) -> Result<Vec<(RecordId, RecordId)>> {
-        cache.admit(&self.attribute, self.tokenizer, LEFT, left_batch);
-        cache.admit(&self.attribute, self.tokenizer, RIGHT, right_batch);
-        let entry = cache.interned(&self.attribute, self.tokenizer).expect("entry just admitted");
+    ) -> Result<Vec<Candidate>> {
+        let TokenBlocker { attribute, tokenizer } = &self.blocker;
+        cache.admit(attribute, *tokenizer, LEFT, left_batch);
+        cache.admit(attribute, *tokenizer, RIGHT, right_batch);
+        let entry = cache.interned(attribute, *tokenizer).expect("entry just admitted");
+        self.mark_posted(cache, entry, left_batch, right_batch)?;
         let mut delta = Vec::new();
-        let postings_before = self.resident_postings;
-        // Right side first: new right records pair with previously indexed
-        // left records here, and pairs with the new left records are found
-        // once the right postings are in place — so every within-batch pair is
-        // emitted exactly once.
+        let mut partners = Vec::new();
+        let (mut visits, postings_before) = (0, self.resident_postings);
         for (side, other, batch) in [(RIGHT, LEFT, right_batch), (LEFT, RIGHT, left_batch)] {
             for record in batch {
                 let id = record.id();
-                for &token in cache.token_ids(entry, side, id).unwrap_or_default() {
-                    self.probe(other, token, |found| {
-                        delta.push(if side == LEFT { (id, found) } else { (found, id) })
-                    })?;
-                    let lists = &mut self.resident[side];
+                let Some((_, tokens)) = cache.token_ids(entry, side, id) else { continue };
+                partners.clear();
+                for &token in tokens {
+                    self.probe(other, token, |found| partners.push(found))?;
+                }
+                visits += partners.len();
+                partners.sort_unstable();
+                for run in partners.chunk_by(|a, b| a == b) {
+                    let (left, right) = if side == LEFT { (id, run[0]) } else { (run[0], id) };
+                    let shared = u32::try_from(run.len()).expect("a run is one visit per token id");
+                    delta.push(Candidate { left, right, shared });
+                }
+                let lists = &mut self.resident[side];
+                for &token in tokens {
                     let token = token as usize;
                     if lists.len() <= token {
                         lists.resize_with(token + 1, Vec::new);
                     }
                     lists[token].push(id);
-                    self.resident_postings += 1;
                 }
+                self.resident_postings += tokens.len();
             }
         }
         self.obs.counter("blocking.postings", (self.resident_postings - postings_before) as u64);
-        delta.sort_unstable();
-        delta.dedup();
+        self.obs.counter("blocking.visits", visits as u64);
+        // Each probing record's partners come out sorted, but the right
+        // pass orders its pairs by right record first.
+        if !delta.is_sorted() {
+            delta.sort_unstable();
+        }
         self.enforce_budget()?;
         Ok(delta)
+    }
+
+    /// Marks every batch record with token ids in `entry` as posted on its
+    /// side, or fails with [`ErError::InvalidArgument`] — every mark as it
+    /// was — when one already is: posted by an earlier batch, or named twice
+    /// in this one.
+    fn mark_posted(
+        &mut self,
+        cache: &TokenCache,
+        entry: &InternedTokens,
+        left_batch: &[Record],
+        right_batch: &[Record],
+    ) -> Result<()> {
+        let mut marked: Vec<(usize, usize)> = Vec::new();
+        for (side, batch) in [(LEFT, left_batch), (RIGHT, right_batch)] {
+            for record in batch {
+                let Some((slot, _)) = cache.token_ids(entry, side, record.id()) else { continue };
+                let posted = &mut self.posted[side];
+                if posted.len() <= slot {
+                    posted.resize(slot + 1, false);
+                }
+                if posted[slot] {
+                    let side = if side == LEFT { "left" } else { "right" };
+                    for &(marked_side, marked_slot) in &marked {
+                        self.posted[marked_side][marked_slot] = false;
+                    }
+                    return Err(ErError::InvalidArgument(format!(
+                        "record {} is posted twice on the {side} side of the blocking index",
+                        record.id()
+                    )));
+                }
+                posted[slot] = true;
+                marked.push((side, slot));
+            }
+        }
+        Ok(())
     }
 
     /// Calls `f` on every indexed record id for a token on one side: every
@@ -484,8 +579,8 @@ mod tests {
             for i in 0..left_chunks.len().max(right_chunks.len()) {
                 let l = left_chunks.get(i).copied().unwrap_or(&[]);
                 let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                for pair in index.add_records(l, r, &mut cache).unwrap() {
-                    assert!(union.insert(pair), "pair {pair:?} emitted twice");
+                for candidate in index.add_records(l, r, &mut cache).unwrap() {
+                    assert!(union.insert(candidate.pair()), "{candidate:?} emitted twice");
                 }
             }
             assert_eq!(union, expected, "split ({left_batches},{right_batches}) diverged");
@@ -529,8 +624,8 @@ mod tests {
             for i in 0..left_chunks.len().max(right_chunks.len()) {
                 let l = left_chunks.get(i).copied().unwrap_or(&[]);
                 let r = right_chunks.get(i).copied().unwrap_or(&[]);
-                for pair in index.add_records(l, r, &mut cache).unwrap() {
-                    prop_assert!(union.insert(pair), "pair emitted twice: {:?}", pair);
+                for candidate in index.add_records(l, r, &mut cache).unwrap() {
+                    prop_assert!(union.insert(candidate.pair()), "emitted twice: {:?}", candidate);
                 }
             }
             prop_assert_eq!(union, expected);
@@ -578,6 +673,43 @@ mod tests {
             budgeted.add_records(&[], std::slice::from_ref(&extra), &mut budgeted_cache).unwrap();
         assert_eq!(from_clone, from_orig);
         assert!(!from_clone.is_empty());
+    }
+
+    #[test]
+    fn posting_a_record_twice_fails_and_leaves_the_index_unchanged() {
+        let record = |id: u64, title: &str| Record::new(RecordId(id)).with("title", title);
+        let left = [record(1, "ant bee"), record(2, "bee cat")];
+        let right = [record(10, "bee"), record(11, "cat elk")];
+        let mut index = TokenBlocker::new("title", Tokenizer::Words).incremental();
+        let mut cache = TokenCache::new();
+        index.add_records(&left, &right, &mut cache).unwrap();
+        let (mut untouched, mut untouched_cache) = (index.clone(), cache.clone());
+        let fresh = record(3, "ant cat");
+        let failing: [(Vec<Record>, Vec<Record>); 5] = [
+            // An id repeated within one batch.
+            (vec![fresh.clone(), fresh.clone()], vec![]),
+            // The first copy has no text, so both look up the second's tokens.
+            (vec![Record::new(RecordId(4)), record(4, "elk")], vec![]),
+            // Ids posted by the earlier batch, after a fresh one whose mark
+            // must be undone.
+            (vec![fresh.clone(), left[1].clone()], vec![]),
+            (vec![fresh.clone()], vec![right[0].clone()]),
+            (vec![], vec![record(12, "ant"), right[1].clone()]),
+        ];
+        for (l, r) in &failing {
+            let err = index.add_records(l, r, &mut cache).unwrap_err();
+            assert!(matches!(err, ErError::InvalidArgument(_)), "{err:?}");
+        }
+        // The failed calls posted nothing: the next delta is the one the
+        // index would have returned without them.
+        let (l, r) = ([fresh, record(4, "elk")], [record(12, "ant"), record(13, "elk")]);
+        let delta = index.add_records(&l, &r, &mut cache).unwrap();
+        assert_eq!(delta, untouched.add_records(&l, &r, &mut untouched_cache).unwrap());
+        assert!(delta.contains(&Candidate { left: RecordId(3), right: RecordId(12), shared: 1 }));
+        assert!(delta.contains(&Candidate { left: RecordId(1), right: RecordId(12), shared: 1 }));
+        // Equal ids on the two sides are different records.
+        let same_id = [record(20, "ant")];
+        assert_eq!(index.add_records(&same_id, &same_id, &mut cache).unwrap().len(), 4);
     }
 
     #[test]
@@ -707,9 +839,9 @@ mod tests {
             let token_set = |r: &Record| -> BTreeSet<String> {
                 r.text("title").map(|t| tokenizer.tokenize(t).into_iter().collect()).unwrap_or_default()
             };
-            let left_batches = random_batches(&left, &mut state);
-            let right_batches = random_batches(&right, &mut state);
-            let steps = left_batches.len().max(right_batches.len());
+            // Random batch sizes, then even splits into 1 to 4 batches.
+            let mut splits = vec![(random_batches(&left, &mut state), random_batches(&right, &mut state))];
+            splits.extend((1..=4).map(|n| (batched(&left, n), batched(&right, n))));
             // A cache pre-warmed with a random subset of the records, so its
             // slots and token ids follow another order than a fresh cache's.
             let mut warm = TokenCache::new();
@@ -719,42 +851,51 @@ mod tests {
             warm.admit_left("title", tokenizer, &admitted(&left, &mut state));
             warm.admit_right("title", tokenizer, &admitted(&right, &mut state));
             let blocker = TokenBlocker::new("title", tokenizer);
-            let reference = |seen: (usize, usize), old: (usize, usize)| -> Vec<(RecordId, RecordId)> {
-                let mut pairs: BTreeSet<(RecordId, RecordId)> = BTreeSet::new();
+            // The new pairs with their distinct shared tokens, in pair order.
+            let reference = |seen: (usize, usize), old: (usize, usize)| -> Vec<Candidate> {
+                let mut candidates = Vec::new();
                 for (i, a) in left[..seen.0].iter().enumerate() {
                     for (j, b) in right[..seen.1].iter().enumerate() {
-                        let new = i >= old.0 || j >= old.1;
-                        if new && !token_set(a).is_disjoint(&token_set(b)) {
-                            pairs.insert((a.id(), b.id()));
+                        let shared = token_set(a).intersection(&token_set(b)).count() as u32;
+                        if (i >= old.0 || j >= old.1) && shared > 0 {
+                            candidates.push(Candidate { left: a.id(), right: b.id(), shared });
                         }
                     }
                 }
-                pairs.into_iter().collect()
+                candidates.sort_unstable();
+                candidates
             };
-            for budget in [0usize, 3] {
-                for prewarmed in [false, true] {
-                    let mut index = blocker.incremental();
-                    let mut cache = if prewarmed { warm.clone() } else { TokenCache::new() };
-                    index
-                        .set_memory_budget(MemoryBudget { resident_postings: budget, ..MemoryBudget::default() })
-                        .unwrap();
-                    let (mut seen_left, mut seen_right) = (0, 0);
-                    for step in 0..steps {
-                        let l = left_batches.get(step).copied().unwrap_or(&[]);
-                        let r = right_batches.get(step).copied().unwrap_or(&[]);
-                        let delta = index.add_records(l, r, &mut cache).unwrap();
-                        let old = (seen_left, seen_right);
-                        seen_left += l.len();
-                        seen_right += r.len();
-                        let reference = reference((seen_left, seen_right), old);
-                        prop_assert!(
-                            delta == reference,
-                            "budget {} prewarmed {} step {}: {:?} != {:?}",
-                            budget, prewarmed, step, delta, reference
-                        );
-                    }
-                    if budget > 0 {
-                        prop_assert!(index.resident_postings() <= budget);
+            for (split, (left_batches, right_batches)) in splits.iter().enumerate() {
+                for budget in [0usize, 3] {
+                    for prewarmed in [false, true] {
+                        let mut index = blocker.incremental();
+                        let mut cache = if prewarmed { warm.clone() } else { TokenCache::new() };
+                        index
+                            .set_memory_budget(MemoryBudget { resident_postings: budget, ..MemoryBudget::default() })
+                            .unwrap();
+                        let (mut seen_left, mut seen_right) = (0, 0);
+                        for step in 0..left_batches.len().max(right_batches.len()) {
+                            let l = left_batches.get(step).copied().unwrap_or(&[]);
+                            let r = right_batches.get(step).copied().unwrap_or(&[]);
+                            let delta = index.add_records(l, r, &mut cache).unwrap();
+                            prop_assert!(
+                                delta.windows(2).all(|w| w[0].pair() < w[1].pair()),
+                                "split {} budget {} step {}: not strictly increasing: {:?}",
+                                split, budget, step, delta
+                            );
+                            let old = (seen_left, seen_right);
+                            seen_left += l.len();
+                            seen_right += r.len();
+                            let reference = reference((seen_left, seen_right), old);
+                            prop_assert!(
+                                delta == reference,
+                                "split {} budget {} prewarmed {} step {}: {:?} != {:?}",
+                                split, budget, prewarmed, step, delta, reference
+                            );
+                        }
+                        if budget > 0 {
+                            prop_assert!(index.resident_postings() <= budget);
+                        }
                     }
                 }
             }
@@ -766,7 +907,8 @@ mod tests {
             };
             let candidates =
                 blocker.candidates(&dataset("a", &left), &dataset("b", &right)).unwrap();
-            prop_assert_eq!(candidates, reference((left.len(), right.len()), (0, 0)));
+            let pairs: Vec<_> = reference((left.len(), right.len()), (0, 0)).iter().map(Candidate::pair).collect();
+            prop_assert_eq!(candidates, pairs);
         }
     }
 }

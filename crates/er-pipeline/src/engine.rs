@@ -30,7 +30,7 @@ use crate::cluster::{EntityClusters, RecordKey, Side};
 use crate::pool::WorkerPool;
 use crate::{PipelineError, Result};
 use er_core::aggregate::{PairScorer, ScoringConfig, TokenCache};
-use er_core::blocking::{IncrementalTokenIndex, TokenBlocker};
+use er_core::blocking::{Candidate, IncrementalTokenIndex, TokenBlocker};
 use er_core::record::{Dataset, Record, RecordId, Schema};
 use er_core::spill::MemoryBudget;
 use er_core::text::Tokenizer;
@@ -497,11 +497,17 @@ impl ResolutionEngine {
         }
         let score_span = obs.span("ingest.score");
         let scorer = PairScorer::new(&self.config.scoring, &[&self.left, &self.right])?;
-        let similarities =
-            self.pool.score_pairs_cached(&self.left, &self.right, &scorer, &self.cache, &delta)?;
+        let similarities = self.pool.score_pairs_cached(
+            &self.left,
+            &self.right,
+            &scorer,
+            &self.cache,
+            self.index.blocker(),
+            &delta,
+        )?;
         drop(score_span);
         let mut new_pairs = Vec::new();
-        for (&(l, r), similarity) in delta.iter().zip(similarities) {
+        for (&Candidate { left: l, right: r, .. }, similarity) in delta.iter().zip(similarities) {
             if similarity < self.config.similarity_threshold {
                 continue;
             }

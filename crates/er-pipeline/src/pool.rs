@@ -14,10 +14,13 @@
 //!
 //! The pool drives scoring only: blocking
 //! ([`er_core::blocking::IncrementalTokenIndex`]) runs inline on the ingesting
-//! thread.
+//! thread, and its candidates, each with the count of blocking tokens its
+//! two records share, are what
+//! [`score_pairs_cached`](WorkerPool::score_pairs_cached) scores.
 
 use crate::Result;
 use er_core::aggregate::{PairScorer, TokenCache};
+use er_core::blocking::{Candidate, TokenBlocker};
 use er_core::record::{Dataset, RecordId};
 
 /// A fixed-width pool of scoped worker threads.
@@ -129,22 +132,29 @@ impl WorkerPool {
         })?)
     }
 
-    /// [`score_pairs`](WorkerPool::score_pairs) through `scorer` bound to
-    /// `cache` ([`PairScorer::bind`]): records admitted to the cache are
-    /// scored on their interned token-id sets without being looked up, so
-    /// repeated scoring passes skip re-tokenizing. Bit-identical to the
-    /// uncached path for any cache state; a pair naming a record that
-    /// neither the cache nor its dataset holds is an error.
+    /// Scores `blocker`'s candidates in parallel through `scorer` bound to
+    /// `cache` ([`PairScorer::bind`]), one similarity per candidate in input
+    /// order. Records admitted to the cache are scored on their interned
+    /// token-id sets without being looked up, so repeated scoring passes
+    /// skip re-tokenizing, and the blocking attribute is scored from each
+    /// candidate's shared-token count.
+    ///
+    /// The candidates must come from `blocker`'s index fed with `cache`
+    /// ([`er_core::blocking::IncrementalTokenIndex::add_records`]). Then the
+    /// scores are bit-identical to [`score_pairs`](WorkerPool::score_pairs)
+    /// on the same pairs for any cache state; a candidate naming a record
+    /// that neither the cache nor its dataset holds is an error.
     pub fn score_pairs_cached(
         &self,
         left: &Dataset,
         right: &Dataset,
         scorer: &PairScorer,
         cache: &TokenCache,
-        pairs: &[(RecordId, RecordId)],
+        blocker: &TokenBlocker,
+        candidates: &[Candidate],
     ) -> Result<Vec<f64>> {
-        let scorer = scorer.bind(cache);
-        Ok(self.try_map(pairs, |&(l, r)| scorer.score(left, right, l, r))?)
+        let scorer = scorer.bind(cache, Some(blocker));
+        Ok(self.try_map(candidates, |&candidate| scorer.score(left, right, candidate))?)
     }
 }
 
@@ -233,15 +243,19 @@ mod tests {
             assert_eq!(sequential, parallel);
         }
         assert!((sequential[0] - 1.0).abs() < 1e-12);
-        // Cached scoring is bit-identical, warm or cold.
+        // Cached scoring of the blocker's counted candidates is bit-identical.
+        let blocker = TokenBlocker::new("title", Tokenizer::Words);
         let mut cache = TokenCache::new();
-        cache.admit_left("title", Tokenizer::Words, left.records());
-        cache.admit_right("title", Tokenizer::Words, right.records());
+        let candidates =
+            blocker.incremental().add_records(left.records(), right.records(), &mut cache).unwrap();
+        let pairs: Vec<_> = candidates.iter().map(Candidate::pair).collect();
+        let expected = WorkerPool::new(1).score_pairs(&left, &right, &scorer, &pairs).unwrap();
         for threads in [1, 2, 4] {
             let cached = WorkerPool::new(threads)
-                .score_pairs_cached(&left, &right, &scorer, &cache, &pairs)
+                .score_pairs_cached(&left, &right, &scorer, &cache, &blocker, &candidates)
                 .unwrap();
-            assert_eq!(sequential, cached);
+            let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&expected), bits(&cached));
         }
     }
 
@@ -261,9 +275,13 @@ mod tests {
         let mut cache = TokenCache::new();
         cache.admit_left("title", Tokenizer::Words, left.records());
         cache.admit_right("title", Tokenizer::Words, right.records());
+        let blocker = TokenBlocker::new("title", Tokenizer::Words);
+        let bogus: Vec<_> =
+            bogus.into_iter().map(|(left, right)| Candidate { left, right, shared: 1 }).collect();
         for threads in [1, 2] {
             let pool = WorkerPool::new(threads);
-            assert!(pool.score_pairs_cached(&left, &right, &scorer, &cache, &bogus).is_err());
+            let scored = pool.score_pairs_cached(&left, &right, &scorer, &cache, &blocker, &bogus);
+            assert!(scored.is_err());
         }
     }
 }
