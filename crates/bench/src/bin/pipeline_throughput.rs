@@ -35,8 +35,8 @@
 //!   final epoch meets the quality requirement, HYBR's label round-trips
 //!   scale with the subset count (never with the pair count), session replay
 //!   is at least 2× faster under the incremental path, an enabled metrics
-//!   recorder keeps at least 90% of the no-op recorder's ingest throughput,
-//!   and (on machines with ≥ 2 cores) parallel scoring is at least 1.5× the
+//!   recorder keeps at least 90% of the no-op recorder's ingest throughput
+//!   (the median over alternating no-op/enabled pairs), and (on machines with ≥ 2 cores) parallel scoring is at least 1.5× the
 //!   single-thread rate;
 //! * `HUMO_PIPE_SPILL_BUDGET` — when > 0, switch to the **out-of-core mode**:
 //!   stream the corpus into two engines — unbounded vs a memory budget of
@@ -167,20 +167,20 @@ fn assert_arms_identical(
     );
 }
 
-/// Ingest-only recorder overhead: streams the corpus into two fresh engines —
-/// one with the default no-op recorder, one with an enabled
-/// [`er_obs::MetricsRecorder`] — and returns the enabled arm's ingest
-/// throughput as a fraction of the no-op arm's (minimum wall time over `reps`
-/// repetitions per arm). The observability contract is that this ratio stays
-/// ≥ 0.9: instrumentation is batch-granular, so an enabled recorder may not
-/// cost more than 10% of ingest throughput.
-fn ingest_overhead_ratio(
+/// Ingest-only recorder overhead: the per-pair throughput ratios, ascending,
+/// of an enabled [`er_obs::MetricsRecorder`] against the default no-op
+/// recorder. Each repetition streams the corpus into a fresh engine; a pair
+/// runs one rep of each arm, and pairs continue until there are at least
+/// [`OVERHEAD_MIN_PAIRS`] and each arm has run [`OVERHEAD_MIN_ARM_SECS`].
+/// The observability contract is that the median ratio stays ≥ 0.9:
+/// instrumentation is batch-granular, so an enabled recorder may not cost
+/// more than 10% of ingest throughput.
+fn ingest_overhead_ratios(
     corpus: &GeneratedCorpus,
     truth: &[(RecordId, RecordId)],
     threads: usize,
     batches: usize,
-    reps: usize,
-) -> f64 {
+) -> Vec<f64> {
     let schema = BibliographicGenerator::schema();
     let left_batches: Vec<Vec<Record>> = chunks(corpus.left.records(), batches);
     let right_batches: Vec<Vec<Record>> = chunks(corpus.right.records(), batches);
@@ -198,15 +198,32 @@ fn ingest_overhead_ratio(
         }
         start.elapsed().as_secs_f64()
     };
-    // The arms alternate rep by rep, so a change in host load during the
-    // measurement reaches both arms instead of biasing the ratio.
-    let (mut noop, mut enabled) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps.max(1) {
-        noop = noop.min(time_rep(ObsHandle::noop()));
-        enabled = enabled.min(time_rep(ObsHandle::new(Arc::new(MetricsRecorder::new()))));
+    // A pair's two reps run back to back, so a change in host load reaches
+    // both, and the median over pairs drops the pairs it split. The arm that
+    // runs first alternates, so a cost of running first or second (a warm
+    // allocator, a load trend) cancels instead of biasing the ratio.
+    let (mut ratios, mut noop_total, mut enabled_total) = (Vec::new(), 0.0f64, 0.0f64);
+    while ratios.len() < OVERHEAD_MIN_PAIRS || noop_total.min(enabled_total) < OVERHEAD_MIN_ARM_SECS
+    {
+        let enabled_rep = || time_rep(ObsHandle::new(Arc::new(MetricsRecorder::new())));
+        let (noop, enabled) = if ratios.len() % 2 == 0 {
+            (time_rep(ObsHandle::noop()), enabled_rep())
+        } else {
+            let enabled = enabled_rep();
+            (time_rep(ObsHandle::noop()), enabled)
+        };
+        noop_total += noop;
+        enabled_total += enabled;
+        ratios.push(noop / enabled.max(1e-9));
     }
-    noop / enabled.max(1e-9)
+    ratios.sort_by(f64::total_cmp);
+    ratios
 }
+
+/// Fewest no-op/enabled pairs the recorder-overhead median is taken over.
+const OVERHEAD_MIN_PAIRS: usize = 9;
+/// Fewest seconds of ingest each recorder-overhead arm runs.
+const OVERHEAD_MIN_ARM_SECS: f64 = 3.0;
 
 /// Resident set size in kibibytes from `/proc/self/status`, if available.
 /// Purely informational: RSS includes allocator slack and depends on the
@@ -668,11 +685,18 @@ fn main() {
 
     // Recorder overhead: re-stream the corpus into two fresh engines (no-op
     // recorder vs enabled metrics recorder) and compare ingest throughput.
-    let overhead_ratio = ingest_overhead_ratio(&corpus, &truth, threads, batches, replay_reps);
-    println!("\n-- recorder overhead (ingest-only, min of {replay_reps} reps per arm) --");
+    let overhead_ratios = ingest_overhead_ratios(&corpus, &truth, threads, batches);
+    let overhead_ratio = er_stats::descriptive::median(&overhead_ratios);
     println!(
-        "enabled-recorder ingest throughput is {:.1}% of the no-op recorder's",
-        100.0 * overhead_ratio
+        "\n-- recorder overhead (ingest-only, median of {} alternating pairs) --",
+        overhead_ratios.len()
+    );
+    println!(
+        "enabled-recorder ingest throughput is {:.1}% of the no-op recorder's \
+         (pair ratios {:.3}..{:.3})",
+        100.0 * overhead_ratio,
+        overhead_ratios[0],
+        overhead_ratios[overhead_ratios.len() - 1]
     );
 
     // Machine-readable perf-trajectory document. Key naming drives the

@@ -13,7 +13,10 @@
 //! The implementation uses a squared-exponential (RBF) kernel plus a noise
 //! (nugget) term, and a Cholesky factorization of the training covariance.
 
-use crate::linalg::{dot, dot_seed, Cholesky, Matrix};
+use crate::linalg::{
+    backward_substitute_in_place, cholesky_in_place, dot, dot_seed, forward_substitute_in_place,
+    Cholesky, Matrix,
+};
 use crate::{Result, StatsError};
 use std::collections::HashMap;
 
@@ -58,12 +61,19 @@ impl RbfKernel {
         }
         Ok(Self { signal_variance, length_scale })
     }
+
+    /// The kernel at squared distance `d2`: `eval(a, b)` is `at(d * d)`
+    /// with `d = a − b`, so a caller holding squared distances gets the same
+    /// bits.
+    fn at(&self, d2: f64) -> f64 {
+        self.signal_variance * (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
+    }
 }
 
 impl Kernel for RbfKernel {
     fn eval(&self, a: f64, b: f64) -> f64 {
         let d = a - b;
-        self.signal_variance * (-(d * d) / (2.0 * self.length_scale * self.length_scale)).exp()
+        self.at(d * d)
     }
 }
 
@@ -80,6 +90,11 @@ pub struct GpConfig {
     /// per-point noise model is approximate, e.g. sampled proportions whose
     /// observed value is exactly 0 or 1. Selection needs at least four
     /// observations (two per fold); pin the scale for smaller fits.
+    ///
+    /// The folds are split once per selection, and each candidate costs one
+    /// lower-triangle factorization and solve per fold in a reused buffer;
+    /// no model is built. Every error is bit-identical to fitting a full GP
+    /// on each fold and reading `predict_mean` at the held-out points.
     pub length_scale: Option<f64>,
     /// Observation-noise variance added to the diagonal of the training
     /// covariance (the "nugget"); models sampling error of the observed match
@@ -171,7 +186,6 @@ pub struct GaussianProcess {
     /// `(K + σ_n² I)⁻¹ (y − mean)`.
     alpha: Vec<f64>,
     noise_variance: f64,
-    log_marginal_likelihood: f64,
 }
 
 impl GaussianProcess {
@@ -231,7 +245,11 @@ impl GaussianProcess {
     }
 
     /// The candidate of a small log-spaced grid around the heuristic length
-    /// scale with the smallest two-fold held-out error.
+    /// scale with the smallest two-fold held-out error (see
+    /// [`GpConfig::length_scale`]). The folds are split once ([`HeldOutFolds`]);
+    /// a candidate whose kernel is invalid or whose fold covariance is not
+    /// positive definite is skipped, and the selection fails when no
+    /// candidate is left or a fold has fewer than two fit points.
     fn select_length_scale(
         xs: &[f64],
         ys: &[f64],
@@ -240,60 +258,20 @@ impl GaussianProcess {
     ) -> Result<f64> {
         let heuristic = Self::heuristic_length_scale(xs);
         let mut best: Option<(f64, f64)> = None; // (error, length scale)
-        for ls in [0.125, 0.25, 0.5, 1.0, 2.0, 4.0].map(|f| heuristic * f) {
-            if let Some(error) = Self::held_out_error(xs, ys, noise_variances, config, ls) {
-                if best.map(|(e, _)| error < e).unwrap_or(true) {
-                    best = Some((error, ls));
+        if let Some(folds) = HeldOutFolds::split(xs, ys, noise_variances) {
+            let mut scratch = Vec::new();
+            for ls in [0.125, 0.25, 0.5, 1.0, 2.0, 4.0].map(|f| heuristic * f) {
+                let Ok(kernel) = RbfKernel::new(config.signal_variance, ls) else { continue };
+                if let Some(error) = folds.error(&kernel, &mut scratch) {
+                    if best.map(|(e, _)| error < e).unwrap_or(true) {
+                        best = Some((error, ls));
+                    }
                 }
             }
         }
         best.map(|(_, ls)| ls).ok_or_else(|| {
             StatsError::Linalg("failed to fit GP for any candidate length scale".to_string())
         })
-    }
-
-    /// Two-fold (alternating points in input order) held-out squared prediction
-    /// error of a candidate length scale. Returns `None` when either fold cannot
-    /// be fitted.
-    fn held_out_error(
-        xs: &[f64],
-        ys: &[f64],
-        noise_variances: &[f64],
-        config: &GpConfig,
-        length_scale: f64,
-    ) -> Option<f64> {
-        let mut order: Vec<usize> = (0..xs.len()).collect();
-        order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite inputs"));
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for parity in 0..2usize {
-            let mut fit_idx: Vec<usize> = Vec::with_capacity(xs.len() / 2 + 1);
-            let mut held_idx: Vec<usize> = Vec::with_capacity(xs.len() / 2 + 1);
-            for (position, &i) in order.iter().enumerate() {
-                if position % 2 == parity {
-                    fit_idx.push(i);
-                } else {
-                    held_idx.push(i);
-                }
-            }
-            if fit_idx.len() < 2 || held_idx.is_empty() {
-                return None;
-            }
-            let fx: Vec<f64> = fit_idx.iter().map(|&i| xs[i]).collect();
-            let fy: Vec<f64> = fit_idx.iter().map(|&i| ys[i]).collect();
-            let fn_: Vec<f64> = fit_idx.iter().map(|&i| noise_variances[i]).collect();
-            let gp = Self::fit_with_scale(&fx, &fy, &fn_, config, length_scale).ok()?;
-            for &i in &held_idx {
-                let err = ys[i] - gp.predict_mean(xs[i]);
-                total += err * err;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(total / count as f64)
-        }
     }
 
     fn fit_with_scale(
@@ -308,20 +286,18 @@ impl GaussianProcess {
         let target_mean = crate::descriptive::mean(ys);
         let centred: Vec<f64> = ys.iter().map(|y| y - target_mean).collect();
 
-        let mut k = kernel.matrix(xs, xs);
-        // Per-observation noise plus a tiny jitter for numerical stability.
-        for (i, noise) in noise_variances.iter().enumerate() {
-            k[(i, i)] += noise.max(0.0) + 1e-10;
+        // `Matrix::cholesky` reads only the lower triangle.
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                k[(i, j)] = kernel.eval(xs[i], xs[j]);
+            }
+            k[(i, i)] += nugget(noise_variances[i]);
         }
         let factor = k
             .cholesky()
             .map_err(|e| StatsError::Linalg(format!("training covariance not SPD: {e}")))?;
         let alpha = factor.solve(&centred);
-
-        // log p(y|X) = -1/2 yᵀ α - 1/2 log|K| - n/2 log 2π.
-        let log_marginal_likelihood = -0.5 * dot(&centred, &alpha)
-            - 0.5 * factor.log_determinant()
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
 
         Ok(Self {
             kernel,
@@ -332,28 +308,16 @@ impl GaussianProcess {
             factor,
             alpha,
             noise_variance: crate::descriptive::mean(noise_variances),
-            log_marginal_likelihood,
         })
-    }
-
-    /// Appends observations to a fitted GP in O(n²) per point, keeping the
-    /// kernel hyperparameters fixed.
-    ///
-    /// New points are assigned the model's current (average) observation-noise
-    /// variance; use [`GaussianProcess::extend_with_noise`] for explicit
-    /// per-point noise.
-    pub fn extend(&mut self, xs: &[f64], ys: &[f64]) -> Result<()> {
-        let noise = vec![self.noise_variance; xs.len()];
-        self.extend_with_noise(xs, ys, &noise)
     }
 
     /// Appends observations with per-point noise variances to a fitted GP.
     ///
     /// The covariance factor grows via [`Cholesky::extend_row`] — O(n²) per
     /// appended point instead of the O(n³) of re-factorizing from scratch —
-    /// and the centred targets, `alpha` weights and log marginal likelihood
-    /// are recomputed against the grown factor. The kernel (signal variance
-    /// and length scale) is **not** re-selected: the resulting model is
+    /// and the centred targets and `alpha` weights are recomputed against the
+    /// grown factor. The kernel (signal variance and length scale) is
+    /// **not** re-selected: the resulting model is
     /// bit-identical to [`GaussianProcess::fit_with_noise`] on the
     /// concatenated data with the same fixed length scale
     /// (`length_scale: Some(self.kernel().length_scale)`), because every
@@ -398,7 +362,7 @@ impl GaussianProcess {
             // The same entries `Matrix::cholesky` would see for the new row of
             // `K + σ_n² I` (kernel row plus nugget on the diagonal).
             let row: Vec<f64> = train_x.iter().map(|&t| self.kernel.eval(x, t)).collect();
-            let diagonal = self.kernel.eval(x, x) + (noise.max(0.0) + 1e-10);
+            let diagonal = self.kernel.eval(x, x) + nugget(noise);
             factor
                 .extend_row(&row, diagonal)
                 .map_err(|e| StatsError::Linalg(format!("training covariance not SPD: {e}")))?;
@@ -411,13 +375,9 @@ impl GaussianProcess {
 
         // Re-centre and re-solve against the grown factor — O(n²), and the
         // same arithmetic `fit_with_scale` performs on the concatenated data.
-        let n = self.train_x.len();
         self.target_mean = crate::descriptive::mean(&self.train_y);
         let centred: Vec<f64> = self.train_y.iter().map(|y| y - self.target_mean).collect();
         self.alpha = self.factor.solve(&centred);
-        self.log_marginal_likelihood = -0.5 * dot(&centred, &self.alpha)
-            - 0.5 * self.factor.log_determinant()
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
         self.noise_variance = crate::descriptive::mean(&self.train_noise);
         Ok(())
     }
@@ -450,11 +410,6 @@ impl GaussianProcess {
     /// Number of training observations.
     pub fn training_size(&self) -> usize {
         self.train_x.len()
-    }
-
-    /// Log marginal likelihood of the training data under the fitted model.
-    pub fn log_marginal_likelihood(&self) -> f64 {
-        self.log_marginal_likelihood
     }
 
     /// Posterior mean at a single query point (Eq. 16 of the paper).
@@ -647,6 +602,112 @@ impl GaussianProcess {
     /// Convenience wrapper returning `(mean, std_dev)` at a single point.
     pub fn predict(&self, x: f64) -> (f64, f64) {
         (self.predict_mean(x), self.predict_variance(x).sqrt())
+    }
+}
+
+/// The diagonal term a training point adds to the covariance: its noise
+/// variance plus a tiny jitter for numerical stability.
+fn nugget(noise_variance: f64) -> f64 {
+    noise_variance.max(0.0) + 1e-10
+}
+
+/// The two folds of held-out length-scale selection, split once per
+/// selection: with the inputs sorted, fold `p` fits the points at even
+/// (`p = 0`) or odd (`p = 1`) positions and is scored on the others.
+struct HeldOutFolds {
+    folds: [Fold; 2],
+}
+
+/// What every candidate scale reads of one fold: everything that does not
+/// depend on the length scale is computed once.
+struct Fold {
+    /// [`nugget`] of each fit point.
+    nuggets: Vec<f64>,
+    /// Fit targets minus their mean, and the mean.
+    centred: Vec<f64>,
+    target_mean: f64,
+    /// Squared distances between fit points, lower triangle (`j ≤ i`) in
+    /// row-major order.
+    fit_d2: Vec<f64>,
+    /// Held-out targets, and one row of squared distances to every fit
+    /// point per held-out point.
+    held_y: Vec<f64>,
+    held_d2: Vec<f64>,
+}
+
+impl HeldOutFolds {
+    /// `None` when a fold has fewer than two fit points or no held-out point
+    /// (fewer than four observations).
+    fn split(xs: &[f64], ys: &[f64], noise_variances: &[f64]) -> Option<Self> {
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite inputs"));
+        let fold = |parity: usize| -> Option<Fold> {
+            let (mut fit, mut held) = (Vec::new(), Vec::new());
+            for (position, &i) in order.iter().enumerate() {
+                if position % 2 == parity {
+                    fit.push(i);
+                } else {
+                    held.push(i);
+                }
+            }
+            if fit.len() < 2 || held.is_empty() {
+                return None;
+            }
+            let fy: Vec<f64> = fit.iter().map(|&i| ys[i]).collect();
+            let target_mean = crate::descriptive::mean(&fy);
+            let d2 = |a: f64, b: f64| (a - b) * (a - b);
+            Some(Fold {
+                nuggets: fit.iter().map(|&i| nugget(noise_variances[i])).collect(),
+                centred: fy.iter().map(|y| y - target_mean).collect(),
+                target_mean,
+                fit_d2: (0..fit.len())
+                    .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                    .map(|(i, j)| d2(xs[fit[i]], xs[fit[j]]))
+                    .collect(),
+                held_y: held.iter().map(|&h| ys[h]).collect(),
+                held_d2: held
+                    .iter()
+                    .flat_map(|&h| fit.iter().map(move |&i| (h, i)))
+                    .map(|(h, i)| d2(xs[h], xs[i]))
+                    .collect(),
+            })
+        };
+        Some(Self { folds: [fold(0)?, fold(1)?] })
+    }
+
+    /// Mean squared held-out error of `kernel` over both folds, or `None`
+    /// when a fold's covariance is not positive definite. Each fold runs the
+    /// arithmetic of a full fit — the lower triangle of `K + diag(nugget)`,
+    /// [`cholesky_in_place`], the forward and back solve for `α` — then
+    /// `target_mean + dot(k*, α)` per held-out point, in `scratch`.
+    fn error(&self, kernel: &RbfKernel, scratch: &mut Vec<f64>) -> Option<f64> {
+        let (mut total, mut count) = (0.0, 0usize);
+        for fold in &self.folds {
+            let n = fold.nuggets.len();
+            scratch.resize(n * n + n, 0.0);
+            let (l, alpha) = scratch.split_at_mut(n * n);
+            let mut d2 = fold.fit_d2.iter();
+            for i in 0..n {
+                for (cell, &d2) in l[i * n..=i * n + i].iter_mut().zip(&mut d2) {
+                    *cell = kernel.at(d2);
+                }
+                l[i * n + i] += fold.nuggets[i];
+            }
+            cholesky_in_place(l, n).ok()?;
+            alpha.copy_from_slice(&fold.centred);
+            forward_substitute_in_place(l, n, alpha);
+            backward_substitute_in_place(l, n, alpha);
+            for (row, &y) in fold.held_d2.chunks_exact(n).zip(&fold.held_y) {
+                let mut sum = dot_seed();
+                for (&d2, &a) in row.iter().zip(alpha.iter()) {
+                    sum += kernel.at(d2) * a;
+                }
+                let err = y - (fold.target_mean + sum);
+                total += err * err;
+                count += 1;
+            }
+        }
+        Some(total / count as f64)
     }
 }
 
@@ -978,12 +1039,9 @@ mod tests {
         assert_close(gp.distance_to_nearest_observation(1.0), 0.1, 1e-12);
     }
 
-    #[test]
-    fn gp_log_marginal_likelihood_is_finite() {
-        let xs = [0.0, 0.5, 1.0];
-        let ys = [0.1, 0.5, 0.9];
-        let gp = GaussianProcess::fit(&xs, &ys, pinned_heuristic(&xs)).unwrap();
-        assert!(gp.log_marginal_likelihood().is_finite());
+    /// The bits of a model's `α` weights: equal bits mean equal posteriors.
+    fn alpha_bits(gp: &GaussianProcess) -> Vec<u64> {
+        gp.alpha.iter().map(|a| a.to_bits()).collect()
     }
 
     /// A fit on the concatenated data with the extended model's exact kernel
@@ -1020,7 +1078,7 @@ mod tests {
         let scratch = refit_pinned(&gp, &all_x, &all_y, &all_n);
 
         assert_eq!(gp.training_size(), 6);
-        assert_eq!(gp.log_marginal_likelihood(), scratch.log_marginal_likelihood());
+        assert_eq!(alpha_bits(&gp), alpha_bits(&scratch));
         assert_eq!(gp.noise_variance(), scratch.noise_variance());
         for i in 0..=20 {
             let q = i as f64 / 20.0;
@@ -1042,7 +1100,7 @@ mod tests {
         for i in 0..2 {
             stepwise.extend_with_noise(&new_x[i..=i], &new_y[i..=i], &new_n[i..=i]).unwrap();
         }
-        assert_eq!(batch.log_marginal_likelihood(), stepwise.log_marginal_likelihood());
+        assert_eq!(alpha_bits(&batch), alpha_bits(&stepwise));
         for i in 0..=10 {
             let q = i as f64 / 10.0;
             assert_eq!(batch.predict_mean(q), stepwise.predict_mean(q));
@@ -1054,38 +1112,226 @@ mod tests {
     fn empty_extend_is_a_noop() {
         let mut gp =
             GaussianProcess::fit(&[0.0, 0.5, 1.0], &[0.1, 0.5, 0.9], pinned(0.25)).unwrap();
-        let before = gp.log_marginal_likelihood();
-        gp.extend(&[], &[]).unwrap();
+        let before = alpha_bits(&gp);
+        gp.extend_with_noise(&[], &[], &[]).unwrap();
         assert_eq!(gp.training_size(), 3);
-        assert_eq!(gp.log_marginal_likelihood(), before);
+        assert_eq!(alpha_bits(&gp), before);
     }
 
     #[test]
     fn failed_extend_leaves_the_model_unchanged() {
         let mut gp =
             GaussianProcess::fit(&[0.0, 0.5, 1.0], &[0.1, 0.5, 0.9], pinned(0.25)).unwrap();
-        let before_lml = gp.log_marginal_likelihood();
+        let before_alpha = alpha_bits(&gp);
         let before_mean = gp.predict_mean(0.3);
-        assert!(gp.extend(&[0.25], &[f64::NAN]).is_err());
+        assert!(gp.extend_with_noise(&[0.25], &[f64::NAN], &[1e-4]).is_err());
         assert!(gp.extend_with_noise(&[0.25], &[0.3], &[-1.0]).is_err());
-        assert!(gp.extend(&[0.25, 0.75], &[0.3]).is_err());
+        assert!(gp.extend_with_noise(&[0.25, 0.75], &[0.3], &[1e-4, 1e-4]).is_err());
         assert_eq!(gp.training_size(), 3);
-        assert_eq!(gp.log_marginal_likelihood(), before_lml);
-        assert_eq!(gp.predict_mean(0.3), before_mean);
+        assert_eq!(alpha_bits(&gp), before_alpha);
+        assert_eq!(gp.predict_mean(0.3).to_bits(), before_mean.to_bits());
     }
 
+    /// A fit on one fold as it was built before the folds were split once:
+    /// the full dense kernel matrix, [`Matrix::cholesky`] and
+    /// [`Cholesky::solve`]. `None` where that fit failed.
+    fn dense_fit(
+        xs: &[f64],
+        ys: &[f64],
+        noise: &[f64],
+        config: &GpConfig,
+        length_scale: f64,
+    ) -> Option<GaussianProcess> {
+        let kernel = RbfKernel::new(config.signal_variance, length_scale).ok()?;
+        let target_mean = crate::descriptive::mean(ys);
+        let centred: Vec<f64> = ys.iter().map(|y| y - target_mean).collect();
+        let mut k = kernel.matrix(xs, xs);
+        for (i, noise) in noise.iter().enumerate() {
+            k[(i, i)] += noise.max(0.0) + 1e-10;
+        }
+        let factor = k.cholesky().ok()?;
+        let alpha = factor.solve(&centred);
+        Some(GaussianProcess {
+            kernel,
+            train_x: xs.to_vec(),
+            train_y: ys.to_vec(),
+            train_noise: noise.to_vec(),
+            target_mean,
+            factor,
+            alpha,
+            noise_variance: crate::descriptive::mean(noise),
+        })
+    }
+
+    /// The held-out error of one candidate as selection computed it before
+    /// the folds were split once: per candidate, sort and split the inputs
+    /// and read a dense fit's `predict_mean` at each held-out point.
+    fn held_out_error_reference(
+        xs: &[f64],
+        ys: &[f64],
+        noise_variances: &[f64],
+        config: &GpConfig,
+        length_scale: f64,
+    ) -> Option<f64> {
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite inputs"));
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for parity in 0..2usize {
+            let mut fit_idx: Vec<usize> = Vec::with_capacity(xs.len() / 2 + 1);
+            let mut held_idx: Vec<usize> = Vec::with_capacity(xs.len() / 2 + 1);
+            for (position, &i) in order.iter().enumerate() {
+                if position % 2 == parity {
+                    fit_idx.push(i);
+                } else {
+                    held_idx.push(i);
+                }
+            }
+            if fit_idx.len() < 2 || held_idx.is_empty() {
+                return None;
+            }
+            let fx: Vec<f64> = fit_idx.iter().map(|&i| xs[i]).collect();
+            let fy: Vec<f64> = fit_idx.iter().map(|&i| ys[i]).collect();
+            let fn_: Vec<f64> = fit_idx.iter().map(|&i| noise_variances[i]).collect();
+            let gp = dense_fit(&fx, &fy, &fn_, config, length_scale)?;
+            for &i in &held_idx {
+                let err = ys[i] - gp.predict_mean(xs[i]);
+                total += err * err;
+                count += 1;
+            }
+        }
+        if count == 0 {
+            None
+        } else {
+            Some(total / count as f64)
+        }
+    }
+
+    /// The selection loop over [`held_out_error_reference`], and how many of
+    /// the six candidates it skipped.
+    fn select_reference(
+        xs: &[f64],
+        ys: &[f64],
+        noise: &[f64],
+        config: &GpConfig,
+    ) -> (Result<f64>, usize) {
+        let heuristic = GaussianProcess::heuristic_length_scale(xs);
+        let mut best: Option<(f64, f64)> = None;
+        let mut skipped = 0;
+        for ls in [0.125, 0.25, 0.5, 1.0, 2.0, 4.0].map(|f| heuristic * f) {
+            match held_out_error_reference(xs, ys, noise, config, ls) {
+                Some(error) => {
+                    if best.map(|(e, _)| error < e).unwrap_or(true) {
+                        best = Some((error, ls));
+                    }
+                }
+                None => skipped += 1,
+            }
+        }
+        let selected = best.map(|(_, ls)| ls).ok_or_else(|| {
+            StatsError::Linalg("failed to fit GP for any candidate length scale".to_string())
+        });
+        (selected, skipped)
+    }
+
+    /// Random selection inputs: unsorted, often with repeated inputs or a
+    /// tiny input range, zero noise in half the cases, and a signal variance
+    /// that is sometimes invalid and sometimes so large that the `1e-10`
+    /// jitter vanishes in round-off, so that wide candidates are not
+    /// positive definite.
+    fn selection_case(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>, GpConfig) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let width = if rng.gen_range(0..4) == 0 { 1e-4 } else { 1.0 };
+        let mut xs: Vec<f64> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let x = if !xs.is_empty() && rng.gen_range(0..4) == 0 {
+                xs[rng.gen_range(0..xs.len())]
+            } else {
+                rng.gen_range(0.0..width)
+            };
+            xs.push(x);
+        }
+        let ys: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.gen_range(0.0..1.0),
+            })
+            .collect();
+        let noise: Vec<f64> = if rng.gen_range(0..2) == 0 {
+            vec![0.0; n]
+        } else {
+            (0..n).map(|_| rng.gen_range(0.0..0.02)).collect()
+        };
+        let signal_variance = match rng.gen_range(0..8) {
+            0 => [0.0, -1.0, f64::NAN, f64::INFINITY][rng.gen_range(0..4)],
+            1..=3 => 10f64.powf(rng.gen_range(6.0..10.0)),
+            _ => rng.gen_range(0.01..2.0),
+        };
+        (xs, ys, noise, GpConfig { signal_variance, ..GpConfig::default() })
+    }
+
+    /// Selection on `selection_case(n, seed)` against the reference: the
+    /// same length-scale bits or the same error, and, when it selects, a fit
+    /// at the selected scale with the same `α` bits as a dense fit.
+    fn check_selection(n: usize, seed: u64) -> std::result::Result<(), String> {
+        let (xs, ys, noise, config) = selection_case(n, seed);
+        let lean = GaussianProcess::select_length_scale(&xs, &ys, &noise, &config);
+        let (reference, _) = select_reference(&xs, &ys, &noise, &config);
+        match (&lean, &reference) {
+            (Ok(a), Ok(b)) if a.to_bits() == b.to_bits() => {}
+            (Err(a), Err(b)) if a == b => {}
+            _ => return Err(format!("n {n}, seed {seed}: {lean:?} vs reference {reference:?}")),
+        }
+        if let Ok(ls) = lean {
+            let fitted = GaussianProcess::fit_with_scale(&xs, &ys, &noise, &config, ls).ok();
+            let dense = dense_fit(&xs, &ys, &noise, &config, ls);
+            if fitted.as_ref().map(alpha_bits) != dense.as_ref().map(alpha_bits) {
+                return Err(format!(
+                    "n {n}, seed {seed}: the fit at {ls} differs from a dense fit"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Held-out selection on folds split once picks the same length
+        /// scale, bit for bit, as fitting a dense GP per fold and candidate,
+        /// or fails with the same error: too few points, an invalid signal
+        /// variance, or no positive-definite candidate.
+        #[test]
+        fn held_out_selection_matches_the_dense_reference(
+            n in 2usize..41,
+            seed in 0u64..1_000_000,
+        ) {
+            let checked = check_selection(n, seed);
+            proptest::prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+
+    /// The generator reaches every branch the property above relies on: a
+    /// clean selection, one with some candidates not positive definite, and
+    /// each way selection fails.
     #[test]
-    fn extend_defaults_to_the_average_noise() {
-        let xs = [0.0, 0.5, 1.0];
-        let ys = [0.1, 0.5, 0.9];
-        let noise = [1e-3, 3e-3, 2e-3];
-        let mut plain =
-            GaussianProcess::fit_with_noise(&xs, &ys, &noise, pinned_heuristic(&xs)).unwrap();
-        let avg = plain.noise_variance();
-        let mut explicit = plain.clone();
-        plain.extend(&[0.25], &[0.3]).unwrap();
-        explicit.extend_with_noise(&[0.25], &[0.3], &[avg]).unwrap();
-        assert_eq!(plain.predict_mean(0.6), explicit.predict_mean(0.6));
-        assert_eq!(plain.noise_variance(), explicit.noise_variance());
+    fn selection_cases_cover_skipped_candidates_and_failures() {
+        let (mut clean, mut partly_skipped, mut failed) = (0, 0, 0);
+        for seed in 0..200 {
+            let n = 4 + (seed as usize % 37);
+            let (xs, ys, noise, config) = selection_case(n, seed);
+            match select_reference(&xs, &ys, &noise, &config) {
+                (Ok(_), 0) => clean += 1,
+                (Ok(_), _) => partly_skipped += 1,
+                (Err(_), _) => failed += 1,
+            }
+            check_selection(n, seed).unwrap();
+        }
+        assert!(clean > 0 && partly_skipped > 0 && failed > 0, "{clean} {partly_skipped} {failed}");
+        for n in 2..4 {
+            let (xs, ys, noise, config) = selection_case(n, 1);
+            assert!(GaussianProcess::select_length_scale(&xs, &ys, &noise, &config).is_err());
+        }
     }
 }

@@ -155,22 +155,62 @@ impl Matrix {
         let n = self.rows;
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+            let row = i * n..=i * n + i;
+            l.data[row.clone()].copy_from_slice(&self.data[row]);
+        }
+        cholesky_in_place(&mut l.data, n)?;
+        Ok(Cholesky { l })
+    }
+}
+
+/// Factors a symmetric positive-definite `n × n` row-major matrix in place:
+/// on entry cell `(i, j)`, `j ≤ i`, holds `A_ij`; on success it holds `L_ij`.
+/// Cells above the diagonal are neither read nor written, so a caller only
+/// has to fill the lower triangle. This is the one Cholesky loop behind
+/// [`Matrix::cholesky`] and the GP's held-out length-scale selection.
+pub(crate) fn cholesky_in_place(a: &mut [f64], n: usize) -> std::result::Result<(), CholeskyError> {
+    for i in 0..n {
+        for j in 0..=i {
+            // Cell `(i, j)` still holds `A_ij`; every `L` entry read below is
+            // already computed (row `j < i` whole, row `i` left of `j`).
+            let mut sum = a[i * n + j];
+            for k in 0..j {
+                sum -= a[i * n + k] * a[j * n + k];
+            }
+            if i == j {
+                if sum <= 0.0 || !sum.is_finite() {
+                    return Err(CholeskyError { pivot: i, value: sum });
                 }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(CholeskyError { pivot: i, value: sum });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
+                a[i * n + j] = sum.sqrt();
+            } else {
+                a[i * n + j] = sum / a[j * n + j];
             }
         }
-        Ok(Cholesky { l })
+    }
+    Ok(())
+}
+
+/// Solves `L y = b` in place, with `L` the lower triangle of the row-major
+/// `n × n` `l` (forward substitution).
+pub(crate) fn forward_substitute_in_place(l: &[f64], n: usize, b: &mut [f64]) {
+    for i in 0..n {
+        let mut sum = b[i];
+        for k in 0..i {
+            sum -= l[i * n + k] * b[k];
+        }
+        b[i] = sum / l[i * n + i];
+    }
+}
+
+/// Solves `Lᵀ x = y` in place, with `L` as in
+/// [`forward_substitute_in_place`] (backward substitution).
+pub(crate) fn backward_substitute_in_place(l: &[f64], n: usize, y: &mut [f64]) {
+    for i in (0..n).rev() {
+        let mut sum = y[i];
+        for k in (i + 1)..n {
+            sum -= l[k * n + i] * y[k];
+        }
+        y[i] = sum / l[i * n + i];
     }
 }
 
@@ -209,40 +249,18 @@ impl Cholesky {
 
     /// Solves `A x = b` where `A = L Lᵀ` is the factored matrix.
     pub fn solve(&self, b: &[f64]) -> Vector {
-        let y = self.forward_substitute(b);
-        self.backward_substitute(&y)
+        let mut x = self.forward_substitute(b);
+        backward_substitute_in_place(self.l.data(), self.order(), &mut x);
+        x
     }
 
     /// Solves `L y = b` (forward substitution).
-    #[allow(clippy::needless_range_loop)] // triangular solve reads clearest with indices
     pub fn forward_substitute(&self, b: &[f64]) -> Vector {
         let n = self.order();
         assert_eq!(b.len(), n, "solve dimension mismatch");
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
+        let mut y = b.to_vec();
+        forward_substitute_in_place(self.l.data(), n, &mut y);
         y
-    }
-
-    /// Solves `Lᵀ x = y` (backward substitution).
-    #[allow(clippy::needless_range_loop)]
-    pub fn backward_substitute(&self, y: &[f64]) -> Vector {
-        let n = self.order();
-        assert_eq!(y.len(), n, "solve dimension mismatch");
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * x[k];
-            }
-            x[i] = sum / self.l[(i, i)];
-        }
-        x
     }
 
     /// Solves `A X = B` column-by-column for a matrix right-hand side.

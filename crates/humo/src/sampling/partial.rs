@@ -568,8 +568,10 @@ impl PartialSamplingOptimizer {
             }
             None => GpTrainingState::new(cfg.seed),
         };
-        let mut sampler =
-            SubsetSampler::restore(partition, cfg.samples_per_subset, st.sampler.clone());
+        // The snapshot moves into the sampler and back into `st` on suspension;
+        // the placeholder left behind is never read.
+        let snapshot = std::mem::replace(&mut st.sampler, SamplerSnapshot::new(cfg.seed));
+        let mut sampler = SubsetSampler::restore(partition, cfg.samples_per_subset, snapshot);
 
         // Fitting noise: the paper-faithful mode uses the raw binomial sampling
         // variance of each observed proportion (which vanishes in the near-pure
@@ -603,7 +605,7 @@ impl PartialSamplingOptimizer {
             let fresh_initial: Vec<usize> =
                 initial.iter().copied().filter(|idx| !prior_for.contains_key(idx)).collect();
             if let Err(e) = sampler.sample_many_core(&fresh_initial, slate) {
-                st.sampler = sampler.snapshot();
+                st.sampler = sampler.into_snapshot();
                 cache.store_training(st);
                 return Err(e);
             }
@@ -704,7 +706,7 @@ impl PartialSamplingOptimizer {
                     Ok(summary) => summary,
                     Err(e) => {
                         st.pending = Some(probe);
-                        st.sampler = sampler.snapshot();
+                        st.sampler = sampler.into_snapshot();
                         cache.store_training(st);
                         return Err(e);
                     }

@@ -12,7 +12,7 @@ use er_core::workload::SubsetPartition;
 use er_stats::SampleSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The owned, workload-independent part of a [`SubsetSampler`]: cached draws,
 /// cached summaries and the RNG state. The sampler itself borrows the
@@ -75,12 +75,8 @@ impl<'a> SubsetSampler<'a> {
     }
 
     /// The sampler's owned state, for storing across session steps.
-    pub(crate) fn snapshot(&self) -> SamplerSnapshot {
-        SamplerSnapshot {
-            drawn: self.drawn.clone(),
-            cache: self.cache.clone(),
-            rng: self.rng.clone(),
-        }
+    pub(crate) fn into_snapshot(self) -> SamplerSnapshot {
+        SamplerSnapshot { drawn: self.drawn, cache: self.cache, rng: self.rng }
     }
 
     /// Number of distinct subsets sampled so far.
@@ -93,8 +89,14 @@ impl<'a> SubsetSampler<'a> {
         &self.cache
     }
 
-    /// The workload indices sampled from a subset, drawing (and advancing the
-    /// RNG) only the first time a subset is asked for.
+    /// The workload indices sampled from a subset, in ascending order,
+    /// drawing (and advancing the RNG) only the first time a subset is asked
+    /// for.
+    ///
+    /// A draw takes `samples_per_subset` distinct indices of the subset's
+    /// range, or the whole range when it is no larger. Uniform indices are
+    /// drawn until that many distinct ones are hit; the hits are marked in
+    /// a bitmap over the range, which is then read back in order.
     fn draw(&mut self, subset_index: usize) -> Vec<usize> {
         if let Some(drawn) = self.drawn.get(&subset_index) {
             return drawn.clone();
@@ -102,16 +104,19 @@ impl<'a> SubsetSampler<'a> {
         let range = self.partition.subset(subset_index).range();
         let size = range.len();
         let take = self.samples_per_subset.min(size);
-        let indices: BTreeSet<usize> = if take >= size {
-            range.clone().collect()
+        let drawn: Vec<usize> = if take >= size {
+            range.collect()
         } else {
-            let mut drawn = BTreeSet::new();
-            while drawn.len() < take {
-                drawn.insert(self.rng.gen_range(range.start..range.end));
+            let mut hit = vec![false; size];
+            let mut hits = 0;
+            while hits < take {
+                let index = self.rng.gen_range(range.start..range.end);
+                if !std::mem::replace(&mut hit[index - range.start], true) {
+                    hits += 1;
+                }
             }
-            drawn
+            range.zip(hit).filter_map(|(index, hit)| hit.then_some(index)).collect()
         };
-        let drawn: Vec<usize> = indices.into_iter().collect();
         self.drawn.insert(subset_index, drawn.clone());
         drawn
     }
@@ -267,16 +272,54 @@ mod tests {
         let labels = answered(&w);
         let mut reference = SubsetSampler::new(&partition, 15, 9);
         let first = sample(&mut reference, 2, &labels);
-        // Snapshot mid-flight, restore, and continue: the restored sampler
-        // reproduces both the cached summary and the future draws.
-        let snapshot = reference.snapshot();
-        let mut restored = SubsetSampler::restore(&partition, 15, snapshot);
+        // Snapshot a twin mid-flight, restore, and continue: the restored
+        // sampler reproduces both the cached summary and the future draws.
+        let mut twin = SubsetSampler::new(&partition, 15, 9);
+        sample(&mut twin, 2, &labels);
+        let mut restored = SubsetSampler::restore(&partition, 15, twin.into_snapshot());
         assert_eq!(sample(&mut restored, 2, &labels), first);
         assert_eq!(sample(&mut restored, 7, &labels), sample(&mut reference, 7, &labels));
         // A fresh snapshot is equivalent to a fresh sampler.
         let mut from_fresh = SubsetSampler::restore(&partition, 15, SamplerSnapshot::new(9));
         let mut fresh = SubsetSampler::new(&partition, 15, 9);
         assert_eq!(sample(&mut from_fresh, 5, &labels), sample(&mut fresh, 5, &labels));
+    }
+
+    /// The draw `draw` made before hits were marked on a bitmap: insert
+    /// uniform indices into a `BTreeSet` until it holds `take`.
+    fn btreeset_draw(rng: &mut StdRng, range: std::ops::Range<usize>, take: usize) -> Vec<usize> {
+        if take >= range.len() {
+            return range.collect();
+        }
+        let mut drawn = std::collections::BTreeSet::new();
+        while drawn.len() < take {
+            drawn.insert(rng.gen_range(range.start..range.end));
+        }
+        drawn.into_iter().collect()
+    }
+
+    #[test]
+    fn draws_match_a_btreeset_reference_and_leave_the_same_rng_state() {
+        let w = workload(1_000);
+        for unit in [1, 2, 7, 100, 250, 1_000] {
+            let partition = w.partition(unit).unwrap();
+            for samples in [1, 2, 5, 50, 99, 100, 101, 400] {
+                for seed in [3, 9] {
+                    let mut sampler = SubsetSampler::new(&partition, samples, seed);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    // Consecutive draws of distinct subsets: the second only
+                    // matches if the first left the RNG where the reference
+                    // left it.
+                    let mut subsets = vec![partition.len() / 2, partition.len() - 1];
+                    subsets.dedup();
+                    for subset in subsets {
+                        let range = partition.subset(subset).range();
+                        let expected = btreeset_draw(&mut rng, range, samples);
+                        assert_eq!(sampler.draw(subset), expected, "unit {unit}, k {samples}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

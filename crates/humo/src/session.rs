@@ -325,16 +325,28 @@ impl<'a> LabelSlate<'a> {
     ) -> Drive<()> {
         let mut missing: Vec<usize> = Vec::new();
         // Indices and pair ids are in bijection within a workload, so
-        // index-level dedup is id-level dedup without the hashing. Most calls
-        // find everything answered, so the dedup table is only allocated
-        // once the first missing index turns up.
+        // index-level dedup is id-level dedup without the hashing. Missing
+        // indices nearly always arrive strictly increasing (subset ranges,
+        // sorted draws), and then none can repeat, so the dedup table is only
+        // built, from `missing`, once a missing index is not above the last.
         let mut seen: Option<Vec<bool>> = None;
         for index in indices {
-            if self.labels[index].is_none() {
-                let seen = seen.get_or_insert_with(|| vec![false; self.labels.len()]);
-                if !std::mem::replace(&mut seen[index], true) {
-                    missing.push(index);
+            if self.labels[index].is_some() {
+                continue;
+            }
+            if seen.is_none() && missing.last().is_none_or(|&last| index > last) {
+                missing.push(index);
+                continue;
+            }
+            let seen = seen.get_or_insert_with(|| {
+                let mut table = vec![false; self.labels.len()];
+                for &earlier in &missing {
+                    table[earlier] = true;
                 }
+                table
+            });
+            if !std::mem::replace(&mut seen[index], true) {
+                missing.push(index);
             }
         }
         if missing.is_empty() {
@@ -1420,6 +1432,19 @@ mod tests {
         };
         assert_eq!(phase, SessionPhase::BoundarySearch);
         assert_eq!(indices, vec![6, 3, 0, 7]);
+        // Increasing, then repeating and falling back.
+        let Err(Suspend::Need { indices, .. }) =
+            slate.require(SessionPhase::Sampling, [2, 5, 5, 1, 0, 2])
+        else {
+            panic!("expected a suspension");
+        };
+        assert_eq!(indices, vec![2, 5, 0]);
+        let Err(Suspend::Need { indices, .. }) =
+            slate.require(SessionPhase::Sampling, [0, 2, 3, 5, 7, 6, 0, 3])
+        else {
+            panic!("expected a suspension");
+        };
+        assert_eq!(indices, vec![0, 2, 3, 5, 7, 6]);
     }
 
     #[test]
