@@ -18,7 +18,6 @@ use crate::similarity::{
 use crate::text::Tokenizer;
 use crate::{AttributeValue, ErError, Result};
 use std::collections::hash_map::HashMap;
-use std::convert::Infallible;
 use std::hash::BuildHasherDefault;
 
 /// How per-attribute weights are derived.
@@ -191,19 +190,6 @@ impl PairScorer {
         mean.finish()
     }
 
-    /// Weighted aggregate similarity through a [`TokenCache`]: `a` is looked
-    /// up on the cache's left side and `b` on its right side.
-    ///
-    /// A one-pair [`PairScorer::bind`] without a blocker: it resolves the
-    /// cache entries for this call alone, so a scoring pass should bind once
-    /// and score every pair through the [`BoundScorer`]. Bit-identical to
-    /// [`PairScorer::score`] for any cache state.
-    pub fn score_with_cache(&self, a: &Record, b: &Record, cache: &TokenCache) -> f64 {
-        let scorer = self.bind(cache, None);
-        let Ok(score) = scorer.score_by(a.id(), b.id(), 0, || Ok::<_, Infallible>((a, b)));
-        score
-    }
-
     /// Binds this scorer to a [`TokenCache`] for a scoring pass: every
     /// token-set attribute (Jaccard, Dice, overlap) finds its cache entry
     /// here, once, instead of once per pair.
@@ -303,19 +289,6 @@ impl BoundScorer<'_> {
     /// datasets store, as the resolution engine does at ingest.
     pub fn score(&self, left: &Dataset, right: &Dataset, candidate: Candidate) -> Result<f64> {
         let Candidate { left: a, right: b, shared } = candidate;
-        self.score_by(a, b, shared, || Ok((left.require(a)?, right.require(b)?)))
-    }
-
-    /// The score of `a` and `b` sharing `shared` blocking tokens, calling
-    /// `records` for the two records when the first attribute the cache
-    /// cannot answer needs them.
-    fn score_by<'r, E>(
-        &self,
-        a: RecordId,
-        b: RecordId,
-        shared: u32,
-        records: impl Fn() -> std::result::Result<(&'r Record, &'r Record), E>,
-    ) -> std::result::Result<f64, E> {
         let (slot_a, slot_b) = (self.slots[LEFT].get(&a.0), self.slots[RIGHT].get(&b.0));
         let mut fetched = None;
         let mut mean = WeightedMean::default();
@@ -333,7 +306,9 @@ impl BoundScorer<'_> {
                 None => {
                     let (ra, rb) = match fetched {
                         Some(pair) => pair,
-                        None => *fetched.insert(records()?),
+                        // The records are fetched once, by the first
+                        // attribute the cache cannot answer.
+                        None => *fetched.insert((left.require(a)?, right.require(b)?)),
                     };
                     attr.measure.eval(ra.get(&attr.name), rb.get(&attr.name))
                 }
@@ -479,16 +454,6 @@ impl TokenCache {
                 }
             };
         entry.admit(&mut slots[side], side, records);
-    }
-
-    /// Tokenizes and memoizes a batch of left-side records for an attribute.
-    pub fn admit_left(&mut self, attribute: &str, tokenizer: Tokenizer, records: &[Record]) {
-        self.admit(attribute, tokenizer, LEFT, records);
-    }
-
-    /// Tokenizes and memoizes a batch of right-side records for an attribute.
-    pub fn admit_right(&mut self, attribute: &str, tokenizer: Tokenizer, records: &[Record]) {
-        self.admit(attribute, tokenizer, RIGHT, records);
     }
 
     /// Admits left- and right-side batches for every token-set attribute
@@ -692,24 +657,27 @@ mod tests {
         ];
         let mut cache = TokenCache::new();
         for (attr, tok) in [("title", Tokenizer::Words), ("authors", Tokenizer::QGrams(2))] {
-            cache.admit_left(attr, tok, &lefts);
-            cache.admit_right(attr, tok, &rights);
+            cache.admit(attr, tok, LEFT, &lefts);
+            cache.admit(attr, tok, RIGHT, &rights);
         }
         assert!(cache.cached_records() > 0);
+        let (left, right) = (dataset("left", &lefts), dataset("right", &rights));
+        let bound = scorer.bind(&cache, None);
         for a in &lefts {
             for b in &rights {
                 let plain = scorer.score(a, b);
-                let cached = scorer.score_with_cache(a, b, &cache);
+                let cached = bound.score(&left, &right, uncounted(a.id(), b.id())).unwrap();
                 assert_eq!(plain.to_bits(), cached.to_bits(), "{:?} vs {:?}", a.id(), b.id());
             }
         }
         // An empty cache degrades to plain scoring for every pair.
         let empty = TokenCache::new();
+        let bound = scorer.bind(&empty, None);
         for a in &lefts {
             for b in &rights {
                 assert_eq!(
                     scorer.score(a, b).to_bits(),
-                    scorer.score_with_cache(a, b, &empty).to_bits()
+                    bound.score(&left, &right, uncounted(a.id(), b.id())).unwrap().to_bits()
                 );
             }
         }
@@ -849,9 +817,7 @@ mod tests {
                     let reference = if total == 0.0 { 0.0 } else { (sum / total).clamp(0.0, 1.0) };
                     let plain = scorer.score(a, b);
                     prop_assert_eq!(plain.to_bits(), reference.to_bits());
-                    for (cache, bound) in caches.iter().zip(&bound) {
-                        let cached = scorer.score_with_cache(a, b, cache);
-                        prop_assert_eq!(cached.to_bits(), plain.to_bits());
+                    for bound in &bound {
                         let by_id = bound.score(&left, &right, uncounted(a.id(), b.id())).unwrap();
                         prop_assert_eq!(by_id.to_bits(), plain.to_bits());
                     }

@@ -848,8 +848,8 @@ mod tests {
             let admitted = |records: &[Record], state: &mut u64| -> Vec<Record> {
                 records.iter().filter(|_| next(state).is_multiple_of(2)).cloned().collect()
             };
-            warm.admit_left("title", tokenizer, &admitted(&left, &mut state));
-            warm.admit_right("title", tokenizer, &admitted(&right, &mut state));
+            warm.admit("title", tokenizer, LEFT, &admitted(&left, &mut state));
+            warm.admit("title", tokenizer, RIGHT, &admitted(&right, &mut state));
             let blocker = TokenBlocker::new("title", tokenizer);
             // The new pairs with their distinct shared tokens, in pair order.
             let reference = |seen: (usize, usize), old: (usize, usize)| -> Vec<Candidate> {

@@ -604,7 +604,7 @@ impl ResolutionEngine {
             let warm = if self.config.warm_start { self.warm.clone() } else { None };
             (SessionConfig::PartialSampling(self.config.optimizer), warm)
         };
-        let state = SessionState::new(config)?.with_warm_start(warm.clone());
+        let state = SessionState::new(config, &self.workload)?.with_warm_start(warm.clone());
         // Write-ahead: the epoch's inputs (configuration + warm start) go to
         // disk before any label does, so a resume always knows how to replay.
         self.wal_append(&WalRecord::SessionBegin {

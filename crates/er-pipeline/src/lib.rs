@@ -50,7 +50,7 @@ pub mod engine;
 pub mod error;
 pub mod pool;
 
-pub use cluster::{EntityClusters, RecordKey, Side, UnionFind};
+pub use cluster::{EntityClusters, RecordKey, Side};
 pub use engine::{
     IngestReport, PipelineConfig, ResolutionEngine, ResolutionReport, ResolutionSession,
     ResolutionStep, SpillReport,

@@ -273,8 +273,7 @@ mod tests {
         // The bound scorer skips the dataset lookup for cached records only:
         // an id neither the warm cache nor the dataset holds still fails.
         let mut cache = TokenCache::new();
-        cache.admit_left("title", Tokenizer::Words, left.records());
-        cache.admit_right("title", Tokenizer::Words, right.records());
+        cache.admit_scoring(&config, left.records(), right.records());
         let blocker = TokenBlocker::new("title", Tokenizer::Words);
         let bogus: Vec<_> =
             bogus.into_iter().map(|(left, right)| Candidate { left, right, shared: 1 }).collect();

@@ -65,10 +65,11 @@
 //! unanswered runs no replay at all: a replay reads only labels it has
 //! already required and answers only add labels, so it would suspend at the
 //! same batch again and emit exactly the still-missing requests, which the
-//! session hands back directly. A replay therefore runs only on the first
-//! step, after a resume or a [`SessionState::preload`], and once a batch is
-//! fully answered. None of this changes behavior (batches, rounds, costs and
-//! outcomes are byte-identical with it disabled via
+//! session hands back directly. A preload only adds labels too, so the same
+//! holds after a [`SessionState::preload`]. A replay therefore runs only on
+//! the first step, after a resume, and once a batch is fully answered. None
+//! of this changes behavior (batches, rounds, costs and outcomes are
+//! byte-identical with it disabled via
 //! [`LabelingSession::with_replay_cache`]); it only removes the O(rounds²)
 //! replay cost that a from-scratch re-run per step would pay, and the
 //! per-step replay that answers arriving in pieces would trigger.
@@ -604,28 +605,20 @@ pub(crate) fn drive_with_oracle<T>(
 }
 
 /// The one session core: configuration, answered-label log, round counters,
-/// the all-human fallback and log replay, detached from the workload (see the
-/// [module docs](self#one-core-thin-wrappers) for the wrappers). Embedders
-/// whose workload lives inside a larger mutable structure drive it directly:
-/// every [`SessionState::step`] must be called with the same workload the
-/// session was started for.
+/// the all-human fallback and log replay, detached from the workload borrow
+/// (see the [module docs](self#one-core-thin-wrappers) for the wrappers).
+/// Embedders whose workload lives inside a larger mutable structure drive it
+/// directly: every [`SessionState::step`] must be called with the workload the
+/// state was created for.
 #[derive(Debug, Clone)]
 pub struct SessionState {
     config: SessionConfig,
     warm: Option<WarmStart>,
-    /// Labels known *before* the session started (see
-    /// [`SessionState::preload`]), keyed by pair id because no workload is
-    /// available at preload time to index them. First answer wins within the
-    /// preloads; the dense `labels` store resolves preload-vs-response
-    /// conflicts in arrival order when it is (re)built.
-    preloaded: HashMap<PairId, Label>,
     /// The dense per-workload-index label store replays read (see
-    /// [`LabelSlate`]): every known label, one slot per workload position.
-    /// Built lazily from `log` + `preloaded` on the first absorption or step
-    /// (and rebuilt after [`SessionState::preload`], which has no workload to
-    /// index against and therefore just drops it), then maintained
-    /// incrementally by `absorb`.
-    labels: Option<Vec<Option<Label>>>,
+    /// [`LabelSlate`]): every known label, preloaded or absorbed, one slot per
+    /// workload position. Built with the state; the first label a slot
+    /// receives wins.
+    labels: Vec<Option<Label>>,
     /// Distinct responses absorbed through `step`, in arrival order — the
     /// session's cost basis and its checkpoint/resume log.
     log: Vec<LabelResponse>,
@@ -640,9 +633,9 @@ pub struct SessionState {
     phase: SessionPhase,
     outcome: Option<OptimizationOutcome>,
     warm_out: Option<WarmStart>,
-    /// Lazily built pair-id-to-workload-index lookup, used both to validate
-    /// responses and to maintain the dense `labels` store.
-    index_of: Option<PairIndex>,
+    /// Pair-id-to-workload-index lookup, built with the state: it validates
+    /// responses and places labels in the `labels` store.
+    index_of: PairIndex,
     /// Memoized replay work carried across steps (see [`ReplayCache`]).
     cache: ReplayCache,
 }
@@ -692,15 +685,16 @@ impl PairIndex {
 }
 
 impl SessionState {
-    /// Creates a fresh session state, validating the configuration.
-    pub fn new(config: SessionConfig) -> Result<Self> {
+    /// Creates a fresh session state for `workload`, validating the
+    /// configuration. The state indexes the workload's pair ids once, here;
+    /// every later call that takes a workload must pass this one.
+    pub fn new(config: SessionConfig, workload: &Workload) -> Result<Self> {
         config.validate()?;
         Ok(Self {
             phase: config.initial_phase(),
             config,
             warm: None,
-            preloaded: HashMap::new(),
-            labels: None,
+            labels: vec![None; workload.len()],
             log: Vec::new(),
             pending: Vec::new(),
             rounds: 0,
@@ -708,7 +702,7 @@ impl SessionState {
             refine_rounds: 0,
             outcome: None,
             warm_out: None,
-            index_of: None,
+            index_of: PairIndex::build(workload),
             cache: ReplayCache::default(),
         })
     }
@@ -762,11 +756,11 @@ impl SessionState {
         workload: &Workload,
         log: &[LabelResponse],
     ) -> Result<Self> {
-        let mut state = Self::new(config)?;
+        let mut state = Self::new(config, workload)?;
         // The same membership validation step() applies to live responses: a
         // log resumed against the wrong workload (or a corrupted log) errors
         // instead of silently inflating the cost basis with alien pairs.
-        state.absorb(workload, log)?;
+        state.absorb(log)?;
         Ok(state)
     }
 
@@ -774,18 +768,21 @@ impl SessionState {
     /// label store, an earlier session over an overlapping workload, …). They
     /// are never re-requested and do **not** count toward this session's cost
     /// or appear in its answered log.
+    ///
+    /// Each label goes straight into the label store. A pair that already
+    /// has a label (answered, or preloaded before) keeps it, and a pair
+    /// outside the workload is ignored (a cross-epoch store may hold pairs
+    /// this workload no longer has).
     pub fn preload(&mut self, responses: impl IntoIterator<Item = LabelResponse>) {
         for response in responses {
-            self.preloaded.entry(response.pair_id).or_insert(response.label);
+            if let Some(index) = self.index_of.get(response.pair_id) {
+                self.labels[index].get_or_insert(response.label);
+            }
         }
         // A preloaded pair is no longer missing, so it leaves the outstanding
         // batch now rather than at the next step.
-        let preloaded = &self.preloaded;
-        self.pending.retain(|request| !preloaded.contains_key(&request.pair_id));
-        // No workload here to map pair ids to indices: drop the dense label
-        // store and let the next step rebuild it from the log and the
-        // updated preloads.
-        self.labels = None;
+        let labels = &self.labels;
+        self.pending.retain(|request| labels[request.index].is_none());
     }
 
     /// Switches a mid-flight session to the exact all-human fallback
@@ -878,44 +875,14 @@ impl SessionState {
         self.warm_out.as_ref()
     }
 
-    /// Builds the pair-id index and the dense label store if they are not
-    /// already up: the store starts all-`None`, absorbed responses land at
-    /// their logged positions, and preloads fill whatever is still empty —
-    /// which resolves every preload-vs-response conflict the same way the
-    /// live arrival order did, because `absorb` never logs a pair that
-    /// already has a label.
-    fn ensure_labels(&mut self, workload: &Workload) {
-        let index_of = self.index_of.get_or_insert_with(|| PairIndex::build(workload));
-        if self.labels.is_some() {
-            return;
-        }
-        let mut labels: Vec<Option<Label>> = vec![None; workload.len()];
-        for response in &self.log {
-            let index = index_of
-                .get(response.pair_id)
-                .expect("logged responses were validated against this workload");
-            labels[index] = Some(response.label);
-        }
-        // Preloads may reference pairs outside this workload (a cross-epoch
-        // label store, an overlapping session): those simply have no slot.
-        for (&pair_id, &label) in &self.preloaded {
-            if let Some(index) = index_of.get(pair_id) {
-                labels[index].get_or_insert(label);
-            }
-        }
-        self.labels = Some(labels);
-    }
-
     /// Absorbs responses: unknown pairs are rejected, repeated labels for the
     /// same pair keep the first answer (mirroring oracle caching semantics).
     /// Absorption is transactional — a rejected batch records nothing.
-    fn absorb(&mut self, workload: &Workload, responses: &[LabelResponse]) -> Result<()> {
+    fn absorb(&mut self, responses: &[LabelResponse]) -> Result<()> {
         if responses.is_empty() {
             return Ok(());
         }
-        self.ensure_labels(workload);
-        let index_of = self.index_of.as_ref().expect("pair index ensured above");
-        let labels = self.labels.as_mut().expect("label store ensured above");
+        let (index_of, labels) = (&self.index_of, &mut self.labels);
         // Validate the whole batch before recording anything, so a rejected
         // step leaves the label store, cost log and checkpoint untouched.
         let indices: Vec<usize> = responses
@@ -949,18 +916,14 @@ impl SessionState {
     /// rejected wholesale and records nothing. A completed session is frozen:
     /// late responses are ignored and the returned slice is empty.
     ///
-    /// `step(workload, responses)` is exactly
-    /// `absorb_responses(workload, responses)` followed by `poll(workload)`.
-    pub fn absorb_responses(
-        &mut self,
-        workload: &Workload,
-        responses: &[LabelResponse],
-    ) -> Result<&[LabelResponse]> {
+    /// `step(workload, responses)` is exactly `absorb_responses(responses)`
+    /// followed by `poll(workload)`.
+    pub fn absorb_responses(&mut self, responses: &[LabelResponse]) -> Result<&[LabelResponse]> {
         if self.outcome.is_some() {
             return Ok(&[]);
         }
         let before = self.log.len();
-        self.absorb(workload, responses)?;
+        self.absorb(responses)?;
         Ok(&self.log[before..])
     }
 
@@ -979,7 +942,7 @@ impl SessionState {
     /// against everything answered so far, and either emits the next batch of
     /// label requests or completes — i.e. absorb, then [`SessionState::poll`].
     ///
-    /// `workload` must be the workload the session was started for. Responses
+    /// `workload` must be the workload the state was created for. Responses
     /// may cover any subset of any emitted batch (and may even pre-answer
     /// pairs the session has not asked about yet); the session re-emits
     /// whatever is still missing. Stepping a completed session ignores the
@@ -989,8 +952,8 @@ impl SessionState {
     /// re-emits its missing requests (in their original order, in the same
     /// phase, counting no new round) *without* replaying the optimizer: a
     /// replay could only suspend at that same batch again. This holds with
-    /// the replay cache enabled (the default) and after the first step; a
-    /// [`SessionState::preload`] forces the next step to replay. See
+    /// the replay cache enabled (the default), after a
+    /// [`SessionState::preload`] too, since a preload only adds labels. See
     /// [`SessionState::with_replay_cache`].
     pub fn step(&mut self, workload: &Workload, responses: &[LabelResponse]) -> Result<Step> {
         // A completed session is frozen: late responses are ignored rather
@@ -999,25 +962,21 @@ impl SessionState {
         if let Some(outcome) = &self.outcome {
             return Ok(Step::Done(outcome.clone()));
         }
-        // A preload drops the dense store; the replay after it re-derives the
-        // outstanding batch instead of trusting `pending`.
-        let live = self.labels.is_some();
-        self.absorb(workload, responses)?;
+        self.absorb(responses)?;
         // Re-emission short-circuit: while the outstanding batch is not fully
         // answered, a replay would suspend at the same `require` and emit
-        // exactly what `absorb`'s order-preserving `retain` left in `pending`
-        // — in the same phase, without opening a round or touching the cache.
-        if live && self.cache.enabled && !self.pending.is_empty() {
+        // exactly what the order-preserving `retain`s of `absorb` and
+        // `preload` left in `pending` — in the same phase, without opening a
+        // round or touching the cache.
+        if self.cache.enabled && !self.pending.is_empty() {
             workload.obs().counter("session.replay_cache.reemit_hits", 1);
             return Ok(Step::NeedLabels(self.pending.clone()));
         }
-        self.ensure_labels(workload);
-        let labels = self.labels.as_deref().expect("dense label store ensured above");
         let attempt = run_core(
             &self.config,
             self.warm.as_ref(),
             workload,
-            &LabelSlate::new(labels),
+            &LabelSlate::new(&self.labels),
             &mut self.cache,
         );
         match attempt {
@@ -1105,7 +1064,7 @@ impl std::ops::Deref for LabelingSession<'_> {
 impl<'w> LabelingSession<'w> {
     /// Creates a session for the given optimizer configuration and workload.
     pub fn new(config: SessionConfig, workload: &'w Workload) -> Result<Self> {
-        Ok(Self { workload, state: SessionState::new(config)? })
+        Ok(Self { workload, state: SessionState::new(config, workload)? })
     }
 
     /// Rebuilds a session from a previous session's answered-label log; the
@@ -1123,7 +1082,7 @@ impl<'w> LabelingSession<'w> {
 
     /// Wraps an owned [`SessionState`] (e.g. one seeded or re-seeded with
     /// [`SessionState::with_warm_start`], or rebuilt via
-    /// [`SessionState::resume`]) for the given workload.
+    /// [`SessionState::resume`]) for the workload it was created for.
     pub fn from_state(state: SessionState, workload: &'w Workload) -> Self {
         Self { workload, state }
     }
@@ -1490,27 +1449,41 @@ mod tests {
 
     #[test]
     fn preloading_an_outstanding_pair_drops_it_and_opens_no_round() {
-        let w = workload(8_000);
+        let mut w = workload(8_000);
+        let metrics = std::sync::Arc::new(er_obs::MetricsRecorder::new());
+        w.set_obs(er_obs::ObsHandle::new(metrics.clone()));
         let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
         let config = SessionConfig::for_kind(OptimizerKind::Hybrid, requirement);
-        let mut cached = SessionState::new(config).unwrap();
-        let mut reference = SessionState::new(config).unwrap().with_replay_cache(false);
+        let mut cached = SessionState::new(config, &w).unwrap();
+        let mut reference = SessionState::new(config, &w).unwrap().with_replay_cache(false);
         let Step::NeedLabels(batch) = cached.poll(&w).unwrap() else {
             panic!("expected the initial sampling batch");
         };
         assert!(batch.len() >= 3);
         let answered = ground_truth_responses(&w, &batch[..1]);
         let preloaded = ground_truth_responses(&w, &batch[1..2]);
+        // Preloads that must change nothing: the answered pair with the
+        // opposite label, and a pair outside the workload.
+        let flipped = LabelResponse {
+            pair_id: answered[0].pair_id,
+            label: Label::from_bool(!answered[0].label.is_match()),
+        };
+        let foreign = LabelResponse { pair_id: PairId(u64::MAX), label: Label::Match };
         let mut emitted = Vec::new();
-        for state in [&mut cached, &mut reference] {
+        for (state, reemit_hits) in [(&mut cached, 1), (&mut reference, 0)] {
             let _ = state.poll(&w).unwrap();
             let _ = state.step(&w, &answered).unwrap();
             let rounds = state.rounds();
-            state.preload(preloaded.iter().copied());
+            state.preload(preloaded.iter().copied().chain([flipped, foreign]));
             assert_eq!(state.pending(), &batch[2..], "pending must drop the preloaded pair");
+            assert_eq!(state.labels[batch[0].index], Some(answered[0].label), "the log wins");
+            metrics.reset();
             let Step::NeedLabels(rest) = state.poll(&w).unwrap() else {
                 panic!("expected the rest of the batch");
             };
+            // The cached state re-emits after the preload without a replay.
+            let hits = metrics.snapshot().counter("session.replay_cache.reemit_hits");
+            assert_eq!(hits, reemit_hits);
             assert_eq!(state.rounds(), rounds);
             assert_eq!(state.phase(), SessionPhase::Sampling);
             assert_eq!(state.answered_log(), &answered[..]);
@@ -1527,7 +1500,7 @@ mod tests {
         let config = SessionConfig::for_kind(OptimizerKind::Hybrid, requirement);
         let preloads =
             ground_truth_responses(&w, &requests_for(&w, (0..w.len()).step_by(97).collect()));
-        let mut state = SessionState::new(config).unwrap();
+        let mut state = SessionState::new(config, &w).unwrap();
         state.preload(preloads.iter().copied());
         let mut responses = Vec::new();
         while state.plan_rounds() < 2 {
@@ -1537,15 +1510,15 @@ mod tests {
             responses = ground_truth_responses(&w, &requests);
         }
         // Mid-flight: half of the second plan round is answered.
-        state.absorb_responses(&w, &responses[..responses.len() / 2]).unwrap();
+        state.absorb_responses(&responses[..responses.len() / 2]).unwrap();
         assert!(!state.pending().is_empty());
         let log = state.answered_log().to_vec();
         let counters = (state.rounds(), state.plan_rounds(), state.refine_rounds());
         // The reference: a fresh all-human state, preloaded, absorbing the
         // log.
-        let mut reference = SessionState::new(SessionConfig::AllHuman).unwrap();
+        let mut reference = SessionState::new(SessionConfig::AllHuman, &w).unwrap();
         reference.preload(preloads.iter().copied());
-        reference.absorb_responses(&w, &log).unwrap();
+        reference.absorb_responses(&log).unwrap();
 
         state.fall_back_to_all_human();
         assert_eq!(state.config(), &SessionConfig::AllHuman);
@@ -1647,7 +1620,7 @@ mod tests {
         // Reference: a warm-started session driven to completion.
         let session_config = SessionConfig::PartialSampling(config);
         let warm_state =
-            || SessionState::new(session_config).unwrap().with_warm_start(Some(warm.clone()));
+            || SessionState::new(session_config, &w).unwrap().with_warm_start(Some(warm.clone()));
         let mut reference = LabelingSession::from_state(warm_state(), &w);
         let reference_outcome = drive_manually(&mut reference);
         // Checkpoint a second warm-started session after a few rounds, then

@@ -731,7 +731,7 @@ pub fn write_ahead_step(
     responses: &[LabelResponse],
     wal: Option<&mut WalWriter>,
 ) -> Result<Step> {
-    let absorbed = state.absorb_responses(workload, responses)?;
+    let absorbed = state.absorb_responses(responses)?;
     if let Some(wal) = wal {
         if !absorbed.is_empty() {
             wal.write_observed(&WalRecord::Labels(absorbed.to_vec()), workload.obs())?;
@@ -793,7 +793,7 @@ impl<'w> DurableSession<'w> {
         warm: Option<WarmStart>,
         path: impl AsRef<Path>,
     ) -> Result<Self> {
-        let state = SessionState::new(config)?.with_warm_start(warm.clone());
+        let state = SessionState::new(config, workload)?.with_warm_start(warm.clone());
         let session = LabelingSession::from_state(state, workload);
         let mut wal = WalWriter::create(path)?;
         let begin = WalRecord::SessionBegin { workload_len: workload.len() as u64, config, warm };
