@@ -13,8 +13,8 @@
 //! again.
 //!
 //! Per-tenant round/cost reporting is printed at the end; the `session.wal.*`
-//! observability counters are emitted through each engine's recorder
-//! (enable with `HUMO_OBS=metrics` to see them).
+//! observability counters go to each engine's recorder, which is the
+//! default no-op one here.
 //!
 //! Environment knobs (see [`humo_bench::BenchConfig`]):
 //!

@@ -176,20 +176,25 @@ fn assert_arms_identical(
 /// The observability contract is that the median ratio stays ≥ 0.9:
 /// instrumentation is batch-granular, so an enabled recorder may not cost
 /// more than 10% of ingest throughput.
+///
+/// Beside the ratios it returns, when `/proc/self/stat` is readable, each
+/// arm's total process CPU seconds and the median per-pair CPU ratio, which
+/// tell recorder cost apart from time the host took away.
 fn ingest_overhead_ratios(
     corpus: &GeneratedCorpus,
     truth: &[(RecordId, RecordId)],
     threads: usize,
     batches: usize,
-) -> Vec<f64> {
+) -> (Vec<f64>, Option<(f64, f64, f64)>) {
     let schema = BibliographicGenerator::schema();
     let left_batches: Vec<Vec<Record>> = chunks(corpus.left.records(), batches);
     let right_batches: Vec<Vec<Record>> = chunks(corpus.right.records(), batches);
-    let time_rep = |recorder: ObsHandle| -> f64 {
+    let time_rep = |recorder: ObsHandle| -> (f64, Option<f64>) {
         let mut config = pipeline_config(threads, true);
         config.recorder = recorder;
         let mut engine = ResolutionEngine::new(config, schema.clone(), schema.clone())
             .expect("valid pipeline config");
+        let cpu_start = process_cpu_secs();
         let start = Instant::now();
         for epoch in 0..left_batches.len().max(right_batches.len()) {
             let l = left_batches.get(epoch).cloned().unwrap_or_default();
@@ -197,13 +202,15 @@ fn ingest_overhead_ratios(
             let edges = if epoch == 0 { truth } else { &[] };
             engine.ingest(l, r, edges).expect("ingest succeeds");
         }
-        start.elapsed().as_secs_f64()
+        let wall = start.elapsed().as_secs_f64();
+        (wall, cpu_start.zip(process_cpu_secs()).map(|(from, to)| to - from))
     };
     // A pair's two reps run back to back, so a change in host load reaches
     // both, and the median over pairs drops the pairs it split. The arm that
     // runs first alternates, so a cost of running first or second (a warm
     // allocator, a load trend) cancels instead of biasing the ratio.
     let (mut ratios, mut noop_total, mut enabled_total) = (Vec::new(), 0.0f64, 0.0f64);
+    let mut cpu_secs = Vec::new();
     while ratios.len() < OVERHEAD_MIN_PAIRS || noop_total.min(enabled_total) < OVERHEAD_MIN_ARM_SECS
     {
         let enabled_rep = || time_rep(ObsHandle::new(Arc::new(MetricsRecorder::new())));
@@ -213,12 +220,32 @@ fn ingest_overhead_ratios(
             let enabled = enabled_rep();
             (time_rep(ObsHandle::noop()), enabled)
         };
-        noop_total += noop;
-        enabled_total += enabled;
-        ratios.push(noop / enabled.max(1e-9));
+        noop_total += noop.0;
+        enabled_total += enabled.0;
+        ratios.push(noop.0 / enabled.0.max(1e-9));
+        cpu_secs.push(noop.1.zip(enabled.1));
     }
     ratios.sort_by(f64::total_cmp);
-    ratios
+    let cpu = cpu_secs.into_iter().collect::<Option<Vec<(f64, f64)>>>().map(|pairs| {
+        let (noop, enabled) = pairs.iter().fold((0.0, 0.0), |(n, e), &(pn, pe)| (n + pn, e + pe));
+        let pair_ratios: Vec<f64> = pairs.iter().map(|&(n, e)| n / e.max(1e-9)).collect();
+        (noop, enabled, er_stats::descriptive::median(&pair_ratios))
+    });
+    (ratios, cpu)
+}
+
+/// CPU seconds this process has used so far: `utime` + `stime` from
+/// `/proc/self/stat`, which include the time of threads that have exited
+/// (pool workers). `None` where that file is unavailable. The fields count
+/// clock ticks of `USER_HZ`, which is 100 on every Linux ABI.
+fn process_cpu_secs() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // `utime` and `stime` are fields 14 and 15; the command name (field 2)
+    // may contain spaces, so count from the `)` that closes it.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) as f64 / 100.0)
 }
 
 /// Single-thread/pool pairs the parallel-scoring median is taken over.
@@ -703,7 +730,7 @@ fn main() {
 
     // Recorder overhead: re-stream the corpus into two fresh engines (no-op
     // recorder vs enabled metrics recorder) and compare ingest throughput.
-    let overhead_ratios = ingest_overhead_ratios(&corpus, &truth, threads, batches);
+    let (overhead_ratios, overhead_cpu) = ingest_overhead_ratios(&corpus, &truth, threads, batches);
     let overhead_ratio = er_stats::descriptive::median(&overhead_ratios);
     println!(
         "\n-- recorder overhead (ingest-only, median of {} alternating pairs) --",
@@ -716,6 +743,12 @@ fn main() {
         overhead_ratios[0],
         overhead_ratios[overhead_ratios.len() - 1]
     );
+    if let Some((noop_cpu, enabled_cpu, cpu_ratio)) = overhead_cpu {
+        println!(
+            "process CPU time: no-op {noop_cpu:.2} s, enabled {enabled_cpu:.2} s; \
+             median pair CPU ratio {cpu_ratio:.3} (wall {overhead_ratio:.3})"
+        );
+    }
 
     // Machine-readable perf-trajectory document. Key naming drives the
     // regression policy (see humo_bench::trajectory): `_queries`/`_rounds`/

@@ -110,7 +110,6 @@ pub struct ChunkHandle {
 pub struct SpillFile {
     file: File,
     tail: Mutex<u64>,
-    bytes_read: AtomicU64,
 }
 
 fn io_err(context: &str, e: std::io::Error) -> ErError {
@@ -133,7 +132,7 @@ impl SpillFile {
                     // Unlink-after-open: the fd keeps the inode alive, the
                     // name disappears, and a crash leaks nothing.
                     std::fs::remove_file(&path).map_err(|e| io_err("unlink spill file", e))?;
-                    return Ok(Self { file, tail: Mutex::new(0), bytes_read: AtomicU64::new(0) });
+                    return Ok(Self { file, tail: Mutex::new(0) });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
                 Err(e) => return Err(io_err("create spill file", e)),
@@ -155,7 +154,6 @@ impl SpillFile {
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; len];
         self.file.read_exact_at(&mut buf, offset).map_err(|e| io_err("read spill chunk", e))?;
-        self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
         Ok(buf)
     }
 
@@ -167,11 +165,6 @@ impl SpillFile {
     /// Total bytes appended so far.
     pub fn bytes_written(&self) -> u64 {
         *self.tail.lock().expect("spill tail lock poisoned")
-    }
-
-    /// Total bytes read back so far (across every chunk and handle).
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
     }
 }
 

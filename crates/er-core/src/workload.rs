@@ -11,13 +11,14 @@
 //!
 //! Pairs are stored column-wise (structure-of-arrays: one column each for
 //! similarities, pair ids, record ids and label flags) in chunked segments of
-//! roughly [`SEGMENT_TARGET`] pairs. The segmented layout is what makes the
-//! streaming path scale: [`Workload::insert_sorted`] routes each incoming pair
-//! to the one segment it lands in and re-merges only the touched segments,
-//! instead of re-merging one giant sorted `Vec`; and under a
-//! [`MemoryBudget`] the coldest (lowest-similarity) segments overflow into an
-//! out-of-core [`SpillFile`] through the documented `HSG1` byte codec (see
-//! [`crate::spill`]), with an LRU cache pinning recently read segments.
+//! roughly [`SEGMENT_TARGET`] pairs, in the one canonical order of the
+//! private `PairKey`. The segmented layout is what makes the streaming path
+//! scale: [`Workload::insert_sorted`] merges a sorted batch of columns into
+//! only the segments it touches, instead of re-merging one giant sorted
+//! `Vec`, and [`Workload::from_pairs`] is that insert into an empty workload;
+//! under a [`MemoryBudget`] the coldest (lowest-similarity) segments overflow
+//! into an out-of-core [`SpillFile`] through the documented `HSG1` byte codec
+//! (see [`crate::spill`]), with an LRU cache pinning recently read segments.
 //! The columns are the only in-memory copy of a pair: accessors such as
 //! [`Workload::pair`] decode owned values from them, and a spilled segment's
 //! decoded columns live only in the LRU cache. Residency is invisible to
@@ -140,11 +141,11 @@ const FLAG_MATCH: u8 = 1;
 /// Flag bit: the pair carries record ids (`left`/`right` columns are meaningful).
 const FLAG_RECORDS: u8 = 1 << 1;
 
-/// The canonical sort key of a pair, encoded so that derived lexicographic
-/// `Ord` reproduces [`Workload::canonical_order`] exactly: similarity bits
-/// (monotone on validated `[0, 1]` values once `-0.0` is normalized to `0.0`,
-/// matching `partial_cmp`'s `-0.0 == 0.0`), then `Option<RecordId>` as a
-/// `(tag, value)` pair (`None < Some`, like `Option`'s `Ord`), then the pair id.
+/// The canonical sort key of a pair; its derived lexicographic `Ord` is the
+/// workload order: similarity bits (monotone on validated `[0, 1]` values
+/// once `-0.0` is normalized to `0.0`, so `-0.0` and `0.0` tie), then each
+/// record id as a `(tag, value)` pair (record-less pairs first), then the
+/// pair id. See [`Workload::insert_sorted`] for why ties break this way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct PairKey {
     sim_bits: u64,
@@ -221,6 +222,26 @@ impl Columns {
             }
         }
         self.flags.push(flags);
+    }
+
+    /// Appends entry `i` of `src`.
+    fn push_from(&mut self, src: &Columns, i: usize) {
+        self.sims.push(src.sims[i]);
+        self.ids.push(src.ids[i]);
+        self.lefts.push(src.lefts[i]);
+        self.rights.push(src.rights[i]);
+        self.flags.push(src.flags[i]);
+    }
+
+    /// A copy of the entries in `range`.
+    fn slice(&self, range: std::ops::Range<usize>) -> Columns {
+        Columns {
+            sims: self.sims[range.clone()].to_vec(),
+            ids: self.ids[range.clone()].to_vec(),
+            lefts: self.lefts[range.clone()].to_vec(),
+            rights: self.rights[range.clone()].to_vec(),
+            flags: self.flags[range].to_vec(),
+        }
     }
 
     fn pair_at(&self, i: usize) -> InstancePair {
@@ -440,20 +461,6 @@ impl Workload {
         Ok(())
     }
 
-    /// The canonical workload order: ascending similarity, ties broken by the
-    /// underlying record ids and finally the pair id. Keying ties on record ids
-    /// makes the order of record-backed workloads independent of the order in
-    /// which pairs were scored (batch vs incremental ingestion assign different
-    /// pair ids); record-less pairs fall back to the pair id as before.
-    fn canonical_order(a: &InstancePair, b: &InstancePair) -> std::cmp::Ordering {
-        a.similarity
-            .partial_cmp(&b.similarity)
-            .expect("similarities are validated finite")
-            .then_with(|| a.left.cmp(&b.left))
-            .then_with(|| a.right.cmp(&b.right))
-            .then_with(|| a.id.cmp(&b.id))
-    }
-
     fn empty() -> Self {
         Self {
             segments: Vec::new(),
@@ -468,20 +475,6 @@ impl Workload {
         }
     }
 
-    /// Chunks sorted pairs into target-sized segments.
-    fn segments_from_sorted(pairs: &[InstancePair]) -> Vec<Segment> {
-        pairs
-            .chunks(SEGMENT_TARGET)
-            .map(|chunk| {
-                let mut cols = Columns::with_capacity(chunk.len());
-                for p in chunk {
-                    cols.push(p);
-                }
-                Segment::from_columns(cols)
-            })
-            .collect()
-    }
-
     fn rebuild_starts(&mut self) {
         self.starts.clear();
         let mut cursor = 0usize;
@@ -492,24 +485,32 @@ impl Workload {
         self.len = cursor;
     }
 
-    /// Builds a workload from pairs, sorting them by ascending similarity.
+    /// Builds a workload from pairs, sorting them by ascending similarity:
+    /// a [`Workload::insert_sorted`] into an empty workload.
     ///
     /// Returns an error if any similarity is not a finite number in `[0, 1]`.
-    pub fn from_pairs(mut pairs: Vec<InstancePair>) -> Result<Self> {
-        Self::validate_pairs(&pairs)?;
-        pairs.sort_by(Self::canonical_order);
+    pub fn from_pairs(pairs: Vec<InstancePair>) -> Result<Self> {
         let mut w = Self::empty();
-        w.segments = Self::segments_from_sorted(&pairs);
-        w.rebuild_starts();
+        w.insert_sorted(pairs)?;
         Ok(w)
     }
 
-    /// Merges new pairs into the workload, preserving the similarity order
-    /// without re-sorting the existing pairs. Each incoming pair is routed to
-    /// the one segment whose key range it lands in and only the touched
-    /// segments are re-merged (`O(touched + new·log new)`); merged segments
-    /// that outgrow twice [`SEGMENT_TARGET`] split back into target-sized
-    /// chunks.
+    /// Merges new pairs into the workload, preserving the canonical order
+    /// without re-sorting the existing pairs.
+    ///
+    /// The order is ascending similarity, ties broken by the underlying
+    /// record ids and finally the pair id. Keying ties on record ids makes
+    /// the order of record-backed workloads independent of the order in
+    /// which pairs were scored (batch and incremental ingestion assign
+    /// different pair ids); record-less pairs fall back to the pair id.
+    /// Pairs with equal keys (a repeated pair id) keep their arrival order:
+    /// the incoming sort is stable and existing pairs come first.
+    ///
+    /// The incoming pairs are sorted once into one batch of columns; each
+    /// segment takes the contiguous run of it with keys up to the segment's
+    /// maximum key, and only touched segments are re-merged
+    /// (`O(touched + new·log new)`). The rest becomes [`SEGMENT_TARGET`]-sized
+    /// tail segments; merges past twice the target split into balanced chunks.
     ///
     /// This is the insertion path of the streaming resolution engine: a batch of
     /// freshly scored delta pairs is sorted on its own and then merged with the
@@ -518,87 +519,71 @@ impl Workload {
     ///
     /// Returns an error (leaving the workload untouched) if any new similarity
     /// is not a finite number in `[0, 1]`.
-    pub fn insert_sorted(&mut self, pairs: Vec<InstancePair>) -> Result<()> {
+    pub fn insert_sorted(&mut self, mut pairs: Vec<InstancePair>) -> Result<()> {
         Self::validate_pairs(&pairs)?;
         if pairs.is_empty() {
             return Ok(());
         }
-        let mut incoming = pairs;
-        incoming.sort_by(Self::canonical_order);
-        if self.len == 0 {
-            self.segments = Self::segments_from_sorted(&incoming);
-            self.rebuild_starts();
-            return self.enforce_budget();
-        }
-        // Route each incoming pair to the first segment whose max key is not
-        // below it; anything past the last segment's range is appended as new
-        // tail segments. Ties go to the earliest such segment, where the merge
-        // places incoming pairs after equal existing ones (existing-first) —
-        // exactly what a single global merge would do.
-        let mut groups: Vec<Vec<InstancePair>> = vec![Vec::new(); self.segments.len()];
-        let mut tail: Vec<InstancePair> = Vec::new();
-        let mut seg = 0usize;
-        for p in incoming {
-            let key = pair_key(&p);
-            while seg < self.segments.len() && self.segments[seg].max_key < key {
-                seg += 1;
-            }
-            if seg == self.segments.len() {
-                tail.push(p);
-            } else {
-                groups[seg].push(p);
-            }
+        pairs.sort_by_cached_key(pair_key);
+        // `pairs` is freed on return, not here: freed before the segments
+        // are cut, glibc placed their columns where dropping the workload
+        // later cost about 1.5× as long.
+        let mut incoming = Columns::with_capacity(pairs.len());
+        for p in &pairs {
+            incoming.push(p);
         }
         let old = std::mem::take(&mut self.segments);
         let mut rebuilt: Vec<Segment> =
-            Vec::with_capacity(old.len() + tail.len() / SEGMENT_TARGET + 1);
-        for (i, segment) in old.into_iter().enumerate() {
-            let group = std::mem::take(&mut groups[i]);
-            if group.is_empty() {
+            Vec::with_capacity(old.len() + incoming.len() / SEGMENT_TARGET + 1);
+        let mut next = 0usize; // first incoming entry not yet placed
+        for segment in old {
+            let mut end = next;
+            while end < incoming.len() && incoming.key_at(end) <= segment.max_key {
+                end += 1;
+            }
+            if end == next {
                 rebuilt.push(segment);
                 continue;
             }
             let cols = self.load_segment(&segment);
-            let merged = Self::merge_columns(&cols, &group);
-            Self::push_split(&mut rebuilt, merged);
+            Self::push_split(&mut rebuilt, Self::merge(&cols, &incoming, next..end));
+            next = end;
         }
-        if !tail.is_empty() {
-            rebuilt.extend(Self::segments_from_sorted(&tail));
+        for start in (next..incoming.len()).step_by(SEGMENT_TARGET) {
+            let end = (start + SEGMENT_TARGET).min(incoming.len());
+            rebuilt.push(Segment::from_columns(incoming.slice(start..end)));
         }
         self.segments = rebuilt;
         self.rebuild_starts();
         self.enforce_budget()
     }
 
-    /// Merges one segment's columns with a sorted group of incoming pairs.
-    /// Incoming pairs win only on strictly smaller keys (existing-first on
-    /// ties), mirroring the global merge this replaces.
-    fn merge_columns(existing: &Columns, incoming: &[InstancePair]) -> Columns {
-        let mut out = Columns::with_capacity(existing.len() + incoming.len());
-        let mut i = 0usize; // existing cursor
-        let mut j = 0usize; // incoming cursor
-        while i < existing.len() && j < incoming.len() {
-            if pair_key(&incoming[j]) < existing.key_at(i) {
-                out.push(&incoming[j]);
+    /// Merges one segment's columns with a sorted run of incoming entries.
+    /// Incoming entries win only on strictly smaller keys, so existing pairs
+    /// come first on ties.
+    fn merge(existing: &Columns, incoming: &Columns, run: std::ops::Range<usize>) -> Columns {
+        let mut out = Columns::with_capacity(existing.len() + run.len());
+        let (mut i, mut j) = (0usize, run.start);
+        while i < existing.len() && j < run.end {
+            if incoming.key_at(j) < existing.key_at(i) {
+                out.push_from(incoming, j);
                 j += 1;
             } else {
-                out.push(&existing.pair_at(i));
+                out.push_from(existing, i);
                 i += 1;
             }
         }
-        while i < existing.len() {
-            out.push(&existing.pair_at(i));
-            i += 1;
+        for i in i..existing.len() {
+            out.push_from(existing, i);
         }
-        while j < incoming.len() {
-            out.push(&incoming[j]);
-            j += 1;
+        for j in j..run.end {
+            out.push_from(incoming, j);
         }
         out
     }
 
-    /// Pushes merged columns, splitting into target-sized chunks when the
-    /// merge outgrew twice the segment target.
+    /// Pushes merged columns, splitting into balanced target-sized chunks
+    /// when the merge outgrew twice the segment target.
     fn push_split(rebuilt: &mut Vec<Segment>, merged: Columns) {
         if merged.len() <= 2 * SEGMENT_TARGET {
             rebuilt.push(Segment::from_columns(merged));
@@ -608,11 +593,7 @@ impl Workload {
         let mut start = 0usize;
         for c in 0..chunks {
             let size = (merged.len() - start).div_ceil(chunks - c);
-            let mut cols = Columns::with_capacity(size);
-            for i in start..start + size {
-                cols.push(&merged.pair_at(i));
-            }
-            rebuilt.push(Segment::from_columns(cols));
+            rebuilt.push(Segment::from_columns(merged.slice(start..start + size)));
             start += size;
         }
     }
@@ -1185,6 +1166,185 @@ mod tests {
         .unwrap()
     }
 
+    /// The construction path the workload had before it built on columns:
+    /// a comparator sort, incoming pairs routed into per-segment groups, and
+    /// merges and splits through decoded [`InstancePair`]s. The layout
+    /// proptest pins the column path to it.
+    mod reference {
+        use super::*;
+
+        fn canonical_order(a: &InstancePair, b: &InstancePair) -> std::cmp::Ordering {
+            a.similarity
+                .partial_cmp(&b.similarity)
+                .expect("similarities are validated finite")
+                .then_with(|| a.left.cmp(&b.left))
+                .then_with(|| a.right.cmp(&b.right))
+                .then_with(|| a.id.cmp(&b.id))
+        }
+
+        fn segments_from_sorted(pairs: &[InstancePair]) -> Vec<Segment> {
+            pairs
+                .chunks(SEGMENT_TARGET)
+                .map(|chunk| {
+                    let mut cols = Columns::with_capacity(chunk.len());
+                    for p in chunk {
+                        cols.push(p);
+                    }
+                    Segment::from_columns(cols)
+                })
+                .collect()
+        }
+
+        pub fn from_pairs(mut pairs: Vec<InstancePair>) -> Result<Workload> {
+            Workload::validate_pairs(&pairs)?;
+            pairs.sort_by(canonical_order);
+            let mut w = Workload::empty();
+            w.segments = segments_from_sorted(&pairs);
+            w.rebuild_starts();
+            Ok(w)
+        }
+
+        pub fn insert_sorted(w: &mut Workload, pairs: Vec<InstancePair>) -> Result<()> {
+            Workload::validate_pairs(&pairs)?;
+            if pairs.is_empty() {
+                return Ok(());
+            }
+            let mut incoming = pairs;
+            incoming.sort_by(canonical_order);
+            if w.len == 0 {
+                w.segments = segments_from_sorted(&incoming);
+                w.rebuild_starts();
+                return w.enforce_budget();
+            }
+            let mut groups: Vec<Vec<InstancePair>> = vec![Vec::new(); w.segments.len()];
+            let mut tail: Vec<InstancePair> = Vec::new();
+            let mut seg = 0usize;
+            for p in incoming {
+                let key = pair_key(&p);
+                while seg < w.segments.len() && w.segments[seg].max_key < key {
+                    seg += 1;
+                }
+                if seg == w.segments.len() {
+                    tail.push(p);
+                } else {
+                    groups[seg].push(p);
+                }
+            }
+            let old = std::mem::take(&mut w.segments);
+            let mut rebuilt: Vec<Segment> = Vec::new();
+            for (i, segment) in old.into_iter().enumerate() {
+                let group = std::mem::take(&mut groups[i]);
+                if group.is_empty() {
+                    rebuilt.push(segment);
+                    continue;
+                }
+                let cols = w.load_segment(&segment);
+                push_split(&mut rebuilt, merge_columns(&cols, &group));
+            }
+            rebuilt.extend(segments_from_sorted(&tail));
+            w.segments = rebuilt;
+            w.rebuild_starts();
+            w.enforce_budget()
+        }
+
+        fn merge_columns(existing: &Columns, incoming: &[InstancePair]) -> Columns {
+            let mut out = Columns::with_capacity(existing.len() + incoming.len());
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < existing.len() && j < incoming.len() {
+                if pair_key(&incoming[j]) < existing.key_at(i) {
+                    out.push(&incoming[j]);
+                    j += 1;
+                } else {
+                    out.push(&existing.pair_at(i));
+                    i += 1;
+                }
+            }
+            for i in i..existing.len() {
+                out.push(&existing.pair_at(i));
+            }
+            for p in &incoming[j..] {
+                out.push(p);
+            }
+            out
+        }
+
+        fn push_split(rebuilt: &mut Vec<Segment>, merged: Columns) {
+            if merged.len() <= 2 * SEGMENT_TARGET {
+                rebuilt.push(Segment::from_columns(merged));
+                return;
+            }
+            let chunks = merged.len().div_ceil(SEGMENT_TARGET);
+            let mut start = 0usize;
+            for c in 0..chunks {
+                let size = (merged.len() - start).div_ceil(chunks - c);
+                let mut cols = Columns::with_capacity(size);
+                for i in start..start + size {
+                    cols.push(&merged.pair_at(i));
+                }
+                rebuilt.push(Segment::from_columns(cols));
+                start += size;
+            }
+        }
+    }
+
+    /// Builds the same pairs through the column path and the reference path
+    /// (first chunk through `from_pairs`, then the budget, then one
+    /// `insert_sorted` per further chunk) and asserts the two layouts agree
+    /// segment by segment.
+    fn assert_layout_matches_reference(
+        chunks: &[Vec<InstancePair>],
+        budget: MemoryBudget,
+    ) -> std::result::Result<Workload, String> {
+        let mut built = Workload::from_pairs(chunks[0].clone()).unwrap();
+        let mut reference = reference::from_pairs(chunks[0].clone()).unwrap();
+        built.set_memory_budget(budget.clone()).unwrap();
+        reference.set_memory_budget(budget).unwrap();
+        for chunk in &chunks[1..] {
+            built.insert_sorted(chunk.clone()).unwrap();
+            reference::insert_sorted(&mut reference, chunk.clone()).unwrap();
+        }
+        let summary = |w: &Workload| -> Vec<(usize, usize, PairKey)> {
+            w.segments.iter().map(|s| (s.len, s.match_count, s.max_key)).collect()
+        };
+        let checks = [
+            (summary(&built) == summary(&reference), "segment summaries"),
+            (built.starts == reference.starts && built.len() == reference.len(), "starts"),
+            (built.pairs() == reference.pairs(), "pairs()"),
+            (built.resident_pairs() == reference.resident_pairs(), "resident_pairs()"),
+            (built.spilled_bytes() == reference.spilled_bytes(), "spilled_bytes()"),
+        ];
+        for (ok, what) in checks {
+            if !ok {
+                return Err(format!("{what} differ from the reference path"));
+            }
+        }
+        // Bit patterns too: `-0.0 == 0.0` would hide a swapped zero.
+        for (a, b) in built.iter().zip(reference.iter()) {
+            if a.similarity().to_bits() != b.similarity().to_bits() {
+                return Err(format!("similarity bits of {} differ", a.id()));
+            }
+        }
+        Ok(built)
+    }
+
+    #[test]
+    fn an_oversized_merge_splits_like_the_reference() {
+        // One full segment, then more than a segment's worth of pairs inside
+        // its key range: the merge outgrows 2 × SEGMENT_TARGET and splits.
+        let first: Vec<InstancePair> = (0..SEGMENT_TARGET)
+            .map(|i| InstancePair::new(PairId(i as u64), (i % 50) as f64 / 100.0, Label::Match))
+            .collect();
+        let second: Vec<InstancePair> = (0..SEGMENT_TARGET + 300)
+            .map(|i| {
+                let id = PairId((SEGMENT_TARGET + i) as u64);
+                InstancePair::new(id, (i % 49) as f64 / 100.0, Label::from_bool(i % 3 == 0))
+            })
+            .collect();
+        let w = assert_layout_matches_reference(&[first, second], MemoryBudget::default()).unwrap();
+        let lens: Vec<usize> = w.segments.iter().map(|s| s.len).collect();
+        assert_eq!(lens, vec![2831, 2831, 2830], "balanced split of 2 × 4096 + 300 pairs");
+    }
+
     /// A multi-segment workload with deterministic pseudo-random pairs.
     fn scrambled_pairs(n: usize, salt: u64) -> Vec<InstancePair> {
         (0..n)
@@ -1380,7 +1540,7 @@ mod tests {
         let flat = w.pairs();
         assert_eq!(flat.len(), n);
         for win in flat.windows(2) {
-            assert!(Workload::canonical_order(&win[0], &win[1]) != std::cmp::Ordering::Greater);
+            assert!(pair_key(&win[0]) <= pair_key(&win[1]));
         }
         assert_eq!(w.total_matches(), flat.iter().filter(|p| p.is_match()).count());
         for (start, end) in [(0, n), (100, SEGMENT_TARGET + 50), (n - 10, n), (77, 77)] {
@@ -1565,6 +1725,41 @@ mod tests {
             // The merge preserves the sort invariant.
             for w in incremental.pairs().windows(2) {
                 prop_assert!(w[0].similarity() <= w[1].similarity());
+            }
+        }
+
+        #[test]
+        fn layout_matches_the_pair_path_reference(
+            n in 1usize..3 * SEGMENT_TARGET,
+            chunks in 1usize..7,
+            grid in 1u64..12,
+            budget in 0usize..2 * SEGMENT_TARGET,
+            salt in 0u64..1_000,
+        ) {
+            // A coarse similarity grid (ties are common), -0.0 beside 0.0,
+            // record-less and record-backed pairs, and repeated pair ids with
+            // different labels (equal keys: only stability orders them),
+            // inserted in one to six chunks under a budget that may spill
+            // (0 = unbounded).
+            let pairs: Vec<InstancePair> = (0..n)
+                .map(|i| {
+                    let h = (i as u64).wrapping_mul(2654435761).wrapping_add(salt);
+                    let sim = if h % 13 == 0 { -0.0 } else { (h % (grid + 1)) as f64 / grid as f64 };
+                    let id = PairId(if (h >> 5) % 4 == 0 { i as u64 / 2 } else { i as u64 });
+                    let truth = Label::from_bool((h >> 9) % 3 == 0);
+                    if (h >> 3) % 3 == 0 {
+                        InstancePair::new(id, sim, truth)
+                    } else {
+                        let (left, right) = (RecordId((h >> 12) % 5), RecordId((h >> 15) % 3));
+                        InstancePair::with_records(id, left, right, sim, truth)
+                    }
+                })
+                .collect();
+            let size = n.div_ceil(chunks);
+            let parts: Vec<Vec<InstancePair>> = pairs.chunks(size).map(<[_]>::to_vec).collect();
+            let budget = MemoryBudget { resident_pairs: budget, ..MemoryBudget::default() };
+            if let Err(message) = assert_layout_matches_reference(&parts, budget) {
+                return Err(TestCaseError::fail(message));
             }
         }
 

@@ -65,13 +65,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod json;
 pub mod metrics;
 pub mod schema;
 pub mod trace;
 
-pub use config::{ObsConfig, ObsMode, ObsSetup};
 pub use json::Json;
 pub use metrics::{Histogram, MetricsRecorder, MetricsSnapshot, SpanStats};
 pub use schema::{summarize_spans, validate_trace, SpanSummary, TraceReport};

@@ -39,7 +39,7 @@ use er_obs::ObsHandle;
 use humo::sampling::WarmStart;
 use humo::wal::{write_ahead_step, WalRecord, WalWriter};
 use humo::{
-    HumoError, LabelRequest, LabelResponse, OptimizationOutcome, Oracle, PartialSamplingConfig,
+    LabelRequest, LabelResponse, OptimizationOutcome, Oracle, PartialSamplingConfig,
     PartialSamplingOptimizer, QualityRequirement, SessionConfig, SessionState, Step,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -376,17 +376,7 @@ impl ResolutionEngine {
         }
         self.wal = Some(wal);
         let Some(epoch) = open else { return Ok(None) };
-        if epoch.workload_len != self.workload.len() as u64 {
-            return Err(HumoError::Wal(format!(
-                "in-flight session ran over a {}-pair workload, \
-                 engine holds {} pairs — re-ingest the same batches first",
-                epoch.workload_len,
-                self.workload.len()
-            ))
-            .into());
-        }
-        let state = SessionState::resume(epoch.config, &self.workload, &epoch.log)?
-            .with_warm_start(epoch.warm);
+        let state = epoch.resume(&self.workload)?;
         Ok(Some(self.open_session(state)))
     }
 

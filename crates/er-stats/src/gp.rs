@@ -124,11 +124,6 @@ impl GpPosterior {
         (0..self.mean.len()).map(|i| self.covariance[(i, i)].max(0.0)).collect()
     }
 
-    /// Posterior standard deviation at each query point.
-    pub fn std_devs(&self) -> Vec<f64> {
-        self.variances().into_iter().map(f64::sqrt).collect()
-    }
-
     /// Inflates the per-point posterior variance by the given multiplicative
     /// factors (one per query point), e.g. the output of
     /// [`posterior_inflation_factor`] for points far from any observation.

@@ -132,7 +132,7 @@ use crate::sampling::{
 use crate::solution::{HumoSolution, OptimizationOutcome};
 use crate::{HumoError, Result};
 use er_core::workload::{InstancePair, Label, LabelAssignment, PairId, Workload};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One pair the session needs a manual label for.
 ///
@@ -1000,15 +1000,14 @@ impl SessionState {
                 Ok(Step::Done(outcome))
             }
             Err(Suspend::Need { phase, indices }) => {
-                // A re-emission of (a subset of) the batch that is already
-                // outstanding — a zero-progress poll or a partial-response
-                // step — is not a new dispatch wave, so it does not count as
-                // a label round-trip.
-                let outstanding: HashSet<PairId> =
-                    self.pending.iter().map(|request| request.pair_id).collect();
+                // Re-emitting (a subset of) the outstanding batch — a
+                // zero-progress poll or a partial-response step — is not a new
+                // dispatch wave, so it counts no round. Any replay with a batch
+                // outstanding is one: the replay is deterministic, labels only
+                // grow and a `require` suspends only on missing pairs, so it
+                // suspends at that batch and emits its unanswered subset.
+                let reemission = !self.pending.is_empty();
                 self.pending = requests_for(workload, indices);
-                let reemission = !self.pending.is_empty()
-                    && self.pending.iter().all(|request| outstanding.contains(&request.pair_id));
                 if !reemission {
                     self.rounds += 1;
                     // Per-phase breakdown: the sampling phase is the

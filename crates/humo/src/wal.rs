@@ -483,6 +483,23 @@ impl WalRecovery {
     }
 }
 
+impl WalEpoch {
+    /// Rebuilds the epoch's session over `workload` with its configuration,
+    /// logged labels and warm start (see [`SessionState::resume`]). A
+    /// workload of another length than the epoch's is [`HumoError::Wal`].
+    pub fn resume(self, workload: &Workload) -> Result<SessionState> {
+        if self.workload_len != workload.len() as u64 {
+            return Err(HumoError::Wal(format!(
+                "logged session ran over a {}-pair workload, got {} pairs \
+                 — re-ingest the same batches first",
+                self.workload_len,
+                workload.len()
+            )));
+        }
+        Ok(SessionState::resume(self.config, workload, &self.log)?.with_warm_start(self.warm))
+    }
+}
+
 /// Decodes a full in-memory `HAL1` image (magic included), recovering from a
 /// torn tail. Corruption inside a complete frame is an error.
 pub fn decode_log(bytes: &[u8]) -> Result<WalRecovery> {
@@ -811,17 +828,9 @@ impl<'w> DurableSession<'w> {
         let [epoch] = <[WalEpoch; 1]>::try_from(recovery.epochs()?).map_err(|epochs| {
             HumoError::Wal(format!("log holds {} sessions, expected one", epochs.len()))
         })?;
-        if epoch.workload_len != workload.len() as u64 {
-            return Err(HumoError::Wal(format!(
-                "log was written for a {}-pair workload, got {} pairs",
-                epoch.workload_len,
-                workload.len()
-            )));
-        }
-        let state =
-            SessionState::resume(epoch.config, workload, &epoch.log)?.with_warm_start(epoch.warm);
-        let session = LabelingSession::from_state(state, workload);
-        Ok(Self { session, wal, committed: epoch.commit.is_some() })
+        let committed = epoch.commit.is_some();
+        let session = LabelingSession::from_state(epoch.resume(workload)?, workload);
+        Ok(Self { session, wal, committed })
     }
 
     /// Advances the session under the write-ahead rule of

@@ -15,7 +15,9 @@
 //! previous epoch's samples, the human labels the (small) uncertain region, and
 //! match-labeled pairs are transitively closed into entities.
 //!
-//! Observability knobs (see [`er_obs::ObsConfig`]):
+//! Observability knobs (`HUMO_OBS` is case-insensitive; unset, empty or
+//! `off` runs on the no-op recorder, and any other value warns on stderr and
+//! runs on it too):
 //!
 //! * `HUMO_OBS=metrics` — attach an in-memory metrics recorder and print a
 //!   counter/span summary at the end;
@@ -32,13 +34,52 @@ use er_core::similarity::StringMeasure;
 use er_core::spill::MemoryBudget;
 use er_core::text::Tokenizer;
 use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator};
-use er_obs::ObsConfig;
+use er_obs::{MetricsRecorder, ObsHandle, TraceRecorder};
 use er_pipeline::{PipelineConfig, ResolutionEngine};
 use humo::{GroundTruthOracle, Oracle, QualityRequirement};
+use std::sync::Arc;
 
 fn batches_of<T: Clone>(items: &[T], count: usize) -> Vec<Vec<T>> {
     let size = items.len().div_ceil(count.max(1)).max(1);
     items.chunks(size).map(<[T]>::to_vec).collect()
+}
+
+/// The recorder `HUMO_OBS` asked for, with typed access to its concrete form.
+struct Obs {
+    handle: ObsHandle,
+    metrics: Option<Arc<MetricsRecorder>>,
+    trace: Option<(Arc<TraceRecorder>, String)>,
+}
+
+/// Reads `HUMO_OBS` / `HUMO_OBS_PATH` and builds the recorder they describe.
+fn obs_from_env() -> Obs {
+    let raw = std::env::var("HUMO_OBS").unwrap_or_default();
+    let off = Obs { handle: ObsHandle::noop(), metrics: None, trace: None };
+    match raw.to_ascii_lowercase().as_str() {
+        "metrics" => {
+            let metrics = Arc::new(MetricsRecorder::new());
+            Obs { handle: ObsHandle::new(metrics.clone()), metrics: Some(metrics), trace: None }
+        }
+        "trace" => {
+            let path = std::env::var("HUMO_OBS_PATH")
+                .ok()
+                .filter(|p| !p.is_empty())
+                .unwrap_or_else(|| "humo-trace.jsonl".to_string());
+            let trace = Arc::new(TraceRecorder::to_file(&path).expect("trace file opens"));
+            Obs { handle: ObsHandle::new(trace.clone()), metrics: None, trace: Some((trace, path)) }
+        }
+        "off" => off,
+        // A non-empty unrecognized value is most likely a typo: say what was
+        // seen and what works instead of silently running untraced.
+        _ if raw.trim().is_empty() => off,
+        _ => {
+            eprintln!(
+                "HUMO_OBS: unrecognized value {raw:?} \
+                 (accepted: \"off\", \"metrics\", \"trace\"); observability stays off"
+            );
+            off
+        }
+    }
 }
 
 fn main() {
@@ -78,9 +119,8 @@ fn main() {
 
     // Observability: HUMO_OBS=off|metrics|trace selects the recorder; the
     // default no-op handle keeps the run byte-identical and overhead-free.
-    let obs = ObsConfig::from_env();
-    let setup = obs.build().expect("observability setup succeeds");
-    config.recorder = setup.handle.clone();
+    let obs = obs_from_env();
+    config.recorder = obs.handle.clone();
 
     // HUMO_DEMO_SPILL_PAIRS caps residency so the spill layer engages on this
     // small corpus — resolution results are byte-identical either way.
@@ -150,7 +190,7 @@ fn main() {
         );
     }
 
-    if let Some(metrics) = &setup.metrics {
+    if let Some(metrics) = &obs.metrics {
         let snap = metrics.snapshot();
         println!(
             "\nobs summary: {} ingest spans totaling {:.1} ms, {} delta candidates, \
@@ -164,8 +204,8 @@ fn main() {
             snap.counter("blocking.postings"),
         );
     }
-    setup.flush();
-    if setup.trace.is_some() {
-        println!("\ntrace written to {}", obs.trace_path.display());
+    if let Some((trace, path)) = &obs.trace {
+        trace.flush();
+        println!("\ntrace written to {path}");
     }
 }
