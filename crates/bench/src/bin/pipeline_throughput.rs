@@ -27,14 +27,15 @@
 //! * `HUMO_PIPE_ENTITIES` — corpus size in left-dataset entities (default 1500);
 //! * `HUMO_PIPE_BATCHES`  — number of ingest batches (default 4);
 //! * `HUMO_PIPE_THREADS`  — worker threads (default 0 = available parallelism);
-//! * `HUMO_PIPE_REPLAY_REPS` — timing repetitions per session-replay arm
-//!   (default 3; the minimum is reported);
+//! * `HUMO_PIPE_REPLAY_PAIRS` — incremental/full session-replay pairs per
+//!   optimizer (default 9; the speedup is the median pair ratio);
 //! * `HUMO_PIPE_ASSERT`   — when truthy, fail the process unless the
 //!   pipeline meets its contract: warm planning issues fewer oracle queries
 //!   than cold, incremental re-resolution is cheaper than from-scratch, the
 //!   final epoch meets the quality requirement, HYBR's label round-trips
 //!   scale with the subset count (never with the pair count), session replay
-//!   is at least 2× faster under the incremental path, an enabled metrics
+//!   is at least 2× faster under the incremental path (the median over
+//!   alternating incremental/full pairs), an enabled metrics
 //!   recorder keeps at least 90% of the no-op recorder's ingest throughput
 //!   (the median over alternating no-op/enabled pairs), and (on machines with
 //!   ≥ 2 cores) parallel scoring is at least 1.5× the single-thread rate (the
@@ -101,10 +102,12 @@ fn pipeline_config(threads: usize, warm_start: bool) -> PipelineConfig {
     config
 }
 
-/// One timed session-replay arm: drives a fresh session to completion `reps`
-/// times and reports the outcome, the round count, and the *minimum*
-/// session-replay wall time (each run is deterministic, so the minimum is the
-/// least-noisy estimate of the arm's true cost).
+/// One session-replay arm: a session's outcome, its round count and the arm's
+/// median session-replay wall time over its runs.
+type ReplayArm = (OptimizationOutcome, usize, f64);
+
+/// Drives one fresh session to completion and reports its outcome, its round
+/// count and its session-replay wall time.
 ///
 /// "Session-replay wall time" is the time spent inside
 /// [`humo::LabelingSession::step`] — the framework's replay work between label
@@ -112,44 +115,69 @@ fn pipeline_config(threads: usize, warm_start: bool) -> PipelineConfig {
 /// [`humo::GroundTruthOracle`]
 /// answering each batch): a real deployment pays human latency there, so the
 /// quantity the refit strategy can improve is exactly the in-step time.
-fn time_sessions(
-    workload: &Workload,
-    reps: usize,
-    mut make: impl FnMut() -> humo::LabelingSession<'static>,
-) -> (OptimizationOutcome, usize, f64) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..reps.max(1) {
-        let mut session = make();
-        let mut oracle = GroundTruthOracle::new();
-        let mut responses = Vec::new();
-        let mut in_step = 0.0;
-        let outcome = loop {
-            let start = Instant::now();
-            let step = session.step(&responses).expect("session step succeeds");
-            in_step += start.elapsed().as_secs_f64();
-            match step {
-                Step::Done(outcome) => break outcome,
-                Step::NeedLabels(requests) => {
-                    responses = humo::answer_requests(workload, &requests, &mut oracle);
-                }
+fn time_session(workload: &Workload, mut session: humo::LabelingSession<'_>) -> ReplayArm {
+    let mut oracle = GroundTruthOracle::new();
+    let mut responses = Vec::new();
+    let mut in_step = 0.0;
+    let outcome = loop {
+        let start = Instant::now();
+        let step = session.step(&responses).expect("session step succeeds");
+        in_step += start.elapsed().as_secs_f64();
+        match step {
+            Step::Done(outcome) => break outcome,
+            Step::NeedLabels(requests) => {
+                responses = humo::answer_requests(workload, &requests, &mut oracle);
             }
+        }
+    };
+    (outcome, session.rounds(), in_step)
+}
+
+/// The session-replay speedup of one optimizer: `pairs` pairs, each running
+/// one incremental and one full session back to back with the first arm
+/// alternating (as in `ingest_overhead_ratios`), so a change in host load
+/// reaches both arms of a pair and the median drops the pairs it split.
+/// Returns the two arms, each with its median wall time, and the pair ratios
+/// (full over incremental), ascending. Every run is deterministic, so each
+/// arm's first outcome stands for all of its runs.
+fn replay_pairs<'w>(
+    workload: &'w Workload,
+    pairs: usize,
+    incremental: impl Fn() -> humo::LabelingSession<'w>,
+    full: impl Fn() -> humo::LabelingSession<'w>,
+) -> (ReplayArm, ReplayArm, Vec<f64>) {
+    let (mut incremental_secs, mut full_secs) = (Vec::new(), Vec::new());
+    let mut arms = None;
+    for pair in 0..pairs.max(1) {
+        let (inc, ful) = if pair % 2 == 0 {
+            (time_session(workload, incremental()), time_session(workload, full()))
+        } else {
+            let ful = time_session(workload, full());
+            (time_session(workload, incremental()), ful)
         };
-        best = best.min(in_step);
-        result = Some((outcome, session.rounds()));
+        incremental_secs.push(inc.2);
+        full_secs.push(ful.2);
+        arms.get_or_insert((inc, ful));
     }
-    let (outcome, rounds) = result.expect("at least one repetition ran");
-    (outcome, rounds, best)
+    let mut ratios: Vec<f64> =
+        full_secs.iter().zip(&incremental_secs).map(|(f, i)| f / i.max(1e-9)).collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = |secs: &mut Vec<f64>| {
+        secs.sort_by(f64::total_cmp);
+        er_stats::descriptive::median(secs)
+    };
+    let ((inc, inc_rounds, _), (ful, ful_rounds, _)) = arms.expect("at least one pair ran");
+    (
+        (inc, inc_rounds, median(&mut incremental_secs)),
+        (ful, ful_rounds, median(&mut full_secs)),
+        ratios,
+    )
 }
 
 /// Asserts the two session-replay arms produced byte-identical results — the
 /// incremental path is a pure performance optimization, never a behavioral
 /// one.
-fn assert_arms_identical(
-    name: &str,
-    incremental: &(OptimizationOutcome, usize, f64),
-    full: &(OptimizationOutcome, usize, f64),
-) {
+fn assert_arms_identical(name: &str, incremental: &ReplayArm, full: &ReplayArm) {
     assert_eq!(
         incremental.0.solution, full.0.solution,
         "{name}: incremental and full-refit arms chose different solutions"
@@ -248,6 +276,9 @@ fn process_cpu_secs() -> Option<f64> {
     Some((utime + stime) as f64 / 100.0)
 }
 
+/// Incremental/full pairs each session-replay median is taken over, unless
+/// `HUMO_PIPE_REPLAY_PAIRS` says otherwise.
+const REPLAY_PAIRS: usize = 9;
 /// Single-thread/pool pairs the parallel-scoring median is taken over.
 const SCALING_PAIRS: usize = 9;
 /// Fewest no-op/enabled pairs the recorder-overhead median is taken over.
@@ -371,7 +402,7 @@ fn main() {
     let entities = cfg.usize("ENTITIES", 1_500);
     let batches = cfg.usize("BATCHES", 4);
     let threads = cfg.usize("THREADS", 0);
-    let replay_reps = cfg.usize("REPLAY_REPS", 3);
+    let replay_pairs_n = cfg.usize("REPLAY_PAIRS", REPLAY_PAIRS);
     let assert_mode = cfg.flag("ASSERT");
     let spill_budget = cfg.usize("SPILL_BUDGET", 0);
 
@@ -565,62 +596,71 @@ fn main() {
     // incremental path (persistent GP handle, replay cache) and under the
     // full-refit path (from-scratch GP refits, replay cache disabled — every
     // step replays the entire labeling history). The arms are byte-identical
-    // by construction; the ratio of their wall times is the committed,
-    // machine-independent perf-trajectory number.
+    // by construction; the median ratio of their wall times over alternating
+    // pairs is the committed, machine-independent perf-trajectory number.
     let samp_config = pipeline_config(threads, true).optimizer;
-    // The sessions borrow the workload; clone it into a leaked allocation so
-    // the closures can hand out 'static sessions without lifetime gymnastics.
-    let replay_workload: &'static Workload = Box::leak(Box::new(workload.clone()));
-    let samp_incremental = time_sessions(replay_workload, replay_reps, || {
-        PartialSamplingOptimizer::new(samp_config)
+    let (samp_incremental, samp_full, samp_ratios) = replay_pairs(
+        workload,
+        replay_pairs_n,
+        || {
+            PartialSamplingOptimizer::new(samp_config)
+                .expect("valid SAMP config")
+                .session(workload)
+                .expect("valid session")
+        },
+        || {
+            PartialSamplingOptimizer::new(PartialSamplingConfig {
+                refit: RefitStrategy::Full,
+                ..samp_config
+            })
             .expect("valid SAMP config")
-            .session(replay_workload)
+            .session(workload)
             .expect("valid session")
-    });
-    let samp_full = time_sessions(replay_workload, replay_reps, || {
-        PartialSamplingOptimizer::new(PartialSamplingConfig {
-            refit: RefitStrategy::Full,
-            ..samp_config
-        })
-        .expect("valid SAMP config")
-        .session(replay_workload)
-        .expect("valid session")
-        .with_replay_cache(false)
-    });
+            .with_replay_cache(false)
+        },
+    );
     assert_arms_identical("SAMP", &samp_incremental, &samp_full);
     let mut hybr_full_config = hybr_config;
     hybr_full_config.sampling.refit = RefitStrategy::Full;
-    let hybr_incremental = time_sessions(replay_workload, replay_reps, || {
-        HybridOptimizer::new(hybr_config)
-            .expect("valid HYBR config")
-            .session(replay_workload)
-            .expect("valid session")
-    });
-    let hybr_full = time_sessions(replay_workload, replay_reps, || {
-        HybridOptimizer::new(hybr_full_config)
-            .expect("valid HYBR config")
-            .session(replay_workload)
-            .expect("valid session")
-            .with_replay_cache(false)
-    });
+    let (hybr_incremental, hybr_full, hybr_ratios) = replay_pairs(
+        workload,
+        replay_pairs_n,
+        || {
+            HybridOptimizer::new(hybr_config)
+                .expect("valid HYBR config")
+                .session(workload)
+                .expect("valid session")
+        },
+        || {
+            HybridOptimizer::new(hybr_full_config)
+                .expect("valid HYBR config")
+                .session(workload)
+                .expect("valid session")
+                .with_replay_cache(false)
+        },
+    );
     assert_arms_identical("HYBR", &hybr_incremental, &hybr_full);
-    let samp_speedup = samp_full.2 / samp_incremental.2.max(1e-9);
-    let hybr_speedup = hybr_full.2 / hybr_incremental.2.max(1e-9);
-    println!("\n-- session replay: incremental GP refits + replay cache vs full refits --");
+    let samp_speedup = er_stats::descriptive::median(&samp_ratios);
+    let hybr_speedup = er_stats::descriptive::median(&hybr_ratios);
     println!(
-        "SAMP: incremental {:.1} ms, full {:.1} ms ({samp_speedup:.1}x) over {} rounds \
-         [outcomes byte-identical]",
-        1e3 * samp_incremental.2,
-        1e3 * samp_full.2,
-        samp_incremental.1
+        "\n-- session replay: incremental GP refits + replay cache vs full refits \
+         (medians of {} alternating pairs) --",
+        samp_ratios.len()
     );
-    println!(
-        "HYBR: incremental {:.1} ms, full {:.1} ms ({hybr_speedup:.1}x) over {} rounds \
-         [outcomes byte-identical]",
-        1e3 * hybr_incremental.2,
-        1e3 * hybr_full.2,
-        hybr_incremental.1
-    );
+    for (name, incremental, full, speedup, ratios) in [
+        ("SAMP", &samp_incremental, &samp_full, samp_speedup, &samp_ratios),
+        ("HYBR", &hybr_incremental, &hybr_full, hybr_speedup, &hybr_ratios),
+    ] {
+        println!(
+            "{name}: incremental {:.1} ms, full {:.1} ms ({speedup:.2}x, pair ratios \
+             {:.2}..{:.2}) over {} rounds [outcomes byte-identical]",
+            1e3 * incremental.2,
+            1e3 * full.2,
+            ratios[0],
+            ratios[ratios.len() - 1],
+            incremental.1
+        );
+    }
 
     // Parallel scoring speedup over the full candidate set.
     let blocker = TokenBlocker::new("title", Tokenizer::Words);

@@ -30,8 +30,9 @@
 //! prefix, answered and match bitmasks, and the pair's lifecycle, with every
 //! roster computed once into one shared arena. Re-submitting a known pair,
 //! which drivers do for their whole outstanding batch every tick, costs one
-//! lookup plus appending its unanswered asks. The bitmasks cap a pair at
-//! [`MAX_VOTES`] votes.
+//! slot lookup (hash-free through [`CrowdPlan::reopen`] for a remembered
+//! slot) plus reading its unanswered asks off the answered mask. The bitmasks
+//! cap a pair at [`MAX_VOTES`] votes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,9 +21,10 @@
 //! the length of the asked roster prefix, two bitmasks over roster positions
 //! (answered, voted match), and its lifecycle (pending, completed, decided).
 //! Rosters live back to back in one shared arena, computed once when a pair is
-//! first seen. Re-submitting a known pair therefore costs one lookup plus
-//! appending its unanswered asks to the caller's buffer, with no allocation
-//! per pair. The masks are the only vote store: majority reads a slot by
+//! first seen. Re-submitting a known pair therefore costs one slot lookup (a
+//! hash probe through [`open`](CrowdPlan::open), none through
+//! [`reopen`](CrowdPlan::reopen) when the driver remembers the slot) plus one
+//! read of its masks per unanswered ask, with no allocation per pair. The masks are the only vote store: majority reads a slot by
 //! popcount, and EM builds the canonical [`VoteMatrix`] from the slots when it
 //! decides. Their width caps a pair at [`MAX_VOTES`](crate::MAX_VOTES) votes.
 //!
@@ -199,21 +200,48 @@ impl CrowdPlan {
         }
     }
 
-    /// Submits a pair for labeling and appends its asks to `asks`. A new pair
-    /// emits its initial asks; an already-pending pair re-emits its
-    /// still-unanswered asks (so a driver can always recover its outstanding
-    /// work by re-submitting); completed or decided pairs emit nothing.
+    /// Submits a pair for labeling and appends its asks to `asks`: [`open`]
+    /// followed by [`unanswered`]. A new pair emits its initial asks; an
+    /// already-pending pair re-emits its still-unanswered asks (so a driver
+    /// can always recover its outstanding work by re-submitting); completed
+    /// or decided pairs emit nothing.
+    ///
+    /// [`open`]: CrowdPlan::open
+    /// [`unanswered`]: CrowdPlan::unanswered
     pub fn submit(&mut self, pair: u64, asks: &mut Vec<VoteAsk>) -> Submission {
+        let submission = self.open(pair);
+        let slot = submission.slot;
+        asks.extend(self.unanswered(slot).map(|worker| VoteAsk { pair, worker, slot }));
+        submission
+    }
+
+    /// Opens a pair for labeling without emitting anything: a new or idle
+    /// undecided pair starts collecting votes for its initial roster prefix;
+    /// a pending, completed or decided pair is left as it is. The asks to
+    /// dispatch are then [`unanswered`](CrowdPlan::unanswered)`(slot)`.
+    pub fn open(&mut self, pair: u64) -> Submission {
         let slot = self.slot(pair);
-        let s = &mut self.slots[slot as usize];
-        if s.decision.is_none() && s.phase != Phase::Completed {
-            if s.phase == Phase::Idle {
-                s.phase = Phase::Pending;
-                s.asked = self.initial;
-            }
-            self.push_unanswered(slot, asks);
-        }
-        Submission { slot, decision: self.slots[slot as usize].decision }
+        self.open_slot(slot)
+    }
+
+    /// [`open`](CrowdPlan::open) for a pair whose slot the caller remembers
+    /// from an earlier [`Submission`]: no hash probe. Returns `None`, opening
+    /// nothing, when `slot` does not hold `pair`.
+    pub fn reopen(&mut self, slot: u32, pair: u64) -> Option<Submission> {
+        (self.slots.get(slot as usize)?.pair == pair).then(|| self.open_slot(slot))
+    }
+
+    /// The workers asked for a vote on the slot's pair who have not answered
+    /// yet, in roster order: what a driver dispatches after
+    /// [`open`](CrowdPlan::open). Empty unless the pair is collecting votes
+    /// and undecided.
+    ///
+    /// # Panics
+    /// Panics if `slot` was never handed out in a [`Submission`].
+    pub fn unanswered(&self, slot: u32) -> impl Iterator<Item = WorkerId> + '_ {
+        let s = &self.slots[slot as usize];
+        let open = s.phase == Phase::Pending && s.decision.is_none();
+        self.waiting(slot, if open { s.asked } else { 0 })
     }
 
     /// Records one vote. Unknown pairs, pairs not collecting votes, votes from
@@ -316,7 +344,9 @@ impl CrowdPlan {
         pending.sort_unstable_by_key(|&slot| self.slots[slot as usize].pair);
         let mut asks = Vec::new();
         for slot in pending {
-            self.push_unanswered(slot, &mut asks);
+            let s = &self.slots[slot as usize];
+            let pair = s.pair;
+            asks.extend(self.waiting(slot, s.asked).map(|worker| VoteAsk { pair, worker, slot }));
         }
         asks
     }
@@ -364,15 +394,31 @@ impl CrowdPlan {
         }
     }
 
-    /// Appends the slot's still-unanswered asks, in roster order.
-    fn push_unanswered(&self, slot: u32, asks: &mut Vec<VoteAsk>) {
-        let s = &self.slots[slot as usize];
-        let roster = &self.rosters[slot as usize * self.width..][..usize::from(s.asked)];
-        for (position, &worker) in roster.iter().enumerate() {
-            if s.answered >> position & 1 == 0 {
-                asks.push(VoteAsk { pair: s.pair, worker, slot });
-            }
+    /// Starts an undecided idle slot's initial prefix; other slots stay as
+    /// they are.
+    fn open_slot(&mut self, slot: u32) -> Submission {
+        let s = &mut self.slots[slot as usize];
+        if s.decision.is_none() && s.phase == Phase::Idle {
+            s.phase = Phase::Pending;
+            s.asked = self.initial;
         }
+        Submission { slot, decision: s.decision }
+    }
+
+    /// The unanswered workers among the first `asked` roster positions of
+    /// the slot, in roster order, read off the answered mask bit by bit.
+    fn waiting(&self, slot: u32, asked: u8) -> impl Iterator<Item = WorkerId> + '_ {
+        let roster = &self.rosters[slot as usize * self.width..];
+        let prefix = u64::MAX.checked_shr(64 - u32::from(asked)).unwrap_or(0);
+        let mut open = !self.slots[slot as usize].answered & prefix;
+        std::iter::from_fn(move || {
+            if open == 0 {
+                return None;
+            }
+            let position = open.trailing_zeros() as usize;
+            open &= open - 1;
+            Some(roster[position])
+        })
     }
 
     /// The canonical vote matrix, rebuilt from the slots.
@@ -516,6 +562,29 @@ mod tests {
         assert!(plan.absorb(7, unasked, true).is_none());
         assert_eq!(plan.stats().votes, 0, "vote from an unasked worker must not count");
         assert!(plan.absorb(99, WorkerId(0), true).is_none(), "unknown pair is ignored");
+    }
+
+    #[test]
+    fn reopen_checks_the_pair_and_unanswered_follows_the_lifecycle() {
+        let mut plan = CrowdPlan::new(CrowdConfig {
+            pool_size: 6,
+            redundancy: Redundancy::Fixed(2),
+            aggregation: Aggregation::Majority,
+            seed: 8,
+        });
+        let Submission { slot, .. } = plan.open(5);
+        let roster: Vec<WorkerId> = plan.unanswered(slot).collect();
+        assert_eq!(roster.len(), 2);
+        assert_eq!(plan.reopen(slot, 6), None, "a slot answers only for its own pair");
+        assert_eq!(plan.reopen(slot + 1, 5), None, "an unknown slot opens nothing");
+        assert_eq!(plan.reopen(slot, 5), Some(Submission { slot, decision: None }));
+        plan.absorb(5, roster[1], true);
+        assert_eq!(plan.unanswered(slot).collect::<Vec<_>>(), roster[..1]);
+        // Decided while still pending: no asks to dispatch, though the vote
+        // is still outstanding.
+        plan.decide(&[5]);
+        assert_eq!(plan.unanswered(slot).count(), 0);
+        assert_eq!(plan.outstanding().len(), 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::session::{LabelRequest, LabelResponse};
 use er_core::workload::{InstancePair, Label, PairId};
 use er_crowd::{CrowdConfig, CrowdPlan, Submission, VoteAsk};
 use er_obs::ObsHandle;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 pub use er_crowd::{
     mix, Aggregation, CrowdStats, EmConfig, Redundancy, WorkerId, WorkerModel, WorkerReliability,
@@ -258,6 +258,12 @@ impl Oracle for CrowdOracle {
 /// 3. [`take_ready`](CrowdSession::take_ready) the aggregated
 ///    [`LabelResponse`]s and step the session with them.
 ///
+/// Re-submitting the whole outstanding batch every tick is linear in the
+/// batch with no hashing: the wrapper remembers each pair's plan slot by its
+/// request's workload index, so a known pair costs one table read, one
+/// check of the pair id and one read of its answered mask, and every vote
+/// request is written once into the returned `Vec`.
+///
 /// Only aggregated responses leave this wrapper, so a session's write-ahead
 /// log (and therefore crash-safe resume) never sees raw votes.
 #[derive(Debug)]
@@ -265,6 +271,15 @@ pub struct CrowdSession {
     plan: CrowdPlan,
     /// The latest request submitted for each pair, indexed by its plan slot.
     requests: Vec<LabelRequest>,
+    /// The [`submit`](CrowdSession::submit) call that last filed each slot's
+    /// request (numbered from 1), indexed like `requests`: a slot filed twice
+    /// by one call is a pair repeated within its batch.
+    filed: Vec<u64>,
+    submits: u64,
+    /// Plan slot of the pair last submitted at each workload index, or
+    /// `u32::MAX`: the hash-free path to a known pair. An entry is only a
+    /// hint, checked against the pair id before use.
+    slot_at: Vec<u32>,
     ready: BTreeMap<PairId, Label>,
     obs: ObsHandle,
     cursor: ObsCursor,
@@ -285,6 +300,9 @@ impl CrowdSession {
         Self {
             plan,
             requests: Vec::new(),
+            filed: Vec::new(),
+            submits: 0,
+            slot_at: Vec::new(),
             ready: BTreeMap::new(),
             obs: ObsHandle::default(),
             cursor: ObsCursor::default(),
@@ -297,24 +315,54 @@ impl CrowdSession {
         self
     }
 
-    /// Submits label requests; returns the vote requests to dispatch. Pairs
-    /// already decided are queued for [`take_ready`](CrowdSession::take_ready)
-    /// again instead (so a driver that lost a response can always recover it).
+    /// Submits label requests; returns the vote requests to dispatch, in
+    /// request order and roster order within a request. Pairs already
+    /// decided are queued for [`take_ready`](CrowdSession::take_ready) again
+    /// instead (so a driver that lost a response can always recover it).
+    /// Every vote request carries the latest request for its pair, also when
+    /// the pair repeats within `requests`.
     pub fn submit(&mut self, requests: &[LabelRequest]) -> Vec<VoteRequest> {
-        let mut asks = Vec::new();
+        self.submits += 1;
+        let width = self.plan.planner().redundancy().limit();
+        let mut votes = Vec::with_capacity(requests.len() * width);
+        let mut repeated = false;
         for request in requests {
-            let Submission { slot, decision } = self.plan.submit(request.pair_id.0, &mut asks);
-            match self.requests.get_mut(slot as usize) {
-                Some(known) => *known = *request,
-                None => self.requests.push(*request),
+            let pair = request.pair_id.0;
+            let hint = self.slot_at.get(request.index).copied().filter(|&slot| slot != u32::MAX);
+            let Submission { slot, decision } = match hint.and_then(|s| self.plan.reopen(s, pair)) {
+                Some(submission) => submission,
+                None => {
+                    let submission = self.plan.open(pair);
+                    self.remember(request.index, submission.slot, requests.len());
+                    submission
+                }
+            };
+            let at = slot as usize;
+            if at == self.requests.len() {
+                self.requests.push(*request);
+                self.filed.push(self.submits);
+            } else {
+                repeated |= self.filed[at] == self.submits;
+                self.requests[at] = *request;
+                self.filed[at] = self.submits;
             }
             if let Some(is_match) = decision {
                 self.ready.insert(request.pair_id, Label::from_bool(is_match));
             }
+            votes.extend(
+                self.plan.unanswered(slot).map(|worker| VoteRequest { request: *request, worker }),
+            );
         }
-        // Mapped only now, so a pair submitted twice in one batch takes its
-        // latest request for every ask.
-        self.vote_requests(&asks)
+        if repeated {
+            // A repeated pair's earlier votes carry an older request: map
+            // every vote to its pair's last request in the batch.
+            let latest: HashMap<PairId, LabelRequest> =
+                requests.iter().map(|request| (request.pair_id, *request)).collect();
+            for vote in &mut votes {
+                vote.request = latest[&vote.request.pair_id];
+            }
+        }
+        votes
     }
 
     /// Absorbs worker votes; returns escalation vote requests, if any.
@@ -351,6 +399,20 @@ impl CrowdSession {
     /// Running crowd totals.
     pub fn stats(&self) -> CrowdStats {
         self.plan.stats()
+    }
+
+    /// Files `slot` as the hint for workload index `index`. The table grows
+    /// to cover an index only while it stays within a constant factor of
+    /// the pairs known plus the batch in hand, so a sparse or foreign index
+    /// space falls back to hashing instead of allocating.
+    fn remember(&mut self, index: usize, slot: u32, batch: usize) {
+        if index >= self.slot_at.len() {
+            if index >= 64 * (self.requests.len() + batch + 1024) {
+                return;
+            }
+            self.slot_at.resize(index + 1, u32::MAX);
+        }
+        self.slot_at[index] = slot;
     }
 
     /// Every ask comes from a submitted pair, so its slot has a request.
@@ -510,5 +572,229 @@ mod tests {
             let expected = if ask.request.pair_id == PairId(1) { 12 } else { 20 };
             assert_eq!(ask.request.index, expected);
         }
+    }
+}
+
+/// The one-pass [`CrowdSession::submit`] against the two-pass submit it
+/// replaced, kept verbatim in `reference` with the rest of that session.
+#[cfg(test)]
+mod resubmit_differential {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The crowd session as it was before submit became one pass: every
+    /// request goes through `CrowdPlan::submit` into a buffer of asks, and
+    /// the asks are mapped to vote requests afterwards through a hashed
+    /// lookup per pair.
+    mod reference {
+        use super::super::*;
+
+        pub struct CrowdSession {
+            plan: CrowdPlan,
+            requests: Vec<LabelRequest>,
+            ready: BTreeMap<PairId, Label>,
+        }
+
+        impl CrowdSession {
+            pub fn new(
+                pool_size: usize,
+                redundancy: Redundancy,
+                aggregation: Aggregation,
+                seed: u64,
+            ) -> Self {
+                let plan = CrowdPlan::new(CrowdConfig { pool_size, redundancy, aggregation, seed });
+                Self { plan, requests: Vec::new(), ready: BTreeMap::new() }
+            }
+
+            pub fn submit(&mut self, requests: &[LabelRequest]) -> Vec<VoteRequest> {
+                let mut asks = Vec::new();
+                for request in requests {
+                    let Submission { slot, decision } =
+                        self.plan.submit(request.pair_id.0, &mut asks);
+                    match self.requests.get_mut(slot as usize) {
+                        Some(known) => *known = *request,
+                        None => self.requests.push(*request),
+                    }
+                    if let Some(is_match) = decision {
+                        self.ready.insert(request.pair_id, Label::from_bool(is_match));
+                    }
+                }
+                // Mapped only now, so a pair submitted twice in one batch takes its
+                // latest request for every ask.
+                self.vote_requests(&asks)
+            }
+
+            pub fn absorb(&mut self, votes: &[WorkerVote]) -> Vec<VoteRequest> {
+                let asks: Vec<VoteAsk> = votes
+                    .iter()
+                    .filter_map(|vote| {
+                        self.plan.absorb(vote.pair_id.0, vote.worker, vote.label == Label::Match)
+                    })
+                    .collect();
+                self.vote_requests(&asks)
+            }
+
+            pub fn take_ready(&mut self) -> Vec<LabelResponse> {
+                let completed = self.plan.take_completed();
+                for (pair, is_match) in self.plan.decide(&completed) {
+                    self.ready.insert(PairId(pair), Label::from_bool(is_match));
+                }
+                std::mem::take(&mut self.ready)
+                    .into_iter()
+                    .map(|(pair_id, label)| LabelResponse { pair_id, label })
+                    .collect()
+            }
+
+            pub fn outstanding(&self) -> Vec<VoteRequest> {
+                self.vote_requests(&self.plan.outstanding())
+            }
+
+            pub fn stats(&self) -> CrowdStats {
+                self.plan.stats()
+            }
+
+            fn vote_requests(&self, asks: &[VoteAsk]) -> Vec<VoteRequest> {
+                asks.iter()
+                    .map(|ask| VoteRequest {
+                        request: self.requests[ask.slot as usize],
+                        worker: ask.worker,
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Pairs the schedules draw from: small, so pairs repeat constantly.
+    const UNIVERSE: u64 = 20;
+    /// Operations per schedule.
+    const OPERATIONS: usize = 300;
+    const POOL: usize = 7;
+
+    /// A request for `pair`: usually at the pair's own workload index, but
+    /// sometimes at an index another pair uses (so a remembered slot must be
+    /// rejected) or far past any index seen (so the slot table must not
+    /// grow to it), always with a fresh similarity so that an outdated
+    /// request shows.
+    fn request(rng: &mut StdRng, pair: u64) -> LabelRequest {
+        let index = match rng.gen_range(0..20) {
+            0..=2 => rng.gen_range(0..UNIVERSE as usize),
+            3 => rng.gen_range(1usize << 30..1usize << 40),
+            _ => (pair * 7 % UNIVERSE) as usize,
+        };
+        LabelRequest { pair_id: PairId(pair), index, similarity: rng.gen_range(0.0..1.0) }
+    }
+
+    fn run_schedule(redundancy: Redundancy, error: f64, seed: u64) -> Result<(), TestCaseError> {
+        let aggregation = Aggregation::Majority;
+        let mut session = CrowdSession::new(POOL, redundancy, aggregation.clone(), seed);
+        let mut model = reference::CrowdSession::new(POOL, redundancy, aggregation, seed);
+        let workers = symmetric_pool(POOL, error, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Vote requests handed out so far and not yet delivered.
+        let mut inflight: Vec<VoteRequest> = Vec::new();
+        let (mut repeats, mut escalations, mut decided_resubmits) = (0, 0, 0);
+        let mut decided: Vec<u64> = Vec::new();
+        for _ in 0..OPERATIONS {
+            match rng.gen_range(0..100) {
+                // Submit a batch; a pair may repeat within it, and decided
+                // or completed pairs come back.
+                0..=34 => {
+                    let len = rng.gen_range(1..9);
+                    let mut batch: Vec<LabelRequest> = Vec::with_capacity(len);
+                    for _ in 0..len {
+                        let pair = if !batch.is_empty() && rng.gen_range(0..5) == 0 {
+                            repeats += 1;
+                            batch[rng.gen_range(0..batch.len())].pair_id.0
+                        } else if !decided.is_empty() && rng.gen_range(0..4) == 0 {
+                            decided_resubmits += 1;
+                            decided[rng.gen_range(0..decided.len())]
+                        } else {
+                            rng.gen_range(0..UNIVERSE)
+                        };
+                        batch.push(request(&mut rng, pair));
+                    }
+                    let votes = session.submit(&batch);
+                    prop_assert_eq!(&votes, &model.submit(&batch));
+                    inflight = votes;
+                }
+                // Deliver some in-flight votes, out of order and sometimes
+                // twice.
+                35..=79 => {
+                    let count = rng.gen_range(0..inflight.len() + 1);
+                    let mut votes = Vec::with_capacity(count);
+                    for _ in 0..count {
+                        let at = rng.gen_range(0..inflight.len());
+                        let ask = if rng.gen_range(0..6) == 0 {
+                            inflight[at]
+                        } else {
+                            inflight.swap_remove(at)
+                        };
+                        let truth = ask.request.pair_id.0 % 3 == 0;
+                        let vote =
+                            workers[ask.worker.0 as usize].vote(ask.request.pair_id.0, truth);
+                        votes.push(WorkerVote {
+                            pair_id: ask.request.pair_id,
+                            worker: ask.worker,
+                            label: Label::from_bool(vote),
+                        });
+                    }
+                    let escalated = session.absorb(&votes);
+                    prop_assert_eq!(&escalated, &model.absorb(&votes));
+                    escalations += escalated.len();
+                    inflight.extend(escalated);
+                }
+                80..=91 => {
+                    let ready = session.take_ready();
+                    prop_assert_eq!(&ready, &model.take_ready());
+                    decided.extend(ready.iter().map(|response| response.pair_id.0));
+                }
+                // A driver that lost its queue re-dispatches everything.
+                _ => {
+                    let outstanding = session.outstanding();
+                    prop_assert_eq!(&outstanding, &model.outstanding());
+                    inflight = outstanding;
+                }
+            }
+            prop_assert_eq!(session.stats(), model.stats());
+        }
+        prop_assert!(repeats > 0 && decided_resubmits > 0, "vacuous schedule");
+        if matches!(redundancy, Redundancy::Adaptive { .. }) && error > 0.0 {
+            prop_assert!(escalations > 0, "no escalation in an adaptive schedule");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Vote requests (order and request carried), escalations,
+        /// `take_ready`, `outstanding()` and `stats()` agree with the
+        /// two-pass reference after every operation, under fixed and
+        /// adaptive redundancy.
+        #[test]
+        fn one_pass_submit_matches_the_two_pass_reference(
+            seed in 0u64..1_000_000,
+            adaptive in 0u8..2,
+            error in 0.0..0.35f64,
+        ) {
+            let redundancy =
+                if adaptive == 1 { Redundancy::Adaptive { min: 2, max: 5 } } else { Redundancy::Fixed(3) };
+            run_schedule(redundancy, error, seed)?;
+        }
+    }
+
+    #[test]
+    fn a_reused_index_is_not_taken_for_its_old_pair() {
+        let mut session = CrowdSession::new(5, Redundancy::Fixed(2), Aggregation::Majority, 3);
+        let at = |pair: u64| LabelRequest { pair_id: PairId(pair), index: 4, similarity: 0.5 };
+        let first = session.submit(&[at(1)]);
+        // Pair 2 takes over index 4; pair 1 comes back under it later.
+        let second = session.submit(&[at(2)]);
+        assert!(second.iter().all(|vote| vote.request.pair_id == PairId(2)));
+        assert_eq!(session.submit(&[at(1)]), first);
+        assert_eq!(session.stats(), CrowdStats::default());
+        assert_eq!(session.outstanding().len(), 4);
     }
 }

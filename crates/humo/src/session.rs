@@ -622,9 +622,13 @@ pub struct SessionState {
     /// Distinct responses absorbed through `step`, in arrival order — the
     /// session's cost basis and its checkpoint/resume log.
     log: Vec<LabelResponse>,
-    /// The still-missing requests of the most recent emission, in its order
-    /// — exactly what a re-emitting step hands back without a replay.
+    /// The most recent emission, in its order. `pending[head..]` are its
+    /// still-missing requests — exactly what a re-emitting step hands back
+    /// without a replay.
     pending: Vec<LabelRequest>,
+    /// Answered requests before it have left the outstanding batch: answers
+    /// to a prefix of the batch advance it instead of moving the rest.
+    head: usize,
     rounds: usize,
     /// Rounds dispatched while planning (the sampling phase).
     plan_rounds: usize,
@@ -697,6 +701,7 @@ impl SessionState {
             labels: vec![None; workload.len()],
             log: Vec::new(),
             pending: Vec::new(),
+            head: 0,
             rounds: 0,
             plan_rounds: 0,
             refine_rounds: 0,
@@ -774,15 +779,18 @@ impl SessionState {
     /// outside the workload is ignored (a cross-epoch store may hold pairs
     /// this workload no longer has).
     pub fn preload(&mut self, responses: impl IntoIterator<Item = LabelResponse>) {
+        let mut answered = 0;
         for response in responses {
             if let Some(index) = self.index_of.get(response.pair_id) {
-                self.labels[index].get_or_insert(response.label);
+                if self.labels[index].is_none() {
+                    self.labels[index] = Some(response.label);
+                    answered += 1;
+                }
             }
         }
         // A preloaded pair is no longer missing, so it leaves the outstanding
         // batch now rather than at the next step.
-        let labels = &self.labels;
-        self.pending.retain(|request| labels[request.index].is_none());
+        self.settle(answered);
     }
 
     /// Switches a mid-flight session to the exact all-human fallback
@@ -800,6 +808,7 @@ impl SessionState {
         self.warm = None;
         self.warm_out = None;
         self.pending.clear();
+        self.head = 0;
         self.cache.clear();
     }
 
@@ -809,9 +818,10 @@ impl SessionState {
     }
 
     /// The requests of the most recent [`Step::NeedLabels`] batch that are
-    /// still unanswered.
+    /// still unanswered, in the batch's order. A re-emitting step returns a
+    /// copy of this slice.
     pub fn pending(&self) -> &[LabelRequest] {
-        &self.pending
+        &self.pending[self.head..]
     }
 
     /// Number of distinct label dispatch waves so far — the label
@@ -878,11 +888,15 @@ impl SessionState {
     /// Absorbs responses: unknown pairs are rejected, repeated labels for the
     /// same pair keep the first answer (mirroring oracle caching semantics).
     /// Absorption is transactional — a rejected batch records nothing.
+    ///
+    /// It costs O(responses) when the responses answer a prefix of the
+    /// outstanding batch, as drivers that dispatch a batch in order do; an
+    /// answer further in compacts the batch once (see `settle`).
     fn absorb(&mut self, responses: &[LabelResponse]) -> Result<()> {
         if responses.is_empty() {
             return Ok(());
         }
-        let (index_of, labels) = (&self.index_of, &mut self.labels);
+        let index_of = &self.index_of;
         // Validate the whole batch before recording anything, so a rejected
         // step leaves the label store, cost log and checkpoint untouched.
         let indices: Vec<usize> = responses
@@ -896,15 +910,35 @@ impl SessionState {
                 })
             })
             .collect::<Result<_>>()?;
+        let log = self.log.len();
         for (response, &index) in responses.iter().zip(&indices) {
-            let slot = &mut labels[index];
-            if slot.is_none() {
-                *slot = Some(response.label);
+            if self.labels[index].is_none() {
+                self.labels[index] = Some(response.label);
                 self.log.push(*response);
             }
         }
-        self.pending.retain(|request| labels[request.index].is_none());
+        self.settle(self.log.len() - log);
         Ok(())
+    }
+
+    /// Drops newly labeled requests from the outstanding batch, keeping the
+    /// rest in order. `answered` counts the positions just labeled. The head
+    /// moves over the answered prefix; every request it passes was
+    /// outstanding, hence unlabeled before, so it is one of them. If it
+    /// passes all `answered`, or reaches the end of the batch, no labeled
+    /// request is left behind it and nothing else moves. Otherwise an answer
+    /// lies past the head, or answered a pair the batch does not hold, and
+    /// one `retain` compacts the batch.
+    fn settle(&mut self, answered: usize) {
+        let labels = &self.labels;
+        let start = self.head;
+        while self.pending.get(self.head).is_some_and(|r| labels[r.index].is_some()) {
+            self.head += 1;
+        }
+        if self.head - start < answered && self.head < self.pending.len() {
+            self.pending.retain(|request| labels[request.index].is_none());
+            self.head = 0;
+        }
     }
 
     /// Absorbs responses *without* advancing the replay, returning the slice
@@ -954,7 +988,10 @@ impl SessionState {
     /// replay could only suspend at that same batch again. This holds with
     /// the replay cache enabled (the default), after a
     /// [`SessionState::preload`] too, since a preload only adds labels. See
-    /// [`SessionState::with_replay_cache`].
+    /// [`SessionState::with_replay_cache`]. Such a re-emitting step costs
+    /// O(responses) to absorb answers to a prefix of the batch (one
+    /// compaction of the batch otherwise) plus one copy of the
+    /// [`pending`](SessionState::pending) slice it returns.
     pub fn step(&mut self, workload: &Workload, responses: &[LabelResponse]) -> Result<Step> {
         // A completed session is frozen: late responses are ignored rather
         // than absorbed, so the answered log (and any checkpoint taken from
@@ -965,12 +1002,12 @@ impl SessionState {
         self.absorb(responses)?;
         // Re-emission short-circuit: while the outstanding batch is not fully
         // answered, a replay would suspend at the same `require` and emit
-        // exactly what the order-preserving `retain`s of `absorb` and
-        // `preload` left in `pending` — in the same phase, without opening a
+        // exactly what the order-preserving `settle`s of `absorb` and
+        // `preload` left pending — in the same phase, without opening a
         // round or touching the cache.
-        if self.cache.enabled && !self.pending.is_empty() {
+        if self.cache.enabled && !self.pending().is_empty() {
             workload.obs().counter("session.replay_cache.reemit_hits", 1);
-            return Ok(Step::NeedLabels(self.pending.clone()));
+            return Ok(Step::NeedLabels(self.pending().to_vec()));
         }
         let attempt = run_core(
             &self.config,
@@ -994,6 +1031,7 @@ impl SessionState {
                     total_human_cost,
                 };
                 self.pending.clear();
+                self.head = 0;
                 self.phase = SessionPhase::Done;
                 self.warm_out = core.warm_out;
                 self.outcome = Some(outcome.clone());
@@ -1006,8 +1044,9 @@ impl SessionState {
                 // outstanding is one: the replay is deterministic, labels only
                 // grow and a `require` suspends only on missing pairs, so it
                 // suspends at that batch and emits its unanswered subset.
-                let reemission = !self.pending.is_empty();
+                let reemission = !self.pending().is_empty();
                 self.pending = requests_for(workload, indices);
+                self.head = 0;
                 if !reemission {
                     self.rounds += 1;
                     // Per-phase breakdown: the sampling phase is the
@@ -1699,5 +1738,206 @@ mod tests {
         // The all-human fallback accepts an empty workload (zero-round done).
         let mut session = LabelingSession::new(SessionConfig::AllHuman, &empty).unwrap();
         assert!(matches!(session.step(&[]).unwrap(), Step::Done(_)));
+    }
+}
+
+/// The head-offset outstanding batch against the `retain`-based batch it
+/// replaced: a model that keeps the last emission and drops every newly
+/// labeled request from it with one `retain` per absorb or preload.
+#[cfg(test)]
+mod pending_differential {
+    use super::*;
+    use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The outstanding batch as `absorb` and `preload` kept it with
+    /// `pending.retain(..)`.
+    struct RetainPending {
+        labeled: Vec<bool>,
+        pending: Vec<LabelRequest>,
+        index_of: HashMap<PairId, usize>,
+    }
+
+    impl RetainPending {
+        fn new(workload: &Workload) -> Self {
+            let index_of = workload.iter().enumerate().map(|(i, pair)| (pair.id(), i)).collect();
+            Self { labeled: vec![false; workload.len()], pending: Vec::new(), index_of }
+        }
+
+        /// Labels the known pairs and drops them from the batch; a batch
+        /// naming a foreign pair records nothing, like `absorb`.
+        fn absorb(&mut self, responses: &[LabelResponse], preload: bool) {
+            let known = responses.iter().all(|r| self.index_of.contains_key(&r.pair_id));
+            if !known && !preload {
+                return;
+            }
+            for response in responses {
+                if let Some(&index) = self.index_of.get(&response.pair_id) {
+                    self.labeled[index] = true;
+                }
+            }
+            let labeled = &self.labeled;
+            self.pending.retain(|request| !labeled[request.index]);
+        }
+    }
+
+    fn truth(w: &Workload, index: usize) -> LabelResponse {
+        let pair = w.pair(index);
+        LabelResponse { pair_id: pair.id(), label: pair.ground_truth() }
+    }
+
+    /// Responses to the outstanding `batch`: a prefix, a shuffled subset or
+    /// nothing, with repeated responses (some with the opposite label),
+    /// answers to pairs not asked yet, and now and then a foreign pair that
+    /// makes the whole step fail.
+    fn responses(rng: &mut StdRng, w: &Workload, batch: &[LabelRequest]) -> Vec<LabelResponse> {
+        let mut out: Vec<LabelResponse> = match rng.gen_range(0..10) {
+            0 => Vec::new(),
+            1..=5 if !batch.is_empty() => {
+                let k = rng.gen_range(1..batch.len() + 1);
+                batch[..k].iter().map(|r| truth(w, r.index)).collect()
+            }
+            _ => {
+                let mut subset: Vec<LabelResponse> = batch
+                    .iter()
+                    .filter(|_| rng.gen_range(0..3) == 0)
+                    .map(|r| truth(w, r.index))
+                    .collect();
+                subset.shuffle(rng);
+                subset
+            }
+        };
+        for _ in 0..rng.gen_range(0..3) {
+            if let Some(&again) = out.get(rng.gen_range(0..out.len().max(1))) {
+                let flip = rng.gen_range(0..2) == 0;
+                out.push(LabelResponse {
+                    label: Label::from_bool(again.label.is_match() != flip),
+                    ..again
+                });
+            }
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            out.push(truth(w, rng.gen_range(0..w.len())));
+        }
+        if rng.gen_range(0..25) == 0 {
+            out.push(LabelResponse { pair_id: PairId(u64::MAX), label: Label::Match });
+        }
+        out
+    }
+
+    fn run_case(
+        kind: OptimizerKind,
+        cache: bool,
+        seed: u64,
+    ) -> std::result::Result<(), TestCaseError> {
+        let w = SyntheticGenerator::new(SyntheticConfig {
+            num_pairs: 2_000,
+            tau: 14.0,
+            sigma: 0.1,
+            subset_size: 100,
+            seed,
+        })
+        .generate();
+        let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
+        let config = SessionConfig::for_kind(kind, requirement);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state = SessionState::new(config, &w).unwrap().with_replay_cache(cache);
+        // A full-replay twin: every step of the state under test must match
+        // it too.
+        let mut twin = SessionState::new(config, &w).unwrap().with_replay_cache(false);
+        let mut model = RetainPending::new(&w);
+        let fall_back_at = (rng.gen_range(0..3) == 0).then(|| rng.gen_range(1..12usize));
+        let (mut compactions, mut prefix_steps) = (0usize, 0usize);
+        let mut answers: Vec<LabelResponse> = Vec::new();
+        for step in 0..600 {
+            if rng.gen_range(0..12) == 0 {
+                // A preload mid-flight: some outstanding pairs, some others
+                // and a foreign one.
+                let mut preload: Vec<LabelResponse> = state
+                    .pending()
+                    .iter()
+                    .filter(|_| rng.gen_range(0..4) == 0)
+                    .map(|r| truth(&w, r.index))
+                    .collect();
+                preload.push(truth(&w, rng.gen_range(0..w.len())));
+                preload.push(LabelResponse { pair_id: PairId(u64::MAX - 1), label: Label::Match });
+                state.preload(preload.iter().copied());
+                twin.preload(preload.iter().copied());
+                model.absorb(&preload, true);
+                prop_assert_eq!(state.pending(), &model.pending[..]);
+            }
+            if fall_back_at == Some(step) && !state.pending().is_empty() {
+                state.fall_back_to_all_human();
+                twin.fall_back_to_all_human();
+                model.pending.clear();
+            }
+            let before = model.pending.clone();
+            let stepped = state.step(&w, &answers);
+            let expected = twin.step(&w, &answers);
+            model.absorb(&answers, false);
+            let (step_out, expected) = match (stepped, expected) {
+                (Err(_), Err(_)) => {
+                    prop_assert_eq!(state.pending(), &model.pending[..]);
+                    answers = responses(&mut rng, &w, state.pending());
+                    continue;
+                }
+                (Ok(a), Ok(b)) => (a, b),
+                _ => return Err(TestCaseError::fail("one state failed a step, the other did not")),
+            };
+            if !before.is_empty() && model.pending.len() < before.len() {
+                let answered_prefix = before.len() - model.pending.len();
+                if model.pending[..] == before[answered_prefix..] {
+                    prefix_steps += 1;
+                } else {
+                    compactions += 1;
+                }
+            }
+            prop_assert_eq!(state.rounds(), twin.rounds());
+            prop_assert_eq!(state.phase(), twin.phase());
+            match (step_out, expected) {
+                (Step::NeedLabels(batch), Step::NeedLabels(expected)) => {
+                    prop_assert_eq!(&batch, &expected);
+                    if model.pending.is_empty() {
+                        model.pending = batch.clone();
+                    } else {
+                        prop_assert_eq!(&batch, &model.pending);
+                    }
+                }
+                (Step::Done(outcome), Step::Done(expected)) => {
+                    prop_assert_eq!(outcome.solution, expected.solution);
+                    prop_assert_eq!(outcome.assignment, expected.assignment);
+                    prop_assert_eq!(outcome.total_human_cost, expected.total_human_cost);
+                    prop_assert!(state.pending().is_empty());
+                    prop_assert_eq!(state.answered_log(), twin.answered_log());
+                    prop_assert!(prefix_steps > 0, "no step answered a prefix");
+                    prop_assert!(compactions > 0, "no step answered past the head");
+                    return Ok(());
+                }
+                _ => return Err(TestCaseError::fail("the states diverged")),
+            }
+            prop_assert_eq!(state.pending(), &model.pending[..]);
+            prop_assert_eq!(state.pending(), twin.pending());
+            answers = responses(&mut rng, &w, state.pending());
+        }
+        Err(TestCaseError::fail("the session did not finish in 600 steps"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// `pending()` and every emitted step match the `retain` model and a
+        /// full-replay twin under prefix, out-of-order and duplicate answers,
+        /// preloads, the all-human fallback and either replay-cache setting.
+        #[test]
+        fn head_offset_pending_matches_the_retain_reference(
+            seed in 0u64..1_000_000,
+            kind in 0usize..4,
+            cache in 0u8..4,
+        ) {
+            run_case(OptimizerKind::all()[kind], cache != 0, seed)?;
+        }
     }
 }
