@@ -27,8 +27,6 @@
 //! * `HUMO_PIPE_ENTITIES` — corpus size in left-dataset entities (default 1500);
 //! * `HUMO_PIPE_BATCHES`  — number of ingest batches (default 4);
 //! * `HUMO_PIPE_THREADS`  — worker threads (default 0 = available parallelism);
-//! * `HUMO_PIPE_REPLAY_PAIRS` — incremental/full session-replay pairs per
-//!   optimizer (default 9; the speedup is the median pair ratio);
 //! * `HUMO_PIPE_ASSERT`   — when truthy, fail the process unless the
 //!   pipeline meets its contract: warm planning issues fewer oracle queries
 //!   than cold, incremental re-resolution is cheaper than from-scratch, the
@@ -133,7 +131,7 @@ fn time_session(workload: &Workload, mut session: humo::LabelingSession<'_>) -> 
     (outcome, session.rounds(), in_step)
 }
 
-/// The session-replay speedup of one optimizer: `pairs` pairs, each running
+/// The session-replay speedup of one optimizer: [`REPLAY_PAIRS`] pairs, each running
 /// one incremental and one full session back to back with the first arm
 /// alternating (as in `ingest_overhead_ratios`), so a change in host load
 /// reaches both arms of a pair and the median drops the pairs it split.
@@ -142,13 +140,12 @@ fn time_session(workload: &Workload, mut session: humo::LabelingSession<'_>) -> 
 /// arm's first outcome stands for all of its runs.
 fn replay_pairs<'w>(
     workload: &'w Workload,
-    pairs: usize,
     incremental: impl Fn() -> humo::LabelingSession<'w>,
     full: impl Fn() -> humo::LabelingSession<'w>,
 ) -> (ReplayArm, ReplayArm, Vec<f64>) {
     let (mut incremental_secs, mut full_secs) = (Vec::new(), Vec::new());
     let mut arms = None;
-    for pair in 0..pairs.max(1) {
+    for pair in 0..REPLAY_PAIRS {
         let (inc, ful) = if pair % 2 == 0 {
             (time_session(workload, incremental()), time_session(workload, full()))
         } else {
@@ -276,8 +273,7 @@ fn process_cpu_secs() -> Option<f64> {
     Some((utime + stime) as f64 / 100.0)
 }
 
-/// Incremental/full pairs each session-replay median is taken over, unless
-/// `HUMO_PIPE_REPLAY_PAIRS` says otherwise.
+/// Incremental/full pairs each session-replay median is taken over.
 const REPLAY_PAIRS: usize = 9;
 /// Single-thread/pool pairs the parallel-scoring median is taken over.
 const SCALING_PAIRS: usize = 9;
@@ -402,7 +398,6 @@ fn main() {
     let entities = cfg.usize("ENTITIES", 1_500);
     let batches = cfg.usize("BATCHES", 4);
     let threads = cfg.usize("THREADS", 0);
-    let replay_pairs_n = cfg.usize("REPLAY_PAIRS", REPLAY_PAIRS);
     let assert_mode = cfg.flag("ASSERT");
     let spill_budget = cfg.usize("SPILL_BUDGET", 0);
 
@@ -601,7 +596,6 @@ fn main() {
     let samp_config = pipeline_config(threads, true).optimizer;
     let (samp_incremental, samp_full, samp_ratios) = replay_pairs(
         workload,
-        replay_pairs_n,
         || {
             PartialSamplingOptimizer::new(samp_config)
                 .expect("valid SAMP config")
@@ -624,7 +618,6 @@ fn main() {
     hybr_full_config.sampling.refit = RefitStrategy::Full;
     let (hybr_incremental, hybr_full, hybr_ratios) = replay_pairs(
         workload,
-        replay_pairs_n,
         || {
             HybridOptimizer::new(hybr_config)
                 .expect("valid HYBR config")

@@ -402,12 +402,15 @@ impl CrowdSession {
     }
 
     /// Files `slot` as the hint for workload index `index`. The table grows
-    /// to cover an index only while it stays within a constant factor of
-    /// the pairs known plus the batch in hand, so a sparse or foreign index
-    /// space falls back to hashing instead of allocating.
+    /// only to indices below a fixed multiple of the pairs known and in
+    /// hand, and to at least 2^16 entries; a request past that is found by
+    /// hashing. The bound is a memory cap against caller-built requests
+    /// with huge indices, not a tuned figure: a session emits indices below
+    /// its workload's length, so on workloads of up to 2^16 pairs every one
+    /// of them gets an entry.
     fn remember(&mut self, index: usize, slot: u32, batch: usize) {
         if index >= self.slot_at.len() {
-            if index >= 64 * (self.requests.len() + batch + 1024) {
+            if index >= (64 * (self.requests.len() + batch)).max(1 << 16) {
                 return;
             }
             self.slot_at.resize(index + 1, u32::MAX);
