@@ -27,11 +27,14 @@
 //! non-zero on regression (see `humo_bench::trajectory`).
 
 use er_obs::{MetricsRecorder, ObsHandle};
-use humo::{QualityRequirement, TailCalibration};
+use humo::{
+    AllSamplingConfig, GroundTruthOracle, HybridConfig, PartialSamplingConfig, QualityRequirement,
+    SessionConfig, TailCalibration,
+};
 use humo_bench::trajectory::emit_and_gate;
 use humo_bench::{
-    all_sampling_effective_tail, failure_rate_band, run_all_sampling_with_tail, run_hybr_with_tail,
-    run_samp_with_tail, synthetic_workload, BenchConfig, Json,
+    all_sampling_effective_tail, failure_rate_band, run, synthetic_workload, BenchConfig, Json,
+    KnobError,
 };
 use std::sync::Arc;
 
@@ -52,25 +55,21 @@ struct Cell {
     mean_cost_reference: f64,
 }
 
-fn main() {
+fn main() -> Result<(), KnobError> {
     let cfg = BenchConfig::from_env("HUMO_CAL");
-    let seeds = cfg.usize("SEEDS", 20);
-    let pairs = cfg.usize("PAIRS", 30_000);
-    let taus = cfg.f64_list("TAUS", &[6.0, 8.0, 10.0, 14.0, 18.0]);
-    // A malformed grid or a zero seed count would make the assertion gate
-    // pass vacuously (zero cells, zero violations); refuse to run instead.
-    if taus.is_empty() || seeds == 0 {
-        eprintln!(
-            "calibration_coverage: empty τ grid or zero seeds \
-             (HUMO_CAL_TAUS={:?}, HUMO_CAL_SEEDS={seeds}) — nothing would be measured",
-            std::env::var("HUMO_CAL_TAUS").unwrap_or_default()
-        );
+    let seeds = cfg.usize("SEEDS", 20)?;
+    let pairs = cfg.usize("PAIRS", 30_000)?;
+    let taus = cfg.f64_list("TAUS", &[6.0, 8.0, 10.0, 14.0, 18.0])?;
+    // A zero seed count would make the assertion gate pass vacuously (zero
+    // cells, zero violations); refuse to run instead.
+    if seeds == 0 {
+        eprintln!("calibration_coverage: HUMO_CAL_SEEDS=0 — nothing would be measured");
         std::process::exit(2);
     }
     let assert_mode = cfg.flag("ASSERT");
     let requirement = QualityRequirement::symmetric(0.9).unwrap();
     let calibrated = TailCalibration {
-        distance_strength: cfg.f64("STRENGTH", TailCalibration::default().distance_strength),
+        distance_strength: cfg.f64("STRENGTH", TailCalibration::default().distance_strength)?,
         ..TailCalibration::default()
     };
     // Reference arm: the upper-side-only calibration that shipped before the
@@ -84,40 +83,35 @@ fn main() {
     println!("reference arm: upper-side-only calibration (pre-pooling default)");
     println!("================================================================");
     println!(
-        "{:>5} {:>4} | {:>8} {:>8} {:>8} {:>8} {:>14} | {:>8} {:>8} {:>7}",
-        "opt",
-        "τ",
-        "fail",
-        "recall",
-        "prec",
-        "ref prec",
-        "prec [95% CP]",
-        "cost %",
-        "ref %",
-        "Δcost"
+        "  opt    τ |     fail   recall     prec ref prec  prec [95% CP] |   cost %    ref %   Δcost"
     );
 
-    type Runner = fn(
-        &er_core::workload::Workload,
-        QualityRequirement,
-        u64,
-        TailCalibration,
-    ) -> humo::OptimizationOutcome;
-    // Each optimizer's runner may remap the requested tail onto its own tuned
-    // defaults (ALL preserves `calibrate_lower: false`; see
-    // `all_sampling_effective_tail`). Deriving the effective configuration
-    // through the same mapping the runner uses tells the harness whether the
-    // two arms actually differ — when they collapse onto the same effective
-    // config, the reference optimization would be byte-identical and is
-    // skipped, reusing the calibrated outcome.
-    type EffectiveTail = fn(QualityRequirement, TailCalibration) -> TailCalibration;
-    fn identity_tail(_requirement: QualityRequirement, tail: TailCalibration) -> TailCalibration {
-        tail
-    }
-    let optimizers: [(&'static str, Runner, EffectiveTail); 3] = [
-        ("SAMP", run_samp_with_tail, identity_tail),
-        ("HYBR", run_hybr_with_tail, identity_tail),
-        ("ALL", run_all_sampling_with_tail, all_sampling_effective_tail),
+    // Each arm builds its optimizer's session configuration for a requested
+    // tail, and ALL remaps the tail onto its own tuned defaults (it keeps
+    // `calibrate_lower: false`; see `all_sampling_effective_tail`). When the
+    // calibrated and reference tails build the same configuration, the
+    // reference optimization would be byte-identical and is skipped, reusing
+    // the calibrated outcome.
+    type Arm = fn(QualityRequirement, u64, TailCalibration) -> SessionConfig;
+    let optimizers: [(&'static str, Arm); 3] = [
+        ("SAMP", |requirement, seed, tail_calibration| {
+            SessionConfig::PartialSampling(PartialSamplingConfig {
+                tail_calibration,
+                ..PartialSamplingConfig::new(requirement).with_seed(seed)
+            })
+        }),
+        ("HYBR", |requirement, seed, tail| {
+            let mut config = HybridConfig::new(requirement).with_seed(seed);
+            config.sampling.tail_calibration = tail;
+            SessionConfig::Hybrid(config)
+        }),
+        ("ALL", |requirement, seed, tail| {
+            SessionConfig::AllSampling(AllSamplingConfig {
+                tail_calibration: all_sampling_effective_tail(requirement, tail),
+                seed,
+                ..AllSamplingConfig::new(requirement)
+            })
+        }),
     ];
 
     // One shared in-memory recorder observes every optimization in the sweep
@@ -126,9 +120,12 @@ fn main() {
     // phase, GP refits by strategy, reselections and replay-cache hits.
     let metrics = Arc::new(MetricsRecorder::new());
     let mut cells: Vec<Cell> = Vec::new();
-    for &(name, runner, effective_tail) in &optimizers {
-        let distinct_reference =
-            effective_tail(requirement, calibrated) != effective_tail(requirement, reference);
+    for &(name, arm) in &optimizers {
+        let distinct_reference = arm(requirement, 0, calibrated) != arm(requirement, 0, reference);
+        let runner = |workload: &er_core::workload::Workload, seed, tail| {
+            run(arm(requirement, seed, tail), workload, &mut GroundTruthOracle::new())
+                .expect("the harness configures valid optimizers")
+        };
         for &tau in &taus {
             let mut failures = 0usize;
             let mut recall_failures = 0usize;
@@ -139,7 +136,7 @@ fn main() {
             for seed in 0..seeds as u64 {
                 let mut workload = synthetic_workload(pairs, tau, 0.1, 1000 + seed);
                 workload.set_obs(ObsHandle::new(metrics.clone()));
-                let outcome = runner(&workload, requirement, seed, calibrated);
+                let outcome = runner(&workload, seed, calibrated);
                 if !requirement.is_satisfied_by(&outcome.metrics) {
                     failures += 1;
                 }
@@ -150,11 +147,8 @@ fn main() {
                     precision_failures += 1;
                 }
                 cost += outcome.human_cost_fraction(workload.len());
-                let baseline = if distinct_reference {
-                    runner(&workload, requirement, seed, reference)
-                } else {
-                    outcome
-                };
+                let baseline =
+                    if distinct_reference { runner(&workload, seed, reference) } else { outcome };
                 if baseline.metrics.precision() < requirement.precision() {
                     precision_failures_ref += 1;
                 }
@@ -204,34 +198,22 @@ fn main() {
         // small-sample slack). This is the flat-curve guarantee of the
         // upper-side calibration, and the lower-side addition must not
         // disturb it.
-        let (lower, _) = failure_rate_band(cell.recall_failures, cell.runs);
-        if lower > NOMINAL_FAILURE_RATE {
-            violations.push(format!(
-                "{} τ={}: recall-failure rate {}/{} (CP lower {:.3}) exceeds nominal {:.2}",
-                cell.optimizer,
-                cell.tau,
-                cell.recall_failures,
-                cell.runs,
-                lower,
-                NOMINAL_FAILURE_RATE
-            ));
-        }
+        let mut coverage = |side: &str, failures: usize| {
+            let (lower, _) = failure_rate_band(failures, cell.runs);
+            if lower > NOMINAL_FAILURE_RATE {
+                violations.push(format!(
+                    "{} τ={}: {side}-failure rate {failures}/{} (CP lower {lower:.3}) exceeds \
+                     nominal {NOMINAL_FAILURE_RATE:.2}",
+                    cell.optimizer, cell.tau, cell.runs
+                ));
+            }
+        };
+        coverage("recall", cell.recall_failures);
         // Precision coverage: on the mid-steep curves where the uncapped
         // lower bounds used to miss in 20–45% of runs, the precision-failure
         // rate must now sit within the CP band of the nominal rate.
         if MID_STEEP_TAU.contains(&cell.tau) {
-            let (lower, _) = failure_rate_band(cell.precision_failures, cell.runs);
-            if lower > NOMINAL_FAILURE_RATE {
-                violations.push(format!(
-                    "{} τ={}: precision-failure rate {}/{} (CP lower {:.3}) exceeds nominal {:.2}",
-                    cell.optimizer,
-                    cell.tau,
-                    cell.precision_failures,
-                    cell.runs,
-                    lower,
-                    NOMINAL_FAILURE_RATE
-                ));
-            }
+            coverage("precision", cell.precision_failures);
         }
         // Cost: on steep curves the pooled lower-bound calibration must be
         // almost free relative to the upper-side-only default it replaces.
@@ -340,4 +322,5 @@ fn main() {
     if (assert_mode && !violations.is_empty()) || !gate_passed {
         std::process::exit(1);
     }
+    Ok(())
 }

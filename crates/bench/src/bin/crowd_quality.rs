@@ -41,11 +41,13 @@
 //! `--json <path>` / `--baseline <path>` emit and gate the `BENCH_crowd.json`
 //! trajectory document (see `humo_bench::trajectory`).
 
-use humo::{symmetric_pool, Aggregation, CrowdOracle, QualityRequirement, Redundancy, WorkerModel};
+use humo::{
+    symmetric_pool, Aggregation, CrowdOracle, QualityRequirement, Redundancy, SessionConfig,
+    WorkerModel,
+};
 use humo_bench::trajectory::emit_and_gate;
 use humo_bench::{
-    failure_rate_band, run_hybr_with_oracle, run_samp_with_oracle, synthetic_workload, BenchConfig,
-    Json,
+    failure_rate_band, hybr, run, samp, synthetic_workload, BenchConfig, Json, KnobError,
 };
 
 const NOMINAL_FAILURE_RATE: f64 = 0.1; // 1 − θ for the paper's default θ = 0.9.
@@ -69,12 +71,8 @@ struct Cell {
     reliability_abs_error: Option<f64>,
 }
 
-type Runner = fn(
-    &er_core::workload::Workload,
-    QualityRequirement,
-    u64,
-    &mut dyn humo::Oracle,
-) -> humo::OptimizationOutcome;
+/// Builds an optimizer's session configuration for a requirement and seed.
+type Arm = fn(QualityRequirement, u64) -> SessionConfig;
 
 struct Scheme {
     name: &'static str,
@@ -85,7 +83,7 @@ struct Scheme {
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     optimizer: &'static str,
-    runner: Runner,
+    arm: Arm,
     scheme: &Scheme,
     pool: &str,
     make_workers: &dyn Fn(u64) -> Vec<WorkerModel>,
@@ -111,7 +109,8 @@ fn run_cell(
         };
         let mut oracle =
             CrowdOracle::new(make_workers(seed), scheme.redundancy, aggregation, 77 + seed);
-        let outcome = runner(&workload, requirement, seed, &mut oracle);
+        let outcome = run(arm(requirement, seed), &workload, &mut oracle)
+            .expect("the harness configures valid optimizers");
         if !requirement.is_satisfied_by(&outcome.metrics) {
             failures += 1;
         }
@@ -147,19 +146,19 @@ fn run_cell(
     }
 }
 
-fn main() {
+fn main() -> Result<(), KnobError> {
     let cfg = BenchConfig::from_env("HUMO_CROWD");
-    let seeds = cfg.usize("SEEDS", 6);
-    let pairs = cfg.usize("PAIRS", 16_000);
-    let tau = cfg.f64("TAU", 14.0);
-    let errors = cfg.f64_list("ERRORS", &[0.0, 0.2]);
-    let workers = cfg.usize("WORKERS", 9);
-    let redundancy = cfg.usize("REDUNDANCY", 3).max(1);
+    let seeds = cfg.usize("SEEDS", 6)?;
+    let pairs = cfg.usize("PAIRS", 16_000)?;
+    let tau = cfg.f64("TAU", 14.0)?;
+    let errors = cfg.f64_list("ERRORS", &[0.0, 0.2])?;
+    let workers = cfg.usize("WORKERS", 9)?;
+    let redundancy = cfg.usize("REDUNDANCY", 3)?.max(1);
     let assert_mode = cfg.flag("ASSERT");
-    // An empty grid would make the assertion gate pass vacuously; refuse.
-    if errors.is_empty() || seeds == 0 || workers < redundancy {
+    // A zero seed count would make the assertion gate pass vacuously; refuse.
+    if seeds == 0 || workers < redundancy {
         eprintln!(
-            "crowd_quality: degenerate configuration (errors {errors:?}, seeds {seeds}, \
+            "crowd_quality: degenerate configuration (seeds {seeds}, \
              {workers} workers < redundancy {redundancy}) — nothing would be measured"
         );
         std::process::exit(2);
@@ -178,22 +177,10 @@ fn main() {
     );
     println!("================================================================");
     println!(
-        "{:>5} {:>5} {:<10} | {:>7} {:>6} {:>6} | {:>7} {:>7} | {:>7} {:>8} {:>8}",
-        "opt",
-        "sch",
-        "pool",
-        "fail",
-        "rec-f",
-        "prec-f",
-        "prec",
-        "recall",
-        "cost %",
-        "votes/l",
-        "rel err"
+        "  opt   sch pool       |    fail  rec-f prec-f |    prec  recall |  cost %  votes/l  rel err"
     );
 
-    let optimizers: [(&'static str, Runner); 2] =
-        [("SAMP", run_samp_with_oracle), ("HYBR", run_hybr_with_oracle)];
+    let optimizers: [(&'static str, Arm); 2] = [("SAMP", samp), ("HYBR", hybr)];
     let schemes = [
         Scheme { name: "r1", redundancy: Redundancy::Fixed(1), em: false },
         Scheme { name: "rmaj", redundancy: Redundancy::Fixed(redundancy), em: false },
@@ -201,13 +188,13 @@ fn main() {
     ];
 
     let mut cells: Vec<Cell> = Vec::new();
-    for &(name, runner) in &optimizers {
+    for &(name, arm) in &optimizers {
         for &error in &errors {
             for scheme in &schemes {
                 let pool = format!("sym:{error}");
                 let make = move |seed: u64| symmetric_pool(workers, error, 9_000 + seed);
                 let cell =
-                    run_cell(name, runner, scheme, &pool, &make, requirement, seeds, pairs, tau);
+                    run_cell(name, arm, scheme, &pool, &make, requirement, seeds, pairs, tau);
                 print_cell(&cell);
                 cells.push(cell);
             }
@@ -226,7 +213,7 @@ fn main() {
                     })
                     .collect()
             };
-            let cell = run_cell(name, runner, scheme, &pool, &make, requirement, seeds, pairs, tau);
+            let cell = run_cell(name, arm, scheme, &pool, &make, requirement, seeds, pairs, tau);
             print_cell(&cell);
             cells.push(cell);
         }
@@ -358,6 +345,7 @@ fn main() {
     if (assert_mode && !violations.is_empty()) || !gate_passed {
         std::process::exit(1);
     }
+    Ok(())
 }
 
 fn print_cell(cell: &Cell) {

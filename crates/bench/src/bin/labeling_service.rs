@@ -54,7 +54,8 @@
 //! * `HUMO_SVC_CROWD_ESCALATE_MAX` — when greater than the redundancy,
 //!   escalate disagreements one extra worker at a time up to this cap
 //!   (adaptive redundancy; default: equal, i.e. fixed);
-//! * `HUMO_SVC_CROWD_AGG` — `majority` (default) or `em`. The kill-and-resume
+//! * `HUMO_SVC_CROWD_AGG` — `majority` (default) or `em`; any other value is
+//!   an error. The kill-and-resume
 //!   guarantee holds for `majority`: votes are pure functions of
 //!   `(worker seed, pair id)`, so re-voting pairs lost in a crash reproduces
 //!   identical aggregated labels. EM aggregation decides from the whole vote
@@ -88,7 +89,7 @@ use humo::{
     QualityRequirement, Redundancy, SessionConfig, SessionState, Step, VoteRequest, WorkerModel,
     WorkerVote,
 };
-use humo_bench::BenchConfig;
+use humo_bench::{BenchConfig, KnobError};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -110,15 +111,15 @@ struct CrowdParams {
 }
 
 impl CrowdParams {
-    fn from_env(cfg: &BenchConfig) -> Self {
-        let redundancy = cfg.usize("CROWD_REDUNDANCY", 3).max(1);
-        Self {
-            workers: cfg.usize("CROWD_WORKERS", 0),
-            error: cfg.f64("CROWD_ERROR", 0.1),
+    fn from_env(cfg: &BenchConfig) -> Result<Self, KnobError> {
+        let redundancy = cfg.usize("CROWD_REDUNDANCY", 3)?.max(1);
+        Ok(Self {
+            workers: cfg.usize("CROWD_WORKERS", 0)?,
+            error: cfg.f64("CROWD_ERROR", 0.1)?,
             redundancy,
-            escalate_max: cfg.usize("CROWD_ESCALATE_MAX", redundancy).max(redundancy),
-            em: std::env::var("HUMO_SVC_CROWD_AGG").is_ok_and(|v| v.eq_ignore_ascii_case("em")),
-        }
+            escalate_max: cfg.usize("CROWD_ESCALATE_MAX", redundancy)?.max(redundancy),
+            em: cfg.one_of("CROWD_AGG", &["majority", "em"])? == "em",
+        })
     }
 
     fn enabled(&self) -> bool {
@@ -155,24 +156,20 @@ struct ServiceParams {
 }
 
 impl ServiceParams {
-    fn from_env(cfg: &BenchConfig) -> Self {
-        let wal_dir = std::env::var("HUMO_SVC_WAL_DIR")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("humo-labeling-service-{}", std::process::id()))
-            });
-        Self {
-            tenants: cfg.usize("TENANTS", 4).max(1),
-            entities: cfg.usize("ENTITIES", 120),
-            labelers: cfg.usize("LABELERS", 16).max(1),
-            seed: cfg.usize("SEED", 42) as u64,
+    fn from_env(cfg: &BenchConfig) -> Result<Self, KnobError> {
+        let wal_dir = cfg.string("WAL_DIR").map(PathBuf::from).unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("humo-labeling-service-{}", std::process::id()))
+        });
+        Ok(Self {
+            tenants: cfg.usize("TENANTS", 4)?.max(1),
+            entities: cfg.usize("ENTITIES", 120)?,
+            labelers: cfg.usize("LABELERS", 16)?.max(1),
+            seed: cfg.usize("SEED", 42)? as u64,
             wal_dir,
             resume: cfg.flag("RESUME"),
-            kill_ticks: cfg.usize("KILL_TICKS", 0),
-            crowd: CrowdParams::from_env(cfg),
-        }
+            kill_ticks: cfg.usize("KILL_TICKS", 0)?,
+            crowd: CrowdParams::from_env(cfg)?,
+        })
     }
 
     fn wal_path(&self, tenant: usize) -> PathBuf {
@@ -762,10 +759,10 @@ fn run_selftest(base: &ServiceParams, kill_points: &[usize]) {
     );
 }
 
-fn main() {
+fn main() -> Result<(), KnobError> {
     let cfg = BenchConfig::from_env("HUMO_SVC");
-    let params = ServiceParams::from_env(&cfg);
-    let default_wal_dir = std::env::var("HUMO_SVC_WAL_DIR").map_or(true, |p| p.is_empty());
+    let params = ServiceParams::from_env(&cfg)?;
+    let default_wal_dir = cfg.string("WAL_DIR").is_none();
 
     println!("================================================================");
     println!("labeling_service: durable multi-tenant labeling over shared labelers");
@@ -789,12 +786,12 @@ fn main() {
 
     if cfg.flag("SELFTEST") {
         let kill_points: Vec<usize> = cfg
-            .f64_list("KILL_AT", &[1.0, 4.0, 24.0])
+            .f64_list("KILL_AT", &[1.0, 4.0, 24.0])?
             .into_iter()
             .map(|k| k.max(1.0) as usize)
             .collect();
         run_selftest(&params, &kill_points);
-        return;
+        return Ok(());
     }
 
     let mut engines: Vec<ResolutionEngine> =
@@ -804,4 +801,5 @@ fn main() {
     if default_wal_dir && !params.resume {
         let _ = std::fs::remove_dir_all(&params.wal_dir);
     }
+    Ok(())
 }

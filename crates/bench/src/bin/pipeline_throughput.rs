@@ -67,7 +67,7 @@ use humo::{
     PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement, RefitStrategy, Step,
 };
 use humo_bench::trajectory::emit_and_gate;
-use humo_bench::{BenchConfig, Json};
+use humo_bench::{BenchConfig, Json, KnobError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -393,13 +393,13 @@ fn run_out_of_core(
     println!("\n[out-of-core] all equivalence checks passed");
 }
 
-fn main() {
+fn main() -> Result<(), KnobError> {
     let cfg = BenchConfig::from_env("HUMO_PIPE");
-    let entities = cfg.usize("ENTITIES", 1_500);
-    let batches = cfg.usize("BATCHES", 4);
-    let threads = cfg.usize("THREADS", 0);
+    let entities = cfg.usize("ENTITIES", 1_500)?;
+    let batches = cfg.usize("BATCHES", 4)?;
+    let threads = cfg.usize("THREADS", 0)?;
     let assert_mode = cfg.flag("ASSERT");
-    let spill_budget = cfg.usize("SPILL_BUDGET", 0);
+    let spill_budget = cfg.usize("SPILL_BUDGET", 0)?;
 
     println!("================================================================");
     println!("pipeline_throughput: streaming ingest -> resolve -> cluster");
@@ -424,7 +424,7 @@ fn main() {
 
     if spill_budget > 0 {
         run_out_of_core(&corpus, &truth, threads, batches, spill_budget);
-        return;
+        return Ok(());
     }
 
     let schema = BibliographicGenerator::schema();
@@ -928,4 +928,5 @@ fn main() {
     if !gate_passed {
         std::process::exit(1);
     }
+    Ok(())
 }

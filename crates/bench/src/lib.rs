@@ -1,20 +1,18 @@
 //! Shared helpers for the HUMO experiment harness.
 //!
-//! Every table and figure of the paper's evaluation section has a matching binary
-//! in `src/bin/` (see DESIGN.md for the index). The binaries share the workload
-//! builders, optimizer runners and table formatting defined here.
-//!
-//! Two environment variables keep full sweeps tractable on a laptop:
-//!
-//! * `HUMO_SCALE` — fraction of the full DS/AB workload sizes to generate
-//!   (default `0.2`; use `1.0` to reproduce the paper-scale workloads);
-//! * `HUMO_RUNS` — number of repeated runs for the randomized optimizers
-//!   (default `5`; the paper averages over 100).
+//! The paper's evaluation (Section VIII) is one table-driven binary,
+//! `src/bin/paper.rs`: each entry names the figures and tables it covers,
+//! and one sweep runs every entry over (workload, requirement, optimizer arm,
+//! seeds). `calibration_coverage` and `crowd_quality` measure the
+//! θ-guarantee beyond the paper; `pipeline_throughput`, `labeling_service`
+//! and `trace_check` drive the streaming engine. The binaries share the
+//! workloads, the session runner and the run summaries defined here, the knob
+//! parsing of [`config`] and the `BENCH_*.json` trajectory of [`trajectory`].
 
 pub mod config;
 pub mod trajectory;
 
-pub use config::BenchConfig;
+pub use config::{BenchConfig, KnobError};
 /// The dependency-free JSON value type now lives in `er-obs` (it backs both
 /// the trace recorder and the harness baselines); re-exported here so harness
 /// binaries keep their `humo_bench::json::Json` spelling.
@@ -25,29 +23,53 @@ use er_core::workload::Workload;
 use er_datagen::calibrated::CalibratedConfig;
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::{
-    AllSamplingConfig, AllSamplingOptimizer, BaselineConfig, BaselineOptimizer, GroundTruthOracle,
-    HybridConfig, HybridOptimizer, OptimizationOutcome, Optimizer, Oracle, PartialSamplingConfig,
-    PartialSamplingOptimizer, QualityRequirement, TailCalibration,
+    AllSamplingConfig, GroundTruthOracle, HybridConfig, LabelingSession, OptimizationOutcome,
+    Oracle, PartialSamplingConfig, QualityRequirement, SessionConfig, TailCalibration,
 };
 
-/// Fraction of the full DS/AB sizes used by the harness (env `HUMO_SCALE`, default 0.2).
-pub fn scale() -> f64 {
-    std::env::var("HUMO_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(0.2)
+/// A workload of the paper's evaluation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WorkloadSpec {
+    /// The DS-like (DBLP–Scholar) workload.
+    Ds,
+    /// The AB-like (Abt–Buy) workload.
+    Ab,
+    /// A synthetic logistic workload (paper Section VIII-A).
+    Synthetic {
+        /// Number of pairs.
+        pairs: usize,
+        /// Steepness of the logistic match-proportion curve.
+        tau: f64,
+        /// Irregularity of the per-subset match proportions.
+        sigma: f64,
+        /// Generator seed.
+        seed: u64,
+    },
 }
 
-/// Number of repeated runs for randomized optimizers (env `HUMO_RUNS`, default 5).
-pub fn runs() -> usize {
-    std::env::var("HUMO_RUNS").ok().and_then(|v| v.parse().ok()).unwrap_or(5)
-}
+impl WorkloadSpec {
+    /// Generates the workload; DS and AB use seed 1 at `scale` of the
+    /// paper's sizes (`1.0` reproduces them).
+    pub fn build(self, scale: f64) -> Workload {
+        match self {
+            WorkloadSpec::Ds => CalibratedConfig::ds(1).scaled(scale).generate(),
+            WorkloadSpec::Ab => CalibratedConfig::ab(1).scaled(scale).generate(),
+            WorkloadSpec::Synthetic { pairs, tau, sigma, seed } => {
+                synthetic_workload(pairs, tau, sigma, seed)
+            }
+        }
+    }
 
-/// The DS-like workload at the harness scale.
-pub fn ds_workload(seed: u64) -> Workload {
-    CalibratedConfig::ds(seed).scaled(scale()).generate()
-}
-
-/// The AB-like workload at the harness scale.
-pub fn ab_workload(seed: u64) -> Workload {
-    CalibratedConfig::ab(seed).scaled(scale()).generate()
+    /// A short label for tables and `BENCH_*.json` rows.
+    pub fn name(self) -> String {
+        match self {
+            WorkloadSpec::Ds => "DS".into(),
+            WorkloadSpec::Ab => "AB".into(),
+            WorkloadSpec::Synthetic { pairs, tau, sigma, seed } => {
+                format!("synthetic({pairs}, τ={tau}, σ={sigma}, seed {seed})")
+            }
+        }
+    }
 }
 
 /// A synthetic logistic workload (paper Section VIII-A).
@@ -56,103 +78,33 @@ pub fn synthetic_workload(num_pairs: usize, tau: f64, sigma: f64, seed: u64) -> 
         .generate()
 }
 
-/// Runs the BASE optimizer once.
-pub fn run_base(
+/// Runs the optimizer session of `config` over `workload`, answering its
+/// label requests from `oracle`: what [`humo::Optimizer::optimize`] does.
+pub fn run(
+    config: SessionConfig,
     workload: &Workload,
-    requirement: QualityRequirement,
-    _seed: u64,
-) -> OptimizationOutcome {
-    let optimizer = BaselineOptimizer::new(BaselineConfig::new(requirement)).expect("valid config");
-    let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(workload, &mut oracle).expect("BASE optimization succeeds")
-}
-
-/// Runs the SAMP optimizer with the given seed.
-pub fn run_samp(
-    workload: &Workload,
-    requirement: QualityRequirement,
-    seed: u64,
-) -> OptimizationOutcome {
-    run_samp_with_tail(workload, requirement, seed, TailCalibration::default())
-}
-
-/// Runs the HYBR optimizer with the given seed.
-pub fn run_hybr(
-    workload: &Workload,
-    requirement: QualityRequirement,
-    seed: u64,
-) -> OptimizationOutcome {
-    run_hybr_with_tail(workload, requirement, seed, TailCalibration::default())
-}
-
-/// Runs the SAMP optimizer with an explicit tail-calibration configuration.
-pub fn run_samp_with_tail(
-    workload: &Workload,
-    requirement: QualityRequirement,
-    seed: u64,
-    tail: TailCalibration,
-) -> OptimizationOutcome {
-    let config = PartialSamplingConfig {
-        tail_calibration: tail,
-        ..PartialSamplingConfig::new(requirement).with_seed(seed)
-    };
-    let optimizer = PartialSamplingOptimizer::new(config).expect("valid config");
-    let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(workload, &mut oracle).expect("SAMP optimization succeeds")
-}
-
-/// Runs the HYBR optimizer with an explicit tail-calibration configuration.
-pub fn run_hybr_with_tail(
-    workload: &Workload,
-    requirement: QualityRequirement,
-    seed: u64,
-    tail: TailCalibration,
-) -> OptimizationOutcome {
-    let mut config = HybridConfig::new(requirement).with_seed(seed);
-    config.sampling.tail_calibration = tail;
-    let optimizer = HybridOptimizer::new(config).expect("valid config");
-    let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(workload, &mut oracle).expect("HYBR optimization succeeds")
-}
-
-/// Runs the SAMP optimizer with the given seed against an arbitrary oracle —
-/// the `_with_tail` runners hardcode [`GroundTruthOracle`]; the `crowd_quality`
-/// harness passes a [`humo::CrowdOracle`] here to measure delivered quality
-/// under noisy, redundantly-voted crowds.
-pub fn run_samp_with_oracle(
-    workload: &Workload,
-    requirement: QualityRequirement,
-    seed: u64,
     oracle: &mut dyn Oracle,
-) -> OptimizationOutcome {
-    let optimizer =
-        PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement).with_seed(seed))
-            .expect("valid config");
-    optimizer.optimize(workload, oracle).expect("SAMP optimization succeeds")
+) -> humo::Result<OptimizationOutcome> {
+    LabelingSession::new(config, workload)?.drive(oracle)
 }
 
-/// Runs the HYBR optimizer with the given seed against an arbitrary oracle
-/// (see [`run_samp_with_oracle`]).
-pub fn run_hybr_with_oracle(
-    workload: &Workload,
-    requirement: QualityRequirement,
-    seed: u64,
-    oracle: &mut dyn Oracle,
-) -> OptimizationOutcome {
-    let optimizer =
-        HybridOptimizer::new(HybridConfig::new(requirement).with_seed(seed)).expect("valid config");
-    optimizer.optimize(workload, oracle).expect("HYBR optimization succeeds")
+/// SAMP at its defaults, drawing its samples from `seed`.
+pub fn samp(requirement: QualityRequirement, seed: u64) -> SessionConfig {
+    SessionConfig::PartialSampling(PartialSamplingConfig::new(requirement).with_seed(seed))
 }
 
-/// The tail configuration [`run_all_sampling_with_tail`] actually applies for
-/// a requested `tail`: only the `enabled`/`distance_strength` knobs pass
-/// through, while the ALL-specific `shortfall_baseline`, `quiet_fraction` and
+/// HYBR at its defaults, drawing its samples from `seed`.
+pub fn hybr(requirement: QualityRequirement, seed: u64) -> SessionConfig {
+    SessionConfig::Hybrid(HybridConfig::new(requirement).with_seed(seed))
+}
+
+/// The tail configuration the all-sampling optimizer gets for a requested
+/// `tail`: only the `enabled`/`distance_strength` knobs pass through, while
+/// the ALL-specific `shortfall_baseline`, `quiet_fraction` and
 /// `calibrate_lower` defaults are preserved (they are tuned to the stratified
 /// estimator's 20-draw strata — ALL never extrapolates, so the lower-side
 /// saturation cap stays off in its default — and overriding them would
-/// silently change what the harness compares). Exposed so harnesses can tell
-/// whether two requested configurations collapse onto the same effective one
-/// (e.g. to skip a redundant reference arm) without duplicating this mapping.
+/// silently change what the harness compares).
 pub fn all_sampling_effective_tail(
     requirement: QualityRequirement,
     tail: TailCalibration,
@@ -162,25 +114,6 @@ pub fn all_sampling_effective_tail(
         distance_strength: tail.distance_strength,
         ..AllSamplingConfig::new(requirement).tail_calibration
     }
-}
-
-/// Runs the all-sampling optimizer with an explicit tail-calibration
-/// configuration; the effective configuration is
-/// [`all_sampling_effective_tail`] of `tail`.
-pub fn run_all_sampling_with_tail(
-    workload: &Workload,
-    requirement: QualityRequirement,
-    seed: u64,
-    tail: TailCalibration,
-) -> OptimizationOutcome {
-    let config = AllSamplingConfig {
-        tail_calibration: all_sampling_effective_tail(requirement, tail),
-        seed,
-        ..AllSamplingConfig::new(requirement)
-    };
-    let optimizer = AllSamplingOptimizer::new(config).expect("valid config");
-    let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(workload, &mut oracle).expect("ALL optimization succeeds")
 }
 
 /// One-sided 95% Clopper–Pearson band on an observed failure rate: returns
@@ -195,9 +128,15 @@ pub fn failure_rate_band(failures: usize, runs: usize) -> (f64, f64) {
     (lower, upper)
 }
 
-/// Aggregate of repeated randomized runs.
-#[derive(Debug, Clone, Copy)]
+/// Aggregate of repeated runs of one optimizer configuration.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunSummary {
+    /// Number of runs.
+    pub runs: usize,
+    /// Distinct pairs labeled by the human, summed over the runs.
+    pub labels: usize,
+    /// Runs that missed the precision or the recall requirement.
+    pub failures: usize,
     /// Mean achieved precision.
     pub precision: f64,
     /// Mean achieved recall.
@@ -206,52 +145,44 @@ pub struct RunSummary {
     pub f1: f64,
     /// Mean human cost as a fraction of the workload.
     pub cost_fraction: f64,
-    /// Fraction of runs meeting both requirement levels.
-    pub success_rate: f64,
 }
 
-/// Runs a randomized optimizer `runs()` times and summarizes.
+impl RunSummary {
+    /// Fraction of runs meeting both requirement levels.
+    pub fn success_rate(&self) -> f64 {
+        (self.runs - self.failures) as f64 / self.runs as f64
+    }
+}
+
+/// Runs the session of `config(seed)` once per seed against the ground truth
+/// and summarizes the outcomes against `requirement`.
+///
+/// # Panics
+/// Panics if `seeds` is empty or a configuration is invalid.
 pub fn summarize(
     workload: &Workload,
     requirement: QualityRequirement,
-    mut run: impl FnMut(&Workload, QualityRequirement, u64) -> OptimizationOutcome,
+    seeds: &[u64],
+    config: impl Fn(u64) -> SessionConfig,
 ) -> RunSummary {
-    let n = runs().max(1);
-    let mut precision = 0.0;
-    let mut recall = 0.0;
-    let mut f1 = 0.0;
-    let mut cost = 0.0;
-    let mut successes = 0usize;
-    for seed in 0..n as u64 {
-        let outcome = run(workload, requirement, seed);
-        precision += outcome.metrics.precision();
-        recall += outcome.metrics.recall();
-        f1 += outcome.metrics.f1();
-        cost += outcome.human_cost_fraction(workload.len());
-        if requirement.is_satisfied_by(&outcome.metrics) {
-            successes += 1;
-        }
+    assert!(!seeds.is_empty(), "a summary needs at least one run");
+    let mut summary = RunSummary { runs: seeds.len(), ..RunSummary::default() };
+    for &seed in seeds {
+        let outcome = run(config(seed), workload, &mut GroundTruthOracle::new())
+            .expect("the harness configures valid optimizers");
+        summary.labels += outcome.total_human_cost;
+        summary.failures += usize::from(!requirement.is_satisfied_by(&outcome.metrics));
+        summary.precision += outcome.metrics.precision();
+        summary.recall += outcome.metrics.recall();
+        summary.f1 += outcome.metrics.f1();
+        summary.cost_fraction += outcome.human_cost_fraction(workload.len());
     }
-    let n = n as f64;
-    RunSummary {
-        precision: precision / n,
-        recall: recall / n,
-        f1: f1 / n,
-        cost_fraction: cost / n,
-        success_rate: successes as f64 / n,
-    }
-}
-
-/// Prints the standard harness header for an experiment.
-pub fn header(id: &str, description: &str) {
-    println!("================================================================");
-    println!("{id}: {description}");
-    println!(
-        "scale = {} of the paper's workload sizes, runs = {} per configuration",
-        scale(),
-        runs()
-    );
-    println!("================================================================");
+    let n = seeds.len() as f64;
+    summary.precision /= n;
+    summary.recall /= n;
+    summary.f1 /= n;
+    summary.cost_fraction /= n;
+    summary
 }
 
 #[cfg(test)]
@@ -260,8 +191,8 @@ mod tests {
 
     #[test]
     fn scaled_workloads_have_expected_shape() {
-        let ds = ds_workload(1);
-        let ab = ab_workload(1);
+        let ds = WorkloadSpec::Ds.build(0.2);
+        let ab = WorkloadSpec::Ab.build(0.2);
         assert!(ds.len() > 1_000);
         assert!(ab.len() > ds.len());
         assert!(ds.total_matches() > ab.total_matches());
@@ -271,9 +202,12 @@ mod tests {
     fn summaries_average_over_runs() {
         let w = synthetic_workload(5_000, 14.0, 0.1, 3);
         let requirement = QualityRequirement::symmetric(0.85).unwrap();
-        let summary = summarize(&w, requirement, run_samp);
+        let summary = summarize(&w, requirement, &[0, 1, 2, 3, 4], |seed| samp(requirement, seed));
+        assert_eq!(summary.runs, 5);
+        let first = run(samp(requirement, 0), &w, &mut GroundTruthOracle::new()).unwrap();
+        assert!(summary.labels > first.total_human_cost, "labels add up over the runs");
         assert!(summary.precision > 0.5);
         assert!(summary.cost_fraction > 0.0 && summary.cost_fraction < 1.0);
-        assert!((0.0..=1.0).contains(&summary.success_rate));
+        assert!((0.0..=1.0).contains(&summary.success_rate()));
     }
 }

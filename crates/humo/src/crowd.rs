@@ -576,6 +576,68 @@ mod tests {
             assert_eq!(ask.request.index, expected);
         }
     }
+
+    /// The `crowd.votes`, `crowd.labels` and `crowd.escalations` counters a
+    /// recorder sees add up to the wrapper's own running totals.
+    fn assert_counters_match(recorder: &er_obs::MetricsRecorder, stats: CrowdStats) {
+        let counters = recorder.snapshot();
+        assert!(stats.escalations > 0, "the pool must disagree for escalations to count");
+        assert_eq!(counters.counter("crowd.votes"), stats.votes);
+        assert_eq!(counters.counter("crowd.labels"), stats.decided);
+        assert_eq!(counters.counter("crowd.escalations"), stats.escalations);
+    }
+
+    #[test]
+    fn crowd_counters_add_up_to_the_session_stats() {
+        let recorder = std::sync::Arc::new(er_obs::MetricsRecorder::new());
+        let workers = symmetric_pool(7, 0.3, 17);
+        let redundancy = Redundancy::Adaptive { min: 2, max: 5 };
+        let mut session = CrowdSession::new(7, redundancy, Aggregation::Majority, 23)
+            .with_obs(ObsHandle::new(recorder.clone()));
+        let requests: Vec<LabelRequest> = (0..80)
+            .map(|i| LabelRequest { pair_id: PairId(i), index: i as usize, similarity: 0.5 })
+            .collect();
+        // Two batches, each answered through its escalations and drained, so
+        // the counters are flushed as deltas more than once.
+        let mut decided = 0;
+        for batch in requests.chunks(50) {
+            let mut asks = session.submit(batch);
+            while !asks.is_empty() {
+                let votes: Vec<WorkerVote> = asks
+                    .iter()
+                    .map(|ask| WorkerVote {
+                        pair_id: ask.request.pair_id,
+                        worker: ask.worker,
+                        label: Label::from_bool(
+                            workers[ask.worker.0 as usize]
+                                .vote(ask.request.pair_id.0, ask.request.index % 3 == 0),
+                        ),
+                    })
+                    .collect();
+                asks = session.absorb(&votes);
+            }
+            decided += session.take_ready().len();
+        }
+        assert_eq!(decided, requests.len());
+        assert_counters_match(&recorder, session.stats());
+    }
+
+    #[test]
+    fn crowd_oracle_counters_add_up_to_the_oracle_stats() {
+        let recorder = std::sync::Arc::new(er_obs::MetricsRecorder::new());
+        let mut oracle = CrowdOracle::new(
+            symmetric_pool(7, 0.3, 17),
+            Redundancy::Adaptive { min: 2, max: 5 },
+            Aggregation::Majority,
+            23,
+        )
+        .with_obs(ObsHandle::new(recorder.clone()));
+        let pairs: Vec<InstancePair> = (0..80).map(|i| pair(i, 0.5, i % 3 == 0)).collect();
+        oracle.label_batch(&pairs[..50]);
+        oracle.label_batch(&pairs[30..]);
+        assert_eq!(oracle.labels_issued(), pairs.len());
+        assert_counters_match(&recorder, oracle.stats());
+    }
 }
 
 /// The one-pass [`CrowdSession::submit`] against the two-pass submit it

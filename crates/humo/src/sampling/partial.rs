@@ -54,7 +54,7 @@ pub struct PartialSamplingConfig {
     /// * `true` (conservative): per-subset binomial sampling error and a
     ///   data-calibrated idiosyncratic scatter term are added to the GP noise and
     ///   to the count variance. Bounds become statistically safer but noticeably
-    ///   wider, so the human region grows (see the `ablation_noise_model` bench).
+    ///   wider, so the human region grows (see the `paper noise_model` bench).
     pub conservative_noise: bool,
     /// Tail calibration of the count bounds (binomial detection limits plus
     /// distance-dependent posterior inflation). Enabled by default; disabling it
