@@ -63,8 +63,8 @@ use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator, Gen
 use er_obs::{MetricsRecorder, ObsHandle};
 use er_pipeline::{PipelineConfig, ResolutionEngine, WorkerPool};
 use humo::{
-    GroundTruthOracle, HybridConfig, HybridOptimizer, OptimizationOutcome, Optimizer, Oracle,
-    PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement, RefitStrategy, Step,
+    GroundTruthOracle, HybridConfig, LabelingSession, OptimizationOutcome, Oracle,
+    PartialSamplingConfig, QualityRequirement, RefitStrategy, SessionConfig, Step,
 };
 use humo_bench::trajectory::emit_and_gate;
 use humo_bench::{BenchConfig, Json, KnobError};
@@ -113,7 +113,7 @@ type ReplayArm = (OptimizationOutcome, usize, f64);
 /// [`humo::GroundTruthOracle`]
 /// answering each batch): a real deployment pays human latency there, so the
 /// quantity the refit strategy can improve is exactly the in-step time.
-fn time_session(workload: &Workload, mut session: humo::LabelingSession<'_>) -> ReplayArm {
+fn time_session(workload: &Workload, mut session: LabelingSession<'_>) -> ReplayArm {
     let mut oracle = GroundTruthOracle::new();
     let mut responses = Vec::new();
     let mut in_step = 0.0;
@@ -140,8 +140,8 @@ fn time_session(workload: &Workload, mut session: humo::LabelingSession<'_>) -> 
 /// arm's first outcome stands for all of its runs.
 fn replay_pairs<'w>(
     workload: &'w Workload,
-    incremental: impl Fn() -> humo::LabelingSession<'w>,
-    full: impl Fn() -> humo::LabelingSession<'w>,
+    incremental: impl Fn() -> LabelingSession<'w>,
+    full: impl Fn() -> LabelingSession<'w>,
 ) -> (ReplayArm, ReplayArm, Vec<f64>) {
     let (mut incremental_secs, mut full_secs) = (Vec::new(), Vec::new());
     let mut arms = None;
@@ -530,17 +530,14 @@ fn main() -> Result<(), KnobError> {
     );
 
     // Warm vs cold planning on the identical final workload, fresh oracles.
-    let optimizer = PartialSamplingOptimizer::new(pipeline_config(threads, true).optimizer)
-        .expect("valid optimizer config");
+    let samp = pipeline_config(threads, true).optimizer;
     let workload = scratch.workload();
     let mut cold_plan_oracle = GroundTruthOracle::new();
-    optimizer.plan(workload, &mut cold_plan_oracle).expect("cold plan succeeds");
+    samp.plan(workload, &mut cold_plan_oracle, None).expect("cold plan succeeds");
     let cold_plan_queries = cold_plan_oracle.labels_issued();
     let warm_state = engine.warm_state().cloned().unwrap_or_default();
     let mut warm_plan_oracle = GroundTruthOracle::new();
-    optimizer
-        .plan_with_warm_start(workload, &mut warm_plan_oracle, Some(&warm_state))
-        .expect("warm plan succeeds");
+    samp.plan(workload, &mut warm_plan_oracle, Some(&warm_state)).expect("warm plan succeeds");
     let warm_plan_queries = warm_plan_oracle.labels_issued();
     let saving = if cold_plan_queries > 0 {
         100.0 * (cold_plan_queries as f64 - warm_plan_queries as f64) / cold_plan_queries as f64
@@ -561,8 +558,8 @@ fn main() -> Result<(), KnobError> {
     let requirement = QualityRequirement::symmetric(0.9).expect("valid requirement");
     let mut hybr_config = HybridConfig::new(requirement);
     hybr_config.sampling.unit_size = pipeline_config(threads, true).optimizer.unit_size;
-    let hybr = HybridOptimizer::new(hybr_config).expect("valid HYBR config");
-    let mut hybr_session = hybr.session(workload).expect("valid session");
+    let mut hybr_session =
+        LabelingSession::new(SessionConfig::Hybrid(hybr_config), workload).expect("valid session");
     let mut hybr_oracle = GroundTruthOracle::new();
     let hybr_outcome = hybr_session.drive(&mut hybr_oracle).expect("HYBR session completes");
     let unit = hybr_config.sampling.unit_size;
@@ -593,44 +590,20 @@ fn main() -> Result<(), KnobError> {
     // step replays the entire labeling history). The arms are byte-identical
     // by construction; the median ratio of their wall times over alternating
     // pairs is the committed, machine-independent perf-trajectory number.
-    let samp_config = pipeline_config(threads, true).optimizer;
+    let session = |config| LabelingSession::new(config, workload).expect("valid session");
+    let samp_full_config = PartialSamplingConfig { refit: RefitStrategy::Full, ..samp };
     let (samp_incremental, samp_full, samp_ratios) = replay_pairs(
         workload,
-        || {
-            PartialSamplingOptimizer::new(samp_config)
-                .expect("valid SAMP config")
-                .session(workload)
-                .expect("valid session")
-        },
-        || {
-            PartialSamplingOptimizer::new(PartialSamplingConfig {
-                refit: RefitStrategy::Full,
-                ..samp_config
-            })
-            .expect("valid SAMP config")
-            .session(workload)
-            .expect("valid session")
-            .with_replay_cache(false)
-        },
+        || session(SessionConfig::PartialSampling(samp)),
+        || session(SessionConfig::PartialSampling(samp_full_config)).with_replay_cache(false),
     );
     assert_arms_identical("SAMP", &samp_incremental, &samp_full);
     let mut hybr_full_config = hybr_config;
     hybr_full_config.sampling.refit = RefitStrategy::Full;
     let (hybr_incremental, hybr_full, hybr_ratios) = replay_pairs(
         workload,
-        || {
-            HybridOptimizer::new(hybr_config)
-                .expect("valid HYBR config")
-                .session(workload)
-                .expect("valid session")
-        },
-        || {
-            HybridOptimizer::new(hybr_full_config)
-                .expect("valid HYBR config")
-                .session(workload)
-                .expect("valid session")
-                .with_replay_cache(false)
-        },
+        || session(SessionConfig::Hybrid(hybr_config)),
+        || session(SessionConfig::Hybrid(hybr_full_config)).with_replay_cache(false),
     );
     assert_arms_identical("HYBR", &hybr_incremental, &hybr_full);
     let samp_speedup = er_stats::descriptive::median(&samp_ratios);

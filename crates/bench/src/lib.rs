@@ -79,7 +79,7 @@ pub fn synthetic_workload(num_pairs: usize, tau: f64, sigma: f64, seed: u64) -> 
 }
 
 /// Runs the optimizer session of `config` over `workload`, answering its
-/// label requests from `oracle`: what [`humo::Optimizer::optimize`] does.
+/// label requests from `oracle` through [`LabelingSession::drive`].
 pub fn run(
     config: SessionConfig,
     workload: &Workload,

@@ -1,9 +1,9 @@
 //! Pair-level workloads calibrated to the statistics of the paper's real datasets.
 //!
 //! The paper evaluates HUMO on two benchmark ER datasets (DBLP-Scholar and
-//! Abt-Buy) that are distributed as external downloads. Following the
-//! substitution policy in DESIGN.md, this module generates workloads that match
-//! the *reported statistics* of those datasets after blocking:
+//! Abt-Buy) that are distributed as external downloads, which this repository
+//! does not fetch. This module substitutes generated workloads that match the
+//! *reported statistics* of those datasets after blocking:
 //!
 //! | dataset | pairs after blocking | matching pairs | blocking threshold | match distribution (Fig. 4) |
 //! |---|---|---|---|---|

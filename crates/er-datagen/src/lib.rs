@@ -9,8 +9,9 @@
 //!   reports for its two real datasets (DBLP-Scholar and Abt-Buy): total pair
 //!   count, number of matching pairs, blocking threshold and the match-similarity
 //!   distribution shapes of Fig. 4. These stand in for the original datasets,
-//!   which are external downloads, while preserving the experimental conditions
-//!   HUMO is sensitive to (see DESIGN.md, "Substitutions");
+//!   which are external downloads this repository does not fetch: the
+//!   generators match their reported statistics, which preserves the
+//!   experimental conditions HUMO is sensitive to;
 //! * [`bibliographic`] / [`product`] — record-level corpus generators with
 //!   controlled corruption and duplicate injection, used to exercise the full
 //!   records → blocking → scoring → HUMO pipeline end to end.

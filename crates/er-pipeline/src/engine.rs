@@ -40,7 +40,7 @@ use humo::sampling::WarmStart;
 use humo::wal::{write_ahead_step, WalRecord, WalWriter};
 use humo::{
     LabelRequest, LabelResponse, OptimizationOutcome, Oracle, PartialSamplingConfig,
-    PartialSamplingOptimizer, QualityRequirement, SessionConfig, SessionState, Step,
+    QualityRequirement, SessionConfig, SessionState, Step,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -116,7 +116,7 @@ impl PipelineConfig {
         }
         // Surface optimizer misconfiguration at engine construction, not at the
         // first resolve.
-        PartialSamplingOptimizer::new(self.optimizer)?;
+        SessionConfig::PartialSampling(self.optimizer).validate()?;
         Ok(())
     }
 }

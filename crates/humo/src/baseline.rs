@@ -20,10 +20,9 @@
 //! averaged over a handful of consecutive movement units (3–10) rather than a
 //! single one, to smooth out the distribution irregularity of matching pairs.
 
-use crate::optimizer::Optimizer;
 use crate::requirement::QualityRequirement;
 use crate::session::{
-    verified_assignment, CoreOutput, Drive, LabelSlate, ReplayCache, SessionConfig, SessionPhase,
+    verified_assignment, CoreOutput, Drive, LabelSlate, ReplayCache, SessionPhase,
 };
 use crate::solution::HumoSolution;
 use crate::{HumoError, Result};
@@ -79,7 +78,7 @@ impl BaselineConfig {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.unit_size == 0 {
             return Err(HumoError::InvalidConfig("unit size must be positive".to_string()));
         }
@@ -89,25 +88,6 @@ impl BaselineConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// The BASE optimizer.
-#[derive(Debug, Clone)]
-pub struct BaselineOptimizer {
-    config: BaselineConfig,
-}
-
-impl BaselineOptimizer {
-    /// Creates a BASE optimizer, validating the configuration.
-    pub fn new(config: BaselineConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(Self { config })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &BaselineConfig {
-        &self.config
     }
 }
 
@@ -266,7 +246,7 @@ impl BoundarySearch {
     }
 }
 
-impl BaselineOptimizer {
+impl BaselineConfig {
     /// Match proportion of a non-empty pair range of `DH`.
     fn proportion(search: &BoundarySearch, pairs: Range<usize>) -> f64 {
         search.matches(pairs.clone()) as f64 / pairs.len() as f64
@@ -326,13 +306,12 @@ impl BaselineOptimizer {
             )
             .into());
         }
-        let cfg = &self.config;
         let n = workload.len();
-        let window = cfg.estimation_units * cfg.unit_size;
-        let alpha = cfg.requirement.precision();
-        let beta = cfg.requirement.recall();
+        let window = self.estimation_units * self.unit_size;
+        let alpha = self.requirement.precision();
+        let beta = self.requirement.recall();
         let mut search = cache.take_search(workload, || {
-            BoundarySearch::new(cfg.initial_boundary.resolve(workload), None)
+            BoundarySearch::new(self.initial_boundary.resolve(workload), None)
         });
         let result = search
             .advance(
@@ -349,9 +328,9 @@ impl BaselineOptimizer {
                     let (lower, upper) = (search.lower(), search.upper());
                     Moves {
                         upper: (!precision_ok && upper < n)
-                            .then(|| upper..(upper + cfg.unit_size).min(n)),
+                            .then(|| upper..(upper + self.unit_size).min(n)),
                         lower: (!recall_ok && lower > 0)
-                            .then(|| lower.saturating_sub(cfg.unit_size)..lower),
+                            .then(|| lower.saturating_sub(self.unit_size)..lower),
                     }
                 },
             )
@@ -365,20 +344,11 @@ impl BaselineOptimizer {
     }
 }
 
-impl Optimizer for BaselineOptimizer {
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::Baseline(self.config)
-    }
-
-    fn name(&self) -> &'static str {
-        "BASE"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
+    use crate::session::{LabelingSession, SessionConfig};
     use crate::solution::OptimizationOutcome;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
@@ -397,9 +367,11 @@ mod tests {
         let requirement = QualityRequirement::symmetric(level).unwrap();
         let mut config = BaselineConfig::new(requirement);
         config.unit_size = 100;
-        let optimizer = BaselineOptimizer::new(config).unwrap();
         let mut oracle = GroundTruthOracle::new();
-        optimizer.optimize(workload, &mut oracle).unwrap()
+        LabelingSession::new(SessionConfig::Baseline(config), workload)
+            .unwrap()
+            .drive(&mut oracle)
+            .unwrap()
     }
 
     #[test]
@@ -464,9 +436,11 @@ mod tests {
             let mut config = BaselineConfig::new(QualityRequirement::symmetric(0.85).unwrap());
             config.initial_boundary = boundary;
             config.unit_size = 100;
-            let optimizer = BaselineOptimizer::new(config).unwrap();
             let mut oracle = GroundTruthOracle::new();
-            let outcome = optimizer.optimize(&w, &mut oracle).unwrap();
+            let outcome = LabelingSession::new(SessionConfig::Baseline(config), &w)
+                .unwrap()
+                .drive(&mut oracle)
+                .unwrap();
             assert!(outcome.metrics.precision() >= 0.85);
             assert!(outcome.metrics.recall() >= 0.85);
         }
@@ -484,12 +458,11 @@ mod tests {
         assert!(outcome.metrics.precision() >= 0.9);
         // Empty workload is rejected.
         let empty = Workload::from_pairs(vec![]).unwrap();
-        let optimizer = BaselineOptimizer::new(BaselineConfig::new(
+        let config = SessionConfig::Baseline(BaselineConfig::new(
             QualityRequirement::symmetric(0.9).unwrap(),
-        ))
-        .unwrap();
+        ));
         let mut oracle = GroundTruthOracle::new();
-        assert!(optimizer.optimize(&empty, &mut oracle).is_err());
+        assert!(LabelingSession::new(config, &empty).unwrap().drive(&mut oracle).is_err());
     }
 
     #[test]
@@ -497,9 +470,9 @@ mod tests {
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
         let mut config = BaselineConfig::new(requirement);
         config.unit_size = 0;
-        assert!(BaselineOptimizer::new(config).is_err());
+        assert!(SessionConfig::Baseline(config).validate().is_err());
         let mut config = BaselineConfig::new(requirement);
         config.estimation_units = 0;
-        assert!(BaselineOptimizer::new(config).is_err());
+        assert!(SessionConfig::Baseline(config).validate().is_err());
     }
 }

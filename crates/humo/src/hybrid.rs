@@ -14,15 +14,12 @@
 //! 3. never grows beyond `S0`, so the result costs at most as much as SAMP's.
 
 use crate::baseline::{BoundarySearch, Moves};
-use crate::optimizer::Optimizer;
 use crate::requirement::QualityRequirement;
 use crate::sampling::{
     censored_proportion_lower, censored_proportion_upper, MatchCountEstimator,
-    PartialSamplingConfig, PartialSamplingOptimizer, SamplingPlan,
+    PartialSamplingConfig, SamplingPlan,
 };
-use crate::session::{
-    verified_assignment, CoreOutput, Drive, LabelSlate, ReplayCache, SessionConfig,
-};
+use crate::session::{verified_assignment, CoreOutput, Drive, LabelSlate, ReplayCache};
 use crate::solution::HumoSolution;
 use crate::{HumoError, Result};
 use er_core::workload::{SubsetPartition, Workload};
@@ -54,34 +51,13 @@ impl HybridConfig {
         &self.sampling.requirement
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.estimation_units == 0 {
             return Err(HumoError::InvalidConfig(
                 "estimation window must cover at least one subset".to_string(),
             ));
         }
-        Ok(())
-    }
-}
-
-/// The HYBR optimizer.
-#[derive(Debug, Clone)]
-pub struct HybridOptimizer {
-    config: HybridConfig,
-    sampler: PartialSamplingOptimizer,
-}
-
-impl HybridOptimizer {
-    /// Creates a HYBR optimizer, validating the configuration.
-    pub fn new(config: HybridConfig) -> Result<Self> {
-        config.validate()?;
-        let sampler = PartialSamplingOptimizer::new(config.sampling)?;
-        Ok(Self { config, sampler })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HybridConfig {
-        &self.config
+        self.sampling.validate()
     }
 }
 
@@ -116,7 +92,7 @@ impl Region<'_> {
     }
 }
 
-impl HybridOptimizer {
+impl HybridConfig {
     /// Lower bound on the number of matches in `D⁺`, taking the better (larger) of
     /// the monotonicity-based and GP-based estimates.
     ///
@@ -137,8 +113,8 @@ impl HybridOptimizer {
         if d_plus == 0.0 {
             return 0.0;
         }
-        let (pairs, matches) = state.border_counts_upper(self.config.estimation_units);
-        let tail = &self.config.sampling.tail_calibration;
+        let (pairs, matches) = state.border_counts_upper(self.estimation_units);
+        let tail = &self.sampling.tail_calibration;
         let proportion = if tail.enabled && tail.calibrate_lower {
             censored_proportion_lower(pairs, matches, tail.quiet_fraction, confidence)
         } else if pairs == 0 {
@@ -171,8 +147,8 @@ impl HybridOptimizer {
         if d_minus == 0.0 {
             return 0.0;
         }
-        let (pairs, matches) = state.border_counts_lower(self.config.estimation_units);
-        let tail = &self.config.sampling.tail_calibration;
+        let (pairs, matches) = state.border_counts_lower(self.estimation_units);
+        let tail = &self.sampling.tail_calibration;
         let proportion = if tail.enabled {
             censored_proportion_upper(pairs, matches, tail.quiet_fraction, confidence)
         } else if pairs == 0 {
@@ -192,7 +168,7 @@ impl HybridOptimizer {
         num_subsets: usize,
         confidence: f64,
     ) -> bool {
-        let alpha = self.config.requirement().precision();
+        let alpha = self.requirement().precision();
         let d_plus = state.pairs_in(state.search.upper()..num_subsets) as f64;
         if d_plus == 0.0 {
             return true;
@@ -212,7 +188,7 @@ impl HybridOptimizer {
         num_subsets: usize,
         confidence: f64,
     ) -> bool {
-        let beta = self.config.requirement().recall();
+        let beta = self.requirement().recall();
         let d_minus = state.pairs_in(0..state.search.lower()) as f64;
         if d_minus == 0.0 {
             return true;
@@ -229,9 +205,7 @@ impl HybridOptimizer {
         }
         found / (found + ub_minus) >= beta
     }
-}
 
-impl HybridOptimizer {
     /// The suspendable HYBR run. Each refinement iteration joins its (up to
     /// two) subset extensions into a single label batch, so the number of
     /// label round-trips scales with the number of subsets the search visits —
@@ -243,7 +217,7 @@ impl HybridOptimizer {
         cache: &mut ReplayCache,
     ) -> Drive<CoreOutput> {
         // Phase 1: SAMP estimation gives the certified fallback solution S0.
-        let plan = self.sampler.plan_core(workload, slate, None, cache)?;
+        let plan = self.sampling.plan_core(workload, slate, None, cache)?;
         let result = self.refine(&plan, workload, slate, cache);
         // Put the plan back however the refinement ended: the next replay
         // takes it out again, together with the boundary search built on it.
@@ -271,7 +245,7 @@ impl HybridOptimizer {
         }
         let partition = &plan.partition;
         let num_subsets = partition.len();
-        let confidence = self.config.requirement().split_confidence();
+        let confidence = self.requirement().split_confidence();
         let start = s0_lo + (s0_hi - s0_lo) / 2;
         let first = Moves { upper: Some(start..start + 1), lower: None };
         let mut search = cache.take_search(workload, || BoundarySearch::new(start, Some(first)));
@@ -312,21 +286,11 @@ impl HybridOptimizer {
     }
 }
 
-impl Optimizer for HybridOptimizer {
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::Hybrid(self.config)
-    }
-
-    fn name(&self) -> &'static str {
-        "HYBR"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
-    use crate::sampling::PartialSamplingOptimizer;
+    use crate::session::{LabelingSession, SessionConfig};
     use crate::solution::OptimizationOutcome;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
@@ -343,19 +307,17 @@ mod tests {
 
     fn run_hybrid(w: &Workload, level: f64, seed: u64) -> OptimizationOutcome {
         let requirement = QualityRequirement::symmetric(level).unwrap();
-        let optimizer =
-            HybridOptimizer::new(HybridConfig::new(requirement).with_seed(seed)).unwrap();
+        let config = SessionConfig::Hybrid(HybridConfig::new(requirement).with_seed(seed));
         let mut oracle = GroundTruthOracle::new();
-        optimizer.optimize(w, &mut oracle).unwrap()
+        LabelingSession::new(config, w).unwrap().drive(&mut oracle).unwrap()
     }
 
     fn run_samp(w: &Workload, level: f64, seed: u64) -> OptimizationOutcome {
         let requirement = QualityRequirement::symmetric(level).unwrap();
-        let optimizer =
-            PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement).with_seed(seed))
-                .unwrap();
+        let config =
+            SessionConfig::PartialSampling(PartialSamplingConfig::new(requirement).with_seed(seed));
         let mut oracle = GroundTruthOracle::new();
-        optimizer.optimize(w, &mut oracle).unwrap()
+        LabelingSession::new(config, w).unwrap().drive(&mut oracle).unwrap()
     }
 
     #[test]
@@ -460,18 +422,18 @@ mod tests {
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
         let mut config = HybridConfig::new(requirement);
         config.estimation_units = 0;
-        assert!(HybridOptimizer::new(config).is_err());
+        assert!(SessionConfig::Hybrid(config).validate().is_err());
         let mut config = HybridConfig::new(requirement);
         config.sampling.unit_size = 0;
-        assert!(HybridOptimizer::new(config).is_err());
+        assert!(SessionConfig::Hybrid(config).validate().is_err());
     }
 
     #[test]
     fn empty_workload_is_rejected() {
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
-        let optimizer = HybridOptimizer::new(HybridConfig::new(requirement)).unwrap();
+        let config = SessionConfig::Hybrid(HybridConfig::new(requirement));
         let empty = Workload::from_pairs(vec![]).unwrap();
         let mut oracle = GroundTruthOracle::new();
-        assert!(optimizer.optimize(&empty, &mut oracle).is_err());
+        assert!(LabelingSession::new(config, &empty).unwrap().drive(&mut oracle).is_err());
     }
 }

@@ -17,29 +17,29 @@
 //! and **confidence** (θ) requirements are met while the number of manually
 //! verified pairs — the human cost — is minimized.
 //!
-//! Three optimizers are provided, mirroring the paper:
+//! Three optimizers are provided, mirroring the paper, each selected by a
+//! [`SessionConfig`] variant holding its configuration:
 //!
-//! * [`BaselineOptimizer`] (Section V) — conservative, relies only on the
-//!   monotonicity-of-precision assumption, guarantees the requirement with 100 %
-//!   confidence when monotonicity holds;
-//! * [`PartialSamplingOptimizer`] (Section VI-B, "SAMP") — samples a small
+//! * [`BaselineConfig`] (Section V, "BASE") — conservative, relies only on
+//!   the monotonicity-of-precision assumption, guarantees the requirement with
+//!   100 % confidence when monotonicity holds;
+//! * [`PartialSamplingConfig`] (Section VI-B, "SAMP") — samples a small
 //!   fraction of similarity-ordered subsets, fits a Gaussian-process regression
 //!   of the match-proportion function, and derives confidence bounds from the GP
-//!   posterior; [`AllSamplingOptimizer`] (Section VI-A) is the simpler variant
-//!   that samples every subset;
-//! * [`HybridOptimizer`] (Section VII, "HYBR") — starts from a SAMP solution and
+//!   posterior; [`AllSamplingConfig`] (Section VI-A, "ALL-SAMP") is the simpler
+//!   variant that samples every subset;
+//! * [`HybridConfig`] (Section VII, "HYBR") — starts from a SAMP solution and
 //!   shrinks the human region using the better of the baseline and sampling
 //!   estimates at every step.
 //!
-//! Every optimizer is implemented as a sans-I/O **labeling session**
+//! Every optimizer runs as a sans-I/O **labeling session**
 //! ([`LabelingSession`]): a resumable state machine that emits *batches* of
 //! label requests (whole subset samples, whole boundary probes, the full human
 //! region for final verification) and is driven with responses — the shape a
 //! production system needs when labels come from real people asynchronously.
-//! The classic `Optimizer::optimize(workload, oracle)` entry point is a thin
-//! driver loop over that state machine ([`LabelingSession::drive`]), so both
-//! APIs behave byte-identically. [`SessionState`] is the one session core
-//! every wrapper dereferences or delegates to; see the [`session`] module docs.
+//! [`LabelingSession::drive`] answers every batch from a synchronous
+//! [`Oracle`]. [`SessionState`] is the one session core every wrapper
+//! dereferences or delegates to; see the [`session`] module docs.
 //!
 //! All three sampling-based optimizers route their count bounds through the
 //! two-sided tail-calibrated estimator ([`sampling::CalibratedEstimator`]):
@@ -54,17 +54,17 @@
 //!
 //! ```
 //! use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
-//! use humo::{GroundTruthOracle, HybridConfig, HybridOptimizer, Optimizer, QualityRequirement};
+//! use humo::{GroundTruthOracle, HybridConfig, LabelingSession, QualityRequirement, SessionConfig};
 //!
 //! // A 20k-pair workload whose match proportion follows the paper's logistic curve.
 //! let workload = SyntheticGenerator::new(SyntheticConfig::new(20_000, 14.0, 0.1)).generate();
 //!
 //! // Require precision >= 0.9 and recall >= 0.9 with 90% confidence.
 //! let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
-//! let optimizer = HybridOptimizer::new(HybridConfig::new(requirement)).unwrap();
+//! let config = SessionConfig::Hybrid(HybridConfig::new(requirement));
 //!
 //! let mut oracle = GroundTruthOracle::new();
-//! let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+//! let outcome = LabelingSession::new(config, &workload).unwrap().drive(&mut oracle).unwrap();
 //!
 //! assert!(outcome.metrics.precision() >= 0.9);
 //! assert!(outcome.metrics.recall() >= 0.9);
@@ -90,20 +90,19 @@ pub mod session;
 pub mod solution;
 pub mod wal;
 
-pub use baseline::{BaselineConfig, BaselineOptimizer, InitialBoundary};
+pub use baseline::{BaselineConfig, InitialBoundary};
 pub use crowd::{
     symmetric_pool, Aggregation, CrowdOracle, CrowdSession, CrowdStats, EmConfig, Redundancy,
     VoteRequest, WorkerId, WorkerModel, WorkerVote,
 };
 pub use error::HumoError;
-pub use hybrid::{HybridConfig, HybridOptimizer};
-pub use optimizer::{Optimizer, OptimizerKind};
+pub use hybrid::HybridConfig;
+pub use optimizer::OptimizerKind;
 pub use oracle::{GroundTruthOracle, NoisyOracle, Oracle};
 pub use requirement::QualityRequirement;
 pub use sampling::{
-    AllSamplingConfig, AllSamplingOptimizer, CalibratedEstimator, PartialSamplingConfig,
-    PartialSamplingOptimizer, PriorObservation, RefitStrategy, ShortfallBaseline, TailCalibration,
-    WarmStart,
+    AllSamplingConfig, CalibratedEstimator, PartialSamplingConfig, PriorObservation, RefitStrategy,
+    ShortfallBaseline, TailCalibration, WarmStart,
 };
 pub use session::{
     answer_requests, LabelRequest, LabelResponse, LabelingSession, SessionConfig, SessionPhase,

@@ -12,11 +12,9 @@
 //! An [`Oracle`] is the simplest such driver: a synchronous label source that
 //! answers every request immediately.
 //! [`LabelingSession::drive`](crate::LabelingSession::drive) feeds each emitted
-//! batch through [`Oracle::label_batch`] until the session completes, which is
-//! exactly what the classic `Optimizer::optimize(workload, oracle)` entry point
-//! does under the hood. An oracle deduplicates repeated requests for the same
-//! pair and reports the number of *distinct* pairs inspected — the paper's
-//! human-cost metric.
+//! batch through [`Oracle::label_batch`] until the session completes. An
+//! oracle deduplicates repeated requests for the same pair and reports the
+//! number of *distinct* pairs inspected — the paper's human-cost metric.
 //!
 //! Two oracles are provided:
 //!

@@ -10,9 +10,8 @@
 use super::calibrated::{CalibratedEstimator, ShortfallBaseline, TailCalibration};
 use super::estimator::{search_subset_bounds, subset_solution, StratifiedCountEstimator};
 use super::sampler::SubsetSampler;
-use crate::optimizer::Optimizer;
 use crate::requirement::QualityRequirement;
-use crate::session::{verified_assignment, CoreOutput, Drive, LabelSlate, SessionConfig};
+use crate::session::{verified_assignment, CoreOutput, Drive, LabelSlate};
 use crate::{HumoError, Result};
 use er_core::workload::Workload;
 
@@ -62,7 +61,7 @@ impl AllSamplingConfig {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.unit_size == 0 {
             return Err(HumoError::InvalidConfig("unit size must be positive".to_string()));
         }
@@ -71,26 +70,7 @@ impl AllSamplingConfig {
                 "samples per subset must be positive".to_string(),
             ));
         }
-        Ok(())
-    }
-}
-
-/// The all-sampling optimizer.
-#[derive(Debug, Clone)]
-pub struct AllSamplingOptimizer {
-    config: AllSamplingConfig,
-}
-
-impl AllSamplingOptimizer {
-    /// Creates an all-sampling optimizer, validating the configuration.
-    pub fn new(config: AllSamplingConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(Self { config })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AllSamplingConfig {
-        &self.config
+        self.tail_calibration.validate()
     }
 
     /// The suspendable all-sampling run. Every subset's sample membership is
@@ -109,12 +89,11 @@ impl AllSamplingOptimizer {
             )
             .into());
         }
-        let cfg = &self.config;
-        let partition = workload.partition(cfg.unit_size)?;
-        let mut sampler = SubsetSampler::new(&partition, cfg.samples_per_subset, cfg.seed);
+        let partition = workload.partition(self.unit_size)?;
+        let mut sampler = SubsetSampler::new(&partition, self.samples_per_subset, self.seed);
         let all: Vec<usize> = (0..partition.len()).collect();
         let samples = sampler.sample_many_core(&all, slate)?;
-        let confidence = cfg.requirement.split_confidence();
+        let confidence = self.requirement.split_confidence();
         let base = StratifiedCountEstimator::new(&partition, &samples, confidence);
         // Every subset carries its own sample (distance zero), so the tail
         // bound reduces to each stratum's own Clopper–Pearson limits; the
@@ -127,23 +106,13 @@ impl AllSamplingOptimizer {
             &inputs,
             sampler.samples(),
             1.0,
-            cfg.tail_calibration,
+            self.tail_calibration,
             confidence,
         )?;
-        let bounds = search_subset_bounds(&estimator, partition.len(), &cfg.requirement);
+        let bounds = search_subset_bounds(&estimator, partition.len(), &self.requirement);
         let solution = subset_solution(&partition, bounds, workload.len());
         let assignment = verified_assignment(&solution, workload, slate)?;
         Ok(CoreOutput { solution, assignment, warm_out: None })
-    }
-}
-
-impl Optimizer for AllSamplingOptimizer {
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::AllSampling(self.config)
-    }
-
-    fn name(&self) -> &'static str {
-        "ALL-SAMP"
     }
 }
 
@@ -151,6 +120,7 @@ impl Optimizer for AllSamplingOptimizer {
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
+    use crate::session::{LabelingSession, SessionConfig};
     use crate::solution::OptimizationOutcome;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
@@ -171,9 +141,11 @@ mod tests {
         config.unit_size = 200;
         config.samples_per_subset = 30;
         config.seed = seed;
-        let optimizer = AllSamplingOptimizer::new(config).unwrap();
         let mut oracle = GroundTruthOracle::new();
-        optimizer.optimize(workload, &mut oracle).unwrap()
+        LabelingSession::new(SessionConfig::AllSampling(config), workload)
+            .unwrap()
+            .drive(&mut oracle)
+            .unwrap()
     }
 
     #[test]
@@ -208,19 +180,21 @@ mod tests {
     #[test]
     fn rejects_invalid_configuration_and_empty_workloads() {
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
-        assert!(AllSamplingOptimizer::new(AllSamplingConfig {
+        assert!(SessionConfig::AllSampling(AllSamplingConfig {
             unit_size: 0,
             ..AllSamplingConfig::new(requirement)
         })
+        .validate()
         .is_err());
-        assert!(AllSamplingOptimizer::new(AllSamplingConfig {
+        assert!(SessionConfig::AllSampling(AllSamplingConfig {
             samples_per_subset: 0,
             ..AllSamplingConfig::new(requirement)
         })
+        .validate()
         .is_err());
-        let optimizer = AllSamplingOptimizer::new(AllSamplingConfig::new(requirement)).unwrap();
+        let config = SessionConfig::AllSampling(AllSamplingConfig::new(requirement));
         let empty = Workload::from_pairs(vec![]).unwrap();
         let mut oracle = GroundTruthOracle::new();
-        assert!(optimizer.optimize(&empty, &mut oracle).is_err());
+        assert!(LabelingSession::new(config, &empty).unwrap().drive(&mut oracle).is_err());
     }
 }

@@ -171,6 +171,26 @@ impl TailCalibration {
     pub fn upper_only() -> Self {
         Self { calibrate_lower: false, ..Self::default() }
     }
+
+    /// Rejects settings that silently switch a calibration off: a negative or
+    /// NaN `distance_strength` would trust samples at any distance, and a
+    /// `quiet_fraction` outside `[0, 0.5)` would classify no sample as quiet
+    /// (negative) or let one sample be quiet and saturated at once (≥ 0.5).
+    pub(crate) fn validate(&self) -> crate::Result<()> {
+        if !(self.distance_strength >= 0.0 && self.distance_strength.is_finite()) {
+            return Err(HumoError::InvalidConfig(format!(
+                "tail distance strength must be finite and >= 0, got {}",
+                self.distance_strength
+            )));
+        }
+        if !(0.0..0.5).contains(&self.quiet_fraction) {
+            return Err(HumoError::InvalidConfig(format!(
+                "tail quiet fraction must be in [0, 0.5), got {}",
+                self.quiet_fraction
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// The count-of-draws threshold below which a sample counts as quiet (on its

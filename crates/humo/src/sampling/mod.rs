@@ -3,9 +3,9 @@
 //! Both optimizers divide the workload into equal-count, similarity-ordered
 //! subsets and reason about the number of matching pairs in *unions of subsets*:
 //!
-//! * [`AllSamplingOptimizer`] samples every subset and aggregates the per-subset
+//! * [`AllSamplingConfig`] samples every subset and aggregates the per-subset
 //!   estimates with stratified-sampling theory (Section VI-A, Eq. 12–14);
-//! * [`PartialSamplingOptimizer`] — the paper's "SAMP" — samples only a small
+//! * [`PartialSamplingConfig`] — the paper's "SAMP" — samples only a small
 //!   fraction of the subsets, approximates the match-proportion function with a
 //!   Gaussian process (Algorithm 1), and derives bounds from the GP posterior
 //!   (Section VI-B, Eq. 15–21).
@@ -22,13 +22,11 @@ mod partial;
 mod sampler;
 mod warm;
 
-pub use all::{AllSamplingConfig, AllSamplingOptimizer};
+pub use all::AllSamplingConfig;
 pub(crate) use calibrated::{censored_proportion_lower, censored_proportion_upper};
 pub use calibrated::{CalibratedEstimator, ShortfallBaseline, TailCalibration};
 pub use estimator::{search_subset_bounds, MatchCountEstimator, StratifiedCountEstimator};
 pub use gp_estimator::GpCountEstimator;
 pub(crate) use partial::GpTrainingState;
-pub use partial::{
-    PartialSamplingConfig, PartialSamplingOptimizer, RefitStrategy, SamplingPlan, SELECTION_WARMUP,
-};
+pub use partial::{PartialSamplingConfig, RefitStrategy, SamplingPlan, SELECTION_WARMUP};
 pub use warm::{PriorObservation, WarmStart};

@@ -17,12 +17,10 @@ use super::estimator::{search_subset_bounds, subset_solution};
 use super::gp_estimator::GpCountEstimator;
 use super::sampler::{SamplerSnapshot, SubsetSampler};
 use super::warm::{PriorObservation, WarmStart};
-use crate::optimizer::Optimizer;
 use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
 use crate::session::{
     drive_with_oracle, verified_assignment, CoreOutput, Drive, LabelSlate, ReplayCache,
-    SessionConfig,
 };
 use crate::solution::HumoSolution;
 use crate::{HumoError, Result};
@@ -141,7 +139,7 @@ impl PartialSamplingConfig {
         (min_subsets, max_subsets)
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.unit_size == 0 {
             return Err(HumoError::InvalidConfig("unit size must be positive".to_string()));
         }
@@ -161,7 +159,7 @@ impl PartialSamplingConfig {
                 "GP error threshold must be positive".to_string(),
             ));
         }
-        Ok(())
+        self.tail_calibration.validate()
     }
 
     /// The GP configuration induced by this optimizer configuration and the
@@ -297,56 +295,34 @@ impl GpTrainingState {
     }
 }
 
-/// The SAMP optimizer.
-#[derive(Debug, Clone)]
-pub struct PartialSamplingOptimizer {
-    config: PartialSamplingConfig,
-}
-
-impl PartialSamplingOptimizer {
-    /// Creates a SAMP optimizer, validating the configuration.
-    pub fn new(config: PartialSamplingConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(Self { config })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PartialSamplingConfig {
-        &self.config
-    }
-
+impl PartialSamplingConfig {
     /// Runs the estimation phase (Algorithm 1 plus the bound search) without
-    /// resolving the workload, pulling labels from `oracle`. Sessions and the
-    /// hybrid optimizer run the same phase through the suspendable
-    /// `plan_core`; this synchronous form serves callers that measure a plan
-    /// on its own, such as the plan-query rows of the `pipeline_throughput`
-    /// harness.
-    pub fn plan(&self, workload: &Workload, oracle: &mut dyn Oracle) -> Result<SamplingPlan> {
-        self.plan_with_warm_start(workload, oracle, None)
-    }
-
-    /// Runs the estimation phase, optionally seeded with a [`WarmStart`] from a
-    /// previous run.
+    /// resolving the workload, pulling labels from `oracle`, optionally
+    /// seeded with a [`WarmStart`] from a previous run. Sessions and HYBR run
+    /// the same phase through the suspendable `plan_core`; this synchronous
+    /// form serves callers that measure a plan on its own, such as the
+    /// plan-query rows of the `pipeline_throughput` harness.
     ///
     /// Prior observations whose similarity coordinate still falls onto a subset
     /// of the current partition are reused as GP training points *without*
     /// issuing oracle queries; fresh samples are only drawn for uncovered
     /// subsets and wherever Algorithm 1's refinement detects disagreement
-    /// between the seeded GP and the data. Passing `None` (or an empty warm
-    /// start) reproduces [`PartialSamplingOptimizer::plan`] exactly.
-    pub fn plan_with_warm_start(
+    /// between the seeded GP and the data. Without a warm start, or with an
+    /// empty one, this is the cold plan.
+    pub fn plan(
         &self,
         workload: &Workload,
         oracle: &mut dyn Oracle,
         warm: Option<&WarmStart>,
     ) -> Result<SamplingPlan> {
+        self.validate()?;
         drive_with_oracle(workload, oracle, |slate, cache| {
             self.plan_core(workload, slate, warm, cache)
         })
     }
 
     /// The suspendable estimation phase backing both the session state machine
-    /// and the oracle-driven [`PartialSamplingOptimizer::plan_with_warm_start`].
+    /// and the oracle-driven [`PartialSamplingConfig::plan`].
     ///
     /// A completed plan is memoized in the [`ReplayCache`]: SAMP's final
     /// verification round and HYBR's boundary-search rounds re-enter here on
@@ -371,8 +347,7 @@ impl PartialSamplingOptimizer {
             )
             .into());
         }
-        let cfg = &self.config;
-        let partition = cache.partition_or_compute(|| Ok(workload.partition(cfg.unit_size)?))?;
+        let partition = cache.partition_or_compute(|| Ok(workload.partition(self.unit_size)?))?;
         let m = partition.len();
 
         let obs = workload.obs();
@@ -392,13 +367,13 @@ impl PartialSamplingOptimizer {
         // subsets far from any sampled subset get their GP posterior variance
         // inflated with distance, so interpolation between sparse samples cannot
         // claim near-certainty.
-        let unit = cfg.unit_size as f64;
-        let detection_floor = 0.5 / cfg.samples_per_subset as f64;
-        let tail = cfg.tail_calibration;
+        let unit = self.unit_size as f64;
+        let detection_floor = 0.5 / self.samples_per_subset as f64;
+        let tail = self.tail_calibration;
         let length_scale = gp.kernel().length_scale;
         let distances: Vec<f64> =
             query.iter().map(|&x| gp.distance_to_nearest_observation(x)).collect();
-        let confidence = cfg.requirement.split_confidence();
+        let confidence = self.requirement.split_confidence();
         let base =
             GpCountEstimator::with_noise_model(&partition, &gp, &query, confidence, |i, p, var| {
                 let inflation = if tail.enabled {
@@ -418,7 +393,7 @@ impl PartialSamplingOptimizer {
         let sizes: Vec<usize> = partition.subsets().iter().map(|s| s.len()).collect();
         let estimator =
             CalibratedEstimator::new(base, &sizes, &query, &used, length_scale, tail, confidence)?;
-        let subset_bounds = search_subset_bounds(&estimator, m, &cfg.requirement);
+        let subset_bounds = search_subset_bounds(&estimator, m, &self.requirement);
         drop(calibrate_span);
         // Reused priors keep the coordinate they were originally sampled at;
         // fresh samples are keyed by their subset's mean similarity.
@@ -492,7 +467,6 @@ impl PartialSamplingOptimizer {
         warm: Option<&WarmStart>,
         cache: &mut ReplayCache,
     ) -> Drive<(GaussianProcess, f64, BTreeMap<usize, SampleSummary>, BTreeMap<usize, f64>)> {
-        let cfg = &self.config;
         let m = partition.len();
         if m < 2 {
             return Err(HumoError::InvalidWorkload(
@@ -505,7 +479,7 @@ impl PartialSamplingOptimizer {
         // Percentage budgets follow the paper, but a hard floor keeps the GP
         // well-constrained on small workloads where 1–5 % of the subsets would be
         // just a handful of points.
-        let (min_subsets, max_subsets) = cfg.subset_budget(m);
+        let (min_subsets, max_subsets) = self.subset_budget(m);
 
         // Map prior observations onto the current partition: a prior is reusable
         // for the subset whose mean similarity is nearest, provided the
@@ -566,19 +540,19 @@ impl PartialSamplingOptimizer {
                 workload.obs().counter("session.replay_cache.training_hits", 1);
                 st
             }
-            None => GpTrainingState::new(cfg.seed),
+            None => GpTrainingState::new(self.seed),
         };
         // The snapshot moves into the sampler and back into `st` on suspension;
         // the placeholder left behind is never read.
-        let snapshot = std::mem::replace(&mut st.sampler, SamplerSnapshot::new(cfg.seed));
-        let mut sampler = SubsetSampler::restore(partition, cfg.samples_per_subset, snapshot);
+        let snapshot = std::mem::replace(&mut st.sampler, SamplerSnapshot::new(self.seed));
+        let mut sampler = SubsetSampler::restore(partition, self.samples_per_subset, snapshot);
 
         // Fitting noise: the paper-faithful mode uses the raw binomial sampling
         // variance of each observed proportion (which vanishes in the near-pure
         // regions that dominate skewed workloads, so the GP effectively
         // interpolates there); the conservative mode uses an Agresti-adjusted
         // variance that never drops to zero.
-        let conservative = cfg.conservative_noise;
+        let conservative = self.conservative_noise;
         let push_sample = |st: &mut GpTrainingState, idx: usize, summary: SampleSummary| {
             st.train_x.push(partition.subset(idx).mean_similarity());
             st.train_y.push(summary.proportion());
@@ -627,7 +601,7 @@ impl PartialSamplingOptimizer {
                 &st.train_x,
                 &st.train_y,
                 &st.train_noise,
-                cfg.gp_config_for(&st.train_y),
+                self.gp_config_for(&st.train_y),
             )?;
             st.selected_at = st.train_x.len();
             st.gp = Some(gp);
@@ -717,7 +691,8 @@ impl PartialSamplingOptimizer {
             st.used.insert(probe.x, summary);
             push_sample(&mut st, probe.x, summary);
             let appended = st.train_x.len() - 1;
-            let surprised = (probe.predicted - observed_proportion).abs() >= cfg.gp_error_threshold;
+            let surprised =
+                (probe.predicted - observed_proportion).abs() >= self.gp_error_threshold;
             let mut gp = st.gp.take().expect("initial fit precedes refinement");
             if surprised
                 || st.train_x.len() <= SELECTION_WARMUP
@@ -735,12 +710,12 @@ impl PartialSamplingOptimizer {
                     &st.train_x,
                     &st.train_y,
                     &st.train_noise,
-                    cfg.gp_config_for(&st.train_y),
+                    self.gp_config_for(&st.train_y),
                 )?;
                 st.selected_at = st.train_x.len();
                 workload.obs().counter("gp.reselect", 1);
             } else {
-                match cfg.refit {
+                match self.refit {
                     RefitStrategy::Incremental => {
                         gp.extend_with_noise(
                             &st.train_x[appended..],
@@ -787,7 +762,7 @@ impl PartialSamplingOptimizer {
         // subset-level variability and the count bounds would become
         // overconfident; on smooth workloads (the DS/AB shapes) the calibration
         // detects nothing and leaves the paper-faithful tight bounds untouched.
-        let binomial_scale = 1.0 / cfg.samples_per_subset as f64;
+        let binomial_scale = 1.0 / self.samples_per_subset as f64;
         let mut noise_scale = Self::local_noise_scale(train_x, train_y).unwrap_or(binomial_scale);
         noise_scale = noise_scale.max(binomial_scale);
         let scatter_detected = noise_scale > 2.0 * binomial_scale;
@@ -798,7 +773,7 @@ impl PartialSamplingOptimizer {
                 train_x,
                 train_y,
                 &recalibrated_noise,
-                cfg.gp_config_for(train_y),
+                self.gp_config_for(train_y),
             )?;
         } else if st.selected_at != train_x.len() {
             // The refinement loop appended points since the last hyperparameter
@@ -809,7 +784,7 @@ impl PartialSamplingOptimizer {
                 train_x,
                 train_y,
                 train_noise,
-                cfg.gp_config_for(train_y),
+                self.gp_config_for(train_y),
             )?;
         }
         // Scale of the independent per-subset term added to the count variance:
@@ -897,20 +872,11 @@ fn nearest_index(sorted: &[f64], x: f64) -> usize {
     }
 }
 
-impl Optimizer for PartialSamplingOptimizer {
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig::PartialSampling(self.config)
-    }
-
-    fn name(&self) -> &'static str {
-        "SAMP"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
+    use crate::session::{LabelingSession, SessionConfig, SessionState};
     use crate::solution::OptimizationOutcome;
     use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 
@@ -928,9 +894,23 @@ mod tests {
     fn run(workload: &Workload, level: f64, seed: u64) -> OptimizationOutcome {
         let requirement = QualityRequirement::symmetric(level).unwrap();
         let config = PartialSamplingConfig::new(requirement).with_seed(seed);
-        let optimizer = PartialSamplingOptimizer::new(config).unwrap();
         let mut oracle = GroundTruthOracle::new();
-        optimizer.optimize(workload, &mut oracle).unwrap()
+        LabelingSession::new(SessionConfig::PartialSampling(config), workload)
+            .unwrap()
+            .drive(&mut oracle)
+            .unwrap()
+    }
+
+    /// Runs a SAMP session seeded with `warm`: it plans as
+    /// `config.plan(w, oracle, Some(&warm))` does, then verifies `DH`.
+    fn resolve_warm(
+        w: &Workload,
+        config: PartialSamplingConfig,
+        warm: WarmStart,
+        oracle: &mut GroundTruthOracle,
+    ) -> OptimizationOutcome {
+        let state = SessionState::new(SessionConfig::PartialSampling(config), w).unwrap();
+        LabelingSession::from_state(state.with_warm_start(Some(warm)), w).drive(oracle).unwrap()
     }
 
     #[test]
@@ -952,9 +932,8 @@ mod tests {
         let w = workload(40_000, 0.1, 13);
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
         let config = PartialSamplingConfig::new(requirement);
-        let optimizer = PartialSamplingOptimizer::new(config).unwrap();
         let mut oracle = GroundTruthOracle::new();
-        let plan = optimizer.plan(&w, &mut oracle).unwrap();
+        let plan = config.plan(&w, &mut oracle, None).unwrap();
         let m = plan.partition.len();
         // Sampling budget is p_u = 5% of subsets (with a floor of 20 subsets for
         // small workloads); the oracle cost before resolution is bounded by that
@@ -976,9 +955,11 @@ mod tests {
         let base = {
             let requirement = QualityRequirement::symmetric(0.9).unwrap();
             let config = crate::baseline::BaselineConfig::new(requirement);
-            let optimizer = crate::baseline::BaselineOptimizer::new(config).unwrap();
             let mut oracle = GroundTruthOracle::new();
-            optimizer.optimize(&w, &mut oracle).unwrap()
+            LabelingSession::new(SessionConfig::Baseline(config), &w)
+                .unwrap()
+                .drive(&mut oracle)
+                .unwrap()
         };
         assert!(
             samp.total_human_cost < base.total_human_cost,
@@ -999,13 +980,12 @@ mod tests {
         // higher cost (see the ablation bench and EXPERIMENTS.md).
         assert!(outcome.metrics.precision() >= 0.75, "precision {}", outcome.metrics.precision());
         assert!(outcome.metrics.recall() >= 0.8, "recall {}", outcome.metrics.recall());
-        let conservative = PartialSamplingOptimizer::new(PartialSamplingConfig {
+        let conservative = SessionConfig::PartialSampling(PartialSamplingConfig {
             conservative_noise: true,
             ..PartialSamplingConfig::new(QualityRequirement::symmetric(0.9).unwrap())
-        })
-        .unwrap();
+        });
         let mut oracle = crate::oracle::GroundTruthOracle::new();
-        let safe = conservative.optimize(&w, &mut oracle).unwrap();
+        let safe = LabelingSession::new(conservative, &w).unwrap().drive(&mut oracle).unwrap();
         assert!(
             safe.metrics.precision() >= 0.85,
             "conservative precision {}",
@@ -1019,50 +999,46 @@ mod tests {
     fn rejects_invalid_configurations() {
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
         let base = PartialSamplingConfig::new(requirement);
-        assert!(
-            PartialSamplingOptimizer::new(PartialSamplingConfig { unit_size: 0, ..base }).is_err()
-        );
-        assert!(PartialSamplingOptimizer::new(PartialSamplingConfig {
-            samples_per_subset: 0,
-            ..base
-        })
-        .is_err());
-        assert!(PartialSamplingOptimizer::new(PartialSamplingConfig {
-            sampling_range: (0.5, 0.1),
-            ..base
-        })
-        .is_err());
-        assert!(PartialSamplingOptimizer::new(PartialSamplingConfig {
-            gp_error_threshold: 0.0,
-            ..base
-        })
-        .is_err());
+        assert!(PartialSamplingConfig { unit_size: 0, ..base }.validate().is_err());
+        assert!(PartialSamplingConfig { samples_per_subset: 0, ..base }.validate().is_err());
+        assert!(PartialSamplingConfig { sampling_range: (0.5, 0.1), ..base }.validate().is_err());
+        assert!(PartialSamplingConfig { gp_error_threshold: 0.0, ..base }.validate().is_err());
+    }
+
+    #[test]
+    fn plan_rejects_an_invalid_configuration() {
+        let w = workload(4_000, 0.1, 41);
+        let config = PartialSamplingConfig {
+            unit_size: 0,
+            ..PartialSamplingConfig::new(QualityRequirement::symmetric(0.9).unwrap())
+        };
+        let mut oracle = GroundTruthOracle::new();
+        assert!(matches!(config.plan(&w, &mut oracle, None), Err(HumoError::InvalidConfig(_))));
+        assert_eq!(oracle.labels_issued(), 0);
     }
 
     #[test]
     fn warm_start_none_matches_cold_plan_exactly() {
         let w = workload(20_000, 0.1, 41);
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
-        let optimizer =
-            PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
+        let config = PartialSamplingConfig::new(requirement);
         let mut oracle_a = GroundTruthOracle::new();
-        let cold = optimizer.plan(&w, &mut oracle_a).unwrap();
+        let cold = config.plan(&w, &mut oracle_a, None).unwrap();
         let mut oracle_b = GroundTruthOracle::new();
-        let explicit = optimizer.plan_with_warm_start(&w, &mut oracle_b, None).unwrap();
+        let explicit = config.plan(&w, &mut oracle_b, None).unwrap();
         assert_eq!(cold.subset_bounds, explicit.subset_bounds);
         assert_eq!(oracle_a.labels_issued(), oracle_b.labels_issued());
         // An *empty* warm start must also be a no-op — including one that
         // carries a human interval but no observations.
         let mut oracle_c = GroundTruthOracle::new();
         let empty = WarmStart::default();
-        let seeded = optimizer.plan_with_warm_start(&w, &mut oracle_c, Some(&empty)).unwrap();
+        let seeded = config.plan(&w, &mut oracle_c, Some(&empty)).unwrap();
         assert_eq!(cold.subset_bounds, seeded.subset_bounds);
         assert_eq!(oracle_a.labels_issued(), oracle_c.labels_issued());
         let mut oracle_d = GroundTruthOracle::new();
         let interval_only =
             WarmStart { observations: Vec::new(), human_interval: Some((0.4, 0.6)) };
-        let seeded =
-            optimizer.plan_with_warm_start(&w, &mut oracle_d, Some(&interval_only)).unwrap();
+        let seeded = config.plan(&w, &mut oracle_d, Some(&interval_only)).unwrap();
         assert_eq!(cold.subset_bounds, seeded.subset_bounds);
         assert_eq!(oracle_a.labels_issued(), oracle_d.labels_issued());
         // Malformed priors are skipped rather than trusted or panicked on.
@@ -1074,7 +1050,7 @@ mod tests {
             ],
             human_interval: None,
         };
-        let seeded = optimizer.plan_with_warm_start(&w, &mut oracle_e, Some(&malformed)).unwrap();
+        let seeded = config.plan(&w, &mut oracle_e, Some(&malformed)).unwrap();
         assert_eq!(cold.subset_bounds, seeded.subset_bounds);
         assert_eq!(oracle_a.labels_issued(), oracle_e.labels_issued());
     }
@@ -1083,19 +1059,18 @@ mod tests {
     fn warm_start_saves_oracle_queries_at_unchanged_quality() {
         let w = workload(30_000, 0.1, 43);
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
-        let optimizer =
-            PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
+        let config = PartialSamplingConfig::new(requirement);
         // Epoch 1: cold plan, capture the warm state.
         let mut epoch1_oracle = GroundTruthOracle::new();
-        let plan = optimizer.plan(&w, &mut epoch1_oracle).unwrap();
+        let plan = config.plan(&w, &mut epoch1_oracle, None).unwrap();
         let warm = plan.warm_start(&w);
         assert!(!warm.is_empty());
         // Epoch 2 over the same workload, fresh oracles to isolate plan-phase
         // query counts: warm must be measurably cheaper than cold.
         let mut cold_oracle = GroundTruthOracle::new();
-        optimizer.plan(&w, &mut cold_oracle).unwrap();
+        config.plan(&w, &mut cold_oracle, None).unwrap();
         let mut warm_oracle = GroundTruthOracle::new();
-        let warm_plan = optimizer.plan_with_warm_start(&w, &mut warm_oracle, Some(&warm)).unwrap();
+        let warm_plan = config.plan(&w, &mut warm_oracle, Some(&warm)).unwrap();
         assert!(
             warm_oracle.labels_issued() < cold_oracle.labels_issued(),
             "warm plan used {} oracle queries, cold used {}",
@@ -1103,8 +1078,8 @@ mod tests {
             cold_oracle.labels_issued()
         );
         // Resolving the warm plan still meets the requirement.
-        let solution = warm_plan.solution(&w);
-        let outcome = OptimizationOutcome::from_solution(solution, &w, &mut warm_oracle).unwrap();
+        let outcome = resolve_warm(&w, config, warm, &mut warm_oracle);
+        assert_eq!(outcome.solution, warm_plan.solution(&w));
         assert!(outcome.metrics.precision() >= 0.9, "precision {}", outcome.metrics.precision());
         assert!(outcome.metrics.recall() >= 0.9, "recall {}", outcome.metrics.recall());
     }
@@ -1124,15 +1099,13 @@ mod tests {
         )
         .unwrap();
         let requirement = QualityRequirement::symmetric(0.9).unwrap();
-        let optimizer =
-            PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
+        let config = PartialSamplingConfig::new(requirement);
         let mut epoch1_oracle = GroundTruthOracle::new();
-        let warm = optimizer.plan(&partial, &mut epoch1_oracle).unwrap().warm_start(&partial);
+        let warm = config.plan(&partial, &mut epoch1_oracle, None).unwrap().warm_start(&partial);
         let mut cold_oracle = GroundTruthOracle::new();
-        optimizer.plan(&full, &mut cold_oracle).unwrap();
+        config.plan(&full, &mut cold_oracle, None).unwrap();
         let mut warm_oracle = GroundTruthOracle::new();
-        let warm_plan =
-            optimizer.plan_with_warm_start(&full, &mut warm_oracle, Some(&warm)).unwrap();
+        let warm_plan = config.plan(&full, &mut warm_oracle, Some(&warm)).unwrap();
         let warm_plan_queries = warm_oracle.labels_issued();
         assert!(
             warm_plan_queries < cold_oracle.labels_issued(),
@@ -1140,9 +1113,8 @@ mod tests {
             cold_oracle.labels_issued()
         );
         let next_warm = warm_plan.warm_start(&full);
-        let solution = warm_plan.solution(&full);
-        let outcome =
-            OptimizationOutcome::from_solution(solution, &full, &mut warm_oracle).unwrap();
+        let outcome = resolve_warm(&full, config, warm, &mut warm_oracle);
+        assert_eq!(outcome.solution, warm_plan.solution(&full));
         assert!(outcome.metrics.precision() >= 0.85, "precision {}", outcome.metrics.precision());
         assert!(outcome.metrics.recall() >= 0.85, "recall {}", outcome.metrics.recall());
         assert!(!next_warm.is_empty());
@@ -1152,10 +1124,9 @@ mod tests {
     fn plan_solution_translates_subset_bounds() {
         let w = workload(10_000, 0.1, 23);
         let requirement = QualityRequirement::symmetric(0.85).unwrap();
-        let optimizer =
-            PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
+        let config = PartialSamplingConfig::new(requirement);
         let mut oracle = GroundTruthOracle::new();
-        let plan = optimizer.plan(&w, &mut oracle).unwrap();
+        let plan = config.plan(&w, &mut oracle, None).unwrap();
         let solution = plan.solution(&w);
         let (lo, hi) = plan.subset_bounds;
         assert!(lo <= hi);

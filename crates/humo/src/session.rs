@@ -2,15 +2,15 @@
 //! optimization.
 //!
 //! Every HUMO optimizer consumes manual labels — the scarce resource the whole
-//! paper is about. The classic entry point (`Optimizer::optimize(workload,
-//! oracle)`) pulls those labels synchronously, one blocking call at a time,
-//! which is fine for simulation but wrong for a production deployment where
-//! labels come from real people: asynchronously, in batches, with latency, and
-//! sometimes never.
+//! paper is about. An optimizer that pulled those labels synchronously, one
+//! blocking call at a time, would be fine for simulation but wrong for a
+//! production deployment where labels come from real people: asynchronously,
+//! in batches, with latency, and sometimes never.
 //!
-//! A [`LabelingSession`] inverts that control flow into a sans-I/O state
-//! machine. The session never performs I/O; instead it *emits* batches of
-//! [`LabelRequest`]s and is *driven* with [`LabelResponse`]s:
+//! A [`LabelingSession`] is therefore the one way to run an optimizer: a
+//! sans-I/O state machine keyed by a [`SessionConfig`]. The session never
+//! performs I/O; instead it *emits* batches of [`LabelRequest`]s and is
+//! *driven* with [`LabelResponse`]s:
 //!
 //! ```text
 //!             ┌─────────────────────────────────────────────┐
@@ -51,10 +51,9 @@
 //! warm-started sessions — the same [`WarmStart`]) plus that log.
 //!
 //! Replay trades a little CPU (the per-step re-run) for zero duplicated human
-//! work — no label is ever requested twice — and for byte-identical behavior
-//! between the session API and the classic oracle API:
-//! [`LabelingSession::drive`] is literally how `Optimizer::optimize` is
-//! implemented now.
+//! work — no label is ever requested twice — and makes driving a session by
+//! hand and driving it with an oracle ([`LabelingSession::drive`])
+//! byte-identical.
 //!
 //! Most of that CPU is memoized away: a session keeps a *replay cache* of
 //! derived state — the completed sampling plan and the in-flight
@@ -120,15 +119,12 @@
 //! assert_eq!(driven.solution, outcome.solution);
 //! ```
 
-use crate::baseline::{BaselineConfig, BaselineOptimizer, BoundarySearch};
-use crate::hybrid::{HybridConfig, HybridOptimizer};
+use crate::baseline::{BaselineConfig, BoundarySearch};
+use crate::hybrid::HybridConfig;
 use crate::optimizer::OptimizerKind;
 use crate::oracle::Oracle;
 use crate::requirement::QualityRequirement;
-use crate::sampling::{
-    AllSamplingConfig, AllSamplingOptimizer, PartialSamplingConfig, PartialSamplingOptimizer,
-    WarmStart,
-};
+use crate::sampling::{AllSamplingConfig, PartialSamplingConfig, WarmStart};
 use crate::solution::{HumoSolution, OptimizationOutcome};
 use crate::{HumoError, Result};
 use er_core::workload::{InstancePair, Label, LabelAssignment, PairId, Workload};
@@ -237,13 +233,15 @@ impl SessionConfig {
         }
     }
 
-    /// Validates the embedded optimizer configuration.
-    fn validate(&self) -> Result<()> {
+    /// Validates the embedded optimizer configuration, returning
+    /// [`HumoError::InvalidConfig`] for an out-of-range setting. Every
+    /// session runs this once, when its state is built (fresh or resumed).
+    pub fn validate(&self) -> Result<()> {
         match self {
-            SessionConfig::Baseline(cfg) => BaselineOptimizer::new(*cfg).map(|_| ()),
-            SessionConfig::AllSampling(cfg) => AllSamplingOptimizer::new(*cfg).map(|_| ()),
-            SessionConfig::PartialSampling(cfg) => PartialSamplingOptimizer::new(*cfg).map(|_| ()),
-            SessionConfig::Hybrid(cfg) => HybridOptimizer::new(*cfg).map(|_| ()),
+            SessionConfig::Baseline(cfg) => cfg.validate(),
+            SessionConfig::AllSampling(cfg) => cfg.validate(),
+            SessionConfig::PartialSampling(cfg) => cfg.validate(),
+            SessionConfig::Hybrid(cfg) => cfg.validate(),
             SessionConfig::AllHuman => Ok(()),
         }
     }
@@ -513,7 +511,7 @@ fn all_human_core(workload: &Workload, slate: &LabelSlate<'_>) -> Drive<CoreOutp
 }
 
 /// Runs one full replay of the configured optimizer against the answered
-/// labels.
+/// labels. The configuration was validated when the session state was built.
 fn run_core(
     config: &SessionConfig,
     warm: Option<&WarmStart>,
@@ -522,18 +520,10 @@ fn run_core(
     cache: &mut ReplayCache,
 ) -> Drive<CoreOutput> {
     match config {
-        SessionConfig::Baseline(cfg) => {
-            BaselineOptimizer::new(*cfg)?.session_core(workload, slate, cache)
-        }
-        SessionConfig::AllSampling(cfg) => {
-            AllSamplingOptimizer::new(*cfg)?.session_core(workload, slate)
-        }
-        SessionConfig::PartialSampling(cfg) => {
-            PartialSamplingOptimizer::new(*cfg)?.session_core(workload, slate, warm, cache)
-        }
-        SessionConfig::Hybrid(cfg) => {
-            HybridOptimizer::new(*cfg)?.session_core(workload, slate, cache)
-        }
+        SessionConfig::Baseline(cfg) => cfg.session_core(workload, slate, cache),
+        SessionConfig::AllSampling(cfg) => cfg.session_core(workload, slate),
+        SessionConfig::PartialSampling(cfg) => cfg.session_core(workload, slate, warm, cache),
+        SessionConfig::Hybrid(cfg) => cfg.session_core(workload, slate, cache),
         SessionConfig::AllHuman => all_human_core(workload, slate),
     }
 }
@@ -578,8 +568,9 @@ fn requests_for(workload: &Workload, indices: Vec<usize>) -> Vec<LabelRequest> {
 }
 
 /// Drives a suspendable computation to completion by answering every emitted
-/// batch through an [`Oracle`] — the internal engine behind the oracle-based
-/// public APIs (`PartialSamplingOptimizer::plan`, …).
+/// batch through an [`Oracle`] — the engine behind
+/// [`PartialSamplingConfig::plan`], the one oracle-driven entry point outside
+/// a session.
 pub(crate) fn drive_with_oracle<T>(
     workload: &Workload,
     oracle: &mut dyn Oracle,
@@ -1166,10 +1157,8 @@ impl<'w> LabelingSession<'w> {
     /// The outcome's cost counters are *session-scoped*: they count the
     /// distinct labels this session absorbed (including any checkpointed
     /// labels it was resumed from), regardless of how the session was driven.
-    /// For a fresh session driven by a fresh oracle — the classic
-    /// `Optimizer::optimize(workload, oracle)` entry point, which is
-    /// implemented as this method — that equals the oracle's distinct-pair
-    /// counter.
+    /// For a fresh session driven by a fresh oracle that equals the oracle's
+    /// distinct-pair counter.
     pub fn drive(&mut self, oracle: &mut dyn Oracle) -> Result<OptimizationOutcome> {
         let mut responses: Vec<LabelResponse> = Vec::new();
         loop {
@@ -1650,10 +1639,9 @@ mod tests {
         let w = workload(12_000);
         let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
         let config = PartialSamplingConfig::new(requirement);
-        let optimizer = PartialSamplingOptimizer::new(config).unwrap();
         // Epoch 1 produces the warm-start state.
         let mut epoch1 = GroundTruthOracle::new();
-        let warm = optimizer.plan(&w, &mut epoch1).unwrap().warm_start(&w);
+        let warm = config.plan(&w, &mut epoch1, None).unwrap().warm_start(&w);
         assert!(!warm.is_empty());
         // Reference: a warm-started session driven to completion.
         let session_config = SessionConfig::PartialSampling(config);
@@ -1738,6 +1726,54 @@ mod tests {
         // The all-human fallback accepts an empty workload (zero-round done).
         let mut session = LabelingSession::new(SessionConfig::AllHuman, &empty).unwrap();
         assert!(matches!(session.step(&[]).unwrap(), Step::Done(_)));
+    }
+
+    #[test]
+    fn out_of_range_tail_calibrations_are_rejected() {
+        use crate::sampling::TailCalibration;
+        let w = workload(400);
+        let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
+        let configs = |tail: TailCalibration| {
+            let mut hybr = HybridConfig::new(requirement);
+            hybr.sampling.tail_calibration = tail;
+            [
+                SessionConfig::PartialSampling(PartialSamplingConfig {
+                    tail_calibration: tail,
+                    ..PartialSamplingConfig::new(requirement)
+                }),
+                SessionConfig::Hybrid(hybr),
+                SessionConfig::AllSampling(AllSamplingConfig {
+                    tail_calibration: tail,
+                    ..AllSamplingConfig::new(requirement)
+                }),
+            ]
+        };
+        let default = TailCalibration::default();
+        for tail in [
+            TailCalibration { distance_strength: -1.0, ..default },
+            TailCalibration { distance_strength: f64::NAN, ..default },
+            TailCalibration { distance_strength: f64::INFINITY, ..default },
+            TailCalibration { quiet_fraction: -0.05, ..default },
+            TailCalibration { quiet_fraction: 0.5, ..default },
+            TailCalibration { quiet_fraction: f64::NAN, ..default },
+            TailCalibration { quiet_fraction: -0.05, ..TailCalibration::disabled() },
+        ] {
+            for config in configs(tail) {
+                assert!(
+                    matches!(LabelingSession::new(config, &w), Err(HumoError::InvalidConfig(_))),
+                    "{config:?} was accepted"
+                );
+            }
+        }
+        // The closed ends of both ranges are valid.
+        for tail in [
+            TailCalibration { distance_strength: 0.0, quiet_fraction: 0.0, ..default },
+            TailCalibration { quiet_fraction: 0.49, ..default },
+        ] {
+            for config in configs(tail) {
+                assert!(LabelingSession::new(config, &w).is_ok(), "{config:?} was rejected");
+            }
+        }
     }
 }
 

@@ -6,8 +6,6 @@
 //! `D⁺` (machine-labeled match) and the half-open range in between is `DH`, the
 //! region handed to the human.
 
-use crate::oracle::Oracle;
-use crate::Result;
 use er_core::workload::{Label, LabelAssignment, QualityMetrics, Workload};
 
 /// A HUMO partition of a workload, expressed as workload indices.
@@ -71,18 +69,11 @@ impl HumoSolution {
         ))
     }
 
-    /// Resolves the workload under this solution: `D⁻` is labeled unmatch, `D⁺`
-    /// match, and every pair of `DH` is labeled by the oracle (counting towards
-    /// its cost).
-    pub fn resolve(&self, workload: &Workload, oracle: &mut dyn Oracle) -> LabelAssignment {
-        self.resolve_from_labels(workload, |idx| oracle.label(&workload.pair(idx)))
-    }
-
-    /// Resolves the workload under this solution from an arbitrary label
-    /// source: `lookup` is called once per `DH` index (in ascending order) and
-    /// must return the manual label for that pair. This is the
+    /// Resolves the workload under this solution: `D⁻` is labeled unmatch,
+    /// `D⁺` match, and every pair of `DH` gets its manual label from
+    /// `lookup`, called once per `DH` index in ascending order. This is the
     /// final-verification path of the sans-I/O labeling sessions, which read
-    /// the labels from their answered-response log instead of an oracle.
+    /// the labels from their answered-response log.
     pub fn resolve_from_labels(
         &self,
         workload: &Workload,
@@ -99,12 +90,13 @@ impl HumoSolution {
     }
 }
 
-/// The result of running a HUMO optimizer on a workload.
+/// The result of running a HUMO optimizer on a workload, built by the
+/// labeling session that ran it.
 #[derive(Debug, Clone)]
 pub struct OptimizationOutcome {
     /// The chosen partition.
     pub solution: HumoSolution,
-    /// The final label assignment (machine labels plus oracle labels on `DH`).
+    /// The final label assignment (machine labels plus manual labels on `DH`).
     pub assignment: LabelAssignment,
     /// Achieved quality against the ground truth.
     pub metrics: QualityMetrics,
@@ -113,37 +105,11 @@ pub struct OptimizationOutcome {
     /// Distinct manually labeled pairs that ended up *outside* `DH` (sampling /
     /// estimation overhead).
     pub sampling_cost: usize,
-    /// Total human cost: distinct pairs labeled by the oracle over the whole run.
+    /// Total human cost: distinct pairs labeled over the whole session.
     pub total_human_cost: usize,
 }
 
 impl OptimizationOutcome {
-    /// Assembles an outcome by resolving the solution and reading the oracle's
-    /// final cost counter.
-    pub fn from_solution(
-        solution: HumoSolution,
-        workload: &Workload,
-        oracle: &mut dyn Oracle,
-    ) -> Result<Self> {
-        let assignment = solution.resolve(workload, oracle);
-        let metrics = workload.evaluate(&assignment)?;
-        let total_human_cost = oracle.labels_issued();
-        let verification_cost = solution.human_region_size();
-        // Pairs labeled during the search that are outside the final DH: the total
-        // cost minus everything inside DH. (Labels inside DH are counted once no
-        // matter whether they were first requested during the search or during the
-        // final resolution.)
-        let sampling_cost = total_human_cost.saturating_sub(verification_cost);
-        Ok(Self {
-            solution,
-            assignment,
-            metrics,
-            verification_cost,
-            sampling_cost,
-            total_human_cost,
-        })
-    }
-
     /// Human cost as a fraction of the workload size (the "percentage of manual
     /// work" reported throughout the paper's evaluation).
     pub fn human_cost_fraction(&self, workload_len: usize) -> f64 {
@@ -158,7 +124,11 @@ impl OptimizationOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::GroundTruthOracle;
+    use crate::oracle::{GroundTruthOracle, Oracle};
+    use crate::{
+        BaselineConfig, InitialBoundary, LabelResponse, LabelingSession, QualityRequirement,
+        SessionConfig, SessionState,
+    };
 
     fn workload() -> Workload {
         // 10 pairs, matches at high similarity plus one low-similarity match.
@@ -213,7 +183,7 @@ mod tests {
         let w = workload();
         let s = HumoSolution::new(3, 7, w.len());
         let mut oracle = GroundTruthOracle::new();
-        let assignment = s.resolve(&w, &mut oracle);
+        let assignment = s.resolve_from_labels(&w, |i| oracle.label(&w.pair(i)));
         // D-: indices 0..3 unmatch.
         assert!(!assignment.labels()[0].is_match());
         // a missed low-similarity match
@@ -231,8 +201,7 @@ mod tests {
         let w = workload();
         let mut oracle = GroundTruthOracle::new();
         let outcome =
-            OptimizationOutcome::from_solution(HumoSolution::all_human(w.len()), &w, &mut oracle)
-                .unwrap();
+            LabelingSession::new(SessionConfig::AllHuman, &w).unwrap().drive(&mut oracle).unwrap();
         assert_eq!(outcome.metrics.precision(), 1.0);
         assert_eq!(outcome.metrics.recall(), 1.0);
         assert_eq!(outcome.total_human_cost, w.len());
@@ -245,12 +214,13 @@ mod tests {
     fn machine_only_solution_has_zero_human_cost() {
         let w = workload();
         let mut oracle = GroundTruthOracle::new();
-        let outcome = OptimizationOutcome::from_solution(
-            HumoSolution::machine_only(5, w.len()),
-            &w,
-            &mut oracle,
-        )
-        .unwrap();
+        // A zero requirement is met before any label: BASE stops at its start.
+        let config = SessionConfig::Baseline(BaselineConfig {
+            initial_boundary: InitialBoundary::Index(5),
+            ..BaselineConfig::new(QualityRequirement::new(0.0, 0.0, 0.9).unwrap())
+        });
+        let outcome = LabelingSession::new(config, &w).unwrap().drive(&mut oracle).unwrap();
+        assert_eq!(outcome.solution, HumoSolution::machine_only(5, w.len()));
         assert_eq!(outcome.total_human_cost, 0);
         assert_eq!(outcome.verification_cost, 0);
         // The pure machine threshold misses the low-similarity match.
@@ -261,12 +231,21 @@ mod tests {
     fn sampling_cost_counts_labels_outside_dh() {
         let w = workload();
         let mut oracle = GroundTruthOracle::new();
-        // Simulate a search that sampled two pairs outside the final DH.
-        oracle.label(&w.pair(0));
-        oracle.label(&w.pair(9));
-        let outcome =
-            OptimizationOutcome::from_solution(HumoSolution::new(4, 7, w.len()), &w, &mut oracle)
-                .unwrap();
+        // Simulate a search that sampled two pairs outside the final DH: a
+        // resumed log holding them counts toward the session's cost. BASE
+        // with 3-pair units from index 4 (no recall requirement) stops after
+        // joining DH = [4, 7), whose precision bound is (1 + 3 · 1/3) / 4.
+        let sampled = [0, 9]
+            .map(|i| LabelResponse { pair_id: w.pair(i).id(), label: w.pair(i).ground_truth() });
+        let config = SessionConfig::Baseline(BaselineConfig {
+            unit_size: 3,
+            estimation_units: 1,
+            initial_boundary: InitialBoundary::Index(4),
+            ..BaselineConfig::new(QualityRequirement::new(0.4, 0.0, 0.9).unwrap())
+        });
+        let state = SessionState::resume(config, &w, &sampled).unwrap();
+        let outcome = LabelingSession::from_state(state, &w).drive(&mut oracle).unwrap();
+        assert_eq!(outcome.solution, HumoSolution::new(4, 7, w.len()));
         assert_eq!(outcome.verification_cost, 3);
         assert_eq!(outcome.sampling_cost, 2);
         assert_eq!(outcome.total_human_cost, 5);

@@ -1199,6 +1199,31 @@ mod tests {
     }
 
     #[test]
+    fn resume_validates_the_logged_configuration() {
+        let w = workload(400);
+        let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
+        let mut hybr = HybridConfig::new(requirement);
+        hybr.sampling.tail_calibration.quiet_fraction = 0.7;
+        for config in [
+            SessionConfig::PartialSampling(PartialSamplingConfig {
+                unit_size: 0,
+                ..PartialSamplingConfig::new(requirement)
+            }),
+            SessionConfig::Hybrid(hybr),
+        ] {
+            // The codec writes and reads any configuration; only the session
+            // built from it validates.
+            let path = temp_path("invalid-config");
+            let mut writer = WalWriter::create(&path).unwrap();
+            let workload_len = w.len() as u64;
+            writer.append(&WalRecord::SessionBegin { workload_len, config, warm: None }).unwrap();
+            drop(writer);
+            assert!(matches!(DurableSession::resume(&w, &path), Err(HumoError::InvalidConfig(_))));
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
     fn resume_rejects_wrong_workloads_and_headerless_logs() {
         let w = workload(400);
         let other = workload(800);

@@ -2,7 +2,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p humo-integration --example bibliographic_dedup
+//! cargo run --release -p integration --example bibliographic_dedup
 //! ```
 //!
 //! This is the DBLP-Scholar-style scenario of the paper's evaluation: two
@@ -21,7 +21,7 @@ use er_core::blocking::{build_workload, TokenBlocker};
 use er_core::similarity::StringMeasure;
 use er_core::text::Tokenizer;
 use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator};
-use humo::{GroundTruthOracle, HybridConfig, HybridOptimizer, Optimizer, QualityRequirement};
+use humo::{GroundTruthOracle, HybridConfig, LabelingSession, QualityRequirement, SessionConfig};
 
 fn main() {
     // 1. Two publication corpora with overlapping entities.
@@ -84,9 +84,9 @@ fn main() {
     let mut config = HybridConfig::new(requirement);
     config.sampling.unit_size = 50;
     config.sampling.samples_per_subset = 15;
-    let optimizer = HybridOptimizer::new(config).unwrap();
+    let mut session = LabelingSession::new(SessionConfig::Hybrid(config), &workload).unwrap();
     let mut oracle = GroundTruthOracle::new();
-    let outcome = optimizer.optimize(&workload, &mut oracle).expect("optimization succeeds");
+    let outcome = session.drive(&mut oracle).expect("optimization succeeds");
 
     println!("HYBR outcome:");
     println!("  precision           {:.4}", outcome.metrics.precision());

@@ -6,14 +6,14 @@
 //! askable in parallel), "dispatches" them to a simulated worker pool,
 //! checkpoints the session mid-flight from its answered-label log, rebuilds it
 //! from that checkpoint, and verifies that the resumed session lands on the
-//! exact outcome the classic oracle entry point produces.
+//! exact outcome a fresh session driven by an oracle produces.
 //!
 //! Run with: `cargo run --release -p integration --example labeling_sessions`
 
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::{
-    GroundTruthOracle, HybridConfig, HybridOptimizer, LabelRequest, LabelResponse, Optimizer,
-    OptimizerKind, QualityRequirement, SessionConfig, Step,
+    GroundTruthOracle, LabelRequest, LabelResponse, LabelingSession, OptimizerKind,
+    QualityRequirement, SessionConfig, Step,
 };
 
 /// Pretends to be a pool of human workers answering a dispatched batch. In a
@@ -93,15 +93,14 @@ fn main() {
         resumed.rounds()
     );
 
-    println!("== phase 3: the classic oracle entry point is the same machine ==");
-    let optimizer = HybridOptimizer::new(HybridConfig::new(requirement)).unwrap();
+    println!("== phase 3: an oracle-driven session is the same machine ==");
     let mut oracle = GroundTruthOracle::new();
-    let reference = optimizer.optimize(&workload, &mut oracle).unwrap();
+    let reference = LabelingSession::new(config, &workload).unwrap().drive(&mut oracle).unwrap();
     assert_eq!(reference.solution, outcome.solution);
     assert_eq!(reference.assignment, outcome.assignment);
     assert_eq!(reference.total_human_cost, outcome.total_human_cost);
     println!(
-        "byte-identical with Optimizer::optimize: cost {} pairs ({:.1}% of the workload), \
+        "byte-identical with LabelingSession::drive: cost {} pairs ({:.1}% of the workload), \
          precision {:.3}, recall {:.3}",
         reference.total_human_cost,
         100.0 * reference.human_cost_fraction(workload.len()),

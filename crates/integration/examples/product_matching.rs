@@ -3,7 +3,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p humo-integration --example product_matching
+//! cargo run --release -p integration --example product_matching
 //! ```
 //!
 //! The example compares three ways of resolving a product-offer workload:
@@ -18,7 +18,7 @@ use er_core::similarity::StringMeasure;
 use er_core::text::Tokenizer;
 use er_datagen::product::{ProductConfig, ProductGenerator};
 use er_ml::{ActiveLearningClassifier, ActlConfig, LinearSvm, SvmConfig, TrainTestSplit};
-use humo::{GroundTruthOracle, HybridConfig, HybridOptimizer, Optimizer, QualityRequirement};
+use humo::{GroundTruthOracle, HybridConfig, LabelingSession, QualityRequirement, SessionConfig};
 
 fn main() {
     // 1. Two product catalogues with overlapping offers. Product duplicates are
@@ -97,9 +97,9 @@ fn main() {
     let mut config = HybridConfig::new(requirement);
     config.sampling.unit_size = 50;
     config.sampling.samples_per_subset = 15;
-    let optimizer = HybridOptimizer::new(config).unwrap();
+    let mut session = LabelingSession::new(SessionConfig::Hybrid(config), &workload).unwrap();
     let mut oracle = GroundTruthOracle::new();
-    let outcome = optimizer.optimize(&workload, &mut oracle).expect("optimization succeeds");
+    let outcome = session.drive(&mut oracle).expect("optimization succeeds");
     println!(
         "HUMO HYBR:             precision {:.3}  recall {:.3}  F1 {:.3}  human cost {} pairs ({:.2}%)",
         outcome.metrics.precision(),

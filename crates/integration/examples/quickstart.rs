@@ -12,8 +12,8 @@
 
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::{
-    BaselineConfig, BaselineOptimizer, GroundTruthOracle, HybridConfig, HybridOptimizer, Optimizer,
-    PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement,
+    BaselineConfig, GroundTruthOracle, HybridConfig, LabelingSession, OptimizerKind,
+    PartialSamplingConfig, QualityRequirement, SessionConfig,
 };
 
 fn main() {
@@ -32,13 +32,13 @@ fn main() {
     // 3. Run the three optimizers. The oracle simulates the human workforce; it
     //    answers with ground-truth labels and counts every distinct pair it is
     //    asked about — that count is the human cost HUMO minimizes.
-    let optimizers: Vec<Box<dyn Optimizer>> = vec![
-        Box::new(BaselineOptimizer::new(BaselineConfig::new(requirement)).unwrap()),
-        Box::new(
-            PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement).with_seed(3))
-                .unwrap(),
+    let optimizers = [
+        (OptimizerKind::Baseline, SessionConfig::Baseline(BaselineConfig::new(requirement))),
+        (
+            OptimizerKind::PartialSampling,
+            SessionConfig::PartialSampling(PartialSamplingConfig::new(requirement).with_seed(3)),
         ),
-        Box::new(HybridOptimizer::new(HybridConfig::new(requirement).with_seed(3)).unwrap()),
+        (OptimizerKind::Hybrid, SessionConfig::Hybrid(HybridConfig::new(requirement).with_seed(3))),
     ];
 
     println!(
@@ -46,9 +46,10 @@ fn main() {
         "method", "precision", "recall", "human pairs", "human cost %", "DH interval"
     );
     let mut met = 0usize;
-    for optimizer in &optimizers {
+    for (kind, config) in optimizers {
+        let mut session = LabelingSession::new(config, &workload).expect("valid configuration");
         let mut oracle = GroundTruthOracle::new();
-        let outcome = optimizer.optimize(&workload, &mut oracle).expect("optimization succeeds");
+        let outcome = session.drive(&mut oracle).expect("optimization succeeds");
         let interval = outcome
             .solution
             .human_similarity_interval(&workload)
@@ -58,7 +59,7 @@ fn main() {
         met += usize::from(satisfied);
         println!(
             "{:<6} {:>10.4} {:>10.4} {:>12} {:>13.2}% {:>12} {}",
-            optimizer.name(),
+            kind.label(),
             outcome.metrics.precision(),
             outcome.metrics.recall(),
             outcome.total_human_cost,

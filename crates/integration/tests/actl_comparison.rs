@@ -3,7 +3,7 @@
 
 use er_datagen::calibrated::CalibratedConfig;
 use er_ml::{ActiveLearningClassifier, ActlConfig};
-use humo::{GroundTruthOracle, HybridConfig, HybridOptimizer, Optimizer, QualityRequirement};
+use humo::{GroundTruthOracle, HybridConfig, LabelingSession, QualityRequirement, SessionConfig};
 
 fn ds_workload() -> er_core::workload::Workload {
     CalibratedConfig::ds(13).scaled(0.1).generate()
@@ -15,9 +15,9 @@ fn ab_workload() -> er_core::workload::Workload {
 
 fn run_humo(workload: &er_core::workload::Workload, precision: f64) -> humo::OptimizationOutcome {
     let requirement = QualityRequirement::new(precision, precision, 0.9).unwrap();
-    let optimizer = HybridOptimizer::new(HybridConfig::new(requirement)).unwrap();
+    let config = SessionConfig::Hybrid(HybridConfig::new(requirement));
     let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(workload, &mut oracle).unwrap()
+    LabelingSession::new(config, workload).unwrap().drive(&mut oracle).unwrap()
 }
 
 fn run_actl(workload: &er_core::workload::Workload, precision: f64) -> er_ml::ActlResult {

@@ -12,8 +12,8 @@
 
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::{
-    GroundTruthOracle, HybridConfig, HybridOptimizer, OptimizationOutcome, Optimizer,
-    PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement, TailCalibration,
+    GroundTruthOracle, HybridConfig, LabelingSession, OptimizationOutcome, PartialSamplingConfig,
+    QualityRequirement, SessionConfig, TailCalibration,
 };
 
 const LEVEL: f64 = 0.9;
@@ -41,9 +41,9 @@ fn run_samp(
         tail_calibration: tail,
         ..PartialSamplingConfig::new(requirement).with_seed(seed)
     };
-    let optimizer = PartialSamplingOptimizer::new(config).unwrap();
     let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(w, &mut oracle).unwrap()
+    let config = SessionConfig::PartialSampling(config);
+    LabelingSession::new(config, w).unwrap().drive(&mut oracle).unwrap()
 }
 
 fn run_hybr(
@@ -54,9 +54,8 @@ fn run_hybr(
     let requirement = QualityRequirement::symmetric(LEVEL).unwrap();
     let mut config = HybridConfig::new(requirement).with_seed(seed);
     config.sampling.tail_calibration = tail;
-    let optimizer = HybridOptimizer::new(config).unwrap();
     let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(w, &mut oracle).unwrap()
+    LabelingSession::new(SessionConfig::Hybrid(config), w).unwrap().drive(&mut oracle).unwrap()
 }
 
 /// Over 20 seeds the nominal 10% failure rate admits at most 4 failures at the

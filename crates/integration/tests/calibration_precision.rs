@@ -17,9 +17,8 @@
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::sampling::{MatchCountEstimator, StratifiedCountEstimator};
 use humo::{
-    CalibratedEstimator, GroundTruthOracle, HybridConfig, HybridOptimizer, OptimizationOutcome,
-    Optimizer, PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement,
-    ShortfallBaseline, TailCalibration,
+    CalibratedEstimator, GroundTruthOracle, HybridConfig, LabelingSession, OptimizationOutcome,
+    PartialSamplingConfig, QualityRequirement, SessionConfig, ShortfallBaseline, TailCalibration,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -49,9 +48,9 @@ fn run_samp(
         tail_calibration: tail,
         ..PartialSamplingConfig::new(requirement).with_seed(seed)
     };
-    let optimizer = PartialSamplingOptimizer::new(config).unwrap();
     let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(w, &mut oracle).unwrap()
+    let config = SessionConfig::PartialSampling(config);
+    LabelingSession::new(config, w).unwrap().drive(&mut oracle).unwrap()
 }
 
 fn run_hybr(
@@ -62,9 +61,8 @@ fn run_hybr(
     let requirement = QualityRequirement::symmetric(LEVEL).unwrap();
     let mut config = HybridConfig::new(requirement).with_seed(seed);
     config.sampling.tail_calibration = tail;
-    let optimizer = HybridOptimizer::new(config).unwrap();
     let mut oracle = GroundTruthOracle::new();
-    optimizer.optimize(w, &mut oracle).unwrap()
+    LabelingSession::new(SessionConfig::Hybrid(config), w).unwrap().drive(&mut oracle).unwrap()
 }
 
 /// Over 20 seeds the nominal 10% failure rate admits at most 4 failures at the

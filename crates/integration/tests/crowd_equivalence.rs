@@ -7,32 +7,25 @@
 
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::{
-    symmetric_pool, Aggregation, AllSamplingConfig, AllSamplingOptimizer, BaselineConfig,
-    BaselineOptimizer, CrowdOracle, GroundTruthOracle, HybridConfig, HybridOptimizer, Optimizer,
-    OptimizerKind, Oracle, PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement,
-    Redundancy,
+    symmetric_pool, Aggregation, AllSamplingConfig, BaselineConfig, CrowdOracle, GroundTruthOracle,
+    HybridConfig, LabelingSession, OptimizerKind, Oracle, PartialSamplingConfig,
+    QualityRequirement, Redundancy, SessionConfig,
 };
 use proptest::prelude::*;
 
 /// Builds the optimizer for a kind with the harness defaults and a seed.
-fn build(kind: OptimizerKind, requirement: QualityRequirement, seed: u64) -> Box<dyn Optimizer> {
+fn build(kind: OptimizerKind, requirement: QualityRequirement, seed: u64) -> SessionConfig {
     match kind {
-        OptimizerKind::Baseline => {
-            Box::new(BaselineOptimizer::new(BaselineConfig::new(requirement)).unwrap())
+        OptimizerKind::Baseline => SessionConfig::Baseline(BaselineConfig::new(requirement)),
+        OptimizerKind::AllSampling => SessionConfig::AllSampling(AllSamplingConfig {
+            seed,
+            ..AllSamplingConfig::new(requirement)
+        }),
+        OptimizerKind::PartialSampling => {
+            SessionConfig::PartialSampling(PartialSamplingConfig::new(requirement).with_seed(seed))
         }
-        OptimizerKind::AllSampling => Box::new(
-            AllSamplingOptimizer::new(AllSamplingConfig {
-                seed,
-                ..AllSamplingConfig::new(requirement)
-            })
-            .unwrap(),
-        ),
-        OptimizerKind::PartialSampling => Box::new(
-            PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement).with_seed(seed))
-                .unwrap(),
-        ),
         OptimizerKind::Hybrid => {
-            Box::new(HybridOptimizer::new(HybridConfig::new(requirement).with_seed(seed)).unwrap())
+            SessionConfig::Hybrid(HybridConfig::new(requirement).with_seed(seed))
         }
     }
 }
@@ -58,7 +51,8 @@ proptest! {
             let optimizer = build(kind, requirement, seed);
 
             let mut truth_oracle = GroundTruthOracle::new();
-            let truth = optimizer.optimize(&workload, &mut truth_oracle).unwrap();
+            let truth =
+                LabelingSession::new(optimizer, &workload).unwrap().drive(&mut truth_oracle).unwrap();
 
             let mut crowd_oracle = CrowdOracle::new(
                 symmetric_pool(4, 0.0, seed ^ 0xA5A5),
@@ -66,7 +60,8 @@ proptest! {
                 Aggregation::Majority,
                 seed ^ 0x5A5A,
             );
-            let crowd = optimizer.optimize(&workload, &mut crowd_oracle).unwrap();
+            let crowd =
+                LabelingSession::new(optimizer, &workload).unwrap().drive(&mut crowd_oracle).unwrap();
 
             prop_assert_eq!(crowd.solution.lower_index, truth.solution.lower_index);
             prop_assert_eq!(crowd.solution.upper_index, truth.solution.upper_index);

@@ -3,18 +3,21 @@
 use er_datagen::calibrated::CalibratedConfig;
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::{
-    AllSamplingConfig, AllSamplingOptimizer, BaselineConfig, BaselineOptimizer, GroundTruthOracle,
-    HybridConfig, HybridOptimizer, NoisyOracle, Optimizer, Oracle, PartialSamplingConfig,
-    PartialSamplingOptimizer, QualityRequirement,
+    BaselineConfig, GroundTruthOracle, HybridConfig, LabelingSession, NoisyOracle, OptimizerKind,
+    Oracle, PartialSamplingConfig, QualityRequirement, SessionConfig,
 };
 
-fn optimizers(requirement: QualityRequirement) -> Vec<Box<dyn Optimizer>> {
-    vec![
-        Box::new(BaselineOptimizer::new(BaselineConfig::new(requirement)).unwrap()),
-        Box::new(AllSamplingOptimizer::new(AllSamplingConfig::new(requirement)).unwrap()),
-        Box::new(PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap()),
-        Box::new(HybridOptimizer::new(HybridConfig::new(requirement)).unwrap()),
-    ]
+/// Every optimizer at its defaults, named by its kind.
+fn optimizers(requirement: QualityRequirement) -> [(OptimizerKind, SessionConfig); 4] {
+    OptimizerKind::all().map(|kind| (kind, SessionConfig::for_kind(kind, requirement)))
+}
+
+fn run(
+    config: SessionConfig,
+    workload: &er_core::workload::Workload,
+    oracle: &mut dyn Oracle,
+) -> humo::OptimizationOutcome {
+    LabelingSession::new(config, workload).unwrap().drive(oracle).unwrap()
 }
 
 #[test]
@@ -24,19 +27,19 @@ fn every_optimizer_meets_the_requirement_on_a_regular_synthetic_workload() {
     // The guarantee is probabilistic (confidence θ = 0.9), so a single seeded run
     // is allowed a small shortfall; large violations would still fail the test.
     let tolerance = 0.02;
-    for optimizer in optimizers(requirement) {
+    for (kind, config) in optimizers(requirement) {
         let mut oracle = GroundTruthOracle::new();
-        let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+        let outcome = run(config, &workload, &mut oracle);
         assert!(
             outcome.metrics.precision() >= 0.9 - tolerance,
             "{}: precision {} below the requirement",
-            optimizer.name(),
+            kind.label(),
             outcome.metrics.precision()
         );
         assert!(
             outcome.metrics.recall() >= 0.9 - tolerance,
             "{}: recall {} below the requirement",
-            optimizer.name(),
+            kind.label(),
             outcome.metrics.recall()
         );
         // Cost accounting must be consistent with the oracle.
@@ -46,7 +49,7 @@ fn every_optimizer_meets_the_requirement_on_a_regular_synthetic_workload() {
             outcome.verification_cost,
             outcome.solution.human_region_size(),
             "{}: verification cost must equal |DH|",
-            optimizer.name()
+            kind.label()
         );
     }
 }
@@ -56,19 +59,19 @@ fn every_optimizer_meets_the_requirement_on_a_ds_like_workload() {
     // 10%-scale DS keeps the test fast while preserving the distribution shape.
     let workload = CalibratedConfig::ds(3).scaled(0.1).generate();
     let requirement = QualityRequirement::new(0.85, 0.85, 0.9).unwrap();
-    for optimizer in optimizers(requirement) {
+    for (kind, config) in optimizers(requirement) {
         let mut oracle = GroundTruthOracle::new();
-        let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+        let outcome = run(config, &workload, &mut oracle);
         assert!(
             outcome.metrics.precision() >= 0.83,
             "{}: precision {}",
-            optimizer.name(),
+            kind.label(),
             outcome.metrics.precision()
         );
         assert!(
             outcome.metrics.recall() >= 0.83,
             "{}: recall {}",
-            optimizer.name(),
+            kind.label(),
             outcome.metrics.recall()
         );
     }
@@ -79,9 +82,9 @@ fn hybrid_meets_the_requirement_on_an_ab_like_workload() {
     // The AB shape (matches at low/medium similarity) is the hard case.
     let workload = CalibratedConfig::ab(5).scaled(0.05).generate();
     let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
-    let optimizer = HybridOptimizer::new(HybridConfig::new(requirement)).unwrap();
+    let optimizer = SessionConfig::Hybrid(HybridConfig::new(requirement));
     let mut oracle = GroundTruthOracle::new();
-    let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+    let outcome = run(optimizer, &workload, &mut oracle);
     assert!(outcome.metrics.precision() >= 0.85, "precision {}", outcome.metrics.precision());
     assert!(outcome.metrics.recall() >= 0.85, "recall {}", outcome.metrics.recall());
     // AB requires more manual work than a trivial amount, but far less than the
@@ -98,14 +101,13 @@ fn the_human_cost_ordering_matches_the_paper_on_an_easy_workload() {
     let workload = SyntheticGenerator::new(SyntheticConfig::new(40_000, 16.0, 0.1)).generate();
     let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
 
-    let cost = |optimizer: &dyn Optimizer| {
+    let cost = |optimizer: SessionConfig| {
         let mut oracle = GroundTruthOracle::new();
-        optimizer.optimize(&workload, &mut oracle).unwrap().total_human_cost
+        run(optimizer, &workload, &mut oracle).total_human_cost
     };
-    let base = cost(&BaselineOptimizer::new(BaselineConfig::new(requirement)).unwrap());
-    let samp =
-        cost(&PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap());
-    let hybr = cost(&HybridOptimizer::new(HybridConfig::new(requirement)).unwrap());
+    let base = cost(SessionConfig::Baseline(BaselineConfig::new(requirement)));
+    let samp = cost(SessionConfig::PartialSampling(PartialSamplingConfig::new(requirement)));
+    let hybr = cost(SessionConfig::Hybrid(HybridConfig::new(requirement)));
 
     assert!(samp < base, "SAMP ({samp}) should be cheaper than BASE ({base})");
     assert!(hybr <= samp, "HYBR ({hybr}) should not exceed SAMP ({samp})");
@@ -118,13 +120,13 @@ fn a_noisy_oracle_degrades_quality_gracefully() {
     // bounded and machine-labeled regions are unaffected.
     let workload = SyntheticGenerator::new(SyntheticConfig::new(20_000, 14.0, 0.1)).generate();
     let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
-    let optimizer = HybridOptimizer::new(HybridConfig::new(requirement)).unwrap();
+    let optimizer = SessionConfig::Hybrid(HybridConfig::new(requirement));
 
     let mut perfect = GroundTruthOracle::new();
-    let clean = optimizer.optimize(&workload, &mut perfect).unwrap();
+    let clean = run(optimizer, &workload, &mut perfect);
 
     let mut noisy = NoisyOracle::new(0.05, 99);
-    let noisy_outcome = optimizer.optimize(&workload, &mut noisy).unwrap();
+    let noisy_outcome = run(optimizer, &workload, &mut noisy);
 
     // A noisy oracle can occasionally produce a *larger* human region (its noisy
     // samples change the search), so we only require that quality stays close to
@@ -147,10 +149,9 @@ fn stricter_confidence_does_not_reduce_human_cost() {
     let workload = SyntheticGenerator::new(SyntheticConfig::new(30_000, 14.0, 0.1)).generate();
     let cost_at = |confidence: f64| {
         let requirement = QualityRequirement::new(0.9, 0.9, confidence).unwrap();
-        let optimizer =
-            PartialSamplingOptimizer::new(PartialSamplingConfig::new(requirement)).unwrap();
+        let optimizer = SessionConfig::PartialSampling(PartialSamplingConfig::new(requirement));
         let mut oracle = GroundTruthOracle::new();
-        optimizer.optimize(&workload, &mut oracle).unwrap().total_human_cost
+        run(optimizer, &workload, &mut oracle).total_human_cost
     };
     let relaxed = cost_at(0.6);
     let strict = cost_at(0.95);

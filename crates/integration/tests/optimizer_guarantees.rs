@@ -5,14 +5,20 @@
 
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::{
-    BaselineConfig, BaselineOptimizer, GroundTruthOracle, HybridConfig, HybridOptimizer, Optimizer,
-    PartialSamplingConfig, PartialSamplingOptimizer, QualityRequirement,
+    BaselineConfig, GroundTruthOracle, HybridConfig, LabelingSession, OptimizationOutcome,
+    PartialSamplingConfig, QualityRequirement, SessionConfig,
 };
 use proptest::prelude::*;
 
 fn synthetic(num_pairs: usize, tau: f64, sigma: f64, seed: u64) -> er_core::workload::Workload {
     SyntheticGenerator::new(SyntheticConfig { num_pairs, tau, sigma, subset_size: 200, seed })
         .generate()
+}
+
+/// Runs the optimizer `config` selects, answering from the ground truth.
+fn run(config: SessionConfig, workload: &er_core::workload::Workload) -> OptimizationOutcome {
+    let mut oracle = GroundTruthOracle::new();
+    LabelingSession::new(config, workload).unwrap().drive(&mut oracle).unwrap()
 }
 
 proptest! {
@@ -31,9 +37,7 @@ proptest! {
         let requirement = QualityRequirement::new(level, level, 0.9).unwrap();
         let mut config = BaselineConfig::new(requirement);
         config.unit_size = 100;
-        let optimizer = BaselineOptimizer::new(config).unwrap();
-        let mut oracle = GroundTruthOracle::new();
-        let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+        let outcome = run(SessionConfig::Baseline(config), &workload);
         prop_assert!(outcome.metrics.precision() >= level - 1e-9,
             "precision {} < {level}", outcome.metrics.precision());
         prop_assert!(outcome.metrics.recall() >= level - 1e-9,
@@ -51,11 +55,9 @@ proptest! {
     ) {
         let workload = synthetic(10_000, tau, sigma, seed);
         let requirement = QualityRequirement::new(level, level, 0.9).unwrap();
-        let optimizer = PartialSamplingOptimizer::new(
-            PartialSamplingConfig::new(requirement).with_seed(seed),
-        ).unwrap();
-        let mut oracle = GroundTruthOracle::new();
-        let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+        let optimizer =
+            SessionConfig::PartialSampling(PartialSamplingConfig::new(requirement).with_seed(seed));
+        let outcome = run(optimizer, &workload);
 
         let s = outcome.solution;
         prop_assert!(s.lower_index <= s.upper_index);
@@ -85,17 +87,12 @@ proptest! {
         let workload = synthetic(12_000, tau, 0.1, seed);
         let requirement = QualityRequirement::new(level, level, 0.9).unwrap();
 
-        let samp = PartialSamplingOptimizer::new(
-            PartialSamplingConfig::new(requirement).with_seed(seed),
-        ).unwrap();
-        let mut samp_oracle = GroundTruthOracle::new();
-        let samp_outcome = samp.optimize(&workload, &mut samp_oracle).unwrap();
+        let samp =
+            SessionConfig::PartialSampling(PartialSamplingConfig::new(requirement).with_seed(seed));
+        let samp_outcome = run(samp, &workload);
 
-        let hybr = HybridOptimizer::new(
-            HybridConfig::new(requirement).with_seed(seed),
-        ).unwrap();
-        let mut hybr_oracle = GroundTruthOracle::new();
-        let hybr_outcome = hybr.optimize(&workload, &mut hybr_oracle).unwrap();
+        let hybr = SessionConfig::Hybrid(HybridConfig::new(requirement).with_seed(seed));
+        let hybr_outcome = run(hybr, &workload);
 
         prop_assert!(
             hybr_outcome.total_human_cost <= samp_outcome.total_human_cost,
@@ -115,9 +112,8 @@ proptest! {
     ) {
         let workload = synthetic(8_000, tau, sigma, seed);
         let requirement = QualityRequirement::new(0.9, 0.9, 0.9).unwrap();
-        let optimizer = HybridOptimizer::new(HybridConfig::new(requirement).with_seed(seed)).unwrap();
-        let mut oracle = GroundTruthOracle::new();
-        let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+        let optimizer = SessionConfig::Hybrid(HybridConfig::new(requirement).with_seed(seed));
+        let outcome = run(optimizer, &workload);
         prop_assert!(outcome.total_human_cost <= workload.len());
     }
 }
@@ -132,12 +128,8 @@ fn average_cost_increases_with_the_requirement_level() {
         let mut total = 0usize;
         for seed in 0..5 {
             let requirement = QualityRequirement::new(level, level, 0.9).unwrap();
-            let optimizer = PartialSamplingOptimizer::new(
-                PartialSamplingConfig::new(requirement).with_seed(seed),
-            )
-            .unwrap();
-            let mut oracle = GroundTruthOracle::new();
-            total += optimizer.optimize(&workload, &mut oracle).unwrap().total_human_cost;
+            let optimizer = PartialSamplingConfig::new(requirement).with_seed(seed);
+            total += run(SessionConfig::PartialSampling(optimizer), &workload).total_human_cost;
         }
         total as f64 / 5.0
     };

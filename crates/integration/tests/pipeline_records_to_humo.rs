@@ -9,7 +9,7 @@ use er_core::text::Tokenizer;
 use er_core::workload::Workload;
 use er_datagen::bibliographic::{BibliographicConfig, BibliographicGenerator, GeneratedCorpus};
 use er_datagen::product::{ProductConfig, ProductGenerator};
-use humo::{GroundTruthOracle, HybridConfig, HybridOptimizer, Optimizer, QualityRequirement};
+use humo::{GroundTruthOracle, HybridConfig, LabelingSession, QualityRequirement, SessionConfig};
 use std::collections::BTreeSet;
 
 fn bibliographic_corpus() -> GeneratedCorpus {
@@ -86,9 +86,9 @@ fn humo_resolves_the_bibliographic_pipeline_with_guarantees() {
     let mut config = HybridConfig::new(requirement);
     config.sampling.unit_size = 25;
     config.sampling.samples_per_subset = 10;
-    let optimizer = HybridOptimizer::new(config).unwrap();
+    let mut session = LabelingSession::new(SessionConfig::Hybrid(config), &workload).unwrap();
     let mut oracle = GroundTruthOracle::new();
-    let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+    let outcome = session.drive(&mut oracle).unwrap();
     assert!(outcome.metrics.precision() >= 0.9, "precision {}", outcome.metrics.precision());
     assert!(outcome.metrics.recall() >= 0.9, "recall {}", outcome.metrics.recall());
     assert!(outcome.total_human_cost < workload.len());
@@ -129,9 +129,9 @@ fn humo_resolves_the_product_pipeline_with_guarantees() {
     let mut config = HybridConfig::new(requirement);
     config.sampling.unit_size = 25;
     config.sampling.samples_per_subset = 10;
-    let optimizer = HybridOptimizer::new(config).unwrap();
+    let mut session = LabelingSession::new(SessionConfig::Hybrid(config), &workload).unwrap();
     let mut oracle = GroundTruthOracle::new();
-    let outcome = optimizer.optimize(&workload, &mut oracle).unwrap();
+    let outcome = session.drive(&mut oracle).unwrap();
     assert!(outcome.metrics.precision() >= 0.85, "precision {}", outcome.metrics.precision());
     assert!(outcome.metrics.recall() >= 0.85, "recall {}", outcome.metrics.recall());
 }
@@ -177,9 +177,9 @@ fn product_workloads_need_more_human_work_than_bibliographic_ones() {
         let mut config = HybridConfig::new(requirement);
         config.sampling.unit_size = 25;
         config.sampling.samples_per_subset = 10;
-        let optimizer = HybridOptimizer::new(config).unwrap();
+        let mut session = LabelingSession::new(SessionConfig::Hybrid(config), workload).unwrap();
         let mut oracle = GroundTruthOracle::new();
-        let outcome = optimizer.optimize(workload, &mut oracle).unwrap();
+        let outcome = session.drive(&mut oracle).unwrap();
         outcome.human_cost_fraction(workload.len())
     };
     let bib = fraction(&bib_workload);

@@ -1,6 +1,6 @@
 //! Session/oracle equivalence: for every `OptimizerKind`, the sans-I/O
-//! labeling session driven by hand must be byte-identical with the classic
-//! oracle entry point — same labels issued (set, values *and* order), same
+//! labeling session driven by hand must be byte-identical with the session
+//! driven by an oracle (`LabelingSession::drive`) — same labels issued (set, values *and* order), same
 //! bounds, same outcome — and a session rebuilt from its answered-label log
 //! must resume to the same outcome. Every emitted `NeedLabels` batch must
 //! contain only distinct, not-yet-answered pairs.
@@ -8,7 +8,7 @@
 use er_core::workload::{InstancePair, Label, PairId, Workload};
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
 use humo::{
-    GroundTruthOracle, LabelResponse, LabelingSession, NoisyOracle, OptimizationOutcome, Optimizer,
+    GroundTruthOracle, LabelResponse, LabelingSession, NoisyOracle, OptimizationOutcome,
     OptimizerKind, Oracle, QualityRequirement, SessionConfig, Step,
 };
 use proptest::prelude::*;
@@ -53,30 +53,8 @@ fn optimize_by_kind(
     w: &Workload,
     oracle: &mut dyn Oracle,
 ) -> OptimizationOutcome {
-    match kind {
-        OptimizerKind::Baseline => {
-            humo::BaselineOptimizer::new(humo::BaselineConfig::new(requirement))
-                .unwrap()
-                .optimize(w, oracle)
-                .unwrap()
-        }
-        OptimizerKind::AllSampling => {
-            humo::AllSamplingOptimizer::new(humo::AllSamplingConfig::new(requirement))
-                .unwrap()
-                .optimize(w, oracle)
-                .unwrap()
-        }
-        OptimizerKind::PartialSampling => {
-            humo::PartialSamplingOptimizer::new(humo::PartialSamplingConfig::new(requirement))
-                .unwrap()
-                .optimize(w, oracle)
-                .unwrap()
-        }
-        OptimizerKind::Hybrid => humo::HybridOptimizer::new(humo::HybridConfig::new(requirement))
-            .unwrap()
-            .optimize(w, oracle)
-            .unwrap(),
-    }
+    let config = SessionConfig::for_kind(kind, requirement);
+    LabelingSession::new(config, w).unwrap().drive(oracle).unwrap()
 }
 
 /// Drives a session by hand with labels from `label_of`, recording the ordered

@@ -8,12 +8,10 @@
 //! family meets the requirement deterministically with the fixed seeds below.
 
 use er_datagen::synthetic::{SyntheticConfig, SyntheticGenerator};
-use humo::sampling::{
-    AllSamplingConfig, AllSamplingOptimizer, PartialSamplingConfig, PartialSamplingOptimizer,
-};
+use humo::sampling::{AllSamplingConfig, PartialSamplingConfig};
 use humo::{
-    BaselineConfig, BaselineOptimizer, GroundTruthOracle, HybridConfig, HybridOptimizer,
-    OptimizationOutcome, Optimizer, OptimizerKind, QualityRequirement,
+    BaselineConfig, GroundTruthOracle, HybridConfig, LabelingSession, OptimizationOutcome,
+    OptimizerKind, QualityRequirement, SessionConfig,
 };
 
 const SEED: u64 = 5;
@@ -35,29 +33,30 @@ fn tiny_workload() -> er_core::workload::Workload {
 fn run(kind: OptimizerKind, requirement: QualityRequirement) -> OptimizationOutcome {
     let workload = tiny_workload();
     let mut oracle = GroundTruthOracle::new();
-    let outcome = match kind {
+    let config = match kind {
         OptimizerKind::Baseline => {
             let mut config = BaselineConfig::new(requirement);
             config.unit_size = 100;
-            BaselineOptimizer::new(config).unwrap().optimize(&workload, &mut oracle)
+            SessionConfig::Baseline(config)
         }
         OptimizerKind::AllSampling => {
             let mut config = AllSamplingConfig::new(requirement);
             config.seed = SEED;
-            AllSamplingOptimizer::new(config).unwrap().optimize(&workload, &mut oracle)
+            SessionConfig::AllSampling(config)
         }
         OptimizerKind::PartialSampling => {
             let config =
                 PartialSamplingConfig { unit_size: 100, ..PartialSamplingConfig::new(requirement) }
                     .with_seed(SEED);
-            PartialSamplingOptimizer::new(config).unwrap().optimize(&workload, &mut oracle)
+            SessionConfig::PartialSampling(config)
         }
         OptimizerKind::Hybrid => {
             let mut config = HybridConfig::new(requirement).with_seed(SEED);
             config.sampling.unit_size = 100;
-            HybridOptimizer::new(config).unwrap().optimize(&workload, &mut oracle)
+            SessionConfig::Hybrid(config)
         }
     };
+    let outcome = LabelingSession::new(config, &workload).and_then(|mut s| s.drive(&mut oracle));
     outcome.unwrap_or_else(|e| panic!("{kind} failed on the smoke workload: {e}"))
 }
 
