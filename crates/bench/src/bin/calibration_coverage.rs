@@ -68,10 +68,7 @@ fn main() -> Result<(), KnobError> {
     }
     let assert_mode = cfg.flag("ASSERT");
     let requirement = QualityRequirement::symmetric(0.9).unwrap();
-    let calibrated = TailCalibration {
-        distance_strength: cfg.f64("STRENGTH", TailCalibration::default().distance_strength)?,
-        ..TailCalibration::default()
-    };
+    let calibrated = TailCalibration::default();
     // Reference arm: the upper-side-only calibration that shipped before the
     // pooled lower bound — the cost baseline the two-sided default is gated
     // against, and the arm whose precision failures document the gap.
@@ -117,7 +114,7 @@ fn main() -> Result<(), KnobError> {
     // One shared in-memory recorder observes every optimization in the sweep
     // (via the workload's obs handle): after the grid, its counters summarize
     // how much session machinery the guarantee actually cost — label rounds by
-    // phase, GP refits by strategy, reselections and replay-cache hits.
+    // phase, incremental GP refits, reselections and replay-cache hits.
     let metrics = Arc::new(MetricsRecorder::new());
     let mut cells: Vec<Cell> = Vec::new();
     for &(name, arm) in &optimizers {
@@ -245,13 +242,12 @@ fn main() -> Result<(), KnobError> {
     let obs = metrics.snapshot();
     println!(
         "\nsession machinery across the sweep: {} label rounds ({} plan + {} refine), \
-         {} incremental + {} full GP refits, {} reselections, \
+         {} incremental GP refits, {} reselections, \
          {} plan + {} training replay-cache hits",
         obs.counter("session.rounds"),
         obs.counter("session.rounds.plan"),
         obs.counter("session.rounds.refine"),
         obs.counter("gp.refit.incremental"),
-        obs.counter("gp.refit.full"),
         obs.counter("gp.reselect"),
         obs.counter("session.replay_cache.plan_hits"),
         obs.counter("session.replay_cache.training_hits"),
@@ -308,7 +304,6 @@ fn main() -> Result<(), KnobError> {
                     "gp_refit_incremental_total",
                     Json::num(obs.counter("gp.refit.incremental") as f64),
                 ),
-                ("gp_refit_full_total", Json::num(obs.counter("gp.refit.full") as f64)),
                 ("gp_reselect_total", Json::num(obs.counter("gp.reselect") as f64)),
             ]),
         ),

@@ -101,7 +101,7 @@ pub use optimizer::OptimizerKind;
 pub use oracle::{GroundTruthOracle, NoisyOracle, Oracle};
 pub use requirement::QualityRequirement;
 pub use sampling::{
-    AllSamplingConfig, CalibratedEstimator, PartialSamplingConfig, PriorObservation, RefitStrategy,
+    AllSamplingConfig, CalibratedEstimator, PartialSamplingConfig, PriorObservation,
     ShortfallBaseline, TailCalibration, WarmStart,
 };
 pub use session::{

@@ -28,5 +28,5 @@ pub use calibrated::{CalibratedEstimator, ShortfallBaseline, TailCalibration};
 pub use estimator::{search_subset_bounds, MatchCountEstimator, StratifiedCountEstimator};
 pub use gp_estimator::GpCountEstimator;
 pub(crate) use partial::GpTrainingState;
-pub use partial::{PartialSamplingConfig, RefitStrategy, SamplingPlan, SELECTION_WARMUP};
+pub use partial::{PartialSamplingConfig, SamplingPlan, SELECTION_WARMUP};
 pub use warm::{PriorObservation, WarmStart};

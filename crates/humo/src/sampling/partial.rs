@@ -59,41 +59,8 @@ pub struct PartialSamplingConfig {
     /// reproduces the pre-calibration bounds that under-cover recall on flat
     /// match-proportion curves.
     pub tail_calibration: TailCalibration,
-    /// How the GP is refreshed after each refinement probe — a pure
-    /// performance knob, see [`RefitStrategy`].
-    pub refit: RefitStrategy,
     /// RNG seed for within-subset sampling.
     pub seed: u64,
-}
-
-/// How the match-proportion GP is refreshed after each refinement probe of
-/// Algorithm 1.
-///
-/// Hyperparameter *selection* (the length-scale search induced by
-/// [`PartialSamplingConfig::gp_config_for`]) runs on the same schedule under
-/// both strategies: per probe while the training set is small (up to
-/// [`SELECTION_WARMUP`] points — selection costs microseconds there and every
-/// point moves the hyperparameters), and past the warm-up whenever a probe
-/// disagrees with the GP prediction by at least the error threshold (a
-/// surprise is evidence the pinned hyperparameters no longer describe the
-/// curve), whenever the training set has doubled since the last selection,
-/// and once more on the final training set if probes were absorbed since.
-/// Between
-/// selections the strategies differ only in how the covariance factorization
-/// is updated — [`RefitStrategy::Incremental`] appends rows to the existing
-/// Cholesky factor in O(n²) per probe
-/// ([`GaussianProcess::extend_with_noise`]), while [`RefitStrategy::Full`]
-/// re-factorizes from scratch in O(n³) with the same pinned hyperparameters.
-/// The two produce bit-identical posteriors, and therefore bit-identical
-/// labels, bounds and costs; `Full` exists as the reference arm for the
-/// equivalence tests and the bench trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefitStrategy {
-    /// Extend the existing factorization in O(n²) per probe (the default).
-    #[default]
-    Incremental,
-    /// Re-factorize from scratch per probe with pinned hyperparameters.
-    Full,
 }
 
 /// Training-set size up to which hyperparameter selection reruns after every
@@ -114,7 +81,6 @@ impl PartialSamplingConfig {
             gp_error_threshold: 0.05,
             conservative_noise: false,
             tail_calibration: TailCalibration::default(),
-            refit: RefitStrategy::Incremental,
             seed: 1,
         }
     }
@@ -451,8 +417,10 @@ impl PartialSamplingConfig {
     /// to a from-scratch replay (see [`GpTrainingState`]); with the cache
     /// disabled the function simply replays from scratch every time.
     ///
-    /// The GP is refreshed per probe according to the configured
-    /// [`RefitStrategy`]; hyperparameters are re-selected per probe up to
+    /// Between selections each probe extends the GP's Cholesky factor in
+    /// O(n²) ([`GaussianProcess::extend_with_noise`]), which is bit-identical
+    /// to refactorizing from scratch with the pinned hyperparameters.
+    /// Hyperparameters are re-selected per probe up to
     /// [`SELECTION_WARMUP`] training points, past that whenever a probe
     /// surprises the GP by at least the error threshold or the training set
     /// has doubled since the last selection, and once more on the final
@@ -715,33 +683,12 @@ impl PartialSamplingConfig {
                 st.selected_at = st.train_x.len();
                 workload.obs().counter("gp.reselect", 1);
             } else {
-                match self.refit {
-                    RefitStrategy::Incremental => {
-                        gp.extend_with_noise(
-                            &st.train_x[appended..],
-                            &st.train_y[appended..],
-                            &st.train_noise[appended..],
-                        )?;
-                        workload.obs().counter("gp.refit.incremental", 1);
-                    }
-                    RefitStrategy::Full => {
-                        // Reference arm: from-scratch refactorization with the
-                        // hyperparameters pinned to the current kernel —
-                        // bit-identical to the incremental extension.
-                        let pinned = GpConfig {
-                            signal_variance: gp.kernel().signal_variance,
-                            length_scale: Some(gp.kernel().length_scale),
-                            noise_variance: gp.noise_variance(),
-                        };
-                        gp = GaussianProcess::fit_with_noise(
-                            &st.train_x,
-                            &st.train_y,
-                            &st.train_noise,
-                            pinned,
-                        )?;
-                        workload.obs().counter("gp.refit.full", 1);
-                    }
-                }
+                gp.extend_with_noise(
+                    &st.train_x[appended..],
+                    &st.train_y[appended..],
+                    &st.train_noise[appended..],
+                )?;
+                workload.obs().counter("gp.refit.incremental", 1);
             }
             st.gp = Some(gp);
             if surprised {
@@ -977,7 +924,7 @@ mod tests {
         let outcome = run(&w, 0.9, 5);
         // On this adversarial workload the default (paper-faithful) bounds give up
         // some precision; the conservative_noise mode recovers the guarantee at a
-        // higher cost (see the ablation bench and EXPERIMENTS.md).
+        // higher cost (see `paper noise_model`).
         assert!(outcome.metrics.precision() >= 0.75, "precision {}", outcome.metrics.precision());
         assert!(outcome.metrics.recall() >= 0.8, "recall {}", outcome.metrics.recall());
         let conservative = SessionConfig::PartialSampling(PartialSamplingConfig {

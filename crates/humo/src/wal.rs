@@ -60,9 +60,15 @@
 //! `SessionConfig` is a tagged union (`0` BASE, `1` ALL, `2` SAMP, `3` HYBR,
 //! `4` all-human) of the plain config structs; every `f64` is stored as
 //! `f64::to_bits`, every `usize` widened to `u64`, every `bool`/enum as one
-//! byte, making round trips bit-exact. A `WarmStart` is its observation list
-//! (`count u32`, then `{ similarity u64-bits, sample_size u64, positives
-//! u64 }` each) plus the optional human interval (`has u8`, two `f64`-bits).
+//! byte, making round trips bit-exact. The SAMP config (HYBR's too, ahead of
+//! its `estimation_units`) carries one reserved byte between its tail
+//! calibration and its seed. It is written as 0. Older logs stored a GP
+//! refit-strategy tag there whose two values, 0 and 1, replay to the same
+//! outcome, so a reader accepts both and refuses any other value. A
+//! `WarmStart` is its observation list (`count u32`, then `{ similarity
+//! u64-bits, sample_size u64, positives u64 }` each) plus the optional human
+//! interval (`has u8`, two `f64`-bits). A payload with bytes left over after
+//! its record is corrupt.
 //!
 //! # Log grammar
 //!
@@ -76,8 +82,8 @@
 //! reads the log through it.
 
 use crate::sampling::{
-    AllSamplingConfig, PartialSamplingConfig, PriorObservation, RefitStrategy, ShortfallBaseline,
-    TailCalibration, WarmStart,
+    AllSamplingConfig, PartialSamplingConfig, PriorObservation, ShortfallBaseline, TailCalibration,
+    WarmStart,
 };
 use crate::session::{LabelResponse, LabelingSession, SessionState, Step};
 use crate::{
@@ -210,10 +216,7 @@ fn put_partial_sampling(w: &mut ByteWriter, cfg: &PartialSamplingConfig) {
     put_f64(w, cfg.gp_error_threshold);
     w.put_u8(cfg.conservative_noise as u8);
     put_tail_calibration(w, &cfg.tail_calibration);
-    w.put_u8(match cfg.refit {
-        RefitStrategy::Incremental => 0,
-        RefitStrategy::Full => 1,
-    });
+    w.put_u8(0); // reserved
     w.put_u64(cfg.seed);
 }
 
@@ -225,11 +228,11 @@ fn take_partial_sampling(r: &mut ByteReader<'_>) -> Result<PartialSamplingConfig
     let gp_error_threshold = take_f64(r)?;
     let conservative_noise = take_bool(r)?;
     let tail_calibration = take_tail_calibration(r)?;
-    let refit = match take_u8(r)? {
-        0 => RefitStrategy::Incremental,
-        1 => RefitStrategy::Full,
-        v => return Err(HumoError::Wal(format!("invalid refit-strategy tag {v:#x}"))),
-    };
+    // Reserved: 0, or 1 in older logs (see the module docs).
+    let reserved = take_u8(r)?;
+    if reserved > 1 {
+        return Err(HumoError::Wal(format!("invalid reserved byte {reserved:#x}")));
+    }
     let seed = take_u64(r)?;
     Ok(PartialSamplingConfig {
         requirement,
@@ -239,7 +242,6 @@ fn take_partial_sampling(r: &mut ByteReader<'_>) -> Result<PartialSamplingConfig
         gp_error_threshold,
         conservative_noise,
         tail_calibration,
-        refit,
         seed,
     })
 }
@@ -399,13 +401,15 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
     frame(&w.finish())
 }
 
+/// Decodes one frame's payload. A payload longer than its record is
+/// [`HumoError::Wal`].
 fn decode_record(r: &mut ByteReader<'_>) -> Result<WalRecord> {
-    match take_u8(r)? {
+    let record = match take_u8(r)? {
         KIND_SESSION_BEGIN => {
             let workload_len = take_u64(r)?;
             let config = take_session_config(r)?;
             let warm = take_opt_warm_start(r)?;
-            Ok(WalRecord::SessionBegin { workload_len, config, warm })
+            WalRecord::SessionBegin { workload_len, config, warm }
         }
         KIND_LABELS => {
             let count = take_u32(r)? as usize;
@@ -415,10 +419,14 @@ fn decode_record(r: &mut ByteReader<'_>) -> Result<WalRecord> {
                 let label = Label::from_bool(take_bool(r)?);
                 responses.push(LabelResponse { pair_id, label });
             }
-            Ok(WalRecord::Labels(responses))
+            WalRecord::Labels(responses)
         }
-        KIND_COMMIT => Ok(WalRecord::Commit { warm: take_opt_warm_start(r)? }),
-        v => Err(HumoError::Wal(format!("invalid record kind {v:#x}"))),
+        KIND_COMMIT => WalRecord::Commit { warm: take_opt_warm_start(r)? },
+        v => return Err(HumoError::Wal(format!("invalid record kind {v:#x}"))),
+    };
+    match r.remaining() {
+        0 => Ok(record),
+        n => Err(HumoError::Wal(format!("{n} unread payload bytes after a record"))),
     }
 }
 
@@ -903,7 +911,7 @@ mod tests {
             .map(|&kind| SessionConfig::for_kind(kind, requirement))
             .collect();
         configs.push(SessionConfig::AllHuman);
-        // A non-default corner: explicit boundary index, full refits.
+        // Non-default corners: an explicit boundary index, conservative noise.
         configs.push(SessionConfig::Baseline(BaselineConfig {
             requirement,
             unit_size: 37,
@@ -911,7 +919,6 @@ mod tests {
             initial_boundary: InitialBoundary::Index(11),
         }));
         let mut samp = PartialSamplingConfig::new(requirement);
-        samp.refit = RefitStrategy::Full;
         samp.conservative_noise = true;
         samp.tail_calibration.shortfall_baseline = ShortfallBaseline::UpperBound;
         configs.push(SessionConfig::PartialSampling(samp));
@@ -1062,6 +1069,88 @@ mod tests {
         let recovery = read_log(&path).unwrap();
         assert!(!recovery.torn_tail);
         assert_eq!(recovery.records.len(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Frames `payload` the way [`encode_record`] frames a record.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::with_capacity(payload.len());
+        w.put_bytes(payload);
+        frame(&w.finish())
+    }
+
+    /// The payload of one [`encode_record`] frame: no header, no checksum.
+    fn payload_of(record: &WalRecord) -> Vec<u8> {
+        let frame = encode_record(record);
+        frame[er_core::codec::FRAME_HEADER_LEN..frame.len() - 8].to_vec()
+    }
+
+    #[test]
+    fn a_payload_longer_than_its_record_is_corrupt() {
+        let mut payload = payload_of(&WalRecord::Commit { warm: None });
+        let mut image = HAL1_MAGIC.to_vec();
+        image.extend_from_slice(&framed(&payload));
+        assert_eq!(decode_log(&image).unwrap().records, vec![WalRecord::Commit { warm: None }]);
+
+        payload.push(0);
+        let mut image = HAL1_MAGIC.to_vec();
+        image.extend_from_slice(&framed(&payload));
+        match decode_log(&image) {
+            Err(HumoError::Wal(message)) => {
+                assert_eq!(message, "1 unread payload bytes after a record")
+            }
+            other => panic!("a payload with a trailing byte decoded: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_reserved_byte_reads_old_refit_tags() {
+        let w = workload(4_000);
+        let requirement = QualityRequirement::new(0.85, 0.85, 0.9).unwrap();
+        let config = SessionConfig::for_kind(OptimizerKind::PartialSampling, requirement);
+        let path = temp_path("reserved");
+        let mut session = DurableSession::create(config, &w, &path).unwrap();
+        let mut oracle = crate::GroundTruthOracle::new();
+        let mut responses = Vec::new();
+        let expected = loop {
+            match session.step(&responses).unwrap() {
+                Step::Done(outcome) => break outcome,
+                Step::NeedLabels(requests) => {
+                    responses = crate::answer_requests(&w, &requests, &mut oracle)
+                }
+            }
+        };
+        drop(session);
+
+        // Rewrite the log's `SessionBegin` with each value of the reserved
+        // byte: the one before the 8-byte seed and the 1-byte `has_warm`.
+        let log = std::fs::read(&path).unwrap();
+        let begin = WalRecord::SessionBegin { workload_len: w.len() as u64, config, warm: None };
+        let begin_frame = encode_record(&begin);
+        assert!(log[HAL1_MAGIC.len()..].starts_with(&begin_frame));
+        let rest = &log[HAL1_MAGIC.len() + begin_frame.len()..];
+        for (tag, outcome) in [(0, Ok(())), (1, Ok(())), (2, Err("invalid reserved byte 0x2"))] {
+            let mut payload = payload_of(&begin);
+            let reserved = payload.len() - 10;
+            assert_eq!(payload[reserved], 0, "the writer writes the reserved byte as 0");
+            payload[reserved] = tag;
+            let mut image = HAL1_MAGIC.to_vec();
+            image.extend_from_slice(&framed(&payload));
+            image.extend_from_slice(rest);
+            std::fs::write(&path, &image).unwrap();
+            match (DurableSession::resume(&w, &path), outcome) {
+                (Ok(mut resumed), Ok(())) => {
+                    let Step::Done(again) = resumed.step(&[]).unwrap() else {
+                        panic!("tag {tag}: a completed log resumed unfinished")
+                    };
+                    assert_eq!(again.solution, expected.solution, "tag {tag}");
+                    assert_eq!(again.assignment, expected.assignment, "tag {tag}");
+                    assert_eq!(again.total_human_cost, expected.total_human_cost, "tag {tag}");
+                }
+                (Err(HumoError::Wal(message)), Err(expected)) => assert_eq!(message, expected),
+                (other, _) => panic!("tag {tag} resumed to {:?}", other.map(|_| ())),
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
